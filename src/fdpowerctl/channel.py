@@ -24,14 +24,17 @@ from .config import (
     UeTemplate,
     MU_FLOOR,
     make_ue,
+    ue_errors,
     validate_scenario,
 )
 
 __all__ = [
     "Snapshot",
+    "SnapshotBatch",
     "path_gain",
     "hbs_position",
     "sample_snapshot",
+    "sample_batch",
     "snapshot_from_distances",
     "snapshot_from_scenario",
     "snapshot_to_json",
@@ -99,11 +102,92 @@ class Snapshot:
         return Snapshot(self.cfg, self.hbs, tuple(ues), self.snapshot_id, self.seed_used)
 
 
+# Per-UE parameter arrays of a batch, in SnapshotBatch field order.
+_BATCH_ARRAYS = ("g", "h", "mu", "gamma_target", "eta", "p_bar_u", "p_cir", "p_min")
+
+
+@dataclass
+class SnapshotBatch:
+    """Per-UE parameters of S snapshots as (S, K) arrays, row s for snapshot s.
+
+    The attribute names are Snapshot's, so the update rules and metrics in
+    core apply to a batch row by row. A batch holds no per-UE objects.
+    """
+
+    cfg: ScenarioConfig
+    hbs: HbsParams
+    g: np.ndarray
+    h: np.ndarray
+    mu: np.ndarray
+    gamma_target: np.ndarray
+    eta: np.ndarray
+    p_bar_u: np.ndarray
+    p_cir: np.ndarray
+    p_min: np.ndarray
+
+    @property
+    def num_ues(self) -> int:
+        return self.g.shape[1]
+
+    def __len__(self) -> int:
+        return self.g.shape[0]
+
+    def rows(self, index: np.ndarray) -> "SnapshotBatch":
+        """The snapshots picked by a boolean mask or an index array."""
+        return SnapshotBatch(
+            self.cfg, self.hbs, *(getattr(self, name)[index] for name in _BATCH_ARRAYS)
+        )
+
+    @classmethod
+    def of(cls, snap: Snapshot, copies: int = 1) -> "SnapshotBatch":
+        """A batch of `copies` rows, each one the given snapshot (no copy made)."""
+        shape = (copies, snap.num_ues)
+        return cls(
+            snap.cfg, snap.hbs,
+            *(np.broadcast_to(getattr(snap, name), shape) for name in _BATCH_ARRAYS),
+        )
+
+
 def _draw_mu(rng: np.random.Generator) -> float:
     mu = rng.uniform(0.0, 1.0)
     while mu < MU_FLOOR:
         mu = rng.uniform(0.0, 1.0)
     return mu
+
+
+def _draw_ues(
+    cfg: ScenarioConfig, ue_template: UeTemplate, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """UE positions (K, 2) in meters and harvesting efficiencies (K,).
+
+    Each UE consumes a fixed number of draws (x, y, then mu when random), in
+    UE order, so a K-UE draw is a prefix of the (K+1)-UE draw from the same
+    stream. With a fixed mu, one (K, 2) draw reads the same 2K numbers as the
+    per-UE scalar draws; a random mu keeps the per-UE loop.
+    """
+    k = max(cfg.num_ues, 0)
+    if ue_template.mu is not None:
+        unit = rng.uniform(0.0, 1.0, size=(k, 2))
+        mu = np.full(k, ue_template.mu)
+    else:
+        unit = np.empty((k, 2))
+        mu = np.empty(k)
+        for i in range(k):
+            unit[i] = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+            mu[i] = _draw_mu(rng)
+    # a unit-square draw scaled by the side keeps positions comparable
+    # across cell-side sweeps that share a seed
+    return unit * cfg.cell_side, mu
+
+
+def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """UE distances to the base station, floored at 1 nm."""
+    ox, oy = hbs_position(cfg)
+    # math.hypot per UE: np.hypot differs from it in the last bit on some
+    # inputs, which would move every derived gain and fixed point
+    return np.array(
+        [max(math.hypot(x - ox, y - oy), 1e-9) for x, y in positions.tolist()]
+    )
 
 
 def sample_snapshot(
@@ -115,35 +199,69 @@ def sample_snapshot(
 ) -> Snapshot:
     """Draw one random snapshot: positions uniform in the cell, mu per template.
 
-    Each UE consumes a fixed number of draws (x, y, then mu when random), in
-    UE order, so a K-UE snapshot is a prefix of the (K+1)-UE snapshot from the
-    same stream. Per-snapshot streams derive from cfg.seed + snapshot_id.
+    A K-UE snapshot is a prefix of the (K+1)-UE snapshot from the same
+    stream. Per-snapshot streams derive from cfg.seed + snapshot_id.
     """
     seed_used = cfg.seed + snapshot_id
     if rng is None:
         rng = np.random.default_rng(seed_used)
-    origin = hbs_position(cfg)
-    ues = []
-    for _ in range(cfg.num_ues):
-        # unit-square draw scaled by the side keeps positions comparable
-        # across cell-side sweeps that share a seed
-        ux, uy = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
-        x, y = ux * cfg.cell_side, uy * cfg.cell_side
-        mu = ue_template.mu if ue_template.mu is not None else _draw_mu(rng)
-        d = math.hypot(x - origin[0], y - origin[1])
-        d = max(d, 1e-9)
-        g = path_gain(d, cfg.attenuation_k)
-        ues.append(
-            make_ue(
-                distance=d, g=g, mu=mu, template=ue_template,
-                epsilon=cfg.epsilon, delta_t=cfg.delta_t, position=(x, y),
-            )
+    positions, mus = _draw_ues(cfg, ue_template, rng)
+    ues = [
+        make_ue(
+            distance=d, g=path_gain(d, cfg.attenuation_k), mu=mu, template=ue_template,
+            epsilon=cfg.epsilon, delta_t=cfg.delta_t, position=(x, y),
         )
+        for (x, y), d, mu in zip(
+            positions.tolist(), _distances(positions, cfg).tolist(), mus.tolist()
+        )
+    ]
     snap = Snapshot(cfg, hbs, tuple(ues), snapshot_id=snapshot_id, seed_used=seed_used)
     errors = validate_scenario(cfg, hbs, list(snap.ues))
     if errors:
         raise ConfigError(errors)
     return snap
+
+
+def sample_batch(
+    cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, n_snapshots: int
+) -> SnapshotBatch:
+    """Snapshots 0 .. n_snapshots-1, drawn straight into the rows of a batch.
+
+    Row s holds the values sample_snapshot(..., snapshot_id=s) gives, bit for
+    bit, and invalid parameters raise the ConfigError it would raise.
+    """
+    shape = (n_snapshots, max(cfg.num_ues, 0))
+    distance = np.empty(shape)
+    mu = np.empty(shape)
+    for sid in range(n_snapshots):
+        positions, mu[sid] = _draw_ues(cfg, ue_template, np.random.default_rng(cfg.seed + sid))
+        distance[sid] = _distances(positions, cfg)
+    g = cfg.attenuation_k / (distance * distance * distance)
+    t = ue_template
+    p_cir = t.n_antennas * t.p_dyn + t.p_sta
+    columns = {
+        "mu": mu, "g": g, "h": g, "distance": distance,
+        "gamma_target": np.full(shape, t.gamma_target),
+        "eta": np.full(shape, t.eta),
+        "p_bar_u": np.full(shape, t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)),
+        "p_dyn": np.full(shape, t.p_dyn),
+        "p_sta": np.full(shape, t.p_sta),
+        "e_bar": np.full(shape, math.nan if t.e_bar is None else t.e_bar),
+    }
+    if n_snapshots:
+        # the errors sample_snapshot raises at the first invalid snapshot:
+        # with config errors that is snapshot 0, whatever its UEs
+        errors = validate_scenario(cfg, hbs, [])
+        errors += ue_errors(
+            {name: col[:1] for name, col in columns.items()} if errors else columns
+        )
+        if errors:
+            raise ConfigError(errors)
+    return SnapshotBatch(
+        cfg, hbs, g=g, h=g, mu=mu,
+        gamma_target=columns["gamma_target"], eta=columns["eta"],
+        p_bar_u=columns["p_bar_u"], p_cir=np.full(shape, p_cir), p_min=p_cir / (mu * g),
+    )
 
 
 def snapshot_from_distances(
@@ -217,9 +335,7 @@ def snapshot_from_scenario(
 
 
 def _override(values: list):
-    return None if all(v is None for v in values) else [
-        v if v is not None else None for v in values
-    ]
+    return None if all(v is None for v in values) else values
 
 
 def snapshot_to_json(snap: Snapshot, path: str | Path) -> None:

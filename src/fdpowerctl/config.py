@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .units import dbm_to_watt, db_to_linear
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "Scenario",
     "make_ue",
     "validate_scenario",
+    "ue_errors",
     "load_scenario",
     "scenario_from_dict",
     "scenario_to_dict",
@@ -172,6 +175,47 @@ def make_ue(
     )
 
 
+# Per-UE invariants in reporting order: (field, violated(columns), message).
+_UE_CHECKS = (
+    ("mu", lambda u: u["mu"] <= 0.0, "mu must be strictly positive"),
+    ("mu", lambda u: u["mu"] >= 1.0, "mu must be below 1"),
+    ("g", lambda u: u["g"] <= 0.0, "channel gain must be strictly positive"),
+    ("h", lambda u: u["h"] <= 0.0, "channel gain must be strictly positive"),
+    ("distance", lambda u: u["distance"] <= 0.0, "must be strictly positive"),
+    ("gamma_target", lambda u: u["gamma_target"] < 0.0, "must be non-negative"),
+    ("eta", lambda u: u["eta"] < 0.0, "must be non-negative"),
+    ("p_bar_u", lambda u: u["p_bar_u"] <= 0.0,
+     "uplink power cap must be strictly positive"),
+    ("circuit", lambda u: (u["p_dyn"] < 0.0) | (u["p_sta"] < 0.0),
+     "circuit powers must be non-negative"),
+    # an absent limit (NaN) compares as neither positive nor non-positive
+    ("e_bar", lambda u: (u["mu"] > 0) & (u["g"] > 0) & (u["e_bar"] <= 0),
+     "must be strictly positive"),
+)
+_UE_FIELDS = (
+    "mu", "g", "h", "distance", "gamma_target", "eta", "p_bar_u", "p_dyn", "p_sta", "e_bar",
+)
+
+
+def ue_errors(columns: dict[str, np.ndarray]) -> list[str]:
+    """Per-UE violations, with field paths, of the first snapshot that has any.
+
+    `columns` maps each name in _UE_FIELDS to an (S, K) array: row s holds
+    snapshot s, column i its UE i, and a missing e_bar is NaN.
+    """
+    violated = [(field, bad(columns), msg) for field, bad, msg in _UE_CHECKS]
+    rows = np.flatnonzero(np.any([v for _, v, _ in violated], axis=(0, 2)))
+    if rows.size == 0:
+        return []
+    s = rows[0]
+    return [
+        f"ues[{i}].{field}: {msg}"
+        for i in range(columns["mu"].shape[1])
+        for field, v, msg in violated
+        if v[s, i]
+    ]
+
+
 def validate_scenario(
     cfg: ScenarioConfig, hbs: HbsParams, ues: list[UeParams]
 ) -> list[str]:
@@ -209,32 +253,11 @@ def validate_scenario(
     if hbs.p_dyn < 0.0 or hbs.p_sta < 0.0:
         bad("hbs.circuit", "circuit powers must be non-negative")
 
-    for i, ue in enumerate(ues):
-        path = f"ues[{i}]"
-        if ue.mu <= 0.0:
-            bad(f"{path}.mu", "mu must be strictly positive")
-        elif ue.mu >= 1.0:
-            bad(f"{path}.mu", "mu must be below 1")
-        if ue.g <= 0.0:
-            bad(f"{path}.g", "channel gain must be strictly positive")
-        if ue.h <= 0.0:
-            bad(f"{path}.h", "channel gain must be strictly positive")
-        if ue.distance <= 0.0:
-            bad(f"{path}.distance", "must be strictly positive")
-        if ue.gamma_target < 0.0:
-            bad(f"{path}.gamma_target", "must be non-negative")
-        if ue.eta < 0.0:
-            bad(f"{path}.eta", "must be non-negative")
-        if ue.p_bar_u <= 0.0:
-            bad(f"{path}.p_bar_u", "uplink power cap must be strictly positive")
-        if ue.p_dyn < 0.0 or ue.p_sta < 0.0:
-            bad(f"{path}.circuit", "circuit powers must be non-negative")
-        if ue.e_bar is not None and ue.mu > 0 and ue.g > 0:
-            # cap must match the harvest-energy limit it was derived from
-            expect = ue.e_bar  # joules per interval
-            if expect <= 0:
-                bad(f"{path}.e_bar", "must be strictly positive")
-
+    if ues:
+        # one snapshot's row; dtype=float turns an absent e_bar into NaN
+        errors += ue_errors(
+            {name: np.array([[getattr(u, name) for u in ues]], dtype=float) for name in _UE_FIELDS}
+        )
     return errors
 
 

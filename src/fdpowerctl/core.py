@@ -4,6 +4,11 @@ All functions here are pure maps from a joint power state (K uplink powers
 plus the base station's harvest transmit power) to the next state or to
 metrics. The synchronous iteration that composes them lives in the engine.
 
+Every map also takes a batch of S states on S snapshots: p_u of shape (S, K),
+p_h of shape (S,), and a SnapshotBatch whose per-UE arrays are (S, K). Sums
+and maxima run over the last (UE) axis, so each row gets exactly the result
+it would get on its own.
+
 Four algorithms are supported:
 
 * TPC    - target-SINR tracking, no harvesting (p_h stays 0).
@@ -68,28 +73,34 @@ class Algorithm(str, enum.Enum):
 
 @dataclass
 class PowerVector:
-    """Joint transmit state: uplink powers (watts) and harvest power (watts)."""
+    """Joint transmit state: uplink powers (watts) and harvest power (watts).
+
+    One state has p_u of shape (K,) and a float p_h; a batch of S states has
+    p_u of shape (S, K) and p_h of shape (S,).
+    """
 
     p_u: np.ndarray
-    p_h: float = 0.0
+    p_h: float | np.ndarray = 0.0
 
     def copy(self) -> "PowerVector":
         return PowerVector(self.p_u.copy(), self.p_h)
-
-    def clipped(self, snap: Snapshot) -> "PowerVector":
-        return PowerVector(
-            np.clip(self.p_u, 0.0, snap.p_bar_u),
-            float(min(max(self.p_h, 0.0), snap.hbs.p_bar_h)),
-        )
 
     def as_array(self) -> np.ndarray:
         return np.append(self.p_u, self.p_h)
 
 
+def _per_ue(p_h: float | np.ndarray) -> float | np.ndarray:
+    """Harvest power shaped to broadcast against per-UE arrays."""
+    return p_h[..., None] if isinstance(p_h, np.ndarray) else p_h
+
+
 def _interference(p: PowerVector, snap: Snapshot) -> np.ndarray:
     """Per-UE interference-plus-noise seen at the base station receiver."""
     received = snap.h * p.p_u
-    return received.sum() - received + snap.cfg.delta * p.p_h + snap.cfg.sigma2
+    return (
+        received.sum(axis=-1, keepdims=True) - received
+        + snap.cfg.delta * _per_ue(p.p_h) + snap.cfg.sigma2
+    )
 
 
 def sinr(p: PowerVector, snap: Snapshot) -> np.ndarray:
@@ -107,18 +118,18 @@ def required_hbs_power(p_u: np.ndarray, snap: Snapshot) -> np.ndarray:
     return p_u / (snap.cfg.epsilon * snap.mu * snap.g) + snap.p_min
 
 
-def optimal_hbs_power(p_u: np.ndarray, snap: Snapshot) -> float:
+def optimal_hbs_power(p_u: np.ndarray, snap: Snapshot) -> float | np.ndarray:
     """Smallest downlink power satisfying every UE's harvest constraint.
 
     Unclipped max of the per-UE requirements; exceeding the peak power cap
     means the state is energy-infeasible at that cap.
     """
-    return float(np.max(required_hbs_power(p_u, snap)))
+    return required_hbs_power(p_u, snap).max(axis=-1)
 
 
-def hbs_update(p: PowerVector, snap: Snapshot) -> float:
+def hbs_update(p: PowerVector, snap: Snapshot) -> float | np.ndarray:
     """Harvest-power update: the per-UE requirement max, clipped to the peak."""
-    return min(snap.hbs.p_bar_h, optimal_hbs_power(p.p_u, snap))
+    return np.minimum(snap.hbs.p_bar_h, optimal_hbs_power(p.p_u, snap))
 
 
 def tpceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
@@ -157,38 +168,42 @@ def joint_update(alg: Algorithm, p: PowerVector, snap: Snapshot) -> PowerVector:
 
 @dataclass
 class Metrics:
-    """Link and power metrics derived from one joint power state."""
+    """Link and power metrics derived from one joint power state.
+
+    For a batch of states every field gains a leading (S,) axis.
+    """
 
     sinr: np.ndarray
     rate: np.ndarray
     ue_total_power: np.ndarray       # p_u / eps + p_cir
-    hbs_total_power: float           # p_h / eps + hbs circuit
+    hbs_total_power: float | np.ndarray   # p_h / eps + hbs circuit
     harvested_power: np.ndarray      # mu * g * p_h
-    aggregate_power: float
-    aggregate_throughput: float
+    aggregate_power: float | np.ndarray
+    aggregate_throughput: float | np.ndarray
     energy_feasible: np.ndarray      # bool per UE
     outage: np.ndarray               # bool per UE
 
 
 def metrics(p: PowerVector, snap: Snapshot) -> Metrics:
-    """Evaluate all metrics of a power state on a snapshot."""
+    """Evaluate all metrics of a power state (or a batch) on a snapshot."""
     eps = snap.cfg.epsilon
+    p_h = _per_ue(p.p_h)
     s = sinr(p, snap)
     r = np.log2(1.0 + s)
     ue_total = p.p_u / eps + snap.p_cir
     hbs_total = p.p_h / eps + snap.hbs.p_cir
-    harvested = snap.mu * snap.g * p.p_h
+    harvested = snap.mu * snap.g * p_h
     required = required_hbs_power(p.p_u, snap)
-    feasible = p.p_h >= required * (1.0 - FEASIBILITY_REL_SLACK)
+    feasible = p_h >= required * (1.0 - FEASIBILITY_REL_SLACK)
     outage = s < snap.gamma_target * (1.0 - OUTAGE_REL_SLACK)
     return Metrics(
         sinr=s,
         rate=r,
         ue_total_power=ue_total,
-        hbs_total_power=float(hbs_total),
+        hbs_total_power=hbs_total,
         harvested_power=harvested,
-        aggregate_power=float(ue_total.sum() + hbs_total),
-        aggregate_throughput=float(r.sum()),
+        aggregate_power=ue_total.sum(axis=-1) + hbs_total,
+        aggregate_throughput=r.sum(axis=-1),
         energy_feasible=feasible,
         outage=outage,
     )

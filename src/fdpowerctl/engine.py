@@ -5,6 +5,16 @@ the base station compute their next power from the full state of the current
 step. Snapshot-level work is reproducible from (seed, snapshot_id) alone, so
 sweeps over an axis reuse identical snapshot draws for every axis value and
 every algorithm (common random numbers).
+
+There is one iteration loop, `iterate`. It steps S independent rows at once:
+an (S, K+1) state (the K uplink powers, then the harvest power) on a
+SnapshotBatch of (S, K) parameter arrays, with a convergence record per row.
+A row stops at the first step whose relative change is at most tol, or after
+max_iter steps; each row's numbers equal those of iterating it alone. Rows
+that stop are written out and dropped from the working arrays (compaction),
+so the cost of a step follows the rows still running. `solve` runs it with
+an algorithm's joint update: a sweep solves each axis value in one call, and
+`run_fixed_point` is the one-row case.
 """
 
 from __future__ import annotations
@@ -12,31 +22,34 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .channel import Snapshot, hbs_position, snapshot_from_scenario
-from .config import Scenario, ScenarioConfig
+from .channel import Snapshot, SnapshotBatch, sample_batch, snapshot_from_scenario
+from .config import Scenario
 from .core import (
+    FEASIBILITY_REL_SLACK,
     Algorithm,
     Metrics,
     PowerVector,
     hbs_update,
     joint_update,
     metrics,
-    optimal_hbs_power,
     required_hbs_power,
 )
 from .units import db_to_linear
 
 __all__ = [
     "IterationTrace",
+    "BatchSolution",
     "FeasibilityReport",
     "SweepResult",
     "MobilityState",
     "MobilityResult",
+    "iterate",
+    "solve",
     "run_fixed_point",
-    "relative_change",
     "check_energy_feasibility",
     "apply_axis",
     "run_monte_carlo",
@@ -76,11 +89,107 @@ class IterationTrace:
     final_change: float
 
 
-def relative_change(p_new: PowerVector, p_old: PowerVector) -> float:
-    """Infinity-norm relative step size with a floor for near-zero powers."""
-    a = p_new.as_array()
-    b = p_old.as_array()
-    return float(np.max(np.abs(a - b) / np.maximum(b, CHANGE_FLOOR)))
+@dataclass
+class BatchSolution:
+    """Per-row outcome of `iterate`."""
+
+    fixed_point: np.ndarray       # (S, K+1): uplink powers, then the harvest power
+    iterations_used: np.ndarray   # (S,) steps taken
+    converged: np.ndarray         # (S,) bool
+    final_change: np.ndarray      # (S,) last relative change, inf with no step
+
+    def powers(self, rows=slice(None)) -> PowerVector:
+        """The fixed points of the chosen rows as a batch of states."""
+        x = self.fixed_point[rows]
+        return PowerVector(x[..., :-1], x[..., -1])
+
+
+def iterate(
+    update: Callable[[PowerVector, SnapshotBatch], PowerVector],
+    batch: SnapshotBatch,
+    p_init: PowerVector,
+    tol: float,
+    max_iter: int,
+    history: list[np.ndarray] | None = None,
+) -> BatchSolution:
+    """Iterate `update` on every row of the batch until each row stops.
+
+    `p_init` holds one start per row (p_u (S, K), p_h (S,)); it is clipped
+    into [0, caps] first. A row stops converged at the first step whose
+    infinity-norm relative change (denominators floored at CHANGE_FLOOR) is
+    at most tol, and unconverged after max_iter steps: an exception is never
+    raised for it. `update` receives the rows still running and their
+    parameters. With a `history` list, the (rows, K+1) state of every step,
+    the clipped start included, is appended to it; runs of one row use it.
+    """
+    k = batch.num_ues
+    x = np.empty((len(batch), k + 1))
+    x[:, :k] = np.clip(p_init.p_u, 0.0, batch.p_bar_u)
+    x[:, k] = np.clip(p_init.p_h, 0.0, batch.hbs.p_bar_h)
+    out = BatchSolution(
+        fixed_point=x.copy(),
+        iterations_used=np.zeros(len(batch), dtype=int),
+        converged=np.zeros(len(batch), dtype=bool),
+        final_change=np.full(len(batch), math.inf),
+    )
+    if history is not None:
+        history.append(x)
+    active = np.arange(len(batch))
+    for t in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        step = update(PowerVector(x[:, :k], x[:, k]), batch)
+        nxt = np.empty_like(x)
+        nxt[:, :k] = step.p_u
+        nxt[:, k] = step.p_h
+        change = np.max(np.abs(nxt - x) / np.maximum(x, CHANGE_FLOOR), axis=-1)
+        x = nxt
+        if history is not None:
+            history.append(x)
+        converged = change <= tol
+        stop = converged if t < max_iter else np.ones_like(converged)
+        if stop.any():
+            rows = active[stop]
+            out.fixed_point[rows] = x[stop]
+            out.iterations_used[rows] = t
+            out.converged[rows] = converged[stop]
+            out.final_change[rows] = change[stop]
+            go = ~stop
+            active, x, batch = active[go], x[go], batch.rows(go)
+    return out
+
+
+def solve(
+    algorithm: Algorithm | str,
+    batch: SnapshotBatch,
+    p_init: PowerVector | None = None,
+    tol: float | None = None,
+    max_iter: int | None = None,
+    history: list[np.ndarray] | None = None,
+) -> BatchSolution:
+    """Fixed points of the algorithm's joint update on every row of the batch.
+
+    The default start is 1 uW on every UE and, for the harvesting algorithms,
+    on the harvest signal; tol and max_iter default to the scenario's.
+    """
+    alg = Algorithm(algorithm)
+    if p_init is None:
+        p_init = PowerVector(
+            np.full((len(batch), batch.num_ues), 1e-6),
+            np.full(len(batch), 1e-6 if alg.harvesting else 0.0),
+        )
+    return iterate(
+        lambda p, rows: joint_update(alg, p, rows),
+        batch,
+        p_init,
+        batch.cfg.tol if tol is None else tol,
+        batch.cfg.max_iter if max_iter is None else max_iter,
+        history,
+    )
+
+
+def _as_state(row: np.ndarray) -> PowerVector:
+    return PowerVector(row[:-1], float(row[-1]))
 
 
 def run_fixed_point(
@@ -93,44 +202,28 @@ def run_fixed_point(
 ) -> IterationTrace:
     """Iterate the joint power update until the relative change drops below tol.
 
-    Non-convergence within max_iter yields converged=False, not an exception.
-    `record="ends"` keeps metrics only for the first and last step, which the
-    Monte-Carlo path uses to stay light.
+    This is `solve` on a batch of one row. Non-convergence within max_iter
+    yields converged=False, not an exception. `record="ends"` keeps metrics
+    only for the last step.
     """
     alg = Algorithm(algorithm)
-    tol = snap.cfg.tol if tol is None else tol
-    max_iter = snap.cfg.max_iter if max_iter is None else max_iter
-    if p_init is None:
-        p_init = PowerVector(
-            np.full(snap.num_ues, 1e-6), 1e-6 if alg.harvesting else 0.0
-        )
-    p = p_init.clipped(snap)
-
-    steps: list[tuple[int, PowerVector, Metrics]] = []
-    if record == "all":
-        steps.append((0, p.copy(), metrics(p, snap)))
-    converged = False
-    change = math.inf
-    t = 0
-    for t in range(1, max_iter + 1):
-        p_next = joint_update(alg, p, snap)
-        change = relative_change(p_next, p)
-        p = p_next
-        if record == "all":
-            steps.append((t, p.copy(), metrics(p, snap)))
-        if change <= tol:
-            converged = True
-            break
-    iterations_used = t if max_iter > 0 else 0
-    if record != "all":
-        steps = [(iterations_used, p.copy(), metrics(p, snap))]
+    history = [] if record == "all" else None
+    if p_init is not None:
+        p_init = PowerVector(p_init.p_u[None, :], np.array([p_init.p_h]))
+    sol = solve(alg, SnapshotBatch.of(snap), p_init, tol, max_iter, history)
+    fixed_point = _as_state(sol.fixed_point[0])
+    iterations_used = int(sol.iterations_used[0])
+    if history is None:
+        states = [(iterations_used, fixed_point)]
+    else:
+        states = [(t, _as_state(x[0])) for t, x in enumerate(history)]
     return IterationTrace(
         algorithm=alg,
-        steps=steps,
-        converged=converged,
+        steps=[(t, p, metrics(p, snap)) for t, p in states],
+        converged=bool(sol.converged[0]),
         iterations_used=iterations_used,
-        fixed_point=p,
-        final_change=change,
+        fixed_point=fixed_point,
+        final_change=float(sol.final_change[0]),
     )
 
 
@@ -149,10 +242,10 @@ def check_energy_feasibility(trace: IterationTrace, snap: Snapshot) -> Feasibili
     """Evaluate the harvest constraint per UE at the trace's fixed point."""
     p = trace.fixed_point
     required = required_hbs_power(p.p_u, snap)
-    feasible = p.p_h >= required * (1.0 - 1e-12)
+    feasible = p.p_h >= required * (1.0 - FEASIBILITY_REL_SLACK)
     all_ok = bool(np.all(feasible))
     cap_binding = bool(
-        p.p_h >= snap.hbs.p_bar_h * (1.0 - 1e-12) and not all_ok
+        p.p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK) and not all_ok
     )
     return FeasibilityReport(
         feasible=feasible,
@@ -194,18 +287,19 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _snapshot_scalars(mx: Metrics, p: PowerVector) -> dict[str, float]:
+def _snapshot_scalars(mx: Metrics, p: PowerVector) -> dict[str, np.ndarray]:
+    """Per-snapshot sweep samples of a batch of fixed points, one per row."""
     return {
-        "avg_sinr": float(mx.sinr.mean()),
+        "avg_sinr": mx.sinr.mean(axis=-1),
         "aggregate_throughput": mx.aggregate_throughput,
         "p_h": p.p_h,
-        "avg_p_u": float(p.p_u.mean()),
-        "sum_p_u": float(p.p_u.sum()),
-        "total_ue_power": float(mx.ue_total_power.sum()),
+        "avg_p_u": p.p_u.mean(axis=-1),
+        "sum_p_u": p.p_u.sum(axis=-1),
+        "total_ue_power": mx.ue_total_power.sum(axis=-1),
         "hbs_total_power": mx.hbs_total_power,
         "aggregate_power": mx.aggregate_power,
-        "outage_fraction": float(mx.outage.mean()),
-        "feasible_fraction": float(mx.energy_feasible.mean()),
+        "outage_fraction": mx.outage.mean(axis=-1),
+        "feasible_fraction": mx.energy_feasible.mean(axis=-1),
     }
 
 
@@ -223,7 +317,8 @@ def run_monte_carlo(
     Snapshot i always comes from the stream seeded with cfg.seed + i, so the
     same random placements back every axis value (and any other algorithm run
     with the same scenario), which keeps trend comparisons paired. Snapshots
-    that fail to converge are counted and left out of the averages.
+    that fail to converge are counted and left out of the averages. Each axis
+    value is one `solve` call over all its snapshots.
     """
     alg = Algorithm(algorithm)
     # sweeps are Monte-Carlo by definition: pinned UE layouts do not apply
@@ -232,23 +327,15 @@ def run_monte_carlo(
     n_conv, n_nonconv = [], []
     for value in values:
         sc = apply_axis(scenario, sweep_axis, value)
-        samples: dict[str, list[float]] = {m: [] for m in SWEEP_METRICS}
-        bad = 0
-        for sid in range(n_snapshots):
-            snap = snapshot_from_scenario(sc, snapshot_id=sid)
-            trace = run_fixed_point(
-                alg, snap, tol=tol, max_iter=max_iter, record="ends"
-            )
-            if not trace.converged:
-                bad += 1
-                continue
-            mx = trace.steps[-1][2]
-            for key, val in _snapshot_scalars(mx, trace.fixed_point).items():
-                samples[key].append(val)
-        n_conv.append(n_snapshots - bad)
-        n_nonconv.append(bad)
+        batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, n_snapshots)
+        sol = solve(alg, batch, tol=tol, max_iter=max_iter)
+        ok = sol.converged
+        fixed = sol.powers(ok)
+        samples = _snapshot_scalars(metrics(fixed, batch.rows(ok)), fixed)
+        n_conv.append(int(ok.sum()))
+        n_nonconv.append(n_snapshots - int(ok.sum()))
         for key in SWEEP_METRICS:
-            arr = np.asarray(samples[key])
+            arr = samples[key]
             if arr.size == 0:
                 stats[key].append((math.nan, math.nan))
             else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Snapshot
+from .channel import Snapshot, SnapshotBatch
 from .core import (
     Algorithm,
     PowerVector,
@@ -23,7 +23,7 @@ from .core import (
     required_hbs_power,
     sinr,
 )
-from .engine import IterationTrace, run_fixed_point
+from .engine import IterationTrace, iterate, run_fixed_point, solve
 
 __all__ = [
     "BruteForceResult",
@@ -422,25 +422,16 @@ def transformed_joint_update(p: PowerVector, snap: Snapshot) -> PowerVector:
     received power over all UEs with a (1 + gamma_hat) divisor; the harvest
     update substitutes the same expression via the alpha coefficients. Both
     share their fixed points with the plain tracking form when no cap binds.
+    Like joint_update it also takes a batch of states on a SnapshotBatch.
     """
     cfg = snap.cfg
-    total = float(snap.h @ p.p_u) + cfg.delta * p.p_h + cfg.sigma2
+    total = np.sum(snap.h * p.p_u, axis=-1) + cfg.delta * p.p_h + cfg.sigma2
+    total = np.expand_dims(total, -1)
     gt = snap.gamma_target
     p_u_next = np.minimum(snap.p_bar_u, gt * total / ((1.0 + gt) * snap.h))
     alpha = alpha_coefficients(snap)
-    p_h_next = min(snap.hbs.p_bar_h, float(np.max(alpha * total + snap.p_min)))
+    p_h_next = np.minimum(snap.hbs.p_bar_h, np.max(alpha * total + snap.p_min, axis=-1))
     return PowerVector(p_u_next, p_h_next)
-
-
-def _iterate(update, p: PowerVector, tol: float, max_iter: int) -> tuple[PowerVector, bool]:
-    for _ in range(max_iter):
-        p_next = update(p)
-        a, b = p_next.as_array(), p.as_array()
-        change = float(np.max(np.abs(a - b) / np.maximum(b, 1e-18)))
-        p = p_next
-        if change <= tol:
-            return p, True
-    return p, False
 
 
 @dataclass
@@ -462,42 +453,40 @@ def check_update_form_equivalence(
 
     Asserts that both iterations reach the same fixed point and that the
     ratio-form map reproduces the plain fixed point when evaluated there.
-    Valid on scenarios whose fixed point leaves every cap slack.
+    Valid on scenarios whose fixed point leaves every cap slack. The trials
+    run as the rows of one batch.
     """
     caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
-    worst_fp = 0.0
-    worst_eval = 0.0
+    starts = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=(trials, snap.num_ues + 1))
+    p0 = PowerVector(starts[:, :-1], starts[:, -1])
+    batch = SnapshotBatch.of(snap, trials)
+    plain = iterate(
+        lambda q, rows: joint_update(Algorithm.TPCEH, q, rows), batch, p0, 1e-13, 50000
+    )
+    ratio = iterate(transformed_joint_update, batch, p0, 1e-13, 50000)
+    a, b = plain.fixed_point, ratio.fixed_point
+    fp_gap = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30), axis=-1)
+    cross = transformed_joint_update(plain.powers(), batch)
+    cross = np.column_stack((cross.p_u, cross.p_h))
+    eval_gap = np.max(np.abs(cross - a) / np.maximum(np.abs(a), 1e-30), axis=-1)
+    ok = (
+        plain.converged & ratio.converged
+        & (fp_gap <= fp_rel_tol) & (eval_gap <= eval_rel_tol)
+    )
     example = None
-    passed = True
-    for _ in range(trials):
-        start = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=snap.num_ues + 1)
-        p0 = PowerVector(start[:-1], float(start[-1]))
-        fp_a, ok_a = _iterate(
-            lambda q: joint_update(Algorithm.TPCEH, q, snap), p0, 1e-13, 50000
-        )
-        fp_b, ok_b = _iterate(
-            lambda q: transformed_joint_update(q, snap), p0, 1e-13, 50000
-        )
-        a, b = fp_a.as_array(), fp_b.as_array()
-        fp_gap = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30)))
-        cross = transformed_joint_update(fp_a, snap).as_array()
-        eval_gap = float(np.max(np.abs(cross - a) / np.maximum(np.abs(a), 1e-30)))
-        worst_fp = max(worst_fp, fp_gap)
-        worst_eval = max(worst_eval, eval_gap)
-        if not (ok_a and ok_b and fp_gap <= fp_rel_tol and eval_gap <= eval_rel_tol):
-            passed = False
-            if example is None:
-                example = {
-                    "init": p0.as_array().tolist(),
-                    "fp_plain": a.tolist(),
-                    "fp_ratio": b.tolist(),
-                    "fp_gap": fp_gap,
-                    "eval_gap": eval_gap,
-                }
+    if not ok.all():
+        i = int(np.argmin(ok))
+        example = {
+            "init": starts[i].tolist(),
+            "fp_plain": a[i].tolist(),
+            "fp_ratio": b[i].tolist(),
+            "fp_gap": float(fp_gap[i]),
+            "eval_gap": float(eval_gap[i]),
+        }
     return EquivalenceReport(
-        passed=passed,
-        max_fixed_point_gap=worst_fp,
-        max_cross_eval_gap=worst_eval,
+        passed=bool(ok.all()),
+        max_fixed_point_gap=float(fp_gap.max(initial=0.0)),
+        max_cross_eval_gap=float(eval_gap.max(initial=0.0)),
         counterexample=example,
     )
 
@@ -554,18 +543,17 @@ def check_fixed_point_uniqueness(
     rel_match: float = 1e-6,
     max_iter: int = 20000,
 ) -> UniquenessReport:
-    """Run the iteration from random initial vectors and compare fixed points."""
+    """Run the iteration from random initial vectors and compare fixed points.
+
+    The restarts run as the rows of one batch.
+    """
     alg = Algorithm(algorithm)
     caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
-    fps = []
-    all_ok = True
-    for _ in range(n_inits):
-        start = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=snap.num_ues + 1)
-        p0 = PowerVector(start[:-1], float(start[-1]) if alg.harvesting else 0.0)
-        trace = run_fixed_point(alg, snap, p_init=p0, tol=tol, max_iter=max_iter, record="ends")
-        all_ok &= trace.converged
-        fps.append(trace.fixed_point.as_array())
-    stack = np.stack(fps)
+    starts = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=(n_inits, snap.num_ues + 1))
+    p0 = PowerVector(starts[:, :-1], starts[:, -1] if alg.harvesting else np.zeros(n_inits))
+    sol = solve(alg, SnapshotBatch.of(snap, n_inits), p0, tol, max_iter)
+    all_ok = bool(sol.converged.all())
+    stack = sol.fixed_point
     ref = stack[0]
     spread = float(
         np.max(np.abs(stack - ref) / np.maximum(np.abs(ref), 1e-30))

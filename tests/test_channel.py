@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from fdpowerctl.channel import (
     path_gain,
+    sample_batch,
     sample_snapshot,
     snapshot_csv_rows,
     snapshot_from_distances,
@@ -24,6 +26,9 @@ def _cfg(**kw):
 
 HBS = HbsParams(p_bar_h=10.0, n_antennas=2, p_dyn=10 ** 0.8, p_sta=10 ** -0.3)
 TEMPLATE = UeTemplate(mu=None, gamma_target=0.05, p_dyn=1e-6, p_sta=1e-6, p_bar_u=1.0)
+# a fixed mu takes the vectorised (K, 2) position draw
+FIXED_MU = dataclasses.replace(TEMPLATE, mu=0.5)
+BOTH_TEMPLATES = pytest.mark.parametrize("template", [TEMPLATE, FIXED_MU], ids=["mu-random", "mu-fixed"])
 
 
 def test_path_gain_values():
@@ -73,6 +78,70 @@ def test_ue_count_prefix_property():
     big = sample_snapshot(_cfg(num_ues=8), HBS, TEMPLATE, snapshot_id=11)
     np.testing.assert_array_equal(small.g, big.g[:3])
     np.testing.assert_array_equal(small.mu, big.mu[:3])
+
+
+def test_fixed_mu_draw_keeps_prefix_and_stream():
+    # one (K, 2) draw must read the stream exactly like 2K scalar draws
+    cfg = _cfg(num_ues=8)
+    big = sample_snapshot(cfg, HBS, FIXED_MU, snapshot_id=11)
+    assert big.seed_used == cfg.seed + 11
+    rng = np.random.default_rng(cfg.seed + 11)
+    scalar = [(rng.uniform(0.0, 1.0) * 50.0, rng.uniform(0.0, 1.0) * 50.0) for _ in range(8)]
+    assert [u.position for u in big.ues] == scalar
+    small = sample_snapshot(_cfg(num_ues=3), HBS, FIXED_MU, snapshot_id=11)
+    assert [u.position for u in small.ues] == scalar[:3]
+    batch = sample_batch(_cfg(num_ues=3), HBS, FIXED_MU, 12)
+    assert batch.g[11].tolist() == small.g.tolist() == big.g[:3].tolist()
+
+
+@BOTH_TEMPLATES
+def test_sample_batch_rows_equal_snapshots(template):
+    cfg = _cfg(num_ues=7)
+    batch = sample_batch(cfg, HBS, template, 6)
+    assert (len(batch), batch.num_ues) == (6, 7)
+    for sid in range(6):
+        snap = sample_snapshot(cfg, HBS, template, snapshot_id=sid)
+        for name in ("g", "h", "mu", "gamma_target", "eta", "p_bar_u", "p_cir", "p_min"):
+            assert getattr(batch, name)[sid].tolist() == getattr(snap, name).tolist(), name
+
+
+def test_distances_are_math_hypot_bit_for_bit():
+    # on this snapshot np.hypot rounds UE 0's distance differently
+    cfg, sid = _cfg(), 15
+    snap = sample_snapshot(cfg, HBS, FIXED_MU, snapshot_id=sid)
+    xy = np.array([u.position for u in snap.ues])
+    centre = cfg.cell_side / 2.0
+    exact = [math.hypot(x - centre, y - centre) for x, y in xy.tolist()]
+    assert np.hypot(xy[:, 0] - centre, xy[:, 1] - centre).tolist() != exact
+    assert snap.distances.tolist() == exact
+    batch = sample_batch(cfg, HBS, FIXED_MU, sid + 1)
+    assert batch.g[sid].tolist() == [path_gain(d, cfg.attenuation_k) for d in exact]
+
+
+@pytest.mark.parametrize(
+    "cfg_change, template_change, paths",
+    [
+        ({}, {"mu": 1.5}, ["ues[0].mu", "ues[4].mu"]),
+        ({}, {"p_bar_u": -1.0}, ["ues[0].p_bar_u", "ues[4].p_bar_u"]),
+        ({}, {"gamma_target": -0.1, "eta": -1.0},
+         ["ues[0].gamma_target", "ues[0].eta", "ues[4].eta"]),
+        ({}, {"p_bar_u": None, "e_bar": -1.0}, ["ues[0].p_bar_u", "ues[0].e_bar"]),
+        ({"num_ues": 0}, {}, ["scenario.num_ues"]),
+        ({"cell_side": -5.0}, {"p_sta": -1.0}, ["scenario.cell_side", "ues[2].circuit"]),
+    ],
+)
+def test_batch_validation_matches_snapshot(cfg_change, template_change, paths):
+    cfg = _cfg(**cfg_change)
+    template = dataclasses.replace(FIXED_MU, **template_change)
+    with pytest.raises(ConfigError) as single:
+        sample_snapshot(cfg, HBS, template, snapshot_id=0)
+    with pytest.raises(ConfigError) as batched:
+        sample_batch(cfg, HBS, template, 3)
+    assert batched.value.errors == single.value.errors
+    for path in paths:
+        assert any(e.startswith(path + ":") for e in batched.value.errors), path
+    # an empty batch draws and checks nothing, as no snapshot is sampled
+    assert len(sample_batch(cfg, HBS, template, 0)) == 0
 
 
 def test_cell_side_scaling_shares_draws():

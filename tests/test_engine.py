@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdpowerctl.channel import snapshot_from_scenario
+from fdpowerctl import engine
+from fdpowerctl.channel import sample_batch, sample_snapshot, snapshot_from_scenario
 from fdpowerctl.core import Algorithm, PowerVector
 from fdpowerctl.engine import (
     apply_axis,
@@ -11,9 +12,11 @@ from fdpowerctl.engine import (
     run_fixed_point,
     run_mobility,
     run_monte_carlo,
+    solve,
 )
 
 from conftest import make_desk_snapshot, make_single_ue_snapshot
+from scalar_reference import scalar_fixed_point
 
 
 def closed_form_single_ue_tracking(snap):
@@ -236,3 +239,107 @@ def test_mobility_positions_stay_in_cell(desk_scenario):
 def test_mobility_zero_duration(desk_scenario):
     result = run_mobility(Algorithm.TPC, _mobility_scenario(desk_scenario), duration=0.0)
     assert result.records == []
+
+
+# ---------------------------------------------------------------------------
+# batched solver against the scalar loop
+
+
+def _with(scenario, k, hbs=None, **template):
+    return dataclasses.replace(
+        scenario,
+        cfg=dataclasses.replace(scenario.cfg, num_ues=k),
+        hbs=scenario.hbs if hbs is None else hbs,
+        ue_template=dataclasses.replace(scenario.ue_template, **template),
+        fixed_ues=None,
+    )
+
+
+def _assert_rows_match_scalar(alg, scenario, sol, p_init=None, max_iter=None):
+    """Every row of a batched solve equals the scalar loop on its snapshot."""
+    for sid in range(len(sol.converged)):
+        snap = sample_snapshot(
+            scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=sid
+        )
+        start = None if p_init is None else PowerVector(p_init.p_u[sid], p_init.p_h[sid])
+        p, used, converged, change = scalar_fixed_point(
+            alg, snap, p_init=start, max_iter=max_iter
+        )
+        assert sol.fixed_point[sid].tolist() == [*p.p_u.tolist(), float(p.p_h)]
+        assert sol.iterations_used[sid] == used
+        assert sol.converged[sid] == converged
+        assert sol.final_change[sid] == change
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, None])
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_batched_solver_matches_scalar_loop(desk_scenario, alg, k, max_iter):
+    scenario = _with(desk_scenario, k)
+    batch = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 5)
+    sol = solve(alg, batch, max_iter=max_iter)
+    _assert_rows_match_scalar(alg, scenario, sol, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_batched_solver_matches_scalar_loop_at_binding_caps(desk_scenario, alg):
+    # a 1 mW harvest peak and a 10 pW uplink cap both bind
+    hbs = dataclasses.replace(desk_scenario.hbs, p_bar_h=1e-3)
+    scenario = _with(desk_scenario, 4, hbs=hbs, p_bar_u=1e-11)
+    batch = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 5)
+    sol = solve(alg, batch)
+    k = batch.num_ues
+    assert np.any(sol.fixed_point[:, :k] == 1e-11)
+    if alg.harvesting:
+        assert np.any(sol.fixed_point[:, k] == 1e-3)
+    _assert_rows_match_scalar(alg, scenario, sol)
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_batched_solver_clips_start_like_scalar_loop(desk_scenario, alg):
+    scenario = _with(desk_scenario, 3)
+    batch = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 4)
+    p_init = PowerVector(
+        np.array([[7.0, -1.0, 1e-9], [0.5, 2.0, 0.0], [1e-8] * 3, [3.0] * 3]),
+        np.array([99.0, -3.0, 1e-6, 10.0]),
+    )
+    sol = solve(alg, batch, p_init=p_init)
+    _assert_rows_match_scalar(alg, scenario, sol, p_init=p_init)
+
+
+def test_run_fixed_point_is_the_one_row_batch(desk_scenario):
+    snap = snapshot_from_scenario(_with(desk_scenario, 5), snapshot_id=3)
+    for alg in Algorithm:
+        trace = run_fixed_point(alg, snap)
+        p, used, converged, change = scalar_fixed_point(alg, snap)
+        assert trace.fixed_point.as_array().tolist() == np.append(p.p_u, p.p_h).tolist()
+        assert (trace.iterations_used, trace.converged, trace.final_change) == (
+            used, converged, change,
+        )
+        assert [t for t, _, _ in trace.steps] == list(range(used + 1))
+
+
+def test_opportunistic_cycles_run_to_max_iter(desk_scenario):
+    # these desk snapshots lock OPCEH into a period-2 cycle at K=5
+    cycling = [57, 118, 122, 166, 173, 178, 189]
+    scenario = _with(desk_scenario, 5)
+    batch = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 200)
+    sol = solve(Algorithm.OPCEH, batch)
+    assert np.flatnonzero(~sol.converged).tolist() == cycling
+    assert sol.iterations_used[cycling].tolist() == [scenario.cfg.max_iter] * len(cycling)
+    snap = sample_snapshot(scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=57)
+    p, used, converged, change = scalar_fixed_point(Algorithm.OPCEH, snap)
+    assert sol.fixed_point[57].tolist() == [*p.p_u.tolist(), float(p.p_h)]
+    assert sol.final_change[57] == change
+
+
+def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("an update ran on an empty batch")
+
+    monkeypatch.setattr(engine, "joint_update", no_step)
+    result = run_monte_carlo(Algorithm.TPCEH, desk_scenario, "num_ues", [2, 5], 0)
+    assert result.n_converged == [0, 0]
+    assert result.n_nonconverged == [0, 0]
+    for pairs in result.stats.values():
+        assert all(np.isnan(m) and np.isnan(h) for m, h in pairs)

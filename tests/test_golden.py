@@ -1,0 +1,84 @@
+"""CLI outputs compared byte for byte with recorded golden files.
+
+Every file a case writes, except the JSON manifests (they hold wall times),
+must equal the file under data/golden/<case>/. A changed fixed point,
+iteration count, convergence flag or sweep statistic shows up here as a
+byte difference, whatever path the solver takes to it.
+
+To record the files again, for an output change that is intended:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from fdpowerctl.cli import main
+
+from conftest import CONFIG_DIR
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+DESK = str(CONFIG_DIR / "desk_consistent.json")
+PAPER = str(CONFIG_DIR / "paper_4a.json")
+ALL = "TPC,OPC,TPCEH,OPCEH"
+
+
+def _sweep(config, axis, values, *extra):
+    return ["sweep", "--config", config, "--axis", axis, f"--values={values}",
+            "--algorithms", ALL, "--snapshots", "3", *extra]
+
+
+CASES = {
+    "sweep_num_ues": _sweep(DESK, "num_ues", "1,2,5"),
+    "sweep_delta_db": _sweep(DESK, "delta_db", "-120,-95"),
+    "sweep_cell_side": _sweep(DESK, "cell_side", "30,60"),
+    "sweep_gamma_target": _sweep(DESK, "gamma_target", "0.02,0.1"),
+    # caps bind on the verbatim paper parameters
+    "sweep_paper_num_ues": _sweep(PAPER, "num_ues", "1,3"),
+    # a budget this small leaves some snapshots (and whole values) unconverged
+    "sweep_short_budget": _sweep(DESK, "num_ues", "1,4", "--max-iter", "4"),
+    **{
+        f"snapshot_{name}_{alg.lower()}": [
+            "snapshot", "--config", config, "--algorithm", alg,
+        ]
+        for name, config in (("desk", DESK), ("paper", PAPER))
+        for alg in ALL.split(",")
+    },
+    "snapshot_desk_no_budget": ["snapshot", "--config", DESK, "--max-iter", "0"],
+    "mobility_tpceh": ["mobility", "--config", DESK, "--duration", "0.2"],
+}
+
+
+def _run(argv: list[str], out: Path) -> int:
+    return main([*argv, "--out", str(out)])
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(out.iterdir())
+        if not p.name.endswith(".manifest.json")
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_outputs_match_golden(case, tmp_path):
+    _run(CASES[case], tmp_path)
+    expected = _outputs(GOLDEN / case)
+    actual = _outputs(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    for name, data in expected.items():
+        assert actual[name] == data, f"{case}/{name} differs from the golden file"
+
+
+if __name__ == "__main__":
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    for case, argv in CASES.items():
+        target = GOLDEN / case
+        _run(argv, target)
+        for manifest in target.glob("*.manifest.json"):
+            manifest.unlink()
