@@ -4,6 +4,14 @@ Every check here avoids the iteration path it validates: the minimum-power
 optimality check uses an exhaustive grid (or, for one UE, a closed form), the
 sandwich-scalability check samples random states, and the constraint-stack
 gradient is built analytically so tests can difference it numerically.
+
+The randomized checks draw from the generator they are given, and a caller
+may hand the same generator from one check to the next, so each check's
+draw order is part of its contract. The sandwich test reads 2K+3 uniforms
+per trial (K+1 exponents, the scale's exponent, K+1 wiggle exponents) with
+one rng.random((trials, 2K+3)) call, the same stream trial-by-trial draws
+would read. Its trials, the uniqueness restarts and the equivalence trials
+each run as the rows of one batch.
 """
 
 from __future__ import annotations
@@ -15,13 +23,12 @@ import numpy as np
 
 from .channel import Snapshot, SnapshotBatch
 from .core import (
+    FEASIBILITY_REL_SLACK,
     Algorithm,
     PowerVector,
     joint_update,
     metrics,
-    optimal_hbs_power,
     required_hbs_power,
-    sinr,
 )
 from .engine import IterationTrace, iterate, run_fixed_point, solve
 
@@ -102,18 +109,6 @@ class BruteForceResult:
     round_objectives: list[float] = field(default_factory=list)
 
 
-def _feasible_mask(pu: np.ndarray, ph: float, snap: Snapshot) -> np.ndarray:
-    """Constraint check for a batch of uplink vectors at one harvest power."""
-    received = pu * snap.h                       # (N, K)
-    tot = received.sum(axis=1, keepdims=True)
-    interf = tot - received + snap.cfg.delta * ph + snap.cfg.sigma2
-    s = received / interf
-    ok = np.all(s >= snap.gamma_target * (1.0 - QOS_GRID_SLACK), axis=1)
-    req = pu / (snap.cfg.epsilon * snap.mu * snap.g) + snap.p_min
-    ok &= np.all(ph >= req * (1.0 - HARVEST_GRID_SLACK), axis=1)
-    return ok
-
-
 def brute_force_min_power(
     snap: Snapshot,
     grid_points_per_dim: int = 64,
@@ -126,6 +121,12 @@ def brute_force_min_power(
     different scenarios differ by many orders of magnitude. Each refinement
     round re-grids a shrinking multiplicative window around the incumbent.
     Only K <= 3 is accepted; the search is exhaustive within each round.
+
+    Per round, the received powers, the interference from other UEs and the
+    largest harvest requirement of every uplink grid point are computed once;
+    each harvest level then adds only its self-interference term. Levels are
+    visited in grid order and only a strictly lower objective replaces the
+    incumbent, so ties keep the first point found.
     """
     K = snap.num_ues
     if K > 3:
@@ -144,12 +145,20 @@ def brute_force_min_power(
     feasible_count = 0
     round_objectives: list[float] = []
 
+    # QoS threshold per UE, shaped to broadcast over the (K, N) grid
+    thr = (snap.gamma_target * (1.0 - QOS_GRID_SLACK))[:, None]
     for _ in range(refine_rounds + 1):
         pu_mesh = np.meshgrid(*grids[:K], indexing="ij")
-        pu = np.stack([m.ravel() for m in pu_mesh], axis=1)    # (N, K)
-        base_obj = pu.sum(axis=1) / eps + snap.p_cir.sum() + snap.hbs.p_cir
+        pu = np.stack([m.ravel() for m in pu_mesh])            # (K, N)
+        base_obj = pu.sum(axis=0) / eps + snap.p_cir.sum() + snap.hbs.p_cir
+        # everything but the self-interference term is independent of ph
+        received = pu * snap.h[:, None]
+        others = received.sum(axis=0) - received
+        req = pu / (eps * snap.mu * snap.g)[:, None] + snap.p_min[:, None]
+        reqmax = np.max(req * (1.0 - HARVEST_GRID_SLACK), axis=0)
         for ph in grids[K]:
-            ok = _feasible_mask(pu, float(ph), snap)
+            interf = others + snap.cfg.delta * ph + snap.cfg.sigma2
+            ok = np.all(received / interf >= thr, axis=0) & (ph >= reqmax)
             if not ok.any():
                 continue
             feasible_count += int(ok.sum())
@@ -157,7 +166,7 @@ def brute_force_min_power(
             j = int(np.argmin(obj))
             if obj[j] < inc_obj:
                 inc_obj = float(obj[j])
-                incumbent = np.append(pu[ok][j], ph)
+                incumbent = np.append(pu[:, ok][:, j], ph)
         round_objectives.append(inc_obj)
         if incumbent is None:
             break
@@ -219,8 +228,9 @@ def verify_min_power_optimality(
     refine_rounds: int = 3,
 ) -> OptimalityReport:
     """Compare the tracking algorithm's fixed point with the brute optimum."""
-    trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12, max_iter=20000)
-    p = trace.fixed_point
+    p = run_fixed_point(
+        Algorithm.TPCEH, snap, tol=1e-12, max_iter=20000, record="ends"
+    ).fixed_point
     alg_obj = aggregate_power(p, snap)
     mx = metrics(p, snap)
     alg_feasible = bool(np.all(mx.energy_feasible)) and not bool(np.any(mx.outage))
@@ -270,6 +280,31 @@ class ScalabilityReport:
     counterexample: dict | None
 
 
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """Scale unit draws to [low, high) exactly as Generator.uniform does."""
+    return low + (high - low) * u
+
+
+def _sandwich_draws(
+    caps: np.ndarray, trials: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per trial (row): a state p (K+1 columns), a scale a and a state p'.
+
+    Each row of one rng.random((trials, 2K+3)) call holds a trial's K+1
+    exponents, the exponent of a and K+1 wiggle exponents, in that order.
+    """
+    n = len(caps)
+    u = rng.random((trials, 2 * n + 1))
+    base = caps * 10.0 ** _uniform(u[:, :n], -14.0, 0.0)
+    # one Python float power per trial, as a scalar draw gives it: numpy's
+    # vectorised power can differ from it in the last bit
+    a = np.fromiter(
+        (10.0 ** x for x in _uniform(u[:, n], 1e-3, 1.0).tolist()), float, trials
+    )[:, None]
+    other = base * a ** _uniform(u[:, n + 1 :], -1.0, 1.0)
+    return base, a, other
+
+
 def check_two_sided_scalable(
     snap: Snapshot,
     algorithm: Algorithm | str,
@@ -282,38 +317,41 @@ def check_two_sided_scalable(
     Draw p > 0 log-uniform across fourteen decades under the caps, a scale
     a in (1, 10], and p' componentwise inside [(1/a) p, a p]; the map must
     satisfy (1/a) f(p) <= f(p') <= a f(p) up to the relative slack.
+
+    Each trial reads 2K+3 uniforms from rng, in this order: K+1 exponents,
+    the exponent of a, then K+1 wiggle exponents. All trials are drawn by one
+    rng.random((trials, 2K+3)) call, which reads the same stream as drawing
+    trial by trial and leaves rng in the same state, and evaluated as the
+    rows of one batch. The counterexample is the first violating trial.
     """
     alg = Algorithm(algorithm)
     K = snap.num_ues
     caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
-    violations = 0
+    base, a, other = _sandwich_draws(caps, trials, rng)
+    batch = SnapshotBatch.of(snap, trials)
+
+    def update(x: np.ndarray) -> np.ndarray:
+        f = joint_update(alg, PowerVector(x[:, :K], x[:, K]), batch)
+        return np.column_stack((f.p_u, np.broadcast_to(f.p_h, trials)))
+
+    fp, fq = update(base), update(other)
+    lower_ok = np.all(fq >= fp / a * (1.0 - rel_slack), axis=-1)
+    upper_ok = np.all(fq <= fp * a * (1.0 + rel_slack), axis=-1)
+    bad = np.flatnonzero(~(lower_ok & upper_ok))
     example = None
-    for _ in range(trials):
-        exponents = rng.uniform(-14.0, 0.0, size=K + 1)
-        base = caps * 10.0 ** exponents
-        a = 10.0 ** rng.uniform(1e-3, 1.0)
-        wiggle = a ** rng.uniform(-1.0, 1.0, size=K + 1)
-        other = base * wiggle
-        p = PowerVector(base[:K], float(base[K]))
-        q = PowerVector(other[:K], float(other[K]))
-        fp = joint_update(alg, p, snap).as_array()
-        fq = joint_update(alg, q, snap).as_array()
-        lower_ok = np.all(fq >= fp / a * (1.0 - rel_slack))
-        upper_ok = np.all(fq <= fp * a * (1.0 + rel_slack))
-        if not (lower_ok and upper_ok):
-            violations += 1
-            if example is None:
-                example = {
-                    "p": p.as_array().tolist(),
-                    "p_prime": q.as_array().tolist(),
-                    "a": a,
-                    "f_p": fp.tolist(),
-                    "f_p_prime": fq.tolist(),
-                }
+    if bad.size:
+        i = bad[0]
+        example = {
+            "p": base[i].tolist(),
+            "p_prime": other[i].tolist(),
+            "a": float(a[i, 0]),
+            "f_p": fp[i].tolist(),
+            "f_p_prime": fq[i].tolist(),
+        }
     return ScalabilityReport(
-        passed=violations == 0,
+        passed=bad.size == 0,
         trials=trials,
-        violations=violations,
+        violations=int(bad.size),
         counterexample=example,
     )
 
@@ -379,7 +417,9 @@ def fast_lipschitz_report(snap: Snapshot, at: PowerVector | None = None) -> FLRe
     condition states it; the row-sum norm is included alongside.
     """
     if at is None:
-        at = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-10, max_iter=20000).fixed_point
+        at = run_fixed_point(
+            Algorithm.TPCEH, snap, tol=1e-10, max_iter=20000, record="ends"
+        ).fixed_point
     y = -at.as_array()
     K = snap.num_ues
     cfg = snap.cfg
@@ -509,15 +549,18 @@ def check_harvest_power_tightness(
 ) -> TightnessReport:
     """At a converged, non-cap-binding fixed point the harvest power must
     equal the largest per-UE requirement: every UE satisfied, the argmax UE
-    exactly tight. Cap-binding runs are skipped with a distinct status."""
+    exactly tight. Cap-binding runs are skipped with a distinct status.
+
+    rel_tol bounds both the relative gap to the largest requirement and how
+    far the harvest power may fall short of any one UE's requirement."""
     p = trace.fixed_point
     required = required_hbs_power(p.p_u, snap)
     argmax = int(np.argmax(required))
-    if p.p_h >= snap.hbs.p_bar_h * (1.0 - 1e-12):
+    if p.p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK):
         return TightnessReport("cap_binding", True, math.nan, None, argmax)
     target = float(required[argmax])
     rel_gap = abs(p.p_h - target) / target
-    unmet = np.where(p.p_h < required * (1.0 - 1e-9))[0]
+    unmet = np.where(p.p_h < required * (1.0 - rel_tol))[0]
     if rel_gap > rel_tol or unmet.size:
         return TightnessReport(
             "violated", False, rel_gap,

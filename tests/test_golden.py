@@ -7,12 +7,15 @@ byte difference, whatever path the solver takes to it.
 
 To record the files again, for an output change that is intended:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+With case names only those cases are recorded again; with none, all are.
 """
 
 from __future__ import annotations
 
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,16 @@ CASES = {
     },
     "snapshot_desk_no_budget": ["snapshot", "--config", DESK, "--max-iter", "0"],
     "mobility_tpceh": ["mobility", "--config", DESK, "--duration", "0.2"],
+    # verification.json holds max gaps, spreads and counterexamples, so any
+    # drift in the oracle's numbers shows up as a byte difference
+    "verify_desk_k2": ["verify", "--config", DESK, "--k", "2"],
+    # one UE: the optimality claim uses the closed form
+    "verify_desk_k1": ["verify", "--config", DESK, "--k", "1"],
+    # caps bind and the grid search reports infeasible
+    "verify_paper_k2": ["verify", "--config", PAPER, "--k", "2"],
+    # a three-dimensional uplink grid
+    "verify_desk_k3": ["verify", "--config", DESK, "--k", "3",
+                       "--snapshots", "2", "--trials", "1000"],
 }
 
 
@@ -76,9 +89,13 @@ def test_cli_outputs_match_golden(case, tmp_path):
 
 
 if __name__ == "__main__":
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    for case, argv in CASES.items():
+    names = sys.argv[1:] or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    for case in names:
         target = GOLDEN / case
-        _run(argv, target)
+        shutil.rmtree(target, ignore_errors=True)
+        _run(CASES[case], target)
         for manifest in target.glob("*.manifest.json"):
             manifest.unlink()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from fdpowerctl.oracle import (
 )
 
 from conftest import make_desk_snapshot, make_single_ue_snapshot
+from scalar_reference import scalar_brute_force_min_power, scalar_two_sided_scalable
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +248,17 @@ def test_tightness_skips_cap_binding(paper_scenario):
     assert rep.passed
 
 
+def test_tightness_unmet_check_uses_rel_tol():
+    snap = make_desk_snapshot([20.0, 30.0])
+    trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
+    trace.fixed_point.p_h *= 1.0 - 1e-6   # every requirement missed by 1 ppm
+    loose = check_harvest_power_tightness(trace, snap, rel_tol=1e-3)
+    assert loose.status == "ok"
+    strict = check_harvest_power_tightness(trace, snap)
+    assert strict.status == "violated"
+    assert strict.offending_ue == strict.argmax_ue
+
+
 def test_tightness_flags_violation():
     snap = make_desk_snapshot([20.0, 30.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
@@ -262,3 +276,79 @@ def test_uniqueness_across_random_inits(alg, rng):
     rep = check_fixed_point_uniqueness(snap, alg, n_inits=6, rng=rng)
     assert rep.passed
     assert rep.max_spread <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# batched oracle against the one-at-a-time references
+
+
+def _scenario_snapshot(scenario, k, snapshot_id=0):
+    scenario = dataclasses.replace(
+        scenario, cfg=dataclasses.replace(scenario.cfg, num_ues=k), fixed_ues=None
+    )
+    return snapshot_from_scenario(scenario, snapshot_id=snapshot_id)
+
+
+@pytest.mark.parametrize("rel_slack", [1e-12, -1e-3, -0.5])
+@pytest.mark.parametrize("alg", list(Algorithm))
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_sandwich_matches_scalar_reference(k, alg, rel_slack, desk_scenario):
+    snap = _scenario_snapshot(desk_scenario, k)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    rep = check_two_sided_scalable(snap, alg, 300, rng, rel_slack)
+    ref = scalar_two_sided_scalable(snap, alg, 300, ref_rng, rel_slack)
+    assert rep == ref
+    # the next check draws from the same generator
+    assert rng.random() == ref_rng.random()
+    if rel_slack == -0.5:
+        assert rep.violations > 0
+        assert type(rep.counterexample["a"]) is float
+
+
+def test_sandwich_zero_trials(desk_scenario):
+    snap = _scenario_snapshot(desk_scenario, 2)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    rep = check_two_sided_scalable(snap, Algorithm.TPCEH, 0, rng)
+    assert rep == scalar_two_sided_scalable(snap, Algorithm.TPCEH, 0, ref_rng)
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("config,k,snapshot_id,points,feasible", [
+    ("desk", 1, 0, 64, True),
+    ("desk", 2, 0, 64, True),
+    ("desk", 2, 3, 64, True),
+    ("desk", 3, 1, 20, True),
+    ("paper", 2, 0, 64, False),
+    ("paper", 3, 0, 20, False),
+])
+def test_brute_force_matches_scalar_reference(
+    config, k, snapshot_id, points, feasible, desk_scenario, paper_scenario
+):
+    scenario = desk_scenario if config == "desk" else paper_scenario
+    snap = _scenario_snapshot(scenario, k, snapshot_id)
+    res = brute_force_min_power(snap, points)
+    assert res.infeasible is not feasible
+    _assert_same_brute_force(res, scalar_brute_force_min_power(snap, points))
+
+
+@pytest.mark.parametrize("snap", [
+    # every point with zero uplink power ties on the objective
+    make_desk_snapshot([10.0, 20.0], gamma_default=0.0, ue_p_dyn=0.0, ue_p_sta=0.0),
+    make_desk_snapshot([10.0, 12.0], gamma_default=1e9),
+    make_desk_snapshot([9.0, 26.0, 31.0], gamma_targets=[0.04, 0.0, 0.08]),
+], ids=["zero-targets", "infeasible-target", "k3-one-zero-target"])
+def test_brute_force_edge_cases_match_scalar_reference(snap):
+    res = brute_force_min_power(snap, grid_points_per_dim=16, refine_rounds=2)
+    ref = scalar_brute_force_min_power(snap, grid_points_per_dim=16, refine_rounds=2)
+    _assert_same_brute_force(res, ref)
+
+
+def _assert_same_brute_force(res, ref):
+    for f in dataclasses.fields(res):
+        if f.name != "best_power_vector":
+            assert getattr(res, f.name) == getattr(ref, f.name), f.name
+    if ref.best_power_vector is None:
+        assert res.best_power_vector is None
+    else:
+        assert res.best_power_vector.p_u.tobytes() == ref.best_power_vector.p_u.tobytes()
+        assert res.best_power_vector.p_h == ref.best_power_vector.p_h
