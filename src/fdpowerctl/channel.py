@@ -83,24 +83,6 @@ class Snapshot:
         self.p_min = np.array([u.p_min for u in self.ues])
         self.distances = np.array([u.distance for u in self.ues])
 
-    def with_gains(self, positions: np.ndarray) -> "Snapshot":
-        """Copy with UEs moved to new positions, gains recomputed."""
-        origin = hbs_position(self.cfg)
-        ues = []
-        for ue, (x, y) in zip(self.ues, positions):
-            d = math.hypot(x - origin[0], y - origin[1])
-            d = max(d, 1e-9)
-            g = path_gain(d, self.cfg.attenuation_k)
-            ues.append(
-                UeParams(
-                    position=(x, y), distance=d, g=g, h=g, mu=ue.mu,
-                    gamma_target=ue.gamma_target, eta=ue.eta, p_bar_u=ue.p_bar_u,
-                    n_antennas=ue.n_antennas, p_dyn=ue.p_dyn, p_sta=ue.p_sta,
-                    e_bar=ue.e_bar,
-                )
-            )
-        return Snapshot(self.cfg, self.hbs, tuple(ues), self.snapshot_id, self.seed_used)
-
 
 # Per-UE parameter arrays of a batch, in SnapshotBatch field order.
 _BATCH_ARRAYS = ("g", "h", "mu", "gamma_target", "eta", "p_bar_u", "p_cir", "p_min")
@@ -146,6 +128,24 @@ class SnapshotBatch:
             snap.cfg, snap.hbs,
             *(np.broadcast_to(getattr(snap, name), shape) for name in _BATCH_ARRAYS),
         )
+
+    @classmethod
+    def moved(cls, snap: Snapshot, positions: np.ndarray) -> "SnapshotBatch":
+        """The snapshot's UEs placed at each row of positions (T, K, 2), meters.
+
+        Row t has the gains of the distances in row t, computed as
+        sample_snapshot computes them; every other parameter is the
+        snapshot's, broadcast (no copy made).
+        """
+        shape = positions.shape[:2]
+        d = _distances(positions.reshape(-1, 2), snap.cfg).reshape(shape)
+        g = snap.cfg.attenuation_k / (d * d * d)
+        mu, gamma_target, eta, p_bar_u, p_cir = (
+            np.broadcast_to(getattr(snap, name), shape)
+            for name in ("mu", "gamma_target", "eta", "p_bar_u", "p_cir")
+        )
+        return cls(snap.cfg, snap.hbs, g, g, mu, gamma_target, eta, p_bar_u, p_cir,
+                   p_cir / (mu * g))
 
 
 def _draw_mu(rng: np.random.Generator) -> float:

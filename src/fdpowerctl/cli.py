@@ -49,6 +49,7 @@ CLAIMS = (
     "update-equivalence",
     "fl-conditions",
 )
+PER_SNAPSHOT_CLAIMS = {"uniqueness", "optimality", "harvest-tightness", "update-equivalence"}
 
 
 def _fmt(x) -> str:
@@ -200,24 +201,31 @@ def cmd_sweep(args) -> int:
 def cmd_mobility(args) -> int:
     t0 = time.monotonic()
     scenario = _load(args)
-    if args.duration < 0:
-        print("duration must be non-negative", file=sys.stderr)
-        return EXIT_CONFIG
     alg = Algorithm(args.algorithm)
-    result = run_mobility(
-        alg, scenario, args.duration,
-        step=args.step, speed_kmh=args.speed_kmh, battery_init=args.battery_init,
-    )
-    rows = []
-    for t, p, mx, state in result.records:
-        rows.append(
-            [t, float(mx.sinr.mean()), float(p.p_u.mean()), p.p_h,
-             float(state.battery.min())]
+    try:
+        result = run_mobility(
+            alg, scenario, args.duration,
+            step=args.step, speed_kmh=args.speed_kmh, battery_init=args.battery_init,
         )
+    except ConfigError:
+        raise                    # main reports these
+    except ValueError as exc:    # duration or step out of range
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
+    columns = (
+        result.time,
+        result.metrics.sinr.mean(axis=-1),
+        result.powers.p_u.mean(axis=-1),
+        result.powers.p_h,
+        result.battery.min(axis=-1),
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"mobility_{alg.value.lower()}.csv"
-    _write_csv(path, ["t", "avg_sinr", "avg_p_u", "p_h", "min_battery"], rows)
+    _write_csv(
+        path, ["t", "avg_sinr", "avg_p_u", "p_h", "min_battery"],
+        list(zip(*(c.tolist() for c in columns))),
+    )
     _write_manifest([path], "mobility", scenario, scenario.cfg.seed, t0)
     dep = result.first_depletion_step
     print(f"wrote {path} (depletion step: {dep if dep is not None else 'none'})")
@@ -243,19 +251,17 @@ def cmd_verify(args) -> int:
     report: dict[str, dict] = {}
     failing: list[str] = []
 
-    def snapshots(n):
-        return [
-            snapshot_from_scenario(
-                dataclasses.replace(scenario, fixed_ues=None), snapshot_id=i
-            )
-            for i in range(n)
-        ]
+    # the random snapshots the per-snapshot claims share, drawn once
+    snaps = [
+        snapshot_from_scenario(dataclasses.replace(scenario, fixed_ues=None), snapshot_id=i)
+        for i in range(args.snapshots)
+    ] if PER_SNAPSHOT_CLAIMS.intersection(claims) else []
 
     for claim in claims:
         if claim == "uniqueness":
             worst = 0.0
             ok = True
-            for snap in snapshots(args.snapshots):
+            for snap in snaps:
                 for alg in (Algorithm.TPCEH, Algorithm.OPCEH):
                     rep = check_fixed_point_uniqueness(snap, alg, 10, rng)
                     ok &= rep.passed
@@ -277,7 +283,7 @@ def cmd_verify(args) -> int:
             tol = 0.005 if k == 1 else 0.01
             gaps = []
             ok = True
-            for snap in snapshots(args.snapshots):
+            for snap in snaps:
                 rep = verify_min_power_optimality(snap, rel_tol=tol)
                 ok &= rep.passed
                 if not rep.infeasible:
@@ -292,7 +298,7 @@ def cmd_verify(args) -> int:
         elif claim == "harvest-tightness":
             ok = True
             skipped = 0
-            for snap in snapshots(args.snapshots):
+            for snap in snaps:
                 trace = run_fixed_point(Algorithm.TPCEH, snap, record="ends")
                 rep = check_harvest_power_tightness(trace, snap)
                 if rep.status == "cap_binding":
@@ -302,7 +308,7 @@ def cmd_verify(args) -> int:
         elif claim == "update-equivalence":
             ok = True
             worst = 0.0
-            for snap in snapshots(args.snapshots):
+            for snap in snaps:
                 rep = check_update_form_equivalence(snap, max(1, args.trials // 1000), rng)
                 ok &= rep.passed
                 worst = max(worst, rep.max_fixed_point_gap)

@@ -82,9 +82,6 @@ class PowerVector:
     p_u: np.ndarray
     p_h: float | np.ndarray = 0.0
 
-    def copy(self) -> "PowerVector":
-        return PowerVector(self.p_u.copy(), self.p_h)
-
     def as_array(self) -> np.ndarray:
         return np.append(self.p_u, self.p_h)
 

@@ -33,7 +33,6 @@ from .core import (
     Algorithm,
     Metrics,
     PowerVector,
-    hbs_update,
     joint_update,
     metrics,
     required_hbs_power,
@@ -45,7 +44,6 @@ __all__ = [
     "BatchSolution",
     "FeasibilityReport",
     "SweepResult",
-    "MobilityState",
     "MobilityResult",
     "iterate",
     "solve",
@@ -357,25 +355,42 @@ def run_monte_carlo(
 
 
 @dataclass
-class MobilityState:
-    """Kinematic and energy state of the moving UEs at one time step."""
-
-    time: float
-    positions: np.ndarray        # (K, 2) meters
-    battery: np.ndarray          # (K,) joules
-    harvesting_active: bool
-    direction: np.ndarray        # (K, 2) unit vectors
-
-
-@dataclass
 class MobilityResult:
-    """Time series of a mobility run plus the depletion/activation events."""
+    """Time series of a mobility run, one row per step, plus its events."""
 
     algorithm: Algorithm
-    records: list[tuple[float, PowerVector, Metrics, MobilityState]]
+    time: np.ndarray                     # (T,) seconds at the end of each step
+    powers: PowerVector                  # p_u (T, K), p_h (T,)
+    metrics: Metrics                     # of each step's powers on its gains
+    battery: np.ndarray                  # (T, K) joules after each step
+    positions: np.ndarray                # (T, K, 2) meters
+    harvesting_active: np.ndarray        # (T,) bool
     first_depletion_step: int | None     # 1-based step index, None if never
     activation_step: int | None          # harvesting switch-on step (EH only)
     battery_capacity: float
+
+
+def _trajectory(
+    ys: np.ndarray, side: float, speed: float, step: float, n_steps: int
+) -> np.ndarray:
+    """Positions (T, K, 2) of UEs leaving the x = 0 edge at heights ys.
+
+    Each UE moves along x by speed * step per step and reflects at x = side
+    and x = 0; the reflected coordinate is 2 * side - x, then -x.
+    """
+    positions = np.empty((n_steps, len(ys), 2))
+    positions[:, :, 1] = ys
+    for i in range(len(ys)):
+        x, direction, xs = 0.0, 1.0, []
+        for _ in range(n_steps):
+            x += direction * speed * step
+            if x > side:
+                x, direction = 2 * side - x, -direction
+            if x < 0.0:
+                x, direction = -x, -direction
+            xs.append(x)
+        positions[:, i, 0] = xs
+    return positions
 
 
 def run_mobility(
@@ -390,16 +405,22 @@ def run_mobility(
 
     UEs start on the x = 0 edge at distinct heights and traverse the cell
     parallel to the x axis at constant speed, reflecting at the walls. Each
-    1 ms step the gains are recomputed and one synchronous power update runs.
-    Batteries pay p_u / eps + p_cir per transmitting step and gain the
+    1 ms step the UEs move and one synchronous power update runs on the new
+    gains. Batteries pay p_u / eps + p_cir per transmitting step and gain the
     harvested power; a UE that cannot afford a step (battery plus harvest)
     stays silent and consumes nothing. The base station's energy signal stays
     off until the first step some battery cannot cover its consumption, which
     also defines the measured depletion time.
+
+    The motion does not depend on the powers, so the whole trajectory and the
+    gains of every step are computed first, as one (T, K) batch; only the
+    power and battery recurrence runs step by step.
     """
     alg = Algorithm(algorithm)
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    if not math.isfinite(duration) or duration < 0:
+        raise ValueError("duration must be finite and non-negative")
+    if not math.isfinite(step) or step <= 0:
+        raise ValueError("step must be positive and finite")
     cfg = scenario.cfg
     base = snapshot_from_scenario(scenario, snapshot_id=0)
     K = base.num_ues
@@ -409,72 +430,47 @@ def run_mobility(
         ys = np.array([u.position[1] for u in base.ues])
     else:
         ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
-    positions = np.stack([np.zeros(K), ys], axis=1)
-    direction = np.tile([1.0, 0.0], (K, 1))
-    battery = np.full(K, battery_init)
-    capacity = battery_init
-    speed = speed_kmh / 3.6
+    n_steps = int(round(duration / step))
+    positions = _trajectory(ys, cfg.cell_side, speed_kmh / 3.6, step, n_steps)
+    gains = SnapshotBatch.moved(base, positions)
+    harvest_gain = gains.mu * gains.g
 
-    snap = base.with_gains(positions)
-    p = PowerVector(np.zeros(K), 0.0)
-    harvesting_active = False
+    p_u = np.zeros((n_steps, K))
+    p_h = np.zeros(n_steps)
+    battery = np.empty((n_steps, K))
+    level = np.full(K, battery_init)
+    p = PowerVector(np.zeros((1, K)), np.zeros(1))
     first_depletion: int | None = None
     activation: int | None = None
-
-    records: list[tuple[float, PowerVector, Metrics, MobilityState]] = []
-    n_steps = int(round(duration / step))
-    for n in range(1, n_steps + 1):
-        t = n * step
-        # advance and reflect
-        positions[:, 0] += direction[:, 0] * speed * step
-        over = positions[:, 0] > cfg.cell_side
-        positions[over, 0] = 2 * cfg.cell_side - positions[over, 0]
-        direction[over, 0] *= -1.0
-        under = positions[:, 0] < 0.0
-        positions[under, 0] = -positions[under, 0]
-        direction[under, 0] *= -1.0
-        snap = snap.with_gains(positions)
-
+    for n in range(n_steps):
         # synchronous candidate powers from the previous state
-        interf = snap.h * p.p_u
-        interf = interf.sum() - interf + cfg.delta * p.p_h + cfg.sigma2
-        if alg.opportunistic:
-            cand = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)
-        else:
-            cand = np.minimum(snap.p_bar_u, snap.gamma_target * interf / snap.h)
-        need = (cand / cfg.epsilon + snap.p_cir) * step
-
-        if first_depletion is None and bool(np.any(battery < need)):
-            first_depletion = n
+        cand = joint_update(alg, p, gains.rows(slice(n, n + 1)))
+        need = (cand.p_u[0] / cfg.epsilon + base.p_cir) * step
+        if first_depletion is None and bool(np.any(level < need)):
+            first_depletion = n + 1
             if alg.harvesting:
-                harvesting_active = True
-                activation = n
+                activation = n + 1
+        if activation is not None:
+            p_h[n] = cand.p_h[0]
+        harvest = harvest_gain[n] * p_h[n] * step
 
-        if alg.harvesting and harvesting_active:
-            p_h = hbs_update(p, snap)
-        else:
-            p_h = 0.0
-        harvest = snap.mu * snap.g * p_h * step
+        affordable = level + harvest >= need
+        p_u[n] = np.where(affordable, cand.p_u[0], 0.0)
+        level = np.clip(level + harvest - np.where(affordable, need, 0.0), 0.0, battery_init)
+        battery[n] = level
+        p = PowerVector(p_u[n : n + 1], p_h[n : n + 1])
 
-        affordable = battery + harvest >= need
-        p_u = np.where(affordable, cand, 0.0)
-        spend = np.where(affordable, need, 0.0)
-        battery = np.clip(battery + harvest - spend, 0.0, capacity)
-
-        p = PowerVector(p_u, p_h)
-        state = MobilityState(
-            time=t,
-            positions=positions.copy(),
-            battery=battery.copy(),
-            harvesting_active=harvesting_active,
-            direction=direction.copy(),
-        )
-        records.append((t, p.copy(), metrics(p, snap), state))
-
+    powers = PowerVector(p_u, p_h)
+    steps = np.arange(1, n_steps + 1)
     return MobilityResult(
         algorithm=alg,
-        records=records,
+        time=steps * step,
+        powers=powers,
+        metrics=metrics(powers, gains),
+        battery=battery,
+        positions=positions,
+        harvesting_active=steps >= (activation or math.inf),
         first_depletion_step=first_depletion,
         activation_step=activation,
-        battery_capacity=capacity,
+        battery_capacity=battery_init,
     )

@@ -8,6 +8,10 @@ snapshots at once; the tests hold it to this loop's numbers exactly.
 The oracle's sandwich test ran one trial (two single-state updates) at a
 time, and its grid search evaluated every constraint afresh at each harvest
 level. The tests hold the batched oracle to both, field for field.
+
+The mobility run rebuilt a Snapshot from moved UeParams and called metrics
+at every step. It now computes the trajectory and the gains of all steps
+first and evaluates the metrics once; the tests hold it to the old series.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import math
 
 import numpy as np
 
-from fdpowerctl.core import Algorithm, PowerVector, joint_update
+from fdpowerctl.channel import Snapshot, hbs_position, path_gain, snapshot_from_scenario
+from fdpowerctl.config import UeParams
+from fdpowerctl.core import Algorithm, PowerVector, hbs_update, joint_update, metrics
 from fdpowerctl.oracle import (
     HARVEST_GRID_SLACK,
     QOS_GRID_SLACK,
@@ -180,3 +186,108 @@ def scalar_brute_force_min_power(snap, grid_points_per_dim=64, refine_rounds=3):
         infeasible=False,
         round_objectives=round_objectives,
     )
+
+
+# ---------------------------------------------------------------------------
+# the mobility run as it ran before it was made columnar
+
+
+def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
+                    battery_init=1e-6):
+    """Per-step series of a mobility run: one Snapshot rebuilt and one metrics
+    call per 1 ms step, the update written out inline.
+
+    Returns a dict of the stacked series ("time", "p_u", "p_h", "metrics" as a
+    list of per-step Metrics, "battery", "positions", "harvesting_active")
+    and the "first_depletion_step" and "activation_step" events.
+    """
+    alg = Algorithm(algorithm)
+    cfg = scenario.cfg
+    base = snapshot_from_scenario(scenario, snapshot_id=0)
+    K = base.num_ues
+    if scenario.fixed_ues is None:
+        ys = np.array([u.position[1] for u in base.ues])
+    else:
+        ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
+    positions = np.stack([np.zeros(K), ys], axis=1)
+    direction = np.tile([1.0, 0.0], (K, 1))
+    battery = np.full(K, battery_init)
+    capacity = battery_init
+    speed = speed_kmh / 3.6
+
+    def with_gains(snap, positions):
+        origin = hbs_position(snap.cfg)
+        ues = []
+        for ue, (x, y) in zip(snap.ues, positions):
+            d = max(math.hypot(x - origin[0], y - origin[1]), 1e-9)
+            g = path_gain(d, snap.cfg.attenuation_k)
+            ues.append(
+                UeParams(
+                    position=(x, y), distance=d, g=g, h=g, mu=ue.mu,
+                    gamma_target=ue.gamma_target, eta=ue.eta, p_bar_u=ue.p_bar_u,
+                    n_antennas=ue.n_antennas, p_dyn=ue.p_dyn, p_sta=ue.p_sta,
+                    e_bar=ue.e_bar,
+                )
+            )
+        return Snapshot(snap.cfg, snap.hbs, tuple(ues), snap.snapshot_id, snap.seed_used)
+
+    snap = with_gains(base, positions)
+    p = PowerVector(np.zeros(K), 0.0)
+    harvesting_active = False
+    first_depletion = None
+    activation = None
+    series = {key: [] for key in (
+        "time", "p_u", "p_h", "metrics", "battery", "positions", "harvesting_active",
+    )}
+    n_steps = int(round(duration / step))
+    for n in range(1, n_steps + 1):
+        t = n * step
+        positions[:, 0] += direction[:, 0] * speed * step
+        over = positions[:, 0] > cfg.cell_side
+        positions[over, 0] = 2 * cfg.cell_side - positions[over, 0]
+        direction[over, 0] *= -1.0
+        under = positions[:, 0] < 0.0
+        positions[under, 0] = -positions[under, 0]
+        direction[under, 0] *= -1.0
+        snap = with_gains(snap, positions)
+
+        interf = snap.h * p.p_u
+        interf = interf.sum() - interf + cfg.delta * p.p_h + cfg.sigma2
+        if alg.opportunistic:
+            cand = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)
+        else:
+            cand = np.minimum(snap.p_bar_u, snap.gamma_target * interf / snap.h)
+        need = (cand / cfg.epsilon + snap.p_cir) * step
+
+        if first_depletion is None and bool(np.any(battery < need)):
+            first_depletion = n
+            if alg.harvesting:
+                harvesting_active = True
+                activation = n
+
+        if alg.harvesting and harvesting_active:
+            p_h = hbs_update(p, snap)
+        else:
+            p_h = 0.0
+        harvest = snap.mu * snap.g * p_h * step
+
+        affordable = battery + harvest >= need
+        p_u = np.where(affordable, cand, 0.0)
+        spend = np.where(affordable, need, 0.0)
+        battery = np.clip(battery + harvest - spend, 0.0, capacity)
+
+        p = PowerVector(p_u, p_h)
+        for key, value in (
+            ("time", t), ("p_u", p_u), ("p_h", float(p_h)),
+            ("metrics", metrics(p, snap)), ("battery", battery),
+            ("positions", positions.copy()), ("harvesting_active", harvesting_active),
+        ):
+            series[key].append(value)
+
+    out = {
+        key: (values if key == "metrics" else np.array(values))
+        for key, values in series.items()
+    }
+    out["first_depletion_step"] = first_depletion
+    out["activation_step"] = activation
+    return out

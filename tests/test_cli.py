@@ -125,6 +125,18 @@ def test_mobility_negative_duration_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--step", "0"], ["--step", "-0.001"], ["--step", "nan"], ["--step", "inf"],
+    ["--duration", "nan"], ["--duration", "inf"],
+])
+def test_mobility_invalid_step_or_duration_exits_2(tmp_path, capsys, flags):
+    argv = ["mobility", "--config", DESK, "--duration", "0.01", "--out", str(tmp_path)]
+    rc = main(argv + flags)
+    assert rc == 2
+    assert "must be" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_mobility_tpceh_harvest_switch(tmp_path):
     rc = main(["mobility", "--config", DESK, "--algorithm", "TPCEH",
                "--duration", "0.8", "--out", str(tmp_path)])
@@ -167,3 +179,22 @@ def test_verify_fl_conditions_informational(tmp_path):
     entry = report["fl-conditions"]
     assert entry["passed"]
     assert "qualifies" in entry and "grad_norm_inf" in entry
+
+
+def test_verify_draws_each_snapshot_once(tmp_path, monkeypatch):
+    import fdpowerctl.cli as cli
+
+    drawn = []
+    original = cli.snapshot_from_scenario
+
+    def counting(scenario, *args, **kwargs):
+        drawn.append(kwargs.get("snapshot_id"))
+        return original(scenario, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "snapshot_from_scenario", counting)
+    rc = main(["verify", "--config", DESK, "--k", "2", "--snapshots", "3",
+               "--trials", "100", "--out", str(tmp_path)])
+    assert rc == 0
+    # three shared random snapshots, plus snapshot 0 for scalability and
+    # fl-conditions, which use the scenario as configured
+    assert sorted(drawn) == [0, 0, 0, 1, 2]

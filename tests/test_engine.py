@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from fdpowerctl import engine
 from fdpowerctl.channel import sample_batch, sample_snapshot, snapshot_from_scenario
-from fdpowerctl.core import Algorithm, PowerVector
+from fdpowerctl.core import Algorithm, Metrics, PowerVector
 from fdpowerctl.engine import (
     apply_axis,
     check_energy_feasibility,
@@ -16,7 +17,7 @@ from fdpowerctl.engine import (
 )
 
 from conftest import make_desk_snapshot, make_single_ue_snapshot
-from scalar_reference import scalar_fixed_point
+from scalar_reference import scalar_fixed_point, scalar_mobility
 
 
 def closed_form_single_ue_tracking(snap):
@@ -168,16 +169,12 @@ def test_mobility_tpc_depletes_and_never_recovers(desk_scenario):
     scenario = _mobility_scenario(desk_scenario)
     result = run_mobility(Algorithm.TPC, scenario, duration=2.0)
     assert result.first_depletion_step is not None
-    dead_from = None
-    for i, (_, p, mx, _) in enumerate(result.records):
-        if np.all(p.p_u == 0.0):
-            dead_from = i
-            break
-    assert dead_from is not None
-    for _, p, mx, _ in result.records[dead_from:]:
-        assert np.all(p.p_u == 0.0)
-        assert np.all(mx.sinr == 0.0)
-        assert p.p_h == 0.0
+    silent = np.all(result.powers.p_u == 0.0, axis=-1)
+    assert silent.any()
+    dead_from = int(np.argmax(silent))
+    assert np.all(result.powers.p_u[dead_from:] == 0.0)
+    assert np.all(result.metrics.sinr[dead_from:] == 0.0)
+    assert np.all(result.powers.p_h[dead_from:] == 0.0)
 
 
 def test_mobility_tpceh_activates_and_recovers(desk_scenario):
@@ -186,35 +183,33 @@ def test_mobility_tpceh_activates_and_recovers(desk_scenario):
     act = result.activation_step
     assert act is not None
     # harvest signal off before activation, on from the activation step
-    for t, p, _, state in result.records[: act - 1]:
-        assert p.p_h == 0.0
-        assert not state.harvesting_active
-    t, p, _, state = result.records[act - 1]
-    assert p.p_h > 0.0
-    assert state.harvesting_active
+    assert np.all(result.powers.p_h[: act - 1] == 0.0)
+    assert not np.any(result.harvesting_active[: act - 1])
+    assert result.powers.p_h[act - 1] > 0.0
+    assert result.harvesting_active[act - 1]
     # within 100 steps after activation every UE is back on target
     idx = act - 1 + 100
-    _, _, mx, _ = result.records[idx]
     gt = 0.05
-    np.testing.assert_allclose(mx.sinr, gt, rtol=1e-3)
+    np.testing.assert_allclose(result.metrics.sinr[idx], gt, rtol=1e-3)
 
 
 def test_mobility_battery_accounting(desk_scenario):
     scenario = _mobility_scenario(desk_scenario, n=2)
     result = run_mobility(Algorithm.TPCEH, scenario, duration=1.0)
     cap = result.battery_capacity
-    prev = np.full(2, cap)
     eps = scenario.cfg.epsilon
-    for _, p, mx, state in result.records:
-        assert np.all(state.battery >= 0.0)
-        assert np.all(state.battery <= cap)
-        # transmitting UEs: delta = harvest - consumption unless clamped at cap
-        harvest = mx.harvested_power * 1e-3
-        spend = np.where(p.p_u > 0.0, (p.p_u / eps + np.array([u.p_cir for u in snapshot_from_scenario(scenario).ues])) * 1e-3, 0.0)
-        expected = np.clip(prev + harvest - spend, 0.0, cap)
-        np.testing.assert_allclose(state.battery, expected, atol=1e-18)
-        prev = state.battery
-    assert result.records
+    battery = result.battery
+    assert np.all(battery >= 0.0)
+    assert np.all(battery <= cap)
+    # transmitting UEs: delta = harvest - consumption unless clamped at cap
+    p_u = result.powers.p_u
+    harvest = result.metrics.harvested_power * 1e-3
+    p_cir = np.array([u.p_cir for u in snapshot_from_scenario(scenario).ues])
+    spend = np.where(p_u > 0.0, (p_u / eps + p_cir) * 1e-3, 0.0)
+    prev = np.vstack([np.full((1, 2), cap), battery[:-1]])
+    expected = np.clip(prev + harvest - spend, 0.0, cap)
+    np.testing.assert_allclose(battery, expected, atol=1e-18)
+    assert len(result.time)
 
 
 def test_mobility_static_infinite_battery_constant(desk_scenario):
@@ -222,7 +217,7 @@ def test_mobility_static_infinite_battery_constant(desk_scenario):
     result = run_mobility(
         Algorithm.TPC, scenario, duration=0.3, speed_kmh=0.0, battery_init=np.inf
     )
-    tail = [p.p_u.copy() for _, p, _, _ in result.records[-50:]]
+    tail = result.powers.p_u[-50:]
     for arr in tail[1:]:
         np.testing.assert_allclose(arr, tail[0], rtol=1e-12)
 
@@ -231,14 +226,78 @@ def test_mobility_positions_stay_in_cell(desk_scenario):
     scenario = _mobility_scenario(desk_scenario)
     result = run_mobility(Algorithm.TPCEH, scenario, duration=1.0, speed_kmh=5000.0)
     side = scenario.cfg.cell_side
-    for _, _, _, state in result.records:
-        assert np.all(state.positions[:, 0] >= -1e-9)
-        assert np.all(state.positions[:, 0] <= side + 1e-9)
+    assert np.all(result.positions[..., 0] >= -1e-9)
+    assert np.all(result.positions[..., 0] <= side + 1e-9)
 
 
 def test_mobility_zero_duration(desk_scenario):
     result = run_mobility(Algorithm.TPC, _mobility_scenario(desk_scenario), duration=0.0)
-    assert result.records == []
+    assert result.time.shape == (0,)
+    assert result.powers.p_u.shape == result.battery.shape == (0, 3)
+    assert result.positions.shape == (0, 3, 2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": 0.0}, {"step": -1e-3}, {"step": math.nan}, {"step": math.inf},
+    {"duration": math.nan}, {"duration": math.inf}, {"duration": -1.0},
+])
+def test_mobility_rejects_invalid_step_and_duration(desk_scenario, kwargs):
+    with pytest.raises(ValueError):
+        run_mobility(Algorithm.TPCEH, desk_scenario, **{"duration": 0.01, **kwargs})
+
+
+# ---------------------------------------------------------------------------
+# columnar mobility run against the per-step loop
+
+
+def _assert_mobility_matches_scalar(alg, scenario, **kwargs):
+    result = run_mobility(alg, scenario, **kwargs)
+    ref = scalar_mobility(alg, scenario, **kwargs)
+    assert result.time.tolist() == ref["time"].tolist()
+    assert result.powers.p_u.tolist() == ref["p_u"].tolist()
+    assert result.powers.p_h.tolist() == ref["p_h"].tolist()
+    assert result.battery.tolist() == ref["battery"].tolist()
+    assert result.positions.tolist() == ref["positions"].tolist()
+    assert result.harvesting_active.tolist() == ref["harvesting_active"].tolist()
+    for name in (f.name for f in dataclasses.fields(Metrics)):
+        want = [np.asarray(getattr(m, name)).tolist() for m in ref["metrics"]]
+        assert np.asarray(getattr(result.metrics, name)).tolist() == want, name
+    assert result.first_depletion_step == ref["first_depletion_step"]
+    assert result.activation_step == ref["activation_step"]
+    return result
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_mobility_matches_scalar_loop_on_fixed_ues(desk_scenario, alg):
+    result = _assert_mobility_matches_scalar(alg, desk_scenario, duration=0.5)
+    # TPC and TPCEH deplete at step 334 (OPC and OPCEH at once)
+    assert result.first_depletion_step is not None
+    assert (result.activation_step is not None) == alg.harvesting
+
+
+@pytest.mark.parametrize("speed_kmh", [0.0, 5000.0])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_mobility_matches_scalar_loop_on_random_ues(desk_scenario, alg, k, speed_kmh):
+    scenario = _mobility_scenario(desk_scenario, n=k)
+    result = _assert_mobility_matches_scalar(
+        alg, scenario, duration=0.4, speed_kmh=speed_kmh
+    )
+    assert result.first_depletion_step is not None
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_mobility_matches_scalar_loop_with_infinite_battery(desk_scenario, alg):
+    scenario = _mobility_scenario(desk_scenario, n=5)
+    result = _assert_mobility_matches_scalar(
+        alg, scenario, duration=0.2, speed_kmh=0.0, battery_init=np.inf
+    )
+    assert result.first_depletion_step is None
+
+
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_mobility_matches_scalar_loop_at_zero_duration(desk_scenario, alg):
+    _assert_mobility_matches_scalar(alg, _mobility_scenario(desk_scenario), duration=0.0)
 
 
 # ---------------------------------------------------------------------------

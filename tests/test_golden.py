@@ -53,6 +53,19 @@ CASES = {
     },
     "snapshot_desk_no_budget": ["snapshot", "--config", DESK, "--max-iter", "0"],
     "mobility_tpceh": ["mobility", "--config", DESK, "--duration", "0.2"],
+    # one second runs past the depletion step (334), so the switch-on of
+    # the energy signal and the recovery after it are compared too
+    **{
+        f"mobility_desk_{alg.lower()}_1s": [
+            "mobility", "--config", DESK, "--algorithm", alg, "--duration", "1.0",
+        ]
+        for alg in ALL.split(",")
+    },
+    "mobility_paper_tpceh": ["mobility", "--config", PAPER, "--duration", "0.5"],
+    # UEs cross the cell in about 36 ms and reflect at both walls
+    "mobility_desk_fast": ["mobility", "--config", DESK, "--speed-kmh", "5000",
+                           "--duration", "0.3"],
+    "mobility_zero_duration": ["mobility", "--config", DESK, "--duration", "0"],
     # verification.json holds max gaps, spreads and counterexamples, so any
     # drift in the oracle's numbers shows up as a byte difference
     "verify_desk_k2": ["verify", "--config", DESK, "--k", "2"],
