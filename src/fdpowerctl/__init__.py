@@ -7,7 +7,6 @@ from .config import (  # noqa: F401
     HbsParams,
     Scenario,
     ScenarioConfig,
-    UeParams,
     UeTemplate,
     load_scenario,
     validate_scenario,
@@ -26,13 +25,9 @@ from .core import (  # noqa: F401
     hbs_update,
     joint_update,
     metrics,
-    opc_ue_update,
-    opceh_ue_update,
     optimal_hbs_power,
     rate,
     sinr,
-    tpc_ue_update,
-    tpceh_ue_update,
 )
 from .engine import (  # noqa: F401
     IterationTrace,

@@ -7,7 +7,6 @@ path-loss law g = k * d^-3; there is no fading or shadowing.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -20,17 +19,14 @@ from .config import (
     HbsParams,
     Scenario,
     ScenarioConfig,
-    UeParams,
     UeTemplate,
     MU_FLOOR,
-    make_ue,
     ue_errors,
     validate_scenario,
 )
 
 __all__ = [
     "Snapshot",
-    "SnapshotBatch",
     "path_gain",
     "hbs_position",
     "sample_snapshot",
@@ -42,9 +38,9 @@ __all__ = [
 ]
 
 
-def path_gain(d: float, k: float) -> float:
-    """Cubic path-loss channel power gain k * d^-3 at distance d meters."""
-    if d <= 0.0:
+def path_gain(d: float | np.ndarray, k: float) -> float | np.ndarray:
+    """Cubic path-loss channel power gain k * d^-3 at distance(s) d meters."""
+    if np.any(d <= 0.0):
         raise ValueError(f"distance must be strictly positive, got {d}")
     return k / (d * d * d)
 
@@ -58,94 +54,123 @@ def hbs_position(cfg: ScenarioConfig) -> tuple[float, float]:
 
 @dataclass
 class Snapshot:
-    """One realization of UE positions and efficiencies, arrays precomputed.
+    """Per-UE parameters of one snapshot as (K,) arrays, or of S as (S, K).
 
-    The per-UE arrays (g, h, mu, ...) are derived from `ues` at construction
-    and must be treated as read-only; the power-control code indexes them
-    directly in its inner loops.
+    Row s of a batch is snapshot s, so the update rules and metrics in core,
+    which reduce over the last (UE) axis, apply to both. Channels are
+    reciprocal: the uplink gain h is the downlink gain g. Snapshots made from
+    one another share arrays, which must be treated as read-only.
     """
 
     cfg: ScenarioConfig
     hbs: HbsParams
-    ues: tuple[UeParams, ...]
+    ue_template: UeTemplate
+    positions: np.ndarray        # (..., K, 2) meters
+    distances: np.ndarray        # meters to the base station
+    g: np.ndarray                # channel power gain
+    mu: np.ndarray               # energy-harvesting efficiency
+    gamma_target: np.ndarray     # target SINR, linear
+    eta: np.ndarray              # target signal-interference product
+    p_bar_u: np.ndarray          # uplink transmit power cap, watts
+    p_cir: np.ndarray            # UE circuit power, watts
+    p_min: np.ndarray            # harvest power that covers p_cir alone
     snapshot_id: int = 0
     seed_used: int = 0
 
-    def __post_init__(self):
-        self.num_ues = len(self.ues)
-        self.g = np.array([u.g for u in self.ues])
-        self.h = np.array([u.h for u in self.ues])
-        self.mu = np.array([u.mu for u in self.ues])
-        self.gamma_target = np.array([u.gamma_target for u in self.ues])
-        self.eta = np.array([u.eta for u in self.ues])
-        self.p_bar_u = np.array([u.p_bar_u for u in self.ues])
-        self.p_cir = np.array([u.p_cir for u in self.ues])
-        self.p_min = np.array([u.p_min for u in self.ues])
-        self.distances = np.array([u.distance for u in self.ues])
-
-
-# Per-UE parameter arrays of a batch, in SnapshotBatch field order.
-_BATCH_ARRAYS = ("g", "h", "mu", "gamma_target", "eta", "p_bar_u", "p_cir", "p_min")
-
-
-@dataclass
-class SnapshotBatch:
-    """Per-UE parameters of S snapshots as (S, K) arrays, row s for snapshot s.
-
-    The attribute names are Snapshot's, so the update rules and metrics in
-    core apply to a batch row by row. A batch holds no per-UE objects.
-    """
-
-    cfg: ScenarioConfig
-    hbs: HbsParams
-    g: np.ndarray
-    h: np.ndarray
-    mu: np.ndarray
-    gamma_target: np.ndarray
-    eta: np.ndarray
-    p_bar_u: np.ndarray
-    p_cir: np.ndarray
-    p_min: np.ndarray
+    @property
+    def h(self) -> np.ndarray:
+        return self.g
 
     @property
     def num_ues(self) -> int:
-        return self.g.shape[1]
+        return self.g.shape[-1]
 
     def __len__(self) -> int:
+        """Number of snapshots in a batch."""
         return self.g.shape[0]
 
-    def rows(self, index: np.ndarray) -> "SnapshotBatch":
-        """The snapshots picked by a boolean mask or an index array."""
-        return SnapshotBatch(
-            self.cfg, self.hbs, *(getattr(self, name)[index] for name in _BATCH_ARRAYS)
+    def rows(self, index) -> Snapshot:
+        """The snapshots of a batch picked by a mask, index array or slice."""
+        return Snapshot(
+            self.cfg, self.hbs, self.ue_template,
+            *(getattr(self, name)[index] for name in _ARRAYS),
+            self.snapshot_id, self.seed_used,
         )
 
-    @classmethod
-    def of(cls, snap: Snapshot, copies: int = 1) -> "SnapshotBatch":
-        """A batch of `copies` rows, each one the given snapshot (no copy made)."""
-        shape = (copies, snap.num_ues)
-        return cls(
-            snap.cfg, snap.hbs,
-            *(np.broadcast_to(getattr(snap, name), shape) for name in _BATCH_ARRAYS),
+    def repeated(self, copies: int = 1) -> Snapshot:
+        """A batch of `copies` rows, each one this snapshot (no copy made)."""
+        return Snapshot(
+            self.cfg, self.hbs, self.ue_template,
+            *(np.broadcast_to(getattr(self, name), (copies, *getattr(self, name).shape))
+              for name in _ARRAYS),
+            self.snapshot_id, self.seed_used,
         )
 
-    @classmethod
-    def moved(cls, snap: Snapshot, positions: np.ndarray) -> "SnapshotBatch":
-        """The snapshot's UEs placed at each row of positions (T, K, 2), meters.
+    def moved(self, positions: np.ndarray) -> Snapshot:
+        """This snapshot's UEs placed at each row of positions (T, K, 2), meters.
 
         Row t has the gains of the distances in row t, computed as
-        sample_snapshot computes them; every other parameter is the
-        snapshot's, broadcast (no copy made).
+        sample_snapshot computes them; mu, gamma_target and eta are this
+        snapshot's in every row.
         """
-        shape = positions.shape[:2]
-        d = _distances(positions.reshape(-1, 2), snap.cfg).reshape(shape)
-        g = snap.cfg.attenuation_k / (d * d * d)
-        mu, gamma_target, eta, p_bar_u, p_cir = (
-            np.broadcast_to(getattr(snap, name), shape)
-            for name in ("mu", "gamma_target", "eta", "p_bar_u", "p_cir")
+        shape = positions.shape[:-1]
+        distances = _distances(positions.reshape(-1, 2), self.cfg).reshape(shape)
+        mu, gamma_target, eta = (
+            np.broadcast_to(column, shape) for column in (self.mu, self.gamma_target, self.eta)
         )
-        return cls(snap.cfg, snap.hbs, g, g, mu, gamma_target, eta, p_bar_u, p_cir,
-                   p_cir / (mu * g))
+        return _snapshot(self.cfg, self.hbs, self.ue_template, positions, distances, mu,
+                         gamma_target, eta, self.snapshot_id, self.seed_used)
+
+
+# The per-UE arrays of a snapshot, in field order.
+_ARRAYS = ("positions", "distances", "g", "mu", "gamma_target", "eta", "p_bar_u", "p_cir", "p_min")
+
+
+def _snapshot(
+    cfg: ScenarioConfig,
+    hbs: HbsParams,
+    template: UeTemplate,
+    positions: np.ndarray,
+    distances: np.ndarray,
+    mu: np.ndarray,
+    gamma_target: np.ndarray | None = None,
+    eta: np.ndarray | None = None,
+    snapshot_id: int = 0,
+    seed_used: int = 0,
+) -> Snapshot:
+    """A validated snapshot, or batch, of UEs at the given distances.
+
+    mu, and gamma_target and eta where given, are per-UE columns shaped like
+    distances; the template supplies the rest. Invalid parameters raise a
+    ConfigError listing the violations of the first invalid snapshot (only
+    snapshot 0 when the configuration itself is invalid); a batch of no
+    snapshots checks nothing.
+    """
+    shape = distances.shape
+    t = template
+    g = path_gain(distances, cfg.attenuation_k)
+    columns = {
+        "mu": mu, "g": g, "h": g, "distance": distances,
+        "gamma_target": np.full(shape, t.gamma_target) if gamma_target is None else gamma_target,
+        "eta": np.full(shape, t.eta) if eta is None else eta,
+        "p_bar_u": np.full(shape, t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)),
+        "p_dyn": np.full(shape, t.p_dyn),
+        "p_sta": np.full(shape, t.p_sta),
+        "e_bar": np.full(shape, math.nan if t.e_bar is None else t.e_bar),
+    }
+    rows = {name: np.atleast_2d(column) for name, column in columns.items()}
+    if len(rows["g"]):
+        errors = validate_scenario(cfg, hbs)
+        errors += ue_errors({name: r[:1] for name, r in rows.items()} if errors else rows)
+        if errors:
+            raise ConfigError(errors)
+    p_cir = np.full(shape, t.n_antennas * t.p_dyn + t.p_sta)
+    denom = mu * g
+    p_min = np.divide(p_cir, denom, out=np.full(shape, math.inf), where=denom > 0)
+    return Snapshot(
+        cfg, hbs, t, positions, distances, g, mu, columns["gamma_target"], columns["eta"],
+        columns["p_bar_u"], p_cir, p_min, snapshot_id, seed_used,
+    )
 
 
 def _draw_mu(rng: np.random.Generator) -> float:
@@ -191,11 +216,7 @@ def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
 
 
 def sample_snapshot(
-    cfg: ScenarioConfig,
-    hbs: HbsParams,
-    ue_template: UeTemplate,
-    rng: np.random.Generator | None = None,
-    snapshot_id: int = 0,
+    cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, snapshot_id: int = 0
 ) -> Snapshot:
     """Draw one random snapshot: positions uniform in the cell, mu per template.
 
@@ -203,65 +224,27 @@ def sample_snapshot(
     stream. Per-snapshot streams derive from cfg.seed + snapshot_id.
     """
     seed_used = cfg.seed + snapshot_id
-    if rng is None:
-        rng = np.random.default_rng(seed_used)
-    positions, mus = _draw_ues(cfg, ue_template, rng)
-    ues = [
-        make_ue(
-            distance=d, g=path_gain(d, cfg.attenuation_k), mu=mu, template=ue_template,
-            epsilon=cfg.epsilon, delta_t=cfg.delta_t, position=(x, y),
-        )
-        for (x, y), d, mu in zip(
-            positions.tolist(), _distances(positions, cfg).tolist(), mus.tolist()
-        )
-    ]
-    snap = Snapshot(cfg, hbs, tuple(ues), snapshot_id=snapshot_id, seed_used=seed_used)
-    errors = validate_scenario(cfg, hbs, list(snap.ues))
-    if errors:
-        raise ConfigError(errors)
-    return snap
+    positions, mu = _draw_ues(cfg, ue_template, np.random.default_rng(seed_used))
+    return _snapshot(cfg, hbs, ue_template, positions, _distances(positions, cfg), mu,
+                     snapshot_id=snapshot_id, seed_used=seed_used)
 
 
 def sample_batch(
     cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, n_snapshots: int
-) -> SnapshotBatch:
+) -> Snapshot:
     """Snapshots 0 .. n_snapshots-1, drawn straight into the rows of a batch.
 
     Row s holds the values sample_snapshot(..., snapshot_id=s) gives, bit for
     bit, and invalid parameters raise the ConfigError it would raise.
     """
-    shape = (n_snapshots, max(cfg.num_ues, 0))
-    distance = np.empty(shape)
-    mu = np.empty(shape)
+    k = max(cfg.num_ues, 0)
+    positions = np.empty((n_snapshots, k, 2))
+    distances = np.empty((n_snapshots, k))
+    mu = np.empty((n_snapshots, k))
     for sid in range(n_snapshots):
-        positions, mu[sid] = _draw_ues(cfg, ue_template, np.random.default_rng(cfg.seed + sid))
-        distance[sid] = _distances(positions, cfg)
-    g = cfg.attenuation_k / (distance * distance * distance)
-    t = ue_template
-    p_cir = t.n_antennas * t.p_dyn + t.p_sta
-    columns = {
-        "mu": mu, "g": g, "h": g, "distance": distance,
-        "gamma_target": np.full(shape, t.gamma_target),
-        "eta": np.full(shape, t.eta),
-        "p_bar_u": np.full(shape, t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)),
-        "p_dyn": np.full(shape, t.p_dyn),
-        "p_sta": np.full(shape, t.p_sta),
-        "e_bar": np.full(shape, math.nan if t.e_bar is None else t.e_bar),
-    }
-    if n_snapshots:
-        # the errors sample_snapshot raises at the first invalid snapshot:
-        # with config errors that is snapshot 0, whatever its UEs
-        errors = validate_scenario(cfg, hbs, [])
-        errors += ue_errors(
-            {name: col[:1] for name, col in columns.items()} if errors else columns
-        )
-        if errors:
-            raise ConfigError(errors)
-    return SnapshotBatch(
-        cfg, hbs, g=g, h=g, mu=mu,
-        gamma_target=columns["gamma_target"], eta=columns["eta"],
-        p_bar_u=columns["p_bar_u"], p_cir=np.full(shape, p_cir), p_min=p_cir / (mu * g),
-    )
+        positions[sid], mu[sid] = _draw_ues(cfg, ue_template, np.random.default_rng(cfg.seed + sid))
+        distances[sid] = _distances(positions[sid], cfg)
+    return _snapshot(cfg, hbs, ue_template, positions, distances, mu)
 
 
 def snapshot_from_distances(
@@ -269,54 +252,42 @@ def snapshot_from_distances(
     cfg: ScenarioConfig,
     hbs: HbsParams,
     ue_template: UeTemplate,
-    gamma_targets: list[float] | None = None,
-    mus: list[float] | None = None,
-    etas: list[float] | None = None,
+    gamma_targets: list[float | None] | None = None,
+    mus: list[float | None] | None = None,
+    etas: list[float | None] | None = None,
 ) -> Snapshot:
     """Fixed-distance snapshot with per-UE overrides; bypasses cell geometry.
 
     UEs are placed on a ray from the base station, so positions may fall
-    outside the cell; only the distances matter in this mode.
+    outside the cell; only the distances matter in this mode. An override
+    list may leave some UEs out (None); they take the template's value, and
+    0.5 for mu when the template draws it at random.
     """
-    if len(distances) != cfg.num_ues:
-        raise ConfigError(
-            [f"distances: expected {cfg.num_ues} entries, got {len(distances)}"]
-        )
+    k = cfg.num_ues
+    if len(distances) != k:
+        raise ConfigError([f"distances: expected {k} entries, got {len(distances)}"])
     for name, values in (("gamma_targets", gamma_targets), ("mus", mus), ("etas", etas)):
-        if values is not None and len(values) != cfg.num_ues:
-            raise ConfigError(
-                [f"{name}: expected {cfg.num_ues} entries, got {len(values)}"]
-            )
-    origin = hbs_position(cfg)
-    ues = []
+        if values is not None and len(values) != k:
+            raise ConfigError([f"{name}: expected {k} entries, got {len(values)}"])
     for i, d in enumerate(distances):
         if d <= 0:
             raise ConfigError([f"distances[{i}]: must be strictly positive"])
-        g = path_gain(d, cfg.attenuation_k)
-        mu = mus[i] if mus is not None else (
-            ue_template.mu if ue_template.mu is not None else 0.5
-        )
-        ues.append(
-            make_ue(
-                distance=d, g=g, mu=mu, template=ue_template,
-                epsilon=cfg.epsilon, delta_t=cfg.delta_t,
-                position=(origin[0] + d, origin[1]),
-                gamma_target=None if gamma_targets is None else gamma_targets[i],
-                eta=None if etas is None else etas[i],
-            )
-        )
-    snap = Snapshot(cfg, hbs, tuple(ues))
-    errors = validate_scenario(cfg, hbs, list(snap.ues))
-    if errors:
-        raise ConfigError(errors)
-    return snap
+
+    def column(values, default):
+        return np.array([default if v is None else v for v in values or [None] * k], dtype=float)
+
+    d = np.array(distances, dtype=float)
+    ox, oy = hbs_position(cfg)
+    positions = np.stack([ox + d, np.full(k, oy)], axis=-1)
+    return _snapshot(
+        cfg, hbs, ue_template, positions, d,
+        column(mus, 0.5 if ue_template.mu is None else ue_template.mu),
+        column(gamma_targets, ue_template.gamma_target),
+        column(etas, ue_template.eta),
+    )
 
 
-def snapshot_from_scenario(
-    scenario: Scenario,
-    rng: np.random.Generator | None = None,
-    snapshot_id: int = 0,
-) -> Snapshot:
+def snapshot_from_scenario(scenario: Scenario, snapshot_id: int = 0) -> Snapshot:
     """Fixed snapshot when the scenario pins distances, random one otherwise."""
     if scenario.fixed_ues is not None:
         fus = scenario.fixed_ues
@@ -325,39 +296,29 @@ def snapshot_from_scenario(
             scenario.cfg,
             scenario.hbs,
             scenario.ue_template,
-            gamma_targets=_override([fu.gamma_target for fu in fus]),
-            mus=_override([fu.mu for fu in fus]),
-            etas=_override([fu.eta for fu in fus]),
+            gamma_targets=[fu.gamma_target for fu in fus],
+            mus=[fu.mu for fu in fus],
+            etas=[fu.eta for fu in fus],
         )
     return sample_snapshot(
-        scenario.cfg, scenario.hbs, scenario.ue_template, rng=rng, snapshot_id=snapshot_id
+        scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=snapshot_id
     )
-
-
-def _override(values: list):
-    return None if all(v is None for v in values) else values
 
 
 def snapshot_to_json(snap: Snapshot, path: str | Path) -> None:
     """Dump a snapshot (linear units) for replay or inspection."""
+    columns = {
+        "position": snap.positions, "distance": snap.distances, "g": snap.g, "h": snap.h,
+        "mu": snap.mu, "gamma_target": snap.gamma_target, "eta": snap.eta,
+        "p_bar_u": snap.p_bar_u, "p_cir": snap.p_cir, "p_min": snap.p_min,
+    }
     doc = {
         "snapshot_id": snap.snapshot_id,
         "seed_used": snap.seed_used,
         "hbs_placement": snap.cfg.hbs_placement,
         "ues": [
-            {
-                "position": list(u.position),
-                "distance": u.distance,
-                "g": u.g,
-                "h": u.h,
-                "mu": u.mu,
-                "gamma_target": u.gamma_target,
-                "eta": u.eta,
-                "p_bar_u": u.p_bar_u,
-                "p_cir": u.p_cir,
-                "p_min": u.p_min,
-            }
-            for u in snap.ues
+            dict(zip(columns, ue))
+            for ue in zip(*(column.tolist() for column in columns.values()))
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -367,6 +328,6 @@ def snapshot_to_json(snap: Snapshot, path: str | Path) -> None:
 def snapshot_csv_rows(snap: Snapshot) -> list[tuple]:
     """Rows (snapshot_id, ue_index, distance, gain, mu) for CSV export."""
     return [
-        (snap.snapshot_id, i, u.distance, u.g, u.mu)
-        for i, u in enumerate(snap.ues)
+        (snap.snapshot_id, i, *ue)
+        for i, ue in enumerate(zip(snap.distances.tolist(), snap.g.tolist(), snap.mu.tolist()))
     ]

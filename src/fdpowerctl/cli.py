@@ -28,6 +28,7 @@ from .engine import (
     run_monte_carlo,
 )
 from .oracle import (
+    BRUTE_FORCE_MAX_UES,
     check_fixed_point_uniqueness,
     check_harvest_power_tightness,
     check_two_sided_scalable,
@@ -247,6 +248,11 @@ def cmd_verify(args) -> int:
             cfg=dataclasses.replace(scenario.cfg, num_ues=args.k),
             fixed_ues=None,
         )
+    k = scenario.cfg.num_ues
+    if "optimality" in claims and k > BRUTE_FORCE_MAX_UES:
+        print(f"optimality: the grid search is limited to K <= {BRUTE_FORCE_MAX_UES} "
+              f"(got K={k}); leave optimality out of --claims", file=sys.stderr)
+        return EXIT_CONFIG
     rng = np.random.default_rng(scenario.cfg.seed)
     report: dict[str, dict] = {}
     failing: list[str] = []
@@ -279,7 +285,6 @@ def cmd_verify(args) -> int:
                 entry["passed"] = entry["passed"] and rep.passed
             report[claim] = entry
         elif claim == "optimality":
-            k = scenario.cfg.num_ues
             tol = 0.005 if k == 1 else 0.01
             gaps = []
             ok = True

@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -23,11 +22,9 @@ __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "HbsParams",
-    "UeParams",
     "UeTemplate",
     "FixedUe",
     "Scenario",
-    "make_ue",
     "validate_scenario",
     "ue_errors",
     "load_scenario",
@@ -81,31 +78,6 @@ class HbsParams:
 
 
 @dataclass(frozen=True)
-class UeParams:
-    """Fully-resolved per-UE physical state, derived fields included."""
-
-    position: tuple[float, float]
-    distance: float
-    g: float                 # downlink channel power gain
-    h: float                 # uplink channel power gain
-    mu: float                # energy-harvesting efficiency
-    gamma_target: float      # target SINR, linear
-    eta: float               # target signal-interference product
-    p_bar_u: float           # uplink transmit power cap, watts
-    n_antennas: int = 2
-    p_dyn: float = 0.0
-    p_sta: float = 0.0
-    e_bar: float | None = None
-    p_cir: float = field(init=False)
-    p_min: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "p_cir", self.n_antennas * self.p_dyn + self.p_sta)
-        denom = self.mu * self.g
-        object.__setattr__(self, "p_min", self.p_cir / denom if denom > 0 else math.inf)
-
-
-@dataclass(frozen=True)
 class UeTemplate:
     """Per-UE parameters shared by sampled UEs; mu=None means U(0,1) draws."""
 
@@ -146,35 +118,6 @@ class Scenario:
     fixed_ues: tuple[FixedUe, ...] | None = None
 
 
-def make_ue(
-    *,
-    distance: float,
-    g: float,
-    mu: float,
-    template: UeTemplate,
-    epsilon: float,
-    delta_t: float,
-    position: tuple[float, float] = (0.0, 0.0),
-    gamma_target: float | None = None,
-    eta: float | None = None,
-) -> UeParams:
-    """Build a UE from the template with reciprocal gains and derived fields."""
-    return UeParams(
-        position=position,
-        distance=distance,
-        g=g,
-        h=g,
-        mu=mu,
-        gamma_target=template.gamma_target if gamma_target is None else gamma_target,
-        eta=template.eta if eta is None else eta,
-        p_bar_u=template.resolve_p_bar_u(epsilon, delta_t),
-        n_antennas=template.n_antennas,
-        p_dyn=template.p_dyn,
-        p_sta=template.p_sta,
-        e_bar=template.e_bar,
-    )
-
-
 # Per-UE invariants in reporting order: (field, violated(columns), message).
 _UE_CHECKS = (
     ("mu", lambda u: u["mu"] <= 0.0, "mu must be strictly positive"),
@@ -192,16 +135,14 @@ _UE_CHECKS = (
     ("e_bar", lambda u: (u["mu"] > 0) & (u["g"] > 0) & (u["e_bar"] <= 0),
      "must be strictly positive"),
 )
-_UE_FIELDS = (
-    "mu", "g", "h", "distance", "gamma_target", "eta", "p_bar_u", "p_dyn", "p_sta", "e_bar",
-)
 
 
 def ue_errors(columns: dict[str, np.ndarray]) -> list[str]:
     """Per-UE violations, with field paths, of the first snapshot that has any.
 
-    `columns` maps each name in _UE_FIELDS to an (S, K) array: row s holds
-    snapshot s, column i its UE i, and a missing e_bar is NaN.
+    `columns` maps mu, g, h, distance, gamma_target, eta, p_bar_u, p_dyn,
+    p_sta and e_bar each to an (S, K) array: row s holds snapshot s, column i
+    its UE i, and a missing e_bar is NaN.
     """
     violated = [(field, bad(columns), msg) for field, bad, msg in _UE_CHECKS]
     rows = np.flatnonzero(np.any([v for _, v, _ in violated], axis=(0, 2)))
@@ -216,10 +157,9 @@ def ue_errors(columns: dict[str, np.ndarray]) -> list[str]:
     ]
 
 
-def validate_scenario(
-    cfg: ScenarioConfig, hbs: HbsParams, ues: list[UeParams]
-) -> list[str]:
-    """Check every invariant; returns all violations with field paths."""
+def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams) -> list[str]:
+    """Check the configuration's invariants; returns all violations with field
+    paths. ue_errors checks the UEs."""
     errors: list[str] = []
 
     def bad(path: str, msg: str):
@@ -252,12 +192,6 @@ def validate_scenario(
         bad("hbs.n_antennas", "must be at least 1")
     if hbs.p_dyn < 0.0 or hbs.p_sta < 0.0:
         bad("hbs.circuit", "circuit powers must be non-negative")
-
-    if ues:
-        # one snapshot's row; dtype=float turns an absent e_bar into NaN
-        errors += ue_errors(
-            {name: np.array([[getattr(u, name) for u in ues]], dtype=float) for name in _UE_FIELDS}
-        )
     return errors
 
 
@@ -359,7 +293,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
     # template-level sanity before any UE exists
     probe_cap = template.resolve_p_bar_u(cfg.epsilon, cfg.delta_t) if cfg.epsilon > 0 else -1.0
-    probe_errors = validate_scenario(cfg, hbs, [])
+    probe_errors = validate_scenario(cfg, hbs)
     if template.e_bar is not None and probe_cap <= 0.0:
         probe_errors.append(
             "ue_template.e_bar_joules: derived uplink cap is non-positive"

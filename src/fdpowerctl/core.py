@@ -5,9 +5,9 @@ plus the base station's harvest transmit power) to the next state or to
 metrics. The synchronous iteration that composes them lives in the engine.
 
 Every map also takes a batch of S states on S snapshots: p_u of shape (S, K),
-p_h of shape (S,), and a SnapshotBatch whose per-UE arrays are (S, K). Sums
-and maxima run over the last (UE) axis, so each row gets exactly the result
-it would get on its own.
+p_h of shape (S,), and a Snapshot whose per-UE arrays are (S, K). Sums and
+maxima run over the last (UE) axis, so each row gets exactly the result it
+would get on its own.
 
 Four algorithms are supported:
 
@@ -41,10 +41,6 @@ __all__ = [
     "rate",
     "hbs_update",
     "optimal_hbs_power",
-    "tpceh_ue_update",
-    "opceh_ue_update",
-    "tpc_ue_update",
-    "opc_ue_update",
     "joint_update",
     "metrics",
     "required_hbs_power",
@@ -129,31 +125,9 @@ def hbs_update(p: PowerVector, snap: Snapshot) -> float | np.ndarray:
     return np.minimum(snap.hbs.p_bar_h, optimal_hbs_power(p.p_u, snap))
 
 
-def tpceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
-    """Target-SINR tracking update for UE i with self-interference included."""
-    interf = float(_interference(p, snap)[i])
-    return min(snap.p_bar_u[i], snap.gamma_target[i] * interf / snap.h[i])
-
-
-def opceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
-    """Opportunistic update for UE i: eta * h / (interference + noise)."""
-    interf = float(_interference(p, snap)[i])
-    return min(snap.p_bar_u[i], snap.eta[i] * snap.h[i] / interf)
-
-
-def tpc_ue_update(p_u: np.ndarray, snap: Snapshot, i: int) -> float:
-    """Half-duplex target-tracking baseline: no harvest signal, no delta term."""
-    return tpceh_ue_update(PowerVector(p_u, 0.0), snap, i)
-
-
-def opc_ue_update(p_u: np.ndarray, snap: Snapshot, i: int) -> float:
-    """Half-duplex opportunistic baseline: no harvest signal, no delta term."""
-    return opceh_ue_update(PowerVector(p_u, 0.0), snap, i)
-
-
 def joint_update(alg: Algorithm, p: PowerVector, snap: Snapshot) -> PowerVector:
     """One synchronous step: every UE and (for *EH) the base station update
-    from the same state. Vectorized equivalent of the per-UE operations."""
+    from the same state."""
     interf = _interference(p, snap)
     if alg.opportunistic:
         p_u_next = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)

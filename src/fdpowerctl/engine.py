@@ -7,8 +7,8 @@ sweeps over an axis reuse identical snapshot draws for every axis value and
 every algorithm (common random numbers).
 
 There is one iteration loop, `iterate`. It steps S independent rows at once:
-an (S, K+1) state (the K uplink powers, then the harvest power) on a
-SnapshotBatch of (S, K) parameter arrays, with a convergence record per row.
+an (S, K+1) state (the K uplink powers, then the harvest power) on a batch
+Snapshot of (S, K) parameter arrays, with a convergence record per row.
 A row stops at the first step whose relative change is at most tol, or after
 max_iter steps; each row's numbers equal those of iterating it alone. Rows
 that stop are written out and dropped from the working arrays (compaction),
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import Snapshot, SnapshotBatch, sample_batch, snapshot_from_scenario
+from .channel import Snapshot, sample_batch, snapshot_from_scenario
 from .config import Scenario
 from .core import (
     FEASIBILITY_REL_SLACK,
@@ -103,8 +103,8 @@ class BatchSolution:
 
 
 def iterate(
-    update: Callable[[PowerVector, SnapshotBatch], PowerVector],
-    batch: SnapshotBatch,
+    update: Callable[[PowerVector, Snapshot], PowerVector],
+    batch: Snapshot,
     p_init: PowerVector,
     tol: float,
     max_iter: int,
@@ -159,7 +159,7 @@ def iterate(
 
 def solve(
     algorithm: Algorithm | str,
-    batch: SnapshotBatch,
+    batch: Snapshot,
     p_init: PowerVector | None = None,
     tol: float | None = None,
     max_iter: int | None = None,
@@ -208,7 +208,7 @@ def run_fixed_point(
     history = [] if record == "all" else None
     if p_init is not None:
         p_init = PowerVector(p_init.p_u[None, :], np.array([p_init.p_h]))
-    sol = solve(alg, SnapshotBatch.of(snap), p_init, tol, max_iter, history)
+    sol = solve(alg, snap.repeated(), p_init, tol, max_iter, history)
     fixed_point = _as_state(sol.fixed_point[0])
     iterations_used = int(sol.iterations_used[0])
     if history is None:
@@ -240,7 +240,7 @@ def check_energy_feasibility(trace: IterationTrace, snap: Snapshot) -> Feasibili
     """Evaluate the harvest constraint per UE at the trace's fixed point."""
     p = trace.fixed_point
     required = required_hbs_power(p.p_u, snap)
-    feasible = p.p_h >= required * (1.0 - FEASIBILITY_REL_SLACK)
+    feasible = metrics(p, snap).energy_feasible
     all_ok = bool(np.all(feasible))
     cap_binding = bool(
         p.p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK) and not all_ok
@@ -427,12 +427,12 @@ def run_mobility(
 
     # start on the x=0 edge; keep sampled heights if random, else spread evenly
     if scenario.fixed_ues is None:
-        ys = np.array([u.position[1] for u in base.ues])
+        ys = base.positions[:, 1]
     else:
         ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
     n_steps = int(round(duration / step))
     positions = _trajectory(ys, cfg.cell_side, speed_kmh / 3.6, step, n_steps)
-    gains = SnapshotBatch.moved(base, positions)
+    gains = base.moved(positions)
     harvest_gain = gains.mu * gains.g
 
     p_u = np.zeros((n_steps, K))

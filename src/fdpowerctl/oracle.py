@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Snapshot, SnapshotBatch
+from .channel import Snapshot
 from .core import (
     FEASIBILITY_REL_SLACK,
     Algorithm,
@@ -52,12 +52,16 @@ __all__ = [
     "check_update_form_equivalence",
     "check_harvest_power_tightness",
     "check_fixed_point_uniqueness",
+    "BRUTE_FORCE_MAX_UES",
 ]
 
 # constraint slacks for grid feasibility: the continuous optimum sits exactly
 # on the constraint boundary, which a finite grid can only approach
 QOS_GRID_SLACK = 1e-9
 HARVEST_GRID_SLACK = 1e-12
+
+# the grid search visits (points per dimension)^(K+1) points per round
+BRUTE_FORCE_MAX_UES = 3
 
 
 def aggregate_power(p: PowerVector, snap: Snapshot) -> float:
@@ -120,7 +124,8 @@ def brute_force_min_power(
     spanning sixteen decades below each cap, because the operating powers of
     different scenarios differ by many orders of magnitude. Each refinement
     round re-grids a shrinking multiplicative window around the incumbent.
-    Only K <= 3 is accepted; the search is exhaustive within each round.
+    Only K <= BRUTE_FORCE_MAX_UES is accepted; the search is exhaustive
+    within each round.
 
     Per round, the received powers, the interference from other UEs and the
     largest harvest requirement of every uplink grid point are computed once;
@@ -129,8 +134,8 @@ def brute_force_min_power(
     incumbent, so ties keep the first point found.
     """
     K = snap.num_ues
-    if K > 3:
-        raise ValueError(f"brute force limited to K <= 3 (got K={K})")
+    if K > BRUTE_FORCE_MAX_UES:
+        raise ValueError(f"brute force limited to K <= {BRUTE_FORCE_MAX_UES} (got K={K})")
     n = grid_points_per_dim
     eps = snap.cfg.epsilon
     caps = [float(c) for c in snap.p_bar_u] + [snap.hbs.p_bar_h]
@@ -328,7 +333,7 @@ def check_two_sided_scalable(
     K = snap.num_ues
     caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
     base, a, other = _sandwich_draws(caps, trials, rng)
-    batch = SnapshotBatch.of(snap, trials)
+    batch = snap.repeated(trials)
 
     def update(x: np.ndarray) -> np.ndarray:
         f = joint_update(alg, PowerVector(x[:, :K], x[:, K]), batch)
@@ -462,7 +467,7 @@ def transformed_joint_update(p: PowerVector, snap: Snapshot) -> PowerVector:
     received power over all UEs with a (1 + gamma_hat) divisor; the harvest
     update substitutes the same expression via the alpha coefficients. Both
     share their fixed points with the plain tracking form when no cap binds.
-    Like joint_update it also takes a batch of states on a SnapshotBatch.
+    Like joint_update it also takes a batch of states on a batch of snapshots.
     """
     cfg = snap.cfg
     total = np.sum(snap.h * p.p_u, axis=-1) + cfg.delta * p.p_h + cfg.sigma2
@@ -499,7 +504,7 @@ def check_update_form_equivalence(
     caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
     starts = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=(trials, snap.num_ues + 1))
     p0 = PowerVector(starts[:, :-1], starts[:, -1])
-    batch = SnapshotBatch.of(snap, trials)
+    batch = snap.repeated(trials)
     plain = iterate(
         lambda q, rows: joint_update(Algorithm.TPCEH, q, rows), batch, p0, 1e-13, 50000
     )
@@ -594,7 +599,7 @@ def check_fixed_point_uniqueness(
     caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
     starts = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=(n_inits, snap.num_ues + 1))
     p0 = PowerVector(starts[:, :-1], starts[:, -1] if alg.harvesting else np.zeros(n_inits))
-    sol = solve(alg, SnapshotBatch.of(snap, n_inits), p0, tol, max_iter)
+    sol = solve(alg, snap.repeated(n_inits), p0, tol, max_iter)
     all_ok = bool(sol.converged.all())
     stack = sol.fixed_point
     ref = stack[0]

@@ -9,20 +9,30 @@ The oracle's sandwich test ran one trial (two single-state updates) at a
 time, and its grid search evaluated every constraint afresh at each harvest
 level. The tests hold the batched oracle to both, field for field.
 
-The mobility run rebuilt a Snapshot from moved UeParams and called metrics
+The mobility run rebuilt a Snapshot from the moved UEs and called metrics
 at every step. It now computes the trajectory and the gains of all steps
 first and evaluates the metrics once; the tests hold it to the old series.
+
+The per-UE updates were the scalar form of the joint update; the tests hold
+joint_update to them UE by UE.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from fdpowerctl.channel import Snapshot, hbs_position, path_gain, snapshot_from_scenario
-from fdpowerctl.config import UeParams
-from fdpowerctl.core import Algorithm, PowerVector, hbs_update, joint_update, metrics
+from fdpowerctl.core import (
+    Algorithm,
+    PowerVector,
+    _interference,
+    hbs_update,
+    joint_update,
+    metrics,
+)
 from fdpowerctl.oracle import (
     HARVEST_GRID_SLACK,
     QOS_GRID_SLACK,
@@ -31,6 +41,36 @@ from fdpowerctl.oracle import (
 )
 
 CHANGE_FLOOR = 1e-18
+
+
+# ---------------------------------------------------------------------------
+# per-UE updates
+
+
+def tpceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
+    """Target-SINR tracking update for UE i with self-interference included."""
+    interf = float(_interference(p, snap)[i])
+    return min(snap.p_bar_u[i], snap.gamma_target[i] * interf / snap.h[i])
+
+
+def opceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
+    """Opportunistic update for UE i: eta * h / (interference + noise)."""
+    interf = float(_interference(p, snap)[i])
+    return min(snap.p_bar_u[i], snap.eta[i] * snap.h[i] / interf)
+
+
+def tpc_ue_update(p_u: np.ndarray, snap: Snapshot, i: int) -> float:
+    """Half-duplex target-tracking baseline: no harvest signal, no delta term."""
+    return tpceh_ue_update(PowerVector(p_u, 0.0), snap, i)
+
+
+def opc_ue_update(p_u: np.ndarray, snap: Snapshot, i: int) -> float:
+    """Half-duplex opportunistic baseline: no harvest signal, no delta term."""
+    return opceh_ue_update(PowerVector(p_u, 0.0), snap, i)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point loop
 
 
 def relative_change(p_new: PowerVector, p_old: PowerVector) -> float:
@@ -206,7 +246,7 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
     base = snapshot_from_scenario(scenario, snapshot_id=0)
     K = base.num_ues
     if scenario.fixed_ues is None:
-        ys = np.array([u.position[1] for u in base.ues])
+        ys = base.positions[:, 1]
     else:
         ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
     positions = np.stack([np.zeros(K), ys], axis=1)
@@ -217,19 +257,15 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
 
     def with_gains(snap, positions):
         origin = hbs_position(snap.cfg)
-        ues = []
-        for ue, (x, y) in zip(snap.ues, positions):
-            d = max(math.hypot(x - origin[0], y - origin[1]), 1e-9)
-            g = path_gain(d, snap.cfg.attenuation_k)
-            ues.append(
-                UeParams(
-                    position=(x, y), distance=d, g=g, h=g, mu=ue.mu,
-                    gamma_target=ue.gamma_target, eta=ue.eta, p_bar_u=ue.p_bar_u,
-                    n_antennas=ue.n_antennas, p_dyn=ue.p_dyn, p_sta=ue.p_sta,
-                    e_bar=ue.e_bar,
-                )
-            )
-        return Snapshot(snap.cfg, snap.hbs, tuple(ues), snap.snapshot_id, snap.seed_used)
+        d, g, p_min = [], [], []
+        for (x, y), mu, p_cir in zip(positions, snap.mu.tolist(), snap.p_cir.tolist()):
+            d.append(max(math.hypot(x - origin[0], y - origin[1]), 1e-9))
+            g.append(path_gain(d[-1], snap.cfg.attenuation_k))
+            p_min.append(p_cir / (mu * g[-1]) if mu * g[-1] > 0 else math.inf)
+        return dataclasses.replace(
+            snap, positions=positions.copy(), distances=np.array(d), g=np.array(g),
+            p_min=np.array(p_min),
+        )
 
     snap = with_gains(base, positions)
     p = PowerVector(np.zeros(K), 0.0)

@@ -59,17 +59,17 @@ def test_sample_snapshot_reproducible():
     assert a.seed_used == cfg.seed + 4
     np.testing.assert_array_equal(a.g, b.g)
     np.testing.assert_array_equal(a.mu, b.mu)
-    assert [u.position for u in a.ues] == [u.position for u in b.ues]
+    assert a.positions.tolist() == b.positions.tolist()
 
 
 def test_sample_snapshot_reciprocity_and_bounds():
     cfg = _cfg(num_ues=40)
     snap = sample_snapshot(cfg, HBS, TEMPLATE, snapshot_id=0)
     np.testing.assert_array_equal(snap.g, snap.h)
-    for u in snap.ues:
-        assert 0.0 <= u.position[0] <= cfg.cell_side
-        assert 0.0 <= u.position[1] <= cfg.cell_side
-        assert 0.0 < u.mu < 1.0
+    for (x, y), mu in zip(snap.positions.tolist(), snap.mu.tolist()):
+        assert 0.0 <= x <= cfg.cell_side
+        assert 0.0 <= y <= cfg.cell_side
+        assert 0.0 < mu < 1.0
 
 
 def test_ue_count_prefix_property():
@@ -87,9 +87,9 @@ def test_fixed_mu_draw_keeps_prefix_and_stream():
     assert big.seed_used == cfg.seed + 11
     rng = np.random.default_rng(cfg.seed + 11)
     scalar = [(rng.uniform(0.0, 1.0) * 50.0, rng.uniform(0.0, 1.0) * 50.0) for _ in range(8)]
-    assert [u.position for u in big.ues] == scalar
+    assert [tuple(xy) for xy in big.positions.tolist()] == scalar
     small = sample_snapshot(_cfg(num_ues=3), HBS, FIXED_MU, snapshot_id=11)
-    assert [u.position for u in small.ues] == scalar[:3]
+    assert [tuple(xy) for xy in small.positions.tolist()] == scalar[:3]
     batch = sample_batch(_cfg(num_ues=3), HBS, FIXED_MU, 12)
     assert batch.g[11].tolist() == small.g.tolist() == big.g[:3].tolist()
 
@@ -109,7 +109,7 @@ def test_distances_are_math_hypot_bit_for_bit():
     # on this snapshot np.hypot rounds UE 0's distance differently
     cfg, sid = _cfg(), 15
     snap = sample_snapshot(cfg, HBS, FIXED_MU, snapshot_id=sid)
-    xy = np.array([u.position for u in snap.ues])
+    xy = snap.positions
     centre = cfg.cell_side / 2.0
     exact = [math.hypot(x - centre, y - centre) for x, y in xy.tolist()]
     assert np.hypot(xy[:, 0] - centre, xy[:, 1] - centre).tolist() != exact
@@ -148,8 +148,8 @@ def test_cell_side_scaling_shares_draws():
     # positions scale with the side for a fixed seed, so sweeps stay paired
     a = sample_snapshot(_cfg(cell_side=40.0), HBS, TEMPLATE, snapshot_id=2)
     b = sample_snapshot(_cfg(cell_side=60.0), HBS, TEMPLATE, snapshot_id=2)
-    pa = np.array([u.position for u in a.ues]) / 40.0
-    pb = np.array([u.position for u in b.ues]) / 60.0
+    pa = a.positions / 40.0
+    pb = b.positions / 60.0
     np.testing.assert_allclose(pa, pb, rtol=1e-12)
 
 
@@ -227,3 +227,15 @@ def test_snapshot_json_export(tmp_path, paper_scenario):
     assert len(doc["ues"]) == 5
     assert doc["ues"][4]["distance"] == 8.0
     assert doc["ues"][4]["g"] == pytest.approx(0.09 / 512)
+
+
+@pytest.mark.parametrize("template_mu, fallback", [(None, 0.5), (0.7, 0.7)])
+def test_partial_mu_override_falls_back_per_ue(template_mu, fallback):
+    # UEs without a mu take the template's, or 0.5 when the template draws it
+    cfg = _cfg(num_ues=3)
+    template = dataclasses.replace(TEMPLATE, mu=template_mu)
+    snap = snapshot_from_distances([10.0, 20.0, 30.0], cfg, HBS, template,
+                                   mus=[0.3, None, None], etas=[None, 2.0, None])
+    assert snap.mu.tolist() == [0.3, fallback, fallback]
+    assert snap.eta.tolist() == [template.eta, 2.0, template.eta]
+    assert snap.p_min.tolist() == (snap.p_cir / (snap.mu * snap.g)).tolist()

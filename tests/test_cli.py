@@ -72,6 +72,18 @@ def test_invalid_config_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_snapshot_partial_mu_override(tmp_path):
+    # only the first fixed UE gives mu; the others take the template's
+    doc = json.loads(open(PAPER).read())
+    for fu in doc["fixed_ues"][1:]:
+        del fu["mu"]
+    path = tmp_path / "partial_mu.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["snapshot", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert (tmp_path / "out" / "summary_tpceh.json").exists()
+
+
 def test_sweep_invalid_axis_exits_2(tmp_path):
     rc = main(["sweep", "--config", DESK, "--axis", "nonsense",
                "--values", "1,2", "--out", str(tmp_path)])
@@ -169,6 +181,25 @@ def test_verify_optimality_k2(tmp_path):
     report = json.loads((tmp_path / "verification.json").read_text())
     assert report["optimality"]["passed"]
     assert report["optimality"]["max_gap"] <= 0.01
+
+
+@pytest.mark.parametrize("flags", [
+    [],                                            # all claims on the bundled K=5
+    ["--k", "4", "--claims", "optimality"],
+    ["--k", "9", "--claims", "scalability,optimality"],
+])
+def test_verify_optimality_beyond_grid_limit_exits_2(tmp_path, capsys, monkeypatch, flags):
+    import fdpowerctl.cli as cli
+
+    def no_snapshot(*args, **kwargs):
+        raise AssertionError("a snapshot was drawn before the claims were checked")
+
+    monkeypatch.setattr(cli, "snapshot_from_scenario", no_snapshot)
+    rc = main(["verify", "--config", DESK, "--out", str(tmp_path), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "K <= 3" in err and "--claims" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_fl_conditions_informational(tmp_path):

@@ -9,10 +9,10 @@ from fdpowerctl.config import (
     ScenarioConfig,
     UeTemplate,
     load_scenario,
-    make_ue,
     scenario_from_dict,
     validate_scenario,
 )
+from fdpowerctl.channel import snapshot_from_distances, snapshot_from_scenario
 from fdpowerctl.units import dbm_to_watt
 
 BASE_DOC = {
@@ -86,45 +86,44 @@ def _valid_parts():
     cfg = ScenarioConfig(num_ues=1, epsilon=0.2, delta=1e-12, sigma2=1e-14)
     hbs = HbsParams(p_bar_h=10.0, n_antennas=2, p_dyn=1.0, p_sta=0.5)
     template = UeTemplate(mu=0.5, gamma_target=0.05, p_dyn=0.1, p_sta=0.1, p_bar_u=1.0)
-    ue = make_ue(distance=10.0, g=9e-5, mu=0.5, template=template,
-                 epsilon=cfg.epsilon, delta_t=cfg.delta_t)
-    return cfg, hbs, ue
+    # one UE at 10 m: g = 0.09 / 10^3 = 9e-5
+    snap = snapshot_from_distances([10.0], cfg, hbs, template)
+    return cfg, hbs, template, snap
 
 
 def test_validate_epsilon_boundary():
-    cfg, hbs, ue = _valid_parts()
+    cfg, hbs, template, snap = _valid_parts()
     bad = ScenarioConfig(num_ues=1, epsilon=0.0, delta=1e-12, sigma2=1e-14)
-    errors = validate_scenario(bad, hbs, [ue])
+    errors = validate_scenario(bad, hbs)
     assert any("epsilon out of range" in e for e in errors)
 
 
 def test_validate_mu_zero():
-    cfg, hbs, ue = _valid_parts()
-    template = UeTemplate(mu=0.5, gamma_target=0.05, p_dyn=0.1, p_sta=0.1, p_bar_u=1.0)
-    bad_ue = make_ue(distance=10.0, g=9e-5, mu=0.0, template=template,
-                     epsilon=cfg.epsilon, delta_t=cfg.delta_t)
-    errors = validate_scenario(cfg, hbs, [bad_ue])
+    cfg, hbs, template, snap = _valid_parts()
+    with pytest.raises(ConfigError) as exc:
+        snapshot_from_distances([10.0], cfg, hbs, template, mus=[0.0])
+    errors = exc.value.errors
     assert any("mu must be strictly positive" in e for e in errors)
 
 
 def test_validate_reports_every_violation():
-    cfg, hbs, ue = _valid_parts()
+    cfg, hbs, template, snap = _valid_parts()
     bad_cfg = ScenarioConfig(num_ues=0, epsilon=2.0, delta=-1.0, sigma2=0.0, tol=0.0)
-    errors = validate_scenario(bad_cfg, hbs, [ue])
+    errors = validate_scenario(bad_cfg, hbs)
     assert len(errors) >= 5
 
 
 def test_paper_default_parameters_are_valid(paper_scenario):
-    # verbatim reference parameter set round-trips through validation
-    from fdpowerctl.channel import snapshot_from_scenario
-    snap = snapshot_from_scenario(paper_scenario)
-    assert validate_scenario(paper_scenario.cfg, paper_scenario.hbs, list(snap.ues)) == []
+    # verbatim reference parameter set round-trips through validation; the
+    # snapshot constructor runs the per-UE checks and raises on a violation
+    snapshot_from_scenario(paper_scenario)
+    assert validate_scenario(paper_scenario.cfg, paper_scenario.hbs) == []
 
 
 def test_derived_fields_exact():
-    cfg, hbs, ue = _valid_parts()
+    cfg, hbs, template, snap = _valid_parts()
     # p_min * mu * g == p_cir must hold exactly in floating point
-    assert ue.p_min * ue.mu * ue.g == pytest.approx(ue.p_cir, rel=1e-15)
+    assert snap.p_min[0] * snap.mu[0] * snap.g[0] == pytest.approx(snap.p_cir[0], rel=1e-15)
     assert hbs.p_cir == 2 * 1.0 + 0.5
 
 

@@ -9,16 +9,13 @@ from fdpowerctl.core import (
     hbs_update,
     joint_update,
     metrics,
-    opc_ue_update,
-    opceh_ue_update,
     optimal_hbs_power,
     rate,
     sinr,
-    tpc_ue_update,
-    tpceh_ue_update,
 )
 
 from conftest import make_desk_snapshot, make_single_ue_snapshot
+from scalar_reference import opc_ue_update, opceh_ue_update, tpc_ue_update, tpceh_ue_update
 
 
 def test_sinr_single_ue_hand_case():

@@ -204,7 +204,7 @@ def test_mobility_battery_accounting(desk_scenario):
     # transmitting UEs: delta = harvest - consumption unless clamped at cap
     p_u = result.powers.p_u
     harvest = result.metrics.harvested_power * 1e-3
-    p_cir = np.array([u.p_cir for u in snapshot_from_scenario(scenario).ues])
+    p_cir = snapshot_from_scenario(scenario).p_cir
     spend = np.where(p_u > 0.0, (p_u / eps + p_cir) * 1e-3, 0.0)
     prev = np.vstack([np.full((1, 2), cap), battery[:-1]])
     expected = np.clip(prev + harvest - spend, 0.0, cap)

@@ -1,9 +1,10 @@
-"""CLI outputs compared byte for byte with recorded golden files.
+"""CLI and exporter outputs compared byte for byte with recorded golden files.
 
 Every file a case writes, except the JSON manifests (they hold wall times),
-must equal the file under data/golden/<case>/. A changed fixed point,
-iteration count, convergence flag or sweep statistic shows up here as a
-byte difference, whatever path the solver takes to it.
+must equal the file under data/golden/<case>/. A case is either CLI
+arguments or a function that writes its files into a given directory. A
+changed fixed point, iteration count, convergence flag or sweep statistic
+shows up here as a byte difference, whatever path the solver takes to it.
 
 To record the files again, for an output change that is intended:
 
@@ -14,13 +15,17 @@ With case names only those cases are recorded again; with none, all are.
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from fdpowerctl.channel import snapshot_csv_rows, snapshot_from_scenario, snapshot_to_json
 from fdpowerctl.cli import main
+from fdpowerctl.config import load_scenario
 
 from conftest import CONFIG_DIR
 
@@ -33,6 +38,22 @@ ALL = "TPC,OPC,TPCEH,OPCEH"
 def _sweep(config, axis, values, *extra):
     return ["sweep", "--config", config, "--axis", axis, f"--values={values}",
             "--algorithms", ALL, "--snapshots", "3", *extra]
+
+
+def _export(config, snapshot_id=0, sampled=False):
+    """A case that writes one snapshot through both exporters."""
+
+    def run(out: Path) -> None:
+        scenario = load_scenario(config)
+        if sampled:
+            scenario = dataclasses.replace(scenario, fixed_ues=None)
+        snap = snapshot_from_scenario(scenario, snapshot_id=snapshot_id)
+        out.mkdir(parents=True, exist_ok=True)
+        snapshot_to_json(snap, out / "snapshot.json")
+        with open(out / "snapshot.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(snapshot_csv_rows(snap))
+
+    return run
 
 
 CASES = {
@@ -76,11 +97,18 @@ CASES = {
     # a three-dimensional uplink grid
     "verify_desk_k3": ["verify", "--config", DESK, "--k", "3",
                        "--snapshots", "2", "--trials", "1000"],
+    # the pinned distances and per-UE overrides of the paper's scenario
+    "export_paper_fixed": _export(PAPER),
+    # a sampled snapshot: positions drawn in the cell, mu from the template
+    "export_desk_sampled": _export(DESK, snapshot_id=3, sampled=True),
 }
 
 
-def _run(argv: list[str], out: Path) -> int:
-    return main([*argv, "--out", str(out)])
+def _run(case, out: Path) -> None:
+    if callable(case):
+        case(out)
+    else:
+        main([*case, "--out", str(out)])
 
 
 def _outputs(out: Path) -> dict[str, bytes]:
