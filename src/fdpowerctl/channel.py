@@ -40,8 +40,8 @@ __all__ = [
 
 def path_gain(d: float | np.ndarray, k: float) -> float | np.ndarray:
     """Cubic path-loss channel power gain k * d^-3 at distance(s) d meters."""
-    if np.any(d <= 0.0):
-        raise ValueError(f"distance must be strictly positive, got {d}")
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        raise ValueError(f"distance must be strictly positive and finite, got {d}")
     return k / (d * d * d)
 
 
@@ -148,7 +148,10 @@ def _snapshot(
     """
     shape = distances.shape
     t = template
-    g = path_gain(distances, cfg.attenuation_k)
+    # path_gain rejects distances that are not positive and finite; those
+    # get a stand-in gain, and ue_errors reports them, so it is never used
+    usable = np.isfinite(distances) & (distances > 0.0)
+    g = path_gain(np.where(usable, distances, 1.0), cfg.attenuation_k)
     columns = {
         "mu": mu, "g": g, "h": g, "distance": distances,
         "gamma_target": np.full(shape, t.gamma_target) if gamma_target is None else gamma_target,

@@ -72,7 +72,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _write_manifest(
-    out_files: list[Path], subcommand: str, scenario: Scenario, seed: int, t0: float
+    out_files: list[Path], subcommand: str, scenario: Scenario, seed: int, t0: float,
+    **extra,
 ) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -81,6 +82,7 @@ def _write_manifest(
         "tool_version": __version__,
         "outputs": [f.name for f in out_files],
         "duration_s": time.monotonic() - t0,
+        **extra,
     }
     for f in out_files:
         sidecar = f.with_name(f.name + ".manifest.json")
@@ -181,10 +183,23 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
+    solves = {}
     for alg in algorithms:
         result = run_monte_carlo(
             alg, scenario, args.axis, values, args.snapshots, **_overrides(args)
         )
+        solves[alg.value] = [
+            {
+                "value": value,
+                "n_converged": result.n_converged[vi],
+                "n_nonconverged": result.n_nonconverged[vi],
+                "n_stopped_early": result.n_stopped_early[vi],
+                "converged_iterations": None if stats is None else dict(
+                    zip(("min", "median", "max"), stats)
+                ),
+            }
+            for vi, (value, stats) in enumerate(zip(result.values, result.converged_iterations))
+        ]
         rows = []
         for vi, value in enumerate(result.values):
             n = result.n_converged[vi]
@@ -195,7 +210,9 @@ def cmd_sweep(args) -> int:
         _write_csv(path, ["axis", "metric_name", "mean", "half_width", "n"], rows)
         outputs.append(path)
         print(f"{alg.value}: wrote {path}")
-    _write_manifest(outputs, "sweep", scenario, scenario.cfg.seed, t0)
+    # per algorithm and axis value: how the solves ended, and the iteration
+    # counts of the converged ones
+    _write_manifest(outputs, "sweep", scenario, scenario.cfg.seed, t0, solves=solves)
     return EXIT_OK
 
 

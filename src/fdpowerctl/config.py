@@ -8,6 +8,7 @@ never touches decibels. Unknown keys in a scenario file are an error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -118,19 +119,34 @@ class Scenario:
     fixed_ues: tuple[FixedUe, ...] | None = None
 
 
+def _not_finite(name: str):
+    return lambda u: ~np.isfinite(u[name])
+
+
 # Per-UE invariants in reporting order: (field, violated(columns), message).
+# The range tests compare with < or <=, which NaN passes, so every field has
+# a finiteness test as well.
 _UE_CHECKS = (
     ("mu", lambda u: u["mu"] <= 0.0, "mu must be strictly positive"),
     ("mu", lambda u: u["mu"] >= 1.0, "mu must be below 1"),
+    ("mu", _not_finite("mu"), "must be finite"),
     ("g", lambda u: u["g"] <= 0.0, "channel gain must be strictly positive"),
+    ("g", _not_finite("g"), "must be finite"),
     ("h", lambda u: u["h"] <= 0.0, "channel gain must be strictly positive"),
+    ("h", _not_finite("h"), "must be finite"),
     ("distance", lambda u: u["distance"] <= 0.0, "must be strictly positive"),
+    ("distance", _not_finite("distance"), "must be finite"),
     ("gamma_target", lambda u: u["gamma_target"] < 0.0, "must be non-negative"),
+    ("gamma_target", _not_finite("gamma_target"), "must be finite"),
     ("eta", lambda u: u["eta"] < 0.0, "must be non-negative"),
+    ("eta", _not_finite("eta"), "must be finite"),
     ("p_bar_u", lambda u: u["p_bar_u"] <= 0.0,
      "uplink power cap must be strictly positive"),
+    ("p_bar_u", _not_finite("p_bar_u"), "must be finite"),
     ("circuit", lambda u: (u["p_dyn"] < 0.0) | (u["p_sta"] < 0.0),
      "circuit powers must be non-negative"),
+    ("circuit", lambda u: ~(np.isfinite(u["p_dyn"]) & np.isfinite(u["p_sta"])),
+     "circuit powers must be finite"),
     # an absent limit (NaN) compares as neither positive nor non-positive
     ("e_bar", lambda u: (u["mu"] > 0) & (u["g"] > 0) & (u["e_bar"] <= 0),
      "must be strictly positive"),
@@ -145,7 +161,8 @@ def ue_errors(columns: dict[str, np.ndarray]) -> list[str]:
     its UE i, and a missing e_bar is NaN.
     """
     violated = [(field, bad(columns), msg) for field, bad, msg in _UE_CHECKS]
-    rows = np.flatnonzero(np.any([v for _, v, _ in violated], axis=(0, 2)))
+    # or-ing the masks pairwise avoids stacking them into one (checks, S, K) array
+    rows = np.flatnonzero(functools.reduce(np.logical_or, [v for _, v, _ in violated]).any(axis=-1))
     if rows.size == 0:
         return []
     s = rows[0]

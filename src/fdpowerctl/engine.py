@@ -15,6 +15,17 @@ that stop are written out and dropped from the working arrays (compaction),
 so the cost of a step follows the rows still running. `solve` runs it with
 an algorithm's joint update: a sweep solves each axis value in one call, and
 `run_fixed_point` is the one-row case.
+
+With `give_up=True` a row also stops, unconverged, once a certificate shows
+it cannot converge before max_iter. The certificate rests on one premise:
+the update is a two-sided scalable map (Sung & Leung 2005) whose every
+component is monotone in each argument, as all four joint updates are.
+Such a map does not expand the Thompson metric max_i |log(x_i / y_i)|, so
+one-step distances can shrink by at most the two-step distance per step
+(see `iterate`). Only `run_monte_carlo` turns it on: its averages leave
+unconverged rows out anyway, so its outputs do not change. `run_fixed_point`
+(the `snapshot` command's trace and exit status) and the oracle iterate to
+max_iter.
 """
 
 from __future__ import annotations
@@ -59,6 +70,11 @@ __all__ = [
 # Denominator floor for relative power changes near zero.
 CHANGE_FLOOR = 1e-18
 
+# The early-exit certificate checks at steps 16, 32, 64, ... below max_iter.
+FIRST_GIVE_UP_CHECK = 16
+# Allowance per step for rounding in the computed update's non-expansion.
+GIVE_UP_SLACK = 1e-12
+
 SWEEP_AXES = ("delta_db", "cell_side", "gamma_target", "num_ues")
 
 SWEEP_METRICS = (
@@ -95,11 +111,47 @@ class BatchSolution:
     iterations_used: np.ndarray   # (S,) steps taken
     converged: np.ndarray         # (S,) bool
     final_change: np.ndarray      # (S,) last relative change, inf with no step
+    stopped_early: np.ndarray     # (S,) bool: certified unable to converge
 
     def powers(self, rows=slice(None)) -> PowerVector:
         """The fixed points of the chosen rows as a batch of states."""
         x = self.fixed_point[rows]
         return PowerVector(x[..., :-1], x[..., -1])
+
+
+def _apply(update, x: np.ndarray, batch: Snapshot) -> np.ndarray:
+    """`update` on (rows, K+1) states, returned as (rows, K+1) states."""
+    k = x.shape[-1] - 1
+    step = update(PowerVector(x[:, :k], x[:, k]), batch)
+    nxt = np.empty_like(x)
+    nxt[:, :k] = step.p_u
+    nxt[:, k] = step.p_h
+    return nxt
+
+
+def _certifiable(update, batch: Snapshot) -> tuple[np.ndarray, np.ndarray]:
+    """Rows the certificate applies to, and their components that are not 0.
+
+    Each component of a joint update is monotone in each argument, in the
+    same direction for all of them, so over the box [0, caps] it lies
+    between its values at 0 and at the caps. A row qualifies when every
+    component either stays at or above CHANGE_FLOOR, where the relative
+    change is the exact ratio, or is identically 0 (live is False).
+    """
+    k = batch.num_ues
+    caps = np.empty((len(batch), k + 1))
+    caps[:, :k] = batch.p_bar_u
+    caps[:, k] = batch.hbs.p_bar_h
+    at_zero = _apply(update, np.zeros_like(caps), batch)
+    at_caps = _apply(update, caps, batch)
+    dead = np.maximum(at_zero, at_caps) == 0.0
+    low = np.minimum(at_zero, at_caps)
+    return np.all(dead | (low >= CHANGE_FLOOR), axis=-1), ~dead
+
+
+def _log_distance(a: np.ndarray, b: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Thompson distance max_i |log(a_i / b_i)| of each row over its live components."""
+    return np.abs(np.log(np.divide(a, b, out=np.ones_like(a), where=live))).max(axis=-1)
 
 
 def iterate(
@@ -109,6 +161,7 @@ def iterate(
     tol: float,
     max_iter: int,
     history: list[np.ndarray] | None = None,
+    give_up: bool = False,
 ) -> BatchSolution:
     """Iterate `update` on every row of the batch until each row stops.
 
@@ -119,41 +172,84 @@ def iterate(
     raised for it. `update` receives the rows still running and their
     parameters. With a `history` list, the (rows, K+1) state of every step,
     the clipped start included, is appended to it; runs of one row use it.
+
+    With `give_up`, a row also stops unconverged, with `stopped_early` set,
+    at a check step t = 16, 32, 64, ... < max_iter when
+
+        d - (max_iter - t) * (e + GIVE_UP_SLACK) > -log1p(-tol),
+
+    where d and e are the Thompson distances of x_t to x_{t-1} and to
+    x_{t-2} over the components that are not identically 0. The update must
+    be two-sided scalable and componentwise monotone (see the module
+    docstring). Then the two-step distances never grow, the triangle
+    inequality gives every later one-step distance at least d minus e per
+    step, and a relative change of at most tol needs a one-step distance of
+    at most -log1p(-tol). The argument also needs the relative change to be
+    the exact ratio, so only rows whose components all stay at or above
+    CHANGE_FLOOR, or at 0, qualify; that bound costs two `update` calls on
+    the rows still running at step 16, and none when no row gets there.
+    Every row it stops is one that full iteration leaves unconverged; the
+    other rows get exactly the numbers they get without it.
     """
     k = batch.num_ues
-    x = np.empty((len(batch), k + 1))
+    n = len(batch)
+    x = np.empty((n, k + 1))
     x[:, :k] = np.clip(p_init.p_u, 0.0, batch.p_bar_u)
     x[:, k] = np.clip(p_init.p_h, 0.0, batch.hbs.p_bar_h)
     out = BatchSolution(
         fixed_point=x.copy(),
-        iterations_used=np.zeros(len(batch), dtype=int),
-        converged=np.zeros(len(batch), dtype=bool),
-        final_change=np.full(len(batch), math.inf),
+        iterations_used=np.zeros(n, dtype=int),
+        converged=np.zeros(n, dtype=bool),
+        final_change=np.full(n, math.inf),
+        stopped_early=np.zeros(n, dtype=bool),
     )
     if history is not None:
         history.append(x)
-    active = np.arange(len(batch))
+    active = np.arange(n)
+    # with tol >= 1 (or NaN) no distance exceeds the limit: never check
+    check = FIRST_GIVE_UP_CHECK if give_up and tol < 1.0 else None
+    older = None                       # x_{t-2} of the running rows at a check
+    certifiable = live = None          # per batch row, from the first check on
     for t in range(1, max_iter + 1):
         if active.size == 0:
             break
-        step = update(PowerVector(x[:, :k], x[:, k]), batch)
-        nxt = np.empty_like(x)
-        nxt[:, :k] = step.p_u
-        nxt[:, k] = step.p_h
+        if t + 1 == check:
+            older = x
+        nxt = _apply(update, x, batch)
         change = np.max(np.abs(nxt - x) / np.maximum(x, CHANGE_FLOOR), axis=-1)
-        x = nxt
+        prev, x = x, nxt
         if history is not None:
             history.append(x)
         converged = change <= tol
         stop = converged if t < max_iter else np.ones_like(converged)
+        early = None
+        if t == check:
+            if t < max_iter:
+                if certifiable is None:
+                    certifiable = np.zeros(n, dtype=bool)
+                    live = np.zeros((n, k + 1), dtype=bool)
+                    certifiable[active], live[active] = _certifiable(update, batch)
+                ok = certifiable[active]
+                on = live[active] & ok[:, None]
+                d = _log_distance(x, prev, on)
+                e = _log_distance(x, older, on)
+                early = ok & ~converged & (
+                    d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol)
+                )
+                stop = stop | early
+            check, older = 2 * t, None
         if stop.any():
             rows = active[stop]
             out.fixed_point[rows] = x[stop]
             out.iterations_used[rows] = t
             out.converged[rows] = converged[stop]
             out.final_change[rows] = change[stop]
+            if early is not None:
+                out.stopped_early[rows] = early[stop]
             go = ~stop
             active, x, batch = active[go], x[go], batch.rows(go)
+            if older is not None:
+                older = older[go]
     return out
 
 
@@ -164,11 +260,13 @@ def solve(
     tol: float | None = None,
     max_iter: int | None = None,
     history: list[np.ndarray] | None = None,
+    give_up: bool = False,
 ) -> BatchSolution:
     """Fixed points of the algorithm's joint update on every row of the batch.
 
     The default start is 1 uW on every UE and, for the harvesting algorithms,
     on the harvest signal; tol and max_iter default to the scenario's.
+    `give_up` stops rows certified unable to converge (see `iterate`).
     """
     alg = Algorithm(algorithm)
     if p_init is None:
@@ -183,6 +281,7 @@ def solve(
         batch.cfg.tol if tol is None else tol,
         batch.cfg.max_iter if max_iter is None else max_iter,
         history,
+        give_up,
     )
 
 
@@ -282,6 +381,9 @@ class SweepResult:
     stats: dict[str, list[tuple[float, float]]]   # metric -> [(mean, half_width)]
     n_converged: list[int]
     n_nonconverged: list[int]
+    n_stopped_early: list[int]    # unconverged rows the certificate stopped
+    # (min, median, max) iterations of the converged rows, None without any
+    converged_iterations: list[tuple[int, float, int] | None]
     metadata: dict = field(default_factory=dict)
 
 
@@ -316,22 +418,32 @@ def run_monte_carlo(
     same random placements back every axis value (and any other algorithm run
     with the same scenario), which keeps trend comparisons paired. Snapshots
     that fail to converge are counted and left out of the averages. Each axis
-    value is one `solve` call over all its snapshots.
+    value is one `solve` call over all its snapshots, with `give_up` on: a
+    row certified unable to converge within max_iter stops early (counted in
+    n_stopped_early), and since such a row is one that full iteration leaves
+    unconverged, the averages and counts are those of full iteration.
     """
     alg = Algorithm(algorithm)
     # sweeps are Monte-Carlo by definition: pinned UE layouts do not apply
     scenario = dataclasses.replace(scenario, fixed_ues=None)
     stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}
-    n_conv, n_nonconv = [], []
+    n_conv, n_nonconv, n_early, iterations = [], [], [], []
     for value in values:
         sc = apply_axis(scenario, sweep_axis, value)
         batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, n_snapshots)
-        sol = solve(alg, batch, tol=tol, max_iter=max_iter)
+        sol = solve(alg, batch, tol=tol, max_iter=max_iter, give_up=True)
         ok = sol.converged
         fixed = sol.powers(ok)
         samples = _snapshot_scalars(metrics(fixed, batch.rows(ok)), fixed)
         n_conv.append(int(ok.sum()))
         n_nonconv.append(n_snapshots - int(ok.sum()))
+        n_early.append(int(sol.stopped_early.sum()))
+        # sorted Python ints: np.median would page in numpy's sort kernels (0.5 MB RSS)
+        used = sorted(sol.iterations_used[ok].tolist())
+        iterations.append(
+            (used[0], (used[(len(used) - 1) // 2] + used[len(used) // 2]) / 2, used[-1])
+            if used else None
+        )
         for key in SWEEP_METRICS:
             arr = samples[key]
             if arr.size == 0:
@@ -347,6 +459,8 @@ def run_monte_carlo(
         stats=stats,
         n_converged=n_conv,
         n_nonconverged=n_nonconv,
+        n_stopped_early=n_early,
+        converged_iterations=iterations,
         metadata={
             "seed": scenario.cfg.seed,
             "hbs_placement": scenario.cfg.hbs_placement,

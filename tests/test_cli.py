@@ -84,6 +84,36 @@ def test_snapshot_partial_mu_override(tmp_path):
     assert (tmp_path / "out" / "summary_tpceh.json").exists()
 
 
+def test_snapshot_nan_distance_exits_2(tmp_path, capsys):
+    # Python's json reads NaN; the distance check must not let it through
+    doc = json.loads(open(DESK).read())
+    doc["fixed_ues"][1]["distance"] = float("nan")
+    path = tmp_path / "nan_distance.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["snapshot", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: ues[1].distance: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_manifest_records_how_solves_ended(tmp_path):
+    rc = main(["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2,5",
+               "--algorithms", "OPCEH,TPC", "--snapshots", "200", "--out", str(tmp_path)])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "sweep_num_ues_opceh.csv.manifest.json").read_text())
+    opceh = manifest["solves"]["OPCEH"]
+    assert [s["value"] for s in opceh] == [2.0, 5.0]
+    # the 7 snapshots on which OPCEH does not converge at K=5 stop early
+    assert [(s["n_converged"], s["n_nonconverged"], s["n_stopped_early"]) for s in opceh] == [
+        (200, 0, 0), (193, 7, 7),
+    ]
+    assert opceh[1]["converged_iterations"] == {"min": 5, "median": 10.0, "max": 53}
+    assert [s["n_stopped_early"] for s in manifest["solves"]["TPC"]] == [0, 0]
+    # the CSV's n column is the converged count
+    rows = (tmp_path / "sweep_num_ues_opceh.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[-1] for r in rows} == {"200", "193"}
+
+
 def test_sweep_invalid_axis_exits_2(tmp_path):
     rc = main(["sweep", "--config", DESK, "--axis", "nonsense",
                "--values", "1,2", "--out", str(tmp_path)])

@@ -1,6 +1,9 @@
 import copy
+import dataclasses
 import json
+import math
 
+import numpy as np
 import pytest
 
 from fdpowerctl.config import (
@@ -12,7 +15,7 @@ from fdpowerctl.config import (
     scenario_from_dict,
     validate_scenario,
 )
-from fdpowerctl.channel import snapshot_from_distances, snapshot_from_scenario
+from fdpowerctl.channel import path_gain, snapshot_from_distances, snapshot_from_scenario
 from fdpowerctl.units import dbm_to_watt
 
 BASE_DOC = {
@@ -104,6 +107,32 @@ def test_validate_mu_zero():
         snapshot_from_distances([10.0], cfg, hbs, template, mus=[0.0])
     errors = exc.value.errors
     assert any("mu must be strictly positive" in e for e in errors)
+
+
+@pytest.mark.parametrize("distance, overrides, template_change, expected", [
+    (math.nan, {}, {}, "ues[0].distance: must be finite"),
+    (math.inf, {}, {}, "ues[0].distance: must be finite"),
+    (10.0, {"mus": [math.nan]}, {}, "ues[0].mu: must be finite"),
+    (10.0, {"gamma_targets": [math.inf]}, {}, "ues[0].gamma_target: must be finite"),
+    (10.0, {"etas": [math.nan]}, {}, "ues[0].eta: must be finite"),
+    (10.0, {}, {"p_bar_u": math.inf}, "ues[0].p_bar_u: must be finite"),
+    (10.0, {}, {"p_sta": math.nan}, "ues[0].circuit: circuit powers must be finite"),
+])
+def test_validate_rejects_non_finite_ue_inputs(distance, overrides, template_change, expected):
+    # NaN passes every < or <= range test, so each field is tested for finiteness
+    cfg, hbs, template, snap = _valid_parts()
+    template = dataclasses.replace(template, **template_change)
+    with pytest.raises(ConfigError) as exc:
+        snapshot_from_distances([distance], cfg, hbs, template, **overrides)
+    assert exc.value.errors == [expected]
+
+
+@pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
+def test_path_gain_rejects_non_finite_distance(distance):
+    with pytest.raises(ValueError):
+        path_gain(distance, 0.09)
+    with pytest.raises(ValueError):
+        path_gain(np.array([10.0, distance]), 0.09)
 
 
 def test_validate_reports_every_violation():

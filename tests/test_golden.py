@@ -65,6 +65,17 @@ CASES = {
     "sweep_paper_num_ues": _sweep(PAPER, "num_ues", "1,3"),
     # a budget this small leaves some snapshots (and whole values) unconverged
     "sweep_short_budget": _sweep(DESK, "num_ues", "1,4", "--max-iter", "4"),
+    # 27 of these 600 OPCEH solves oscillate without converging, and the
+    # sweep stops them early; their exclusion must not change the CSVs
+    "sweep_opportunistic_cycles": [
+        "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,20",
+        "--algorithms", "OPC,OPCEH", "--snapshots", "200",
+    ],
+    # the last early-exit check (step 16) falls four steps before the budget
+    "sweep_opportunistic_cycles_short": [
+        "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,20",
+        "--algorithms", "OPC,OPCEH", "--snapshots", "200", "--max-iter", "20",
+    ],
     **{
         f"snapshot_{name}_{alg.lower()}": [
             "snapshot", "--config", config, "--algorithm", alg,
