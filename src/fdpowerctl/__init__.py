@@ -21,7 +21,6 @@ from .channel import (  # noqa: F401
 from .core import (  # noqa: F401
     Algorithm,
     Metrics,
-    PowerVector,
     hbs_update,
     joint_update,
     metrics,

@@ -90,7 +90,8 @@ class Snapshot:
         return self.g.shape[0]
 
     def rows(self, index) -> Snapshot:
-        """The snapshots of a batch picked by a mask, index array or slice."""
+        """The snapshots of a batch picked by a mask, index array or slice;
+        an int index picks one snapshot, with (K,) arrays."""
         return Snapshot(
             self.cfg, self.hbs, self.ue_template,
             *(getattr(self, name)[index] for name in _ARRAYS),

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .channel import snapshot_from_scenario
 from .config import ConfigError, Scenario, config_hash, load_scenario, scenario_to_dict
-from .core import Algorithm, metrics
+from .core import Algorithm
 from .engine import (
     SWEEP_AXES,
     SWEEP_METRICS,
@@ -53,21 +53,22 @@ CLAIMS = (
 PER_SNAPSHOT_CLAIMS = {"uniqueness", "optimality", "harvest-tightness", "update-equivalence"}
 
 
-def _fmt(x) -> str:
-    """Scientific notation with 17 significant digits for CSV floats."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.16e}"
+def _column_text(column) -> list[str]:
+    """CSV cells of one column, formatted by its dtype: bools as 1/0, ints
+    as is, floats in scientific notation with 17 significant digits."""
+    values = np.asarray(column)
+    kind = values.dtype.kind
+    if kind == "b":
+        return ["1" if v else "0" for v in values.tolist()]
+    if kind == "f":
+        return list(map("{:.16e}".format, values.tolist()))
+    return list(map(str, values.tolist()))
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns (arrays or lists) under a header."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(map(",".join, zip(*map(_column_text, columns))))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -125,29 +126,26 @@ def cmd_snapshot(args) -> int:
         + [f"rate_{i+1}" for i in range(K)]
         + [f"feasible_{i+1}" for i in range(K)]
     )
-    rows = []
-    for t, p, mx in trace.steps:
-        rows.append(
-            [t, *p.p_u.tolist(), p.p_h, *mx.sinr.tolist(), *mx.rate.tolist(),
-             *mx.energy_feasible.tolist()]
-        )
+    mx = trace.metrics
     trace_path = out / f"trace_{alg.value.lower()}.csv"
-    _write_csv(trace_path, header, rows)
+    _write_csv(
+        trace_path, header,
+        [trace.steps, *trace.states.T, *mx.sinr.T, *mx.rate.T, *mx.energy_feasible.T],
+    )
 
     feas = check_energy_feasibility(trace, snap)
-    final = trace.steps[-1][2]
     summary = {
         "algorithm": alg.value,
         "converged": trace.converged,
         "iterations_used": trace.iterations_used,
         "final_relative_change": trace.final_change,
-        "p_u": trace.fixed_point.p_u.tolist(),
-        "p_h": trace.fixed_point.p_h,
-        "sinr": final.sinr.tolist(),
-        "rate": final.rate.tolist(),
-        "outage": [bool(b) for b in final.outage],
-        "aggregate_power": final.aggregate_power,
-        "aggregate_throughput": final.aggregate_throughput,
+        "p_u": trace.fixed_point[:-1].tolist(),
+        "p_h": float(trace.fixed_point[-1]),
+        "sinr": mx.sinr[-1].tolist(),
+        "rate": mx.rate[-1].tolist(),
+        "outage": mx.outage[-1].tolist(),
+        "aggregate_power": float(mx.aggregate_power[-1]),
+        "aggregate_throughput": float(mx.aggregate_throughput[-1]),
         "energy_feasible": [bool(b) for b in feas.feasible],
         "all_feasible": feas.all_feasible,
         "hbs_cap_binding": feas.hbs_cap_binding,
@@ -200,14 +198,14 @@ def cmd_sweep(args) -> int:
             }
             for vi, (value, stats) in enumerate(zip(result.values, result.converged_iterations))
         ]
-        rows = []
-        for vi, value in enumerate(result.values):
-            n = result.n_converged[vi]
-            for metric in SWEEP_METRICS:
-                mean, half = result.stats[metric][vi]
-                rows.append([value, metric, mean, half, n])
+        # one row per (axis value, metric), metrics varying fastest
+        cells = [
+            (value, metric, *result.stats[metric][vi], result.n_converged[vi])
+            for vi, value in enumerate(result.values)
+            for metric in SWEEP_METRICS
+        ]
         path = out / f"sweep_{args.axis}_{alg.value.lower()}.csv"
-        _write_csv(path, ["axis", "metric_name", "mean", "half_width", "n"], rows)
+        _write_csv(path, ["axis", "metric_name", "mean", "half_width", "n"], list(zip(*cells)))
         outputs.append(path)
         print(f"{alg.value}: wrote {path}")
     # per algorithm and axis value: how the solves ended, and the iteration
@@ -230,20 +228,17 @@ def cmd_mobility(args) -> int:
     except ValueError as exc:    # duration or step out of range
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    columns = (
+    columns = [
         result.time,
         result.metrics.sinr.mean(axis=-1),
-        result.powers.p_u.mean(axis=-1),
-        result.powers.p_h,
+        result.states[:, :-1].mean(axis=-1),
+        result.states[:, -1],
         result.battery.min(axis=-1),
-    )
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"mobility_{alg.value.lower()}.csv"
-    _write_csv(
-        path, ["t", "avg_sinr", "avg_p_u", "p_h", "min_battery"],
-        list(zip(*(c.tolist() for c in columns))),
-    )
+    _write_csv(path, ["t", "avg_sinr", "avg_p_u", "p_h", "min_battery"], columns)
     _write_manifest([path], "mobility", scenario, scenario.cfg.seed, t0)
     dep = result.first_depletion_step
     print(f"wrote {path} (depletion step: {dep if dep is not None else 'none'})")

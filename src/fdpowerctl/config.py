@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -202,13 +203,21 @@ def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams) -> list[str]:
         bad("scenario.tol", "must be strictly positive")
     if cfg.max_iter < 1:
         bad("scenario.max_iter", "must be at least 1")
+    # NaN passes every < or <= range test above
+    for name in ("delta", "sigma2", "delta_t", "attenuation_k", "cell_side", "tol"):
+        if not math.isfinite(getattr(cfg, name)):
+            bad(f"scenario.{name}", "must be finite")
 
     if hbs.p_bar_h <= 0.0:
         bad("hbs.p_bar_h", "must be strictly positive")
     if hbs.n_antennas < 1:
         bad("hbs.n_antennas", "must be at least 1")
+    if not math.isfinite(hbs.p_bar_h):
+        bad("hbs.p_bar_h", "must be finite")
     if hbs.p_dyn < 0.0 or hbs.p_sta < 0.0:
         bad("hbs.circuit", "circuit powers must be non-negative")
+    if not (math.isfinite(hbs.p_dyn) and math.isfinite(hbs.p_sta)):
+        bad("hbs.circuit", "circuit powers must be finite")
     return errors
 
 

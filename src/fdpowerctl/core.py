@@ -1,13 +1,14 @@
 """Power-control update rules and derived link metrics.
 
-All functions here are pure maps from a joint power state (K uplink powers
-plus the base station's harvest transmit power) to the next state or to
-metrics. The synchronous iteration that composes them lives in the engine.
+All functions here are pure maps from a joint power state to the next state
+or to metrics. The synchronous iteration that composes them lives in the
+engine.
 
-Every map also takes a batch of S states on S snapshots: p_u of shape (S, K),
-p_h of shape (S,), and a Snapshot whose per-UE arrays are (S, K). Sums and
-maxima run over the last (UE) axis, so each row gets exactly the result it
-would get on its own.
+A state is one array x: the K uplink powers in x[..., :-1], then the base
+station's harvest transmit power in x[..., -1] (watts). One state has shape
+(K+1,); a batch of S states has shape (S, K+1) and goes with a Snapshot whose
+per-UE arrays are (S, K). Sums and maxima run over the last (UE) axis, so
+each row gets exactly the result it would get on its own.
 
 Four algorithms are supported:
 
@@ -26,7 +27,6 @@ energy signal leaks into the receiver as residual self-interference.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +35,8 @@ from .channel import Snapshot
 
 __all__ = [
     "Algorithm",
-    "PowerVector",
     "Metrics",
+    "state_caps",
     "sinr",
     "rate",
     "hbs_update",
@@ -67,43 +67,32 @@ class Algorithm(str, enum.Enum):
         return self in (Algorithm.OPC, Algorithm.OPCEH)
 
 
-@dataclass
-class PowerVector:
-    """Joint transmit state: uplink powers (watts) and harvest power (watts).
-
-    One state has p_u of shape (K,) and a float p_h; a batch of S states has
-    p_u of shape (S, K) and p_h of shape (S,).
-    """
-
-    p_u: np.ndarray
-    p_h: float | np.ndarray = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.append(self.p_u, self.p_h)
+def state_caps(snap: Snapshot) -> np.ndarray:
+    """Upper bounds of a state on the snapshot: each UE's p_bar_u, then the
+    harvest peak p_bar_h; (K+1,) for one snapshot, (S, K+1) for a batch."""
+    caps = np.empty((*snap.p_bar_u.shape[:-1], snap.num_ues + 1))
+    caps[..., :-1] = snap.p_bar_u
+    caps[..., -1] = snap.hbs.p_bar_h
+    return caps
 
 
-def _per_ue(p_h: float | np.ndarray) -> float | np.ndarray:
-    """Harvest power shaped to broadcast against per-UE arrays."""
-    return p_h[..., None] if isinstance(p_h, np.ndarray) else p_h
-
-
-def _interference(p: PowerVector, snap: Snapshot) -> np.ndarray:
+def _interference(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """Per-UE interference-plus-noise seen at the base station receiver."""
-    received = snap.h * p.p_u
+    received = snap.h * x[..., :-1]
     return (
         received.sum(axis=-1, keepdims=True) - received
-        + snap.cfg.delta * _per_ue(p.p_h) + snap.cfg.sigma2
+        + snap.cfg.delta * x[..., -1:] + snap.cfg.sigma2
     )
 
 
-def sinr(p: PowerVector, snap: Snapshot) -> np.ndarray:
+def sinr(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """Uplink SINR per UE; the denominator is bounded below by sigma2 > 0."""
-    return snap.h * p.p_u / _interference(p, snap)
+    return snap.h * x[..., :-1] / _interference(x, snap)
 
 
-def rate(p: PowerVector, snap: Snapshot) -> np.ndarray:
+def rate(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """Achievable uplink rate log2(1 + SINR), bits/s/Hz."""
-    return np.log2(1.0 + sinr(p, snap))
+    return np.log2(1.0 + sinr(x, snap))
 
 
 def required_hbs_power(p_u: np.ndarray, snap: Snapshot) -> np.ndarray:
@@ -120,21 +109,22 @@ def optimal_hbs_power(p_u: np.ndarray, snap: Snapshot) -> float | np.ndarray:
     return required_hbs_power(p_u, snap).max(axis=-1)
 
 
-def hbs_update(p: PowerVector, snap: Snapshot) -> float | np.ndarray:
+def hbs_update(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
     """Harvest-power update: the per-UE requirement max, clipped to the peak."""
-    return np.minimum(snap.hbs.p_bar_h, optimal_hbs_power(p.p_u, snap))
+    return np.minimum(snap.hbs.p_bar_h, optimal_hbs_power(x[..., :-1], snap))
 
 
-def joint_update(alg: Algorithm, p: PowerVector, snap: Snapshot) -> PowerVector:
+def joint_update(alg: Algorithm, x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """One synchronous step: every UE and (for *EH) the base station update
-    from the same state."""
-    interf = _interference(p, snap)
+    from the same state. Returns a new state of the same shape."""
+    interf = _interference(x, snap)
+    nxt = np.empty(x.shape)
     if alg.opportunistic:
-        p_u_next = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)
+        nxt[..., :-1] = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)
     else:
-        p_u_next = np.minimum(snap.p_bar_u, snap.gamma_target * interf / snap.h)
-    p_h_next = hbs_update(p, snap) if alg.harvesting else 0.0
-    return PowerVector(p_u_next, p_h_next)
+        nxt[..., :-1] = np.minimum(snap.p_bar_u, snap.gamma_target * interf / snap.h)
+    nxt[..., -1] = hbs_update(x, snap) if alg.harvesting else 0.0
+    return nxt
 
 
 @dataclass
@@ -155,16 +145,16 @@ class Metrics:
     outage: np.ndarray               # bool per UE
 
 
-def metrics(p: PowerVector, snap: Snapshot) -> Metrics:
+def metrics(x: np.ndarray, snap: Snapshot) -> Metrics:
     """Evaluate all metrics of a power state (or a batch) on a snapshot."""
     eps = snap.cfg.epsilon
-    p_h = _per_ue(p.p_h)
-    s = sinr(p, snap)
+    p_u, p_h = x[..., :-1], x[..., -1:]
+    s = sinr(x, snap)
     r = np.log2(1.0 + s)
-    ue_total = p.p_u / eps + snap.p_cir
-    hbs_total = p.p_h / eps + snap.hbs.p_cir
+    ue_total = p_u / eps + snap.p_cir
+    hbs_total = x[..., -1] / eps + snap.hbs.p_cir
     harvested = snap.mu * snap.g * p_h
-    required = required_hbs_power(p.p_u, snap)
+    required = required_hbs_power(p_u, snap)
     feasible = p_h >= required * (1.0 - FEASIBILITY_REL_SLACK)
     outage = s < snap.gamma_target * (1.0 - OUTAGE_REL_SLACK)
     return Metrics(

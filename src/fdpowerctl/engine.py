@@ -6,15 +6,16 @@ step. Snapshot-level work is reproducible from (seed, snapshot_id) alone, so
 sweeps over an axis reuse identical snapshot draws for every axis value and
 every algorithm (common random numbers).
 
-There is one iteration loop, `iterate`. It steps S independent rows at once:
-an (S, K+1) state (the K uplink powers, then the harvest power) on a batch
-Snapshot of (S, K) parameter arrays, with a convergence record per row.
-A row stops at the first step whose relative change is at most tol, or after
-max_iter steps; each row's numbers equal those of iterating it alone. Rows
-that stop are written out and dropped from the working arrays (compaction),
-so the cost of a step follows the rows still running. `solve` runs it with
-an algorithm's joint update: a sweep solves each axis value in one call, and
-`run_fixed_point` is the one-row case.
+A state is one array: the K uplink powers, then the harvest power, so (K+1,)
+for one state and (S, K+1) for S of them (see `core`). There is one
+iteration loop, `iterate`. It steps S independent rows at once: an (S, K+1)
+state on a batch Snapshot of (S, K) parameter arrays, with a convergence
+record per row. A row stops at the first step whose relative change is at
+most tol, or after max_iter steps; each row's numbers equal those of
+iterating it alone. Rows that stop are written out and dropped from the
+working arrays (compaction), so the cost of a step follows the rows still
+running. `solve` runs it with an algorithm's joint update: a sweep solves
+each axis value in one call, and `run_fixed_point` is the one-row case.
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -43,7 +44,7 @@ from .core import (
     FEASIBILITY_REL_SLACK,
     Algorithm,
     Metrics,
-    PowerVector,
+    state_caps,
     joint_update,
     metrics,
     required_hbs_power,
@@ -93,13 +94,15 @@ SWEEP_METRICS = (
 
 @dataclass
 class IterationTrace:
-    """Record of one fixed-point run."""
+    """Record of one fixed-point run, one row per recorded step."""
 
     algorithm: Algorithm
-    steps: list[tuple[int, PowerVector, Metrics]]
+    steps: np.ndarray             # (T,) step index of each row, 0 for the start
+    states: np.ndarray            # (T, K+1) state after each recorded step
+    metrics: Metrics              # of each recorded state
     converged: bool
     iterations_used: int
-    fixed_point: PowerVector
+    fixed_point: np.ndarray       # (K+1,) the last row of states
     final_change: float
 
 
@@ -113,21 +116,6 @@ class BatchSolution:
     final_change: np.ndarray      # (S,) last relative change, inf with no step
     stopped_early: np.ndarray     # (S,) bool: certified unable to converge
 
-    def powers(self, rows=slice(None)) -> PowerVector:
-        """The fixed points of the chosen rows as a batch of states."""
-        x = self.fixed_point[rows]
-        return PowerVector(x[..., :-1], x[..., -1])
-
-
-def _apply(update, x: np.ndarray, batch: Snapshot) -> np.ndarray:
-    """`update` on (rows, K+1) states, returned as (rows, K+1) states."""
-    k = x.shape[-1] - 1
-    step = update(PowerVector(x[:, :k], x[:, k]), batch)
-    nxt = np.empty_like(x)
-    nxt[:, :k] = step.p_u
-    nxt[:, k] = step.p_h
-    return nxt
-
 
 def _certifiable(update, batch: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     """Rows the certificate applies to, and their components that are not 0.
@@ -138,12 +126,9 @@ def _certifiable(update, batch: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     component either stays at or above CHANGE_FLOOR, where the relative
     change is the exact ratio, or is identically 0 (live is False).
     """
-    k = batch.num_ues
-    caps = np.empty((len(batch), k + 1))
-    caps[:, :k] = batch.p_bar_u
-    caps[:, k] = batch.hbs.p_bar_h
-    at_zero = _apply(update, np.zeros_like(caps), batch)
-    at_caps = _apply(update, caps, batch)
+    caps = state_caps(batch)
+    at_zero = update(np.zeros_like(caps), batch)
+    at_caps = update(caps, batch)
     dead = np.maximum(at_zero, at_caps) == 0.0
     low = np.minimum(at_zero, at_caps)
     return np.all(dead | (low >= CHANGE_FLOOR), axis=-1), ~dead
@@ -155,9 +140,9 @@ def _log_distance(a: np.ndarray, b: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 
 def iterate(
-    update: Callable[[PowerVector, Snapshot], PowerVector],
+    update: Callable[[np.ndarray, Snapshot], np.ndarray],
     batch: Snapshot,
-    p_init: PowerVector,
+    p_init: np.ndarray,
     tol: float,
     max_iter: int,
     history: list[np.ndarray] | None = None,
@@ -165,8 +150,8 @@ def iterate(
 ) -> BatchSolution:
     """Iterate `update` on every row of the batch until each row stops.
 
-    `p_init` holds one start per row (p_u (S, K), p_h (S,)); it is clipped
-    into [0, caps] first. A row stops converged at the first step whose
+    `p_init` is the (S, K+1) start, one row per snapshot; it is clipped into
+    [0, caps] first. A row stops converged at the first step whose
     infinity-norm relative change (denominators floored at CHANGE_FLOOR) is
     at most tol, and unconverged after max_iter steps: an exception is never
     raised for it. `update` receives the rows still running and their
@@ -191,11 +176,8 @@ def iterate(
     Every row it stops is one that full iteration leaves unconverged; the
     other rows get exactly the numbers they get without it.
     """
-    k = batch.num_ues
     n = len(batch)
-    x = np.empty((n, k + 1))
-    x[:, :k] = np.clip(p_init.p_u, 0.0, batch.p_bar_u)
-    x[:, k] = np.clip(p_init.p_h, 0.0, batch.hbs.p_bar_h)
+    x = np.clip(p_init, 0.0, state_caps(batch))
     out = BatchSolution(
         fixed_point=x.copy(),
         iterations_used=np.zeros(n, dtype=int),
@@ -215,7 +197,7 @@ def iterate(
             break
         if t + 1 == check:
             older = x
-        nxt = _apply(update, x, batch)
+        nxt = update(x, batch)
         change = np.max(np.abs(nxt - x) / np.maximum(x, CHANGE_FLOOR), axis=-1)
         prev, x = x, nxt
         if history is not None:
@@ -227,7 +209,7 @@ def iterate(
             if t < max_iter:
                 if certifiable is None:
                     certifiable = np.zeros(n, dtype=bool)
-                    live = np.zeros((n, k + 1), dtype=bool)
+                    live = np.zeros((n, x.shape[-1]), dtype=bool)
                     certifiable[active], live[active] = _certifiable(update, batch)
                 ok = certifiable[active]
                 on = live[active] & ok[:, None]
@@ -256,7 +238,7 @@ def iterate(
 def solve(
     algorithm: Algorithm | str,
     batch: Snapshot,
-    p_init: PowerVector | None = None,
+    p_init: np.ndarray | None = None,
     tol: float | None = None,
     max_iter: int | None = None,
     history: list[np.ndarray] | None = None,
@@ -270,12 +252,11 @@ def solve(
     """
     alg = Algorithm(algorithm)
     if p_init is None:
-        p_init = PowerVector(
-            np.full((len(batch), batch.num_ues), 1e-6),
-            np.full(len(batch), 1e-6 if alg.harvesting else 0.0),
-        )
+        p_init = np.full((len(batch), batch.num_ues + 1), 1e-6)
+        if not alg.harvesting:
+            p_init[:, -1] = 0.0
     return iterate(
-        lambda p, rows: joint_update(alg, p, rows),
+        lambda x, rows: joint_update(alg, x, rows),
         batch,
         p_init,
         batch.cfg.tol if tol is None else tol,
@@ -285,41 +266,39 @@ def solve(
     )
 
 
-def _as_state(row: np.ndarray) -> PowerVector:
-    return PowerVector(row[:-1], float(row[-1]))
-
-
 def run_fixed_point(
     algorithm: Algorithm | str,
     snap: Snapshot,
-    p_init: PowerVector | None = None,
+    p_init: np.ndarray | None = None,
     tol: float | None = None,
     max_iter: int | None = None,
     record: str = "all",
 ) -> IterationTrace:
     """Iterate the joint power update until the relative change drops below tol.
 
-    This is `solve` on a batch of one row. Non-convergence within max_iter
-    yields converged=False, not an exception. `record="ends"` keeps metrics
-    only for the last step.
+    This is `solve` on a batch of one row, from a (K+1,) start. Non-convergence
+    within max_iter yields converged=False, not an exception. `record="all"`
+    keeps every step, the start included; `record="ends"` keeps only the last.
+    The metrics of all kept states come from one `metrics` call.
     """
     alg = Algorithm(algorithm)
     history = [] if record == "all" else None
     if p_init is not None:
-        p_init = PowerVector(p_init.p_u[None, :], np.array([p_init.p_h]))
+        p_init = p_init[None, :]
     sol = solve(alg, snap.repeated(), p_init, tol, max_iter, history)
-    fixed_point = _as_state(sol.fixed_point[0])
     iterations_used = int(sol.iterations_used[0])
     if history is None:
-        states = [(iterations_used, fixed_point)]
+        steps, states = np.array([iterations_used]), sol.fixed_point
     else:
-        states = [(t, _as_state(x[0])) for t, x in enumerate(history)]
+        steps, states = np.arange(len(history)), np.concatenate(history)
     return IterationTrace(
         algorithm=alg,
-        steps=[(t, p, metrics(p, snap)) for t, p in states],
+        steps=steps,
+        states=states,
+        metrics=metrics(states, snap),
         converged=bool(sol.converged[0]),
         iterations_used=iterations_used,
-        fixed_point=fixed_point,
+        fixed_point=states[-1],
         final_change=float(sol.final_change[0]),
     )
 
@@ -337,19 +316,18 @@ class FeasibilityReport:
 
 def check_energy_feasibility(trace: IterationTrace, snap: Snapshot) -> FeasibilityReport:
     """Evaluate the harvest constraint per UE at the trace's fixed point."""
-    p = trace.fixed_point
-    required = required_hbs_power(p.p_u, snap)
-    feasible = metrics(p, snap).energy_feasible
+    p_h = float(trace.fixed_point[-1])
+    feasible = trace.metrics.energy_feasible[-1]
     all_ok = bool(np.all(feasible))
     cap_binding = bool(
-        p.p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK) and not all_ok
+        p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK) and not all_ok
     )
     return FeasibilityReport(
         feasible=feasible,
         all_feasible=all_ok,
         hbs_cap_binding=cap_binding,
-        p_h=p.p_h,
-        required=required,
+        p_h=p_h,
+        required=required_hbs_power(trace.fixed_point[:-1], snap),
     )
 
 
@@ -387,14 +365,14 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _snapshot_scalars(mx: Metrics, p: PowerVector) -> dict[str, np.ndarray]:
+def _snapshot_scalars(mx: Metrics, x: np.ndarray) -> dict[str, np.ndarray]:
     """Per-snapshot sweep samples of a batch of fixed points, one per row."""
     return {
         "avg_sinr": mx.sinr.mean(axis=-1),
         "aggregate_throughput": mx.aggregate_throughput,
-        "p_h": p.p_h,
-        "avg_p_u": p.p_u.mean(axis=-1),
-        "sum_p_u": p.p_u.sum(axis=-1),
+        "p_h": x[:, -1],
+        "avg_p_u": x[:, :-1].mean(axis=-1),
+        "sum_p_u": x[:, :-1].sum(axis=-1),
         "total_ue_power": mx.ue_total_power.sum(axis=-1),
         "hbs_total_power": mx.hbs_total_power,
         "aggregate_power": mx.aggregate_power,
@@ -433,7 +411,7 @@ def run_monte_carlo(
         batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, n_snapshots)
         sol = solve(alg, batch, tol=tol, max_iter=max_iter, give_up=True)
         ok = sol.converged
-        fixed = sol.powers(ok)
+        fixed = sol.fixed_point[ok]
         samples = _snapshot_scalars(metrics(fixed, batch.rows(ok)), fixed)
         n_conv.append(int(ok.sum()))
         n_nonconv.append(n_snapshots - int(ok.sum()))
@@ -474,8 +452,8 @@ class MobilityResult:
 
     algorithm: Algorithm
     time: np.ndarray                     # (T,) seconds at the end of each step
-    powers: PowerVector                  # p_u (T, K), p_h (T,)
-    metrics: Metrics                     # of each step's powers on its gains
+    states: np.ndarray                   # (T, K+1) powers after each step
+    metrics: Metrics                     # of each step's state on its gains
     battery: np.ndarray                  # (T, K) joules after each step
     positions: np.ndarray                # (T, K, 2) meters
     harvesting_active: np.ndarray        # (T,) bool
@@ -549,38 +527,36 @@ def run_mobility(
     gains = base.moved(positions)
     harvest_gain = gains.mu * gains.g
 
-    p_u = np.zeros((n_steps, K))
-    p_h = np.zeros(n_steps)
+    states = np.zeros((n_steps, K + 1))
     battery = np.empty((n_steps, K))
     level = np.full(K, battery_init)
-    p = PowerVector(np.zeros((1, K)), np.zeros(1))
+    x = np.zeros(K + 1)
     first_depletion: int | None = None
     activation: int | None = None
     for n in range(n_steps):
         # synchronous candidate powers from the previous state
-        cand = joint_update(alg, p, gains.rows(slice(n, n + 1)))
-        need = (cand.p_u[0] / cfg.epsilon + base.p_cir) * step
+        cand = joint_update(alg, x, gains.rows(n))
+        need = (cand[:-1] / cfg.epsilon + base.p_cir) * step
         if first_depletion is None and bool(np.any(level < need)):
             first_depletion = n + 1
             if alg.harvesting:
                 activation = n + 1
         if activation is not None:
-            p_h[n] = cand.p_h[0]
-        harvest = harvest_gain[n] * p_h[n] * step
+            states[n, -1] = cand[-1]
+        harvest = harvest_gain[n] * states[n, -1] * step
 
         affordable = level + harvest >= need
-        p_u[n] = np.where(affordable, cand.p_u[0], 0.0)
+        states[n, :-1] = np.where(affordable, cand[:-1], 0.0)
         level = np.clip(level + harvest - np.where(affordable, need, 0.0), 0.0, battery_init)
         battery[n] = level
-        p = PowerVector(p_u[n : n + 1], p_h[n : n + 1])
+        x = states[n]
 
-    powers = PowerVector(p_u, p_h)
     steps = np.arange(1, n_steps + 1)
     return MobilityResult(
         algorithm=alg,
         time=steps * step,
-        powers=powers,
-        metrics=metrics(powers, gains),
+        states=states,
+        metrics=metrics(states, gains),
         battery=battery,
         positions=positions,
         harvesting_active=steps >= (activation or math.inf),

@@ -25,7 +25,7 @@ from .channel import Snapshot
 from .core import (
     FEASIBILITY_REL_SLACK,
     Algorithm,
-    PowerVector,
+    state_caps,
     joint_update,
     metrics,
     required_hbs_power,
@@ -64,19 +64,18 @@ HARVEST_GRID_SLACK = 1e-12
 BRUTE_FORCE_MAX_UES = 3
 
 
-def aggregate_power(p: PowerVector, snap: Snapshot) -> float:
-    """Total consumed power: UE transmit/eps + circuits, plus the HBS side."""
+def aggregate_power(x: np.ndarray, snap: Snapshot) -> float:
+    """Total consumed power of a (K+1,) state: UE transmit/eps + circuits,
+    plus the HBS side."""
     eps = snap.cfg.epsilon
-    return float(
-        np.sum(p.p_u / eps + snap.p_cir) + p.p_h / eps + snap.hbs.p_cir
-    )
+    return float(np.sum(x[:-1] / eps + snap.p_cir) + x[-1] / eps + snap.hbs.p_cir)
 
 
 # ---------------------------------------------------------------------------
 # minimum-power optimum: closed form (K=1) and grid search (K<=3)
 
 
-def closed_form_single_ue(snap: Snapshot) -> tuple[PowerVector, float] | None:
+def closed_form_single_ue(snap: Snapshot) -> tuple[np.ndarray, float] | None:
     """Exact minimum-power solution for one UE, or None when infeasible.
 
     Both constraints are tight at the optimum, giving a 2x2 linear system:
@@ -95,15 +94,15 @@ def closed_form_single_ue(snap: Snapshot) -> tuple[PowerVector, float] | None:
     p_h = p_u / (cfg.epsilon * mu * g) + p_min
     if p_u > snap.p_bar_u[0] or p_h > snap.hbs.p_bar_h:
         return None
-    p = PowerVector(np.array([p_u]), p_h)
-    return p, aggregate_power(p, snap)
+    x = np.array([p_u, p_h])
+    return x, aggregate_power(x, snap)
 
 
 @dataclass
 class BruteForceResult:
     """Outcome of the exhaustive grid search over the joint power box."""
 
-    best_power_vector: PowerVector | None
+    best_power_vector: np.ndarray | None     # (K+1,) state
     best_objective: float
     grid_points_per_dim: int
     refine_rounds: int
@@ -138,7 +137,7 @@ def brute_force_min_power(
         raise ValueError(f"brute force limited to K <= {BRUTE_FORCE_MAX_UES} (got K={K})")
     n = grid_points_per_dim
     eps = snap.cfg.epsilon
-    caps = [float(c) for c in snap.p_bar_u] + [snap.hbs.p_bar_h]
+    caps = state_caps(snap).tolist()
 
     grids = [
         np.concatenate([[0.0], np.geomspace(c * 1e-16, c, n - 1)]) for c in caps
@@ -202,7 +201,7 @@ def brute_force_min_power(
             round_objectives=round_objectives,
         )
     return BruteForceResult(
-        best_power_vector=PowerVector(incumbent[:K].copy(), float(incumbent[K])),
+        best_power_vector=incumbent,
         best_objective=inc_obj,
         grid_points_per_dim=n,
         refine_rounds=refine_rounds,
@@ -330,16 +329,9 @@ def check_two_sided_scalable(
     rows of one batch. The counterexample is the first violating trial.
     """
     alg = Algorithm(algorithm)
-    K = snap.num_ues
-    caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
-    base, a, other = _sandwich_draws(caps, trials, rng)
+    base, a, other = _sandwich_draws(state_caps(snap), trials, rng)
     batch = snap.repeated(trials)
-
-    def update(x: np.ndarray) -> np.ndarray:
-        f = joint_update(alg, PowerVector(x[:, :K], x[:, K]), batch)
-        return np.column_stack((f.p_u, np.broadcast_to(f.p_h, trials)))
-
-    fp, fq = update(base), update(other)
+    fp, fq = joint_update(alg, base, batch), joint_update(alg, other, batch)
     lower_ok = np.all(fq >= fp / a * (1.0 - rel_slack), axis=-1)
     upper_ok = np.all(fq <= fp * a * (1.0 + rel_slack), axis=-1)
     bad = np.flatnonzero(~(lower_ok & upper_ok))
@@ -410,7 +402,7 @@ class FLReport:
     eval_point: np.ndarray
 
 
-def fast_lipschitz_report(snap: Snapshot, at: PowerVector | None = None) -> FLReport:
+def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLReport:
     """Build the constraint-stack gradient analytically and test the
     qualification conditions (positive objective gradient, non-negative
     constraint gradient, norm below one). The qualification outcome is
@@ -425,7 +417,7 @@ def fast_lipschitz_report(snap: Snapshot, at: PowerVector | None = None) -> FLRe
         at = run_fixed_point(
             Algorithm.TPCEH, snap, tol=1e-10, max_iter=20000, record="ends"
         ).fixed_point
-    y = -at.as_array()
+    y = -at
     K = snap.num_ues
     cfg = snap.cfg
     gt = snap.gamma_target
@@ -460,7 +452,7 @@ def fast_lipschitz_report(snap: Snapshot, at: PowerVector | None = None) -> FLRe
 # equivalence of the two update parameterizations
 
 
-def transformed_joint_update(p: PowerVector, snap: Snapshot) -> PowerVector:
+def transformed_joint_update(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """Ratio-form restatement of the tracking update.
 
     The UE update folds the own-signal term into the denominator, summing the
@@ -470,13 +462,16 @@ def transformed_joint_update(p: PowerVector, snap: Snapshot) -> PowerVector:
     Like joint_update it also takes a batch of states on a batch of snapshots.
     """
     cfg = snap.cfg
-    total = np.sum(snap.h * p.p_u, axis=-1) + cfg.delta * p.p_h + cfg.sigma2
-    total = np.expand_dims(total, -1)
+    total = (
+        np.sum(snap.h * x[..., :-1], axis=-1, keepdims=True)
+        + cfg.delta * x[..., -1:] + cfg.sigma2
+    )
     gt = snap.gamma_target
-    p_u_next = np.minimum(snap.p_bar_u, gt * total / ((1.0 + gt) * snap.h))
+    nxt = np.empty(x.shape)
+    nxt[..., :-1] = np.minimum(snap.p_bar_u, gt * total / ((1.0 + gt) * snap.h))
     alpha = alpha_coefficients(snap)
-    p_h_next = np.minimum(snap.hbs.p_bar_h, np.max(alpha * total + snap.p_min, axis=-1))
-    return PowerVector(p_u_next, p_h_next)
+    nxt[..., -1] = np.minimum(snap.hbs.p_bar_h, np.max(alpha * total + snap.p_min, axis=-1))
+    return nxt
 
 
 @dataclass
@@ -501,18 +496,13 @@ def check_update_form_equivalence(
     Valid on scenarios whose fixed point leaves every cap slack. The trials
     run as the rows of one batch.
     """
-    caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
-    starts = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=(trials, snap.num_ues + 1))
-    p0 = PowerVector(starts[:, :-1], starts[:, -1])
+    starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(trials, snap.num_ues + 1))
     batch = snap.repeated(trials)
-    plain = iterate(
-        lambda q, rows: joint_update(Algorithm.TPCEH, q, rows), batch, p0, 1e-13, 50000
-    )
-    ratio = iterate(transformed_joint_update, batch, p0, 1e-13, 50000)
+    plain = solve(Algorithm.TPCEH, batch, starts, 1e-13, 50000)
+    ratio = iterate(transformed_joint_update, batch, starts, 1e-13, 50000)
     a, b = plain.fixed_point, ratio.fixed_point
     fp_gap = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30), axis=-1)
-    cross = transformed_joint_update(plain.powers(), batch)
-    cross = np.column_stack((cross.p_u, cross.p_h))
+    cross = transformed_joint_update(a, batch)
     eval_gap = np.max(np.abs(cross - a) / np.maximum(np.abs(a), 1e-30), axis=-1)
     ok = (
         plain.converged & ratio.converged
@@ -558,14 +548,14 @@ def check_harvest_power_tightness(
 
     rel_tol bounds both the relative gap to the largest requirement and how
     far the harvest power may fall short of any one UE's requirement."""
-    p = trace.fixed_point
-    required = required_hbs_power(p.p_u, snap)
+    p_h = float(trace.fixed_point[-1])
+    required = required_hbs_power(trace.fixed_point[:-1], snap)
     argmax = int(np.argmax(required))
-    if p.p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK):
+    if p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK):
         return TightnessReport("cap_binding", True, math.nan, None, argmax)
     target = float(required[argmax])
-    rel_gap = abs(p.p_h - target) / target
-    unmet = np.where(p.p_h < required * (1.0 - rel_tol))[0]
+    rel_gap = abs(p_h - target) / target
+    unmet = np.where(p_h < required * (1.0 - rel_tol))[0]
     if rel_gap > rel_tol or unmet.size:
         return TightnessReport(
             "violated", False, rel_gap,
@@ -596,10 +586,10 @@ def check_fixed_point_uniqueness(
     The restarts run as the rows of one batch.
     """
     alg = Algorithm(algorithm)
-    caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
-    starts = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=(n_inits, snap.num_ues + 1))
-    p0 = PowerVector(starts[:, :-1], starts[:, -1] if alg.harvesting else np.zeros(n_inits))
-    sol = solve(alg, snap.repeated(n_inits), p0, tol, max_iter)
+    starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(n_inits, snap.num_ues + 1))
+    if not alg.harvesting:
+        starts[:, -1] = 0.0
+    sol = solve(alg, snap.repeated(n_inits), starts, tol, max_iter)
     all_ok = bool(sol.converged.all())
     stack = sol.fixed_point
     ref = stack[0]

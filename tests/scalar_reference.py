@@ -1,9 +1,9 @@
 """Loops as they ran before batching, kept as exact references.
 
-The fixed-point loop steps one snapshot and one state: each step stacks the
-K uplink powers and the harvest power with np.append and takes the
-infinity-norm relative change. The engine now steps whole batches of
-snapshots at once; the tests hold it to this loop's numbers exactly.
+The fixed-point loop steps one snapshot and one (K+1,) state (the K uplink
+powers, then the harvest power) and takes the infinity-norm relative change
+of each step. The engine now steps whole batches of snapshots at once; the
+tests hold it to this loop's numbers exactly.
 
 The oracle's sandwich test ran one trial (two single-state updates) at a
 time, and its grid search evaluated every constraint afresh at each harvest
@@ -27,7 +27,6 @@ import numpy as np
 from fdpowerctl.channel import Snapshot, hbs_position, path_gain, snapshot_from_scenario
 from fdpowerctl.core import (
     Algorithm,
-    PowerVector,
     _interference,
     hbs_update,
     joint_update,
@@ -47,13 +46,13 @@ CHANGE_FLOOR = 1e-18
 # per-UE updates
 
 
-def tpceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
+def tpceh_ue_update(p: np.ndarray, snap: Snapshot, i: int) -> float:
     """Target-SINR tracking update for UE i with self-interference included."""
     interf = float(_interference(p, snap)[i])
     return min(snap.p_bar_u[i], snap.gamma_target[i] * interf / snap.h[i])
 
 
-def opceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
+def opceh_ue_update(p: np.ndarray, snap: Snapshot, i: int) -> float:
     """Opportunistic update for UE i: eta * h / (interference + noise)."""
     interf = float(_interference(p, snap)[i])
     return min(snap.p_bar_u[i], snap.eta[i] * snap.h[i] / interf)
@@ -61,22 +60,20 @@ def opceh_ue_update(p: PowerVector, snap: Snapshot, i: int) -> float:
 
 def tpc_ue_update(p_u: np.ndarray, snap: Snapshot, i: int) -> float:
     """Half-duplex target-tracking baseline: no harvest signal, no delta term."""
-    return tpceh_ue_update(PowerVector(p_u, 0.0), snap, i)
+    return tpceh_ue_update(np.append(p_u, 0.0), snap, i)
 
 
 def opc_ue_update(p_u: np.ndarray, snap: Snapshot, i: int) -> float:
     """Half-duplex opportunistic baseline: no harvest signal, no delta term."""
-    return opceh_ue_update(PowerVector(p_u, 0.0), snap, i)
+    return opceh_ue_update(np.append(p_u, 0.0), snap, i)
 
 
 # ---------------------------------------------------------------------------
 # the fixed-point loop
 
 
-def relative_change(p_new: PowerVector, p_old: PowerVector) -> float:
-    a = np.append(p_new.p_u, p_new.p_h)
-    b = np.append(p_old.p_u, p_old.p_h)
-    return float(np.max(np.abs(a - b) / np.maximum(b, CHANGE_FLOOR)))
+def relative_change(p_new: np.ndarray, p_old: np.ndarray) -> float:
+    return float(np.max(np.abs(p_new - p_old) / np.maximum(p_old, CHANGE_FLOOR)))
 
 
 def scalar_fixed_point(alg, snap, p_init=None, tol=None, max_iter=None):
@@ -85,10 +82,10 @@ def scalar_fixed_point(alg, snap, p_init=None, tol=None, max_iter=None):
     tol = snap.cfg.tol if tol is None else tol
     max_iter = snap.cfg.max_iter if max_iter is None else max_iter
     if p_init is None:
-        p_init = PowerVector(np.full(snap.num_ues, 1e-6), 1e-6 if alg.harvesting else 0.0)
-    p = PowerVector(
-        np.clip(p_init.p_u, 0.0, snap.p_bar_u),
-        float(min(max(p_init.p_h, 0.0), snap.hbs.p_bar_h)),
+        p_init = np.append(np.full(snap.num_ues, 1e-6), 1e-6 if alg.harvesting else 0.0)
+    p = np.append(
+        np.clip(p_init[:-1], 0.0, snap.p_bar_u),
+        min(max(float(p_init[-1]), 0.0), snap.hbs.p_bar_h),
     )
     converged = False
     change = math.inf
@@ -120,18 +117,16 @@ def scalar_two_sided_scalable(snap, algorithm, trials, rng, rel_slack=1e-12):
         a = 10.0 ** rng.uniform(1e-3, 1.0)
         wiggle = a ** rng.uniform(-1.0, 1.0, size=K + 1)
         other = base * wiggle
-        p = PowerVector(base[:K], float(base[K]))
-        q = PowerVector(other[:K], float(other[K]))
-        fp = joint_update(alg, p, snap).as_array()
-        fq = joint_update(alg, q, snap).as_array()
+        fp = joint_update(alg, base, snap)
+        fq = joint_update(alg, other, snap)
         lower_ok = np.all(fq >= fp / a * (1.0 - rel_slack))
         upper_ok = np.all(fq <= fp * a * (1.0 + rel_slack))
         if not (lower_ok and upper_ok):
             violations += 1
             if example is None:
                 example = {
-                    "p": p.as_array().tolist(),
-                    "p_prime": q.as_array().tolist(),
+                    "p": base.tolist(),
+                    "p_prime": other.tolist(),
                     "a": a,
                     "f_p": fp.tolist(),
                     "f_p_prime": fq.tolist(),
@@ -217,7 +212,7 @@ def scalar_brute_force_min_power(snap, grid_points_per_dim=64, refine_rounds=3):
             round_objectives=round_objectives,
         )
     return BruteForceResult(
-        best_power_vector=PowerVector(incumbent[:K].copy(), float(incumbent[K])),
+        best_power_vector=incumbent,
         best_objective=inc_obj,
         grid_points_per_dim=n,
         refine_rounds=refine_rounds,
@@ -268,7 +263,7 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
         )
 
     snap = with_gains(base, positions)
-    p = PowerVector(np.zeros(K), 0.0)
+    p = np.zeros(K + 1)
     harvesting_active = False
     first_depletion = None
     activation = None
@@ -287,8 +282,8 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
         direction[under, 0] *= -1.0
         snap = with_gains(snap, positions)
 
-        interf = snap.h * p.p_u
-        interf = interf.sum() - interf + cfg.delta * p.p_h + cfg.sigma2
+        interf = snap.h * p[:-1]
+        interf = interf.sum() - interf + cfg.delta * p[-1] + cfg.sigma2
         if alg.opportunistic:
             cand = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)
         else:
@@ -312,7 +307,7 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
         spend = np.where(affordable, need, 0.0)
         battery = np.clip(battery + harvest - spend, 0.0, capacity)
 
-        p = PowerVector(p_u, p_h)
+        p = np.append(p_u, p_h)
         for key, value in (
             ("time", t), ("p_u", p_u), ("p_h", float(p_h)),
             ("metrics", metrics(p, snap)), ("battery", battery),

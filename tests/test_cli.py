@@ -96,6 +96,18 @@ def test_snapshot_nan_distance_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_snapshot_nan_tol_exits_2(tmp_path, capsys):
+    # a NaN tol would never stop the iteration; validation must refuse it
+    doc = json.loads(open(DESK).read())
+    doc["scenario"]["tol"] = float("nan")
+    path = tmp_path / "nan_tol.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["snapshot", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: scenario.tol: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_manifest_records_how_solves_ended(tmp_path):
     rc = main(["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2,5",
                "--algorithms", "OPCEH,TPC", "--snapshots", "200", "--out", str(tmp_path)])
@@ -138,7 +150,7 @@ def test_sweep_single_value_matches_snapshot(tmp_path):
     scenario = dataclasses.replace(load_scenario(DESK), fixed_ues=None)
     snap = snapshot_from_scenario(scenario, snapshot_id=0)
     trace = run_fixed_point(Algorithm.TPCEH, snap)
-    assert table["p_h"] == pytest.approx(trace.fixed_point.p_h, rel=1e-12)
+    assert table["p_h"] == pytest.approx(trace.fixed_point[-1], rel=1e-12)
 
 
 def test_sweep_outputs_deterministic(tmp_path):

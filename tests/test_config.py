@@ -127,6 +127,25 @@ def test_validate_rejects_non_finite_ue_inputs(distance, overrides, template_cha
     assert exc.value.errors == [expected]
 
 
+@pytest.mark.parametrize("part, field, expected", [
+    ("cfg", "tol", "scenario.tol: must be finite"),
+    ("cfg", "sigma2", "scenario.sigma2: must be finite"),
+    ("cfg", "delta", "scenario.delta: must be finite"),
+    ("cfg", "cell_side", "scenario.cell_side: must be finite"),
+    ("cfg", "delta_t", "scenario.delta_t: must be finite"),
+    ("cfg", "attenuation_k", "scenario.attenuation_k: must be finite"),
+    ("hbs", "p_bar_h", "hbs.p_bar_h: must be finite"),
+    ("hbs", "p_dyn", "hbs.circuit: circuit powers must be finite"),
+    ("hbs", "p_sta", "hbs.circuit: circuit powers must be finite"),
+])
+def test_validate_rejects_non_finite_scenario_values(part, field, expected):
+    # NaN passes every < or <= range test, so each value is tested for finiteness
+    cfg, hbs, template, snap = _valid_parts()
+    parts = {"cfg": cfg, "hbs": hbs}
+    parts[part] = dataclasses.replace(parts[part], **{field: math.nan})
+    assert validate_scenario(parts["cfg"], parts["hbs"]) == [expected]
+
+
 @pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
 def test_path_gain_rejects_non_finite_distance(distance):
     with pytest.raises(ValueError):

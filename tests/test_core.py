@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdpowerctl.channel import snapshot_from_scenario
 from fdpowerctl.core import (
     Algorithm,
-    PowerVector,
+    Metrics,
     hbs_update,
     joint_update,
     metrics,
@@ -13,6 +16,7 @@ from fdpowerctl.core import (
     rate,
     sinr,
 )
+from fdpowerctl.engine import run_fixed_point
 
 from conftest import make_desk_snapshot, make_single_ue_snapshot
 from scalar_reference import opc_ue_update, opceh_ue_update, tpc_ue_update, tpceh_ue_update
@@ -20,14 +24,14 @@ from scalar_reference import opc_ue_update, opceh_ue_update, tpc_ue_update, tpce
 
 def test_sinr_single_ue_hand_case():
     snap = make_single_ue_snapshot(h=1e-3, sigma2=1e-9, delta=0.0)
-    p = PowerVector(np.array([1e-9]), 0.0)
+    p = np.array([1e-9, 0.0])
     # gamma = h p / sigma2 = 1e-3 * 1e-9 / 1e-9
     assert sinr(p, snap)[0] == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_sinr_two_ue_symmetry():
     snap = make_desk_snapshot([10.0, 10.0], delta=0.0)
-    p = PowerVector(np.array([0.5, 0.5]), 0.0)
+    p = np.array([0.5, 0.5, 0.0])
     s = sinr(p, snap)
     assert s[0] == pytest.approx(s[1], rel=1e-12)
     # noise negligible against mutual interference: both near 1
@@ -36,27 +40,27 @@ def test_sinr_two_ue_symmetry():
 
 def test_sinr_zero_powers():
     snap = make_desk_snapshot([10.0, 20.0])
-    p = PowerVector(np.zeros(2), 0.0)
+    p = np.zeros(3)
     np.testing.assert_array_equal(sinr(p, snap), [0.0, 0.0])
 
 
 def test_rate_log2_points():
     snap = make_single_ue_snapshot(h=1.0, sigma2=1.0, delta=0.0)
-    assert rate(PowerVector(np.array([1.0]), 0.0), snap)[0] == pytest.approx(1.0)
-    assert rate(PowerVector(np.array([0.0]), 0.0), snap)[0] == 0.0
-    assert rate(PowerVector(np.array([3.0]), 0.0), snap)[0] == pytest.approx(2.0)
+    assert rate(np.array([1.0, 0.0]), snap)[0] == pytest.approx(1.0)
+    assert rate(np.array([0.0, 0.0]), snap)[0] == 0.0
+    assert rate(np.array([3.0, 0.0]), snap)[0] == pytest.approx(2.0)
 
 
 def test_hbs_update_max_of_constants():
     snap = make_desk_snapshot([10.0, 15.0, 20.0], p_bar_h=10.0)
     # with p_u = 0 the update reduces to max p_min
-    p = PowerVector(np.zeros(3), 0.0)
+    p = np.zeros(4)
     assert hbs_update(p, snap) == pytest.approx(float(snap.p_min.max()))
 
 
 def test_hbs_update_cap_clips():
     snap = make_desk_snapshot([10.0, 15.0, 20.0], p_bar_h=1e-6)
-    p = PowerVector(np.zeros(3), 0.0)
+    p = np.zeros(4)
     assert hbs_update(p, snap) == pytest.approx(1e-6)
 
 
@@ -64,62 +68,62 @@ def test_hbs_update_hand_value():
     snap = make_single_ue_snapshot(h=1e-3, mu=0.5, epsilon=0.2, p_cir=1e-6)
     # p_min = 1e-6 / (0.5 * 1e-3) = 2e-3
     assert snap.p_min[0] == pytest.approx(2e-3, rel=1e-12)
-    p = PowerVector(np.array([5e-13]), 0.0)
+    p = np.array([5e-13, 0.0])
     # 5e-13 / (0.2 * 0.5 * 1e-3) + 2e-3
     assert hbs_update(p, snap) == pytest.approx(2.000005e-3, rel=1e-12)
 
 
 def test_optimal_hbs_power_unclipped():
     snap = make_desk_snapshot([41.0], p_bar_h=1e-9)
-    p = PowerVector(np.array([0.5]), 0.0)
-    assert optimal_hbs_power(p.p_u, snap) > snap.hbs.p_bar_h
+    p = np.array([0.5, 0.0])
+    assert optimal_hbs_power(p[:-1], snap) > snap.hbs.p_bar_h
     assert hbs_update(p, snap) == snap.hbs.p_bar_h
 
 
 def test_optimal_equals_update_when_below_cap():
     snap = make_desk_snapshot([20.0], p_bar_h=1e6)
-    p = PowerVector(np.array([1e-8]), 0.0)
-    assert hbs_update(p, snap) == pytest.approx(optimal_hbs_power(p.p_u, snap))
+    p = np.array([1e-8, 0.0])
+    assert hbs_update(p, snap) == pytest.approx(optimal_hbs_power(p[:-1], snap))
 
 
 def test_tpceh_update_zero_interference():
     snap = make_single_ue_snapshot(h=1e-3, sigma2=1e-14, gamma_target=0.05, delta=0.0)
-    p = PowerVector(np.array([0.0]), 0.0)
+    p = np.array([0.0, 0.0])
     assert tpceh_ue_update(p, snap, 0) == pytest.approx(5e-13, rel=1e-12)
 
 
 def test_tpceh_update_clips_at_cap():
     snap = make_desk_snapshot([10.0, 10.0], gamma_default=1e9, p_bar_u=1.0)
-    p = PowerVector(np.array([1.0, 1.0]), 0.0)
+    p = np.array([1.0, 1.0, 0.0])
     assert tpceh_ue_update(p, snap, 0) == 1.0
 
 
 def test_tpceh_update_zero_target():
     snap = make_desk_snapshot([10.0], gamma_default=0.0)
-    p = PowerVector(np.array([0.3]), 1.0)
+    p = np.array([0.3, 1.0])
     assert tpceh_ue_update(p, snap, 0) == 0.0
 
 
 def test_opceh_update_ratio_of_equals():
     snap = make_single_ue_snapshot(h=1e-3, eta=1.0, sigma2=1e-3, delta=0.0, p_bar_u=10.0)
-    p = PowerVector(np.array([0.0]), 0.0)
+    p = np.array([0.0, 0.0])
     assert opceh_ue_update(p, snap, 0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_opceh_update_monotone_decreasing_in_interference():
     snap = make_desk_snapshot([8.0, 20.0], p_bar_u=1e9)
-    lo = PowerVector(np.array([0.0, 1e-6]), 0.0)
-    hi = PowerVector(np.array([0.0, 1e-2]), 0.0)
+    lo = np.array([0.0, 1e-6, 0.0])
+    hi = np.array([0.0, 1e-2, 0.0])
     assert opceh_ue_update(hi, snap, 0) < opceh_ue_update(lo, snap, 0)
     # interference growing without bound drives the update to zero
-    huge = PowerVector(np.array([0.0, 1e9]), 0.0)
+    huge = np.array([0.0, 1e9, 0.0])
     assert opceh_ue_update(huge, snap, 0) < 1e-7
 
 
 def test_opceh_update_clipped_reference_case():
     snap = make_single_ue_snapshot(h=0.09 / 512, eta=1.0, sigma2=1e-10,
                                    delta=0.0, p_bar_u=1.0)
-    p = PowerVector(np.array([0.0]), 0.0)
+    p = np.array([0.0, 0.0])
     # unclipped value 1.7578e-4 / 1e-10 is far above the 1 W cap
     assert opceh_ue_update(p, snap, 0) == 1.0
 
@@ -129,7 +133,7 @@ def test_tpc_equals_tpceh_without_harvest_signal():
     p_u = np.array([1e-4, 2e-3, 5e-5])
     for i in range(3):
         assert tpc_ue_update(p_u, snap, i) == tpceh_ue_update(
-            PowerVector(p_u, 0.0), snap, i
+            np.append(p_u, 0.0), snap, i
         )
 
 
@@ -153,7 +157,7 @@ def test_opc_mirrors_opceh_at_zero_harvest():
     p_u = np.array([1e-3, 1e-2])
     for i in range(2):
         assert opc_ue_update(p_u, snap, i) == opceh_ue_update(
-            PowerVector(p_u, 0.0), snap, i
+            np.append(p_u, 0.0), snap, i
         )
 
 
@@ -165,18 +169,18 @@ def test_opc_zero_eta():
 def test_joint_update_matches_per_ue_ops():
     snap = make_desk_snapshot([41, 25, 37, 16, 8],
                               gamma_targets=[0.04, 0.05, 0.07, 0.08, 0.1])
-    p = PowerVector(np.array([1e-7, 2e-7, 3e-7, 4e-7, 5e-7]), 3.0)
+    p = np.array([1e-7, 2e-7, 3e-7, 4e-7, 5e-7, 3.0])
     for alg, ue_op in ((Algorithm.TPCEH, tpceh_ue_update), (Algorithm.OPCEH, opceh_ue_update)):
         nxt = joint_update(alg, p, snap)
         for i in range(5):
-            assert nxt.p_u[i] == pytest.approx(ue_op(p, snap, i), rel=1e-14)
-        assert nxt.p_h == pytest.approx(hbs_update(p, snap), rel=1e-14)
+            assert nxt[i] == pytest.approx(ue_op(p, snap, i), rel=1e-14)
+        assert nxt[-1] == pytest.approx(hbs_update(p, snap), rel=1e-14)
     for alg, ue_op in ((Algorithm.TPC, tpc_ue_update), (Algorithm.OPC, opc_ue_update)):
-        bare = PowerVector(p.p_u, 0.0)
+        bare = np.append(p[:-1], 0.0)
         nxt = joint_update(alg, bare, snap)
         for i in range(5):
-            assert nxt.p_u[i] == pytest.approx(ue_op(p.p_u, snap, i), rel=1e-14)
-        assert nxt.p_h == 0.0
+            assert nxt[i] == pytest.approx(ue_op(p[:-1], snap, i), rel=1e-14)
+        assert nxt[-1] == 0.0
 
 
 @settings(max_examples=200)
@@ -187,10 +191,10 @@ def test_joint_update_matches_per_ue_ops():
 )
 def test_updates_always_inside_caps(p_u, p_h, alg):
     snap = make_desk_snapshot([15.0, 25.0, 35.0])
-    nxt = joint_update(alg, PowerVector(np.array(p_u), p_h), snap)
-    assert np.all(nxt.p_u >= 0.0)
-    assert np.all(nxt.p_u <= snap.p_bar_u)
-    assert 0.0 <= nxt.p_h <= snap.hbs.p_bar_h
+    nxt = joint_update(alg, np.array([*p_u, p_h]), snap)
+    assert np.all(nxt[:-1] >= 0.0)
+    assert np.all(nxt[:-1] <= snap.p_bar_u)
+    assert 0.0 <= nxt[-1] <= snap.hbs.p_bar_h
 
 
 @settings(max_examples=150)
@@ -201,14 +205,14 @@ def test_updates_always_inside_caps(p_u, p_h, alg):
 )
 def test_tracking_map_monotone_and_subhomogeneous(p_u, p_h, a):
     snap = make_desk_snapshot([18.0, 28.0], p_bar_u=1e12, p_bar_h=1e15)
-    p = PowerVector(np.array(p_u), p_h)
-    bigger = PowerVector(np.array(p_u) * a, p_h * a)
+    p = np.array([*p_u, p_h])
+    bigger = p * a
     f_p = joint_update(Algorithm.TPCEH, p, snap)
     f_big = joint_update(Algorithm.TPCEH, bigger, snap)
     # monotone non-decreasing
-    assert np.all(f_big.as_array() >= f_p.as_array() * (1 - 1e-12))
+    assert np.all(f_big >= f_p * (1 - 1e-12))
     # strictly sub-homogeneous thanks to the additive noise/circuit terms
-    assert np.all(f_big.as_array() < a * f_p.as_array())
+    assert np.all(f_big < a * f_p)
 
 
 @settings(max_examples=150)
@@ -219,17 +223,17 @@ def test_tracking_map_monotone_and_subhomogeneous(p_u, p_h, a):
 )
 def test_opportunistic_map_type_two_monotone(p_u, p_h, a):
     snap = make_desk_snapshot([18.0, 28.0], p_bar_u=1e12, p_bar_h=1e15)
-    p = PowerVector(np.array(p_u), p_h)
-    bigger = PowerVector(np.array(p_u) * a, p_h * a)
-    f_p = joint_update(Algorithm.OPCEH, p, snap).p_u
-    f_big = joint_update(Algorithm.OPCEH, bigger, snap).p_u
+    p = np.array([*p_u, p_h])
+    bigger = p * a
+    f_p = joint_update(Algorithm.OPCEH, p, snap)[:-1]
+    f_big = joint_update(Algorithm.OPCEH, bigger, snap)[:-1]
     assert np.all(f_big <= f_p * (1 + 1e-12))
     assert np.all(f_big > f_p / a * (1 - 1e-12))
 
 
 def test_metrics_zero_power():
     snap = make_desk_snapshot([41, 25, 37, 16, 8])
-    mx = metrics(PowerVector(np.zeros(5), 0.0), snap)
+    mx = metrics(np.zeros(6), snap)
     np.testing.assert_allclose(mx.ue_total_power, snap.p_cir)
     assert mx.hbs_total_power == pytest.approx(snap.hbs.p_cir)
     np.testing.assert_array_equal(mx.sinr, np.zeros(5))
@@ -238,13 +242,13 @@ def test_metrics_zero_power():
 
 def test_metrics_amplifier_scaling():
     snap = make_desk_snapshot([20.0])
-    mx = metrics(PowerVector(np.array([1.0]), 0.0), snap)
+    mx = metrics(np.array([1.0, 0.0]), snap)
     assert mx.ue_total_power[0] == pytest.approx(5.0 + snap.p_cir[0], rel=1e-12)
 
 
 def test_metrics_consistency_invariants():
     snap = make_desk_snapshot([41, 25, 37, 16, 8])
-    p = PowerVector(np.array([1e-6, 2e-6, 3e-6, 4e-6, 5e-6]), 5.0)
+    p = np.array([1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 5.0])
     mx = metrics(p, snap)
     np.testing.assert_allclose(mx.rate, np.log2(1.0 + mx.sinr), rtol=0, atol=0)
     assert mx.aggregate_power == pytest.approx(
@@ -257,7 +261,32 @@ def test_metrics_feasibility_slack_boundary():
     snap = make_desk_snapshot([20.0])
     p_u = np.array([1e-7])
     required = float(p_u[0] / (0.2 * 0.5 * snap.g[0]) + snap.p_min[0])
-    exactly = metrics(PowerVector(p_u, required), snap)
+    exactly = metrics(np.append(p_u, required), snap)
     assert exactly.energy_feasible[0]
-    below = metrics(PowerVector(p_u, required * (1 - 1e-6)), snap)
+    below = metrics(np.append(p_u, required * (1 - 1e-6)), snap)
     assert not below.energy_feasible[0]
+
+
+@pytest.mark.parametrize("snapshot_id", [0, 57])
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_batched_maps_equal_row_by_row(desk_scenario, alg, k, snapshot_id):
+    # a trace's metrics come from one call on its (T, K+1) history; every
+    # row must equal, bit for bit, the metrics of that state on its own
+    scenario = dataclasses.replace(
+        desk_scenario, cfg=dataclasses.replace(desk_scenario.cfg, num_ues=k), fixed_ues=None,
+    )
+    snap = snapshot_from_scenario(scenario, snapshot_id=snapshot_id)
+    one_row = snap.repeated()
+    trace = run_fixed_point(alg, snap, record="all")
+    assert trace.states.shape == (trace.iterations_used + 1, k + 1)
+    for t, x in enumerate(trace.states):
+        alone = metrics(x, snap)
+        for name in (f.name for f in dataclasses.fields(Metrics)):
+            row = np.asarray(getattr(trace.metrics, name)[t])
+            single = np.asarray(getattr(alone, name))
+            assert row.dtype == single.dtype and row.shape == single.shape, name
+            assert row.tobytes() == single.tobytes(), (t, name)
+        step = joint_update(alg, x, snap)
+        assert step.shape == (k + 1,)
+        assert step.tobytes() == joint_update(alg, x[None, :], one_row)[0].tobytes()

@@ -160,7 +160,7 @@ def test_updates_do_not_expand_the_thompson_metric(desk_scenario, paper_scenario
     for snap in snaps:
         trace = run_fixed_point(alg, snap, record="all")
         # from step 1 on, components that are identically 0 stay at 0
-        states = np.array([p.as_array() for _, p, _ in trace.steps])[1:]
+        states = trace.states[1:]
         for lag in (1, 2):
             distances = _thompson_steps(states, lag)
             assert np.all(np.diff(distances) <= 1e-12)

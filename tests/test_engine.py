@@ -6,7 +6,7 @@ import pytest
 
 from fdpowerctl import engine
 from fdpowerctl.channel import sample_batch, sample_snapshot, snapshot_from_scenario
-from fdpowerctl.core import Algorithm, Metrics, PowerVector
+from fdpowerctl.core import Algorithm, Metrics
 from fdpowerctl.engine import (
     apply_axis,
     check_energy_feasibility,
@@ -37,11 +37,11 @@ def test_single_ue_fixed_point_matches_closed_form():
                                    sigma2=1e-14, gamma_target=0.05, delta=0.0)
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
     assert trace.converged
-    assert trace.fixed_point.p_u[0] == pytest.approx(5e-13, rel=1e-9)
-    assert trace.fixed_point.p_h == pytest.approx(2.000005e-3, rel=1e-9)
+    assert trace.fixed_point[0] == pytest.approx(5e-13, rel=1e-9)
+    assert trace.fixed_point[-1] == pytest.approx(2.000005e-3, rel=1e-9)
     p_u, p_h = closed_form_single_ue_tracking(snap)
-    assert trace.fixed_point.p_u[0] == pytest.approx(p_u, rel=1e-9)
-    assert trace.fixed_point.p_h == pytest.approx(p_h, rel=1e-9)
+    assert trace.fixed_point[0] == pytest.approx(p_u, rel=1e-9)
+    assert trace.fixed_point[-1] == pytest.approx(p_h, rel=1e-9)
 
 
 def test_single_ue_fixed_point_with_self_interference():
@@ -49,8 +49,8 @@ def test_single_ue_fixed_point_with_self_interference():
                                    delta=1e-12, gamma_target=0.04)
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-13)
     p_u, p_h = closed_form_single_ue_tracking(snap)
-    assert trace.fixed_point.p_u[0] == pytest.approx(p_u, rel=1e-9)
-    assert trace.fixed_point.p_h == pytest.approx(p_h, rel=1e-9)
+    assert trace.fixed_point[0] == pytest.approx(p_u, rel=1e-9)
+    assert trace.fixed_point[-1] == pytest.approx(p_h, rel=1e-9)
 
 
 @pytest.mark.parametrize("alg", list(Algorithm))
@@ -68,11 +68,10 @@ def test_reference_snapshot_hits_targets(paper_scenario):
     snap = snapshot_from_scenario(paper_scenario)
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
     assert trace.converged
-    final = trace.steps[-1][2]
     np.testing.assert_allclose(
-        final.sinr, [0.04, 0.05, 0.07, 0.08, 0.1], rtol=1e-6
+        trace.metrics.sinr[-1], [0.04, 0.05, 0.07, 0.08, 0.1], rtol=1e-6
     )
-    assert not np.any(final.outage)
+    assert not np.any(trace.metrics.outage[-1])
 
 
 def test_non_convergence_reported_not_raised():
@@ -89,7 +88,7 @@ def test_trace_shape_invariants():
     snap = make_desk_snapshot([20.0, 30.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, max_iter=50, tol=1e-9)
     assert len(trace.steps) <= 51
-    ts = [t for t, _, _ in trace.steps]
+    ts = trace.steps.tolist()
     assert ts == list(range(len(ts)))
     if trace.converged:
         assert trace.final_change <= 1e-9
@@ -97,10 +96,10 @@ def test_trace_shape_invariants():
 
 def test_init_clipped_into_caps():
     snap = make_desk_snapshot([20.0], p_bar_u=0.5, p_bar_h=5.0)
-    bad_init = PowerVector(np.array([7.0]), 99.0)
+    bad_init = np.array([7.0, 99.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, p_init=bad_init, max_iter=0)
-    assert trace.fixed_point.p_u[0] <= 0.5
-    assert trace.fixed_point.p_h <= 5.0
+    assert trace.fixed_point[0] <= 0.5
+    assert trace.fixed_point[-1] <= 5.0
 
 
 def test_feasibility_check_desk_vs_reference(paper_scenario, desk_scenario):
@@ -133,7 +132,7 @@ def test_monte_carlo_single_snapshot_degenerates_to_fixed_point(desk_scenario):
     snap = snapshot_from_scenario(scenario, snapshot_id=0)
     trace = run_fixed_point(Algorithm.TPCEH, snap)
     mean, half = result.stats["p_h"][0]
-    assert mean == pytest.approx(trace.fixed_point.p_h, rel=1e-12)
+    assert mean == pytest.approx(trace.fixed_point[-1], rel=1e-12)
     assert half == 0.0
     assert result.n_converged == [1]
 
@@ -169,12 +168,12 @@ def test_mobility_tpc_depletes_and_never_recovers(desk_scenario):
     scenario = _mobility_scenario(desk_scenario)
     result = run_mobility(Algorithm.TPC, scenario, duration=2.0)
     assert result.first_depletion_step is not None
-    silent = np.all(result.powers.p_u == 0.0, axis=-1)
+    silent = np.all(result.states[:, :-1] == 0.0, axis=-1)
     assert silent.any()
     dead_from = int(np.argmax(silent))
-    assert np.all(result.powers.p_u[dead_from:] == 0.0)
+    assert np.all(result.states[dead_from:, :-1] == 0.0)
     assert np.all(result.metrics.sinr[dead_from:] == 0.0)
-    assert np.all(result.powers.p_h[dead_from:] == 0.0)
+    assert np.all(result.states[dead_from:, -1] == 0.0)
 
 
 def test_mobility_tpceh_activates_and_recovers(desk_scenario):
@@ -183,9 +182,9 @@ def test_mobility_tpceh_activates_and_recovers(desk_scenario):
     act = result.activation_step
     assert act is not None
     # harvest signal off before activation, on from the activation step
-    assert np.all(result.powers.p_h[: act - 1] == 0.0)
+    assert np.all(result.states[: act - 1, -1] == 0.0)
     assert not np.any(result.harvesting_active[: act - 1])
-    assert result.powers.p_h[act - 1] > 0.0
+    assert result.states[act - 1, -1] > 0.0
     assert result.harvesting_active[act - 1]
     # within 100 steps after activation every UE is back on target
     idx = act - 1 + 100
@@ -202,7 +201,7 @@ def test_mobility_battery_accounting(desk_scenario):
     assert np.all(battery >= 0.0)
     assert np.all(battery <= cap)
     # transmitting UEs: delta = harvest - consumption unless clamped at cap
-    p_u = result.powers.p_u
+    p_u = result.states[:, :-1]
     harvest = result.metrics.harvested_power * 1e-3
     p_cir = snapshot_from_scenario(scenario).p_cir
     spend = np.where(p_u > 0.0, (p_u / eps + p_cir) * 1e-3, 0.0)
@@ -217,7 +216,7 @@ def test_mobility_static_infinite_battery_constant(desk_scenario):
     result = run_mobility(
         Algorithm.TPC, scenario, duration=0.3, speed_kmh=0.0, battery_init=np.inf
     )
-    tail = result.powers.p_u[-50:]
+    tail = result.states[-50:, :-1]
     for arr in tail[1:]:
         np.testing.assert_allclose(arr, tail[0], rtol=1e-12)
 
@@ -233,7 +232,8 @@ def test_mobility_positions_stay_in_cell(desk_scenario):
 def test_mobility_zero_duration(desk_scenario):
     result = run_mobility(Algorithm.TPC, _mobility_scenario(desk_scenario), duration=0.0)
     assert result.time.shape == (0,)
-    assert result.powers.p_u.shape == result.battery.shape == (0, 3)
+    assert result.states.shape == (0, 4)
+    assert result.battery.shape == (0, 3)
     assert result.positions.shape == (0, 3, 2)
 
 
@@ -254,8 +254,8 @@ def _assert_mobility_matches_scalar(alg, scenario, **kwargs):
     result = run_mobility(alg, scenario, **kwargs)
     ref = scalar_mobility(alg, scenario, **kwargs)
     assert result.time.tolist() == ref["time"].tolist()
-    assert result.powers.p_u.tolist() == ref["p_u"].tolist()
-    assert result.powers.p_h.tolist() == ref["p_h"].tolist()
+    assert result.states[:, :-1].tolist() == ref["p_u"].tolist()
+    assert result.states[:, -1].tolist() == ref["p_h"].tolist()
     assert result.battery.tolist() == ref["battery"].tolist()
     assert result.positions.tolist() == ref["positions"].tolist()
     assert result.harvesting_active.tolist() == ref["harvesting_active"].tolist()
@@ -320,11 +320,11 @@ def _assert_rows_match_scalar(alg, scenario, sol, p_init=None, max_iter=None):
         snap = sample_snapshot(
             scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=sid
         )
-        start = None if p_init is None else PowerVector(p_init.p_u[sid], p_init.p_h[sid])
+        start = None if p_init is None else p_init[sid]
         p, used, converged, change = scalar_fixed_point(
             alg, snap, p_init=start, max_iter=max_iter
         )
-        assert sol.fixed_point[sid].tolist() == [*p.p_u.tolist(), float(p.p_h)]
+        assert sol.fixed_point[sid].tolist() == p.tolist()
         assert sol.iterations_used[sid] == used
         assert sol.converged[sid] == converged
         assert sol.final_change[sid] == change
@@ -358,10 +358,10 @@ def test_batched_solver_matches_scalar_loop_at_binding_caps(desk_scenario, alg):
 def test_batched_solver_clips_start_like_scalar_loop(desk_scenario, alg):
     scenario = _with(desk_scenario, 3)
     batch = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 4)
-    p_init = PowerVector(
-        np.array([[7.0, -1.0, 1e-9], [0.5, 2.0, 0.0], [1e-8] * 3, [3.0] * 3]),
-        np.array([99.0, -3.0, 1e-6, 10.0]),
-    )
+    # three uplink powers, then the harvest power, per row
+    p_init = np.array([
+        [7.0, -1.0, 1e-9, 99.0], [0.5, 2.0, 0.0, -3.0], [1e-8] * 3 + [1e-6], [3.0] * 3 + [10.0],
+    ])
     sol = solve(alg, batch, p_init=p_init)
     _assert_rows_match_scalar(alg, scenario, sol, p_init=p_init)
 
@@ -371,11 +371,11 @@ def test_run_fixed_point_is_the_one_row_batch(desk_scenario):
     for alg in Algorithm:
         trace = run_fixed_point(alg, snap)
         p, used, converged, change = scalar_fixed_point(alg, snap)
-        assert trace.fixed_point.as_array().tolist() == np.append(p.p_u, p.p_h).tolist()
+        assert trace.fixed_point.tolist() == p.tolist()
         assert (trace.iterations_used, trace.converged, trace.final_change) == (
             used, converged, change,
         )
-        assert [t for t, _, _ in trace.steps] == list(range(used + 1))
+        assert trace.steps.tolist() == list(range(used + 1))
 
 
 def test_opportunistic_cycles_run_to_max_iter(desk_scenario):
@@ -388,7 +388,7 @@ def test_opportunistic_cycles_run_to_max_iter(desk_scenario):
     assert sol.iterations_used[cycling].tolist() == [scenario.cfg.max_iter] * len(cycling)
     snap = sample_snapshot(scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=57)
     p, used, converged, change = scalar_fixed_point(Algorithm.OPCEH, snap)
-    assert sol.fixed_point[57].tolist() == [*p.p_u.tolist(), float(p.p_h)]
+    assert sol.fixed_point[57].tolist() == p.tolist()
     assert sol.final_change[57] == change
 
 

@@ -84,6 +84,9 @@ CASES = {
         for alg in ALL.split(",")
     },
     "snapshot_desk_no_budget": ["snapshot", "--config", DESK, "--max-iter", "0"],
+    # a multi-row trace that stops unconverged (exit 3)
+    "snapshot_desk_short_budget": ["snapshot", "--config", DESK, "--algorithm", "OPCEH",
+                                   "--max-iter", "5"],
     "mobility_tpceh": ["mobility", "--config", DESK, "--duration", "0.2"],
     # one second runs past the depletion step (334), so the switch-on of
     # the energy signal and the recovery after it are compared too

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fdpowerctl.channel import snapshot_from_scenario
-from fdpowerctl.core import Algorithm, PowerVector, joint_update
+from fdpowerctl.core import Algorithm, joint_update
 from fdpowerctl.engine import run_fixed_point
 from fdpowerctl.oracle import (
     aggregate_power,
@@ -42,8 +42,8 @@ def test_brute_force_zero_targets_zero_circuit():
     assert not res.infeasible
     # optimum is everything off: objective is the HBS circuit power alone
     assert res.best_objective == pytest.approx(snap.hbs.p_cir, rel=1e-12)
-    np.testing.assert_array_equal(res.best_power_vector.p_u, [0.0, 0.0])
-    assert res.best_power_vector.p_h == 0.0
+    np.testing.assert_array_equal(res.best_power_vector[:-1], [0.0, 0.0])
+    assert res.best_power_vector[-1] == 0.0
 
 
 def test_brute_force_infeasible_target():
@@ -74,8 +74,8 @@ def test_closed_form_matches_iteration():
     snap = make_desk_snapshot([30.0])
     p, obj = closed_form_single_ue(snap)
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-13)
-    assert p.p_u[0] == pytest.approx(trace.fixed_point.p_u[0], rel=1e-9)
-    assert p.p_h == pytest.approx(trace.fixed_point.p_h, rel=1e-9)
+    assert p[0] == pytest.approx(trace.fixed_point[0], rel=1e-9)
+    assert p[-1] == pytest.approx(trace.fixed_point[-1], rel=1e-9)
     assert obj == pytest.approx(aggregate_power(trace.fixed_point, snap), rel=1e-9)
 
 
@@ -118,9 +118,9 @@ def test_optimality_gap_shrinks_with_resolution():
 
 def test_scalable_degenerate_sandwich():
     snap = make_desk_snapshot([20.0, 25.0])
-    p = PowerVector(np.array([1e-5, 1e-4]), 2.0)
+    p = np.array([1e-5, 1e-4, 2.0])
     for alg in (Algorithm.TPCEH, Algorithm.OPCEH):
-        f = joint_update(alg, p, snap).as_array()
+        f = joint_update(alg, p, snap)
         a = 5.0
         assert np.all(f / a <= f) and np.all(f <= f * a)
 
@@ -188,7 +188,7 @@ def test_fl_report_fields():
 
 def test_fl_vanishing_targets_qualify():
     snap = make_desk_snapshot([20.0, 30.0], gamma_default=1e-9)
-    rep = fast_lipschitz_report(snap, at=PowerVector(np.array([1e-9, 1e-9]), 1.0))
+    rep = fast_lipschitz_report(snap, at=np.array([1e-9, 1e-9, 1.0]))
     assert rep.grad_norm_inf < 1.0
     assert rep.qualifies
 
@@ -203,16 +203,16 @@ def test_equivalence_single_ue_forms_agree_at_fixed_point():
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-13)
     fp = trace.fixed_point
     again = transformed_joint_update(fp, snap)
-    np.testing.assert_allclose(again.as_array(), fp.as_array(), rtol=1e-12)
+    np.testing.assert_allclose(again, fp, rtol=1e-12)
 
 
 def test_equivalence_zero_target_both_zero():
     snap = make_desk_snapshot([15.0], gamma_default=0.0)
-    p = PowerVector(np.array([0.123]), 1.0)
+    p = np.array([0.123, 1.0])
     plain = joint_update(Algorithm.TPCEH, p, snap)
     ratio = transformed_joint_update(p, snap)
-    assert plain.p_u[0] == 0.0
-    assert ratio.p_u[0] == 0.0
+    assert plain[0] == 0.0
+    assert ratio[0] == 0.0
 
 
 def test_equivalence_random_inits(rng):
@@ -251,7 +251,7 @@ def test_tightness_skips_cap_binding(paper_scenario):
 def test_tightness_unmet_check_uses_rel_tol():
     snap = make_desk_snapshot([20.0, 30.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
-    trace.fixed_point.p_h *= 1.0 - 1e-6   # every requirement missed by 1 ppm
+    trace.fixed_point[-1] *= 1.0 - 1e-6   # every requirement missed by 1 ppm
     loose = check_harvest_power_tightness(trace, snap, rel_tol=1e-3)
     assert loose.status == "ok"
     strict = check_harvest_power_tightness(trace, snap)
@@ -262,7 +262,7 @@ def test_tightness_unmet_check_uses_rel_tol():
 def test_tightness_flags_violation():
     snap = make_desk_snapshot([20.0, 30.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
-    trace.fixed_point.p_h *= 0.5    # corrupt the harvest power
+    trace.fixed_point[-1] *= 0.5    # corrupt the harvest power
     rep = check_harvest_power_tightness(trace, snap)
     assert rep.status == "violated"
     assert not rep.passed
@@ -350,5 +350,4 @@ def _assert_same_brute_force(res, ref):
     if ref.best_power_vector is None:
         assert res.best_power_vector is None
     else:
-        assert res.best_power_vector.p_u.tobytes() == ref.best_power_vector.p_u.tobytes()
-        assert res.best_power_vector.p_h == ref.best_power_vector.p_h
+        assert res.best_power_vector.tobytes() == ref.best_power_vector.tobytes()
