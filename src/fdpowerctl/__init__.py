@@ -14,7 +14,7 @@ from .config import (  # noqa: F401
 from .channel import (  # noqa: F401
     Snapshot,
     path_gain,
-    sample_snapshot,
+    sample_batch,
     snapshot_from_distances,
     snapshot_from_scenario,
 )

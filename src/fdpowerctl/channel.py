@@ -7,10 +7,8 @@ path-loss law g = k * d^-3; there is no fading or shadowing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,12 +27,9 @@ __all__ = [
     "Snapshot",
     "path_gain",
     "hbs_position",
-    "sample_snapshot",
     "sample_batch",
     "snapshot_from_distances",
     "snapshot_from_scenario",
-    "snapshot_to_json",
-    "snapshot_csv_rows",
 ]
 
 
@@ -74,8 +69,6 @@ class Snapshot:
     p_bar_u: np.ndarray          # uplink transmit power cap, watts
     p_cir: np.ndarray            # UE circuit power, watts
     p_min: np.ndarray            # harvest power that covers p_cir alone
-    snapshot_id: int = 0
-    seed_used: int = 0
 
     @property
     def h(self) -> np.ndarray:
@@ -95,7 +88,6 @@ class Snapshot:
         return Snapshot(
             self.cfg, self.hbs, self.ue_template,
             *(getattr(self, name)[index] for name in _ARRAYS),
-            self.snapshot_id, self.seed_used,
         )
 
     def repeated(self, copies: int = 1) -> Snapshot:
@@ -104,14 +96,13 @@ class Snapshot:
             self.cfg, self.hbs, self.ue_template,
             *(np.broadcast_to(getattr(self, name), (copies, *getattr(self, name).shape))
               for name in _ARRAYS),
-            self.snapshot_id, self.seed_used,
         )
 
     def moved(self, positions: np.ndarray) -> Snapshot:
         """This snapshot's UEs placed at each row of positions (T, K, 2), meters.
 
         Row t has the gains of the distances in row t, computed as
-        sample_snapshot computes them; mu, gamma_target and eta are this
+        sample_batch computes them; mu, gamma_target and eta are this
         snapshot's in every row.
         """
         shape = positions.shape[:-1]
@@ -120,7 +111,7 @@ class Snapshot:
             np.broadcast_to(column, shape) for column in (self.mu, self.gamma_target, self.eta)
         )
         return _snapshot(self.cfg, self.hbs, self.ue_template, positions, distances, mu,
-                         gamma_target, eta, self.snapshot_id, self.seed_used)
+                         gamma_target, eta)
 
 
 # The per-UE arrays of a snapshot, in field order.
@@ -136,8 +127,6 @@ def _snapshot(
     mu: np.ndarray,
     gamma_target: np.ndarray | None = None,
     eta: np.ndarray | None = None,
-    snapshot_id: int = 0,
-    seed_used: int = 0,
 ) -> Snapshot:
     """A validated snapshot, or batch, of UEs at the given distances.
 
@@ -173,7 +162,7 @@ def _snapshot(
     p_min = np.divide(p_cir, denom, out=np.full(shape, math.inf), where=denom > 0)
     return Snapshot(
         cfg, hbs, t, positions, distances, g, mu, columns["gamma_target"], columns["eta"],
-        columns["p_bar_u"], p_cir, p_min, snapshot_id, seed_used,
+        columns["p_bar_u"], p_cir, p_min,
     )
 
 
@@ -219,27 +208,20 @@ def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     )
 
 
-def sample_snapshot(
-    cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, snapshot_id: int = 0
-) -> Snapshot:
-    """Draw one random snapshot: positions uniform in the cell, mu per template.
-
-    A K-UE snapshot is a prefix of the (K+1)-UE snapshot from the same
-    stream. Per-snapshot streams derive from cfg.seed + snapshot_id.
-    """
-    seed_used = cfg.seed + snapshot_id
-    positions, mu = _draw_ues(cfg, ue_template, np.random.default_rng(seed_used))
-    return _snapshot(cfg, hbs, ue_template, positions, _distances(positions, cfg), mu,
-                     snapshot_id=snapshot_id, seed_used=seed_used)
-
-
 def sample_batch(
     cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, n_snapshots: int
 ) -> Snapshot:
-    """Snapshots 0 .. n_snapshots-1, drawn straight into the rows of a batch.
+    """Random snapshots 0 .. n_snapshots-1, one per row of a batch.
 
-    Row s holds the values sample_snapshot(..., snapshot_id=s) gives, bit for
-    bit, and invalid parameters raise the ConfigError it would raise.
+    Every random snapshot comes from here, under one contract:
+    - row s draws from its own stream, default_rng(cfg.seed + s), so row s
+      does not depend on n_snapshots;
+    - each UE in turn draws x, then y (uniform on the unit square, scaled by
+      the cell side), then mu when the template leaves it random (uniform on
+      [0, 1), drawn again while below MU_FLOOR);
+    - so the K-UE row s is a prefix of the (K+1)-UE row s (K-prefix property).
+    Invalid parameters raise a ConfigError listing the violations of the
+    first invalid row; a batch of no snapshots checks nothing.
     """
     k = max(cfg.num_ues, 0)
     positions = np.empty((n_snapshots, k, 2))
@@ -291,8 +273,8 @@ def snapshot_from_distances(
     )
 
 
-def snapshot_from_scenario(scenario: Scenario, snapshot_id: int = 0) -> Snapshot:
-    """Fixed snapshot when the scenario pins distances, random one otherwise."""
+def snapshot_from_scenario(scenario: Scenario) -> Snapshot:
+    """The pinned UEs when the scenario has them, random snapshot 0 otherwise."""
     if scenario.fixed_ues is not None:
         fus = scenario.fixed_ues
         return snapshot_from_distances(
@@ -304,34 +286,4 @@ def snapshot_from_scenario(scenario: Scenario, snapshot_id: int = 0) -> Snapshot
             mus=[fu.mu for fu in fus],
             etas=[fu.eta for fu in fus],
         )
-    return sample_snapshot(
-        scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=snapshot_id
-    )
-
-
-def snapshot_to_json(snap: Snapshot, path: str | Path) -> None:
-    """Dump a snapshot (linear units) for replay or inspection."""
-    columns = {
-        "position": snap.positions, "distance": snap.distances, "g": snap.g, "h": snap.h,
-        "mu": snap.mu, "gamma_target": snap.gamma_target, "eta": snap.eta,
-        "p_bar_u": snap.p_bar_u, "p_cir": snap.p_cir, "p_min": snap.p_min,
-    }
-    doc = {
-        "snapshot_id": snap.snapshot_id,
-        "seed_used": snap.seed_used,
-        "hbs_placement": snap.cfg.hbs_placement,
-        "ues": [
-            dict(zip(columns, ue))
-            for ue in zip(*(column.tolist() for column in columns.values()))
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def snapshot_csv_rows(snap: Snapshot) -> list[tuple]:
-    """Rows (snapshot_id, ue_index, distance, gain, mu) for CSV export."""
-    return [
-        (snap.snapshot_id, i, *ue)
-        for i, ue in enumerate(zip(snap.distances.tolist(), snap.g.tolist(), snap.mu.tolist()))
-    ]
+    return sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 1).rows(0)

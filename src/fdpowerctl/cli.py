@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel import snapshot_from_scenario
+from .channel import sample_batch, snapshot_from_scenario
 from .config import ConfigError, Scenario, config_hash, load_scenario, scenario_to_dict
 from .core import Algorithm
 from .engine import (
@@ -112,7 +112,7 @@ def cmd_snapshot(args) -> int:
     t0 = time.monotonic()
     scenario = _load(args)
     alg = Algorithm(args.algorithm)
-    snap = snapshot_from_scenario(scenario, snapshot_id=0)
+    snap = snapshot_from_scenario(scenario)
     trace = run_fixed_point(alg, snap, record="all", **_overrides(args))
     K = snap.num_ues
 
@@ -176,7 +176,15 @@ def cmd_sweep(args) -> int:
     if not values:
         print("empty sweep value list", file=sys.stderr)
         return EXIT_CONFIG
-    algorithms = [Algorithm(a) for a in args.algorithms.split(",") if a.strip()]
+    if args.axis == "num_ues" and not all(v.is_integer() for v in values):
+        print(f"num_ues values must be whole numbers, got {args.values!r}", file=sys.stderr)
+        return EXIT_CONFIG
+    names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    unknown = [a for a in names if a not in {alg.value for alg in Algorithm}]
+    if unknown:
+        print(f"unknown algorithm(s): {', '.join(unknown)}", file=sys.stderr)
+        return EXIT_CONFIG
+    algorithms = [Algorithm(a) for a in names]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,10 +278,10 @@ def cmd_verify(args) -> int:
     failing: list[str] = []
 
     # the random snapshots the per-snapshot claims share, drawn once
-    snaps = [
-        snapshot_from_scenario(dataclasses.replace(scenario, fixed_ues=None), snapshot_id=i)
-        for i in range(args.snapshots)
-    ] if PER_SNAPSHOT_CLAIMS.intersection(claims) else []
+    snaps = []
+    if PER_SNAPSHOT_CLAIMS.intersection(claims):
+        batch = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, args.snapshots)
+        snaps = [batch.rows(i) for i in range(args.snapshots)]
 
     for claim in claims:
         if claim == "uniqueness":
@@ -286,7 +294,7 @@ def cmd_verify(args) -> int:
                     worst = max(worst, rep.max_spread)
             report[claim] = {"passed": ok, "max_spread": worst}
         elif claim == "scalability":
-            snap = snapshot_from_scenario(scenario, snapshot_id=0)
+            snap = snapshot_from_scenario(scenario)
             entry = {"passed": True}
             for alg in (Algorithm.TPCEH, Algorithm.OPCEH):
                 rep = check_two_sided_scalable(snap, alg, args.trials, rng)
@@ -331,7 +339,7 @@ def cmd_verify(args) -> int:
                 worst = max(worst, rep.max_fixed_point_gap)
             report[claim] = {"passed": ok, "max_fixed_point_gap": worst}
         elif claim == "fl-conditions":
-            snap = snapshot_from_scenario(scenario, snapshot_id=0)
+            snap = snapshot_from_scenario(scenario)
             rep = fast_lipschitz_report(snap)
             report[claim] = {
                 "passed": True,          # informational, never asserted
@@ -360,6 +368,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def count(text: str) -> int:
+    """A count flag's value: a whole number of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdpowerctl",
@@ -371,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
         p.add_argument("--out", default="out", help="output directory")
 
     p_snap = sub.add_parser("snapshot", help="single fixed-point run with trace")
@@ -387,8 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True, help="comma-separated axis values")
     p_sweep.add_argument("--algorithms", default="TPCEH",
                          help="comma-separated algorithm names")
-    p_sweep.add_argument("--snapshots", type=int, default=200)
+    p_sweep.add_argument("--snapshots", type=count, default=200)
     p_sweep.set_defaults(func=cmd_sweep)
+
+    # mobility and verify keep the scenario's own tol and max_iter
+    for p in (p_snap, p_sweep):
+        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
 
     p_mob = sub.add_parser("mobility", help="moving UEs with finite batteries")
     common(p_mob)
@@ -405,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--claims", default=None,
                        help=f"comma-separated subset of: {', '.join(CLAIMS)}")
     p_ver.add_argument("--k", type=int, default=None, help="override UE count")
-    p_ver.add_argument("--snapshots", type=int, default=10)
-    p_ver.add_argument("--trials", type=int, default=10000)
+    p_ver.add_argument("--snapshots", type=count, default=10)
+    p_ver.add_argument("--trials", type=count, default=10000)
     p_ver.set_defaults(func=cmd_verify)
 
     return parser

@@ -236,86 +236,102 @@ _UE_KEYS = {
 }
 _FIXED_UE_KEYS = {"distance", "gamma_target", "mu", "eta"}
 _TOP_KEYS = {"scenario", "hbs", "ue_template", "fixed_ues"}
+# keys without a default, in reporting order
+_SCENARIO_REQUIRED = ("num_ues", "epsilon", "delta_db", "sigma2_dbm")
+_HBS_REQUIRED = ("p_bar_h_dbm", "p_dyn_dbm", "p_sta_dbm")
+_UE_REQUIRED = ("gamma_target", "p_dyn_dbm", "p_sta_dbm")
 
 
-def _check_keys(doc: dict, allowed: set[str], path: str, errors: list[str]):
-    for key in doc:
-        if key not in allowed:
-            errors.append(f"{path}.{key}: unknown key")
+def _check_keys(doc, allowed: set[str], required: tuple, path: str, errors: list[str]):
+    if not isinstance(doc, dict):
+        errors.append(f"{path}: must be an object")
+        return
+    errors.extend(f"{path}.{key}: unknown key" for key in doc if key not in allowed)
+    errors.extend(f"{path}.{key}: missing key" for key in required if key not in doc)
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """Build and validate a Scenario from a parsed JSON document."""
     errors: list[str] = []
-    _check_keys(doc, _TOP_KEYS, "$", errors)
-    for section in ("scenario", "hbs", "ue_template"):
-        if section not in doc:
-            errors.append(f"$.{section}: missing section")
+    _check_keys(doc, _TOP_KEYS, ("scenario", "hbs", "ue_template"), "$", errors)
     if errors:
         raise ConfigError(errors)
 
     sc = doc["scenario"]
-    _check_keys(sc, _SCENARIO_KEYS, "scenario", errors)
+    _check_keys(sc, _SCENARIO_KEYS, _SCENARIO_REQUIRED, "scenario", errors)
     hb = doc["hbs"]
-    _check_keys(hb, _HBS_KEYS, "hbs", errors)
+    _check_keys(hb, _HBS_KEYS, _HBS_REQUIRED, "hbs", errors)
     ut = doc["ue_template"]
-    _check_keys(ut, _UE_KEYS, "ue_template", errors)
+    _check_keys(ut, _UE_KEYS, _UE_REQUIRED, "ue_template", errors)
     fixed = doc.get("fixed_ues")
-    if fixed is not None:
+    if fixed is not None and not isinstance(fixed, list):
+        errors.append("fixed_ues: must be a list")
+    elif fixed is not None:
         for i, fu in enumerate(fixed):
-            _check_keys(fu, _FIXED_UE_KEYS, f"fixed_ues[{i}]", errors)
+            _check_keys(fu, _FIXED_UE_KEYS, ("distance",), f"fixed_ues[{i}]", errors)
+    if isinstance(ut, dict) and ("p_bar_u_dbm" in ut) == ("e_bar_joules" in ut):
+        errors.append("ue_template: exactly one of p_bar_u_dbm / e_bar_joules required")
     if errors:
         raise ConfigError(errors)
 
-    if ("p_bar_u_dbm" in ut) == ("e_bar_joules" in ut):
-        raise ConfigError(
-            ["ue_template: exactly one of p_bar_u_dbm / e_bar_joules required"]
-        )
+    def number(section: dict, path: str, key: str, default=None, kind=float):
+        """section[key] converted by kind, or default when absent. A value
+        kind cannot convert is recorded as an error."""
+        if key not in section:
+            return default
+        try:
+            return kind(section[key])
+        except (TypeError, ValueError, OverflowError):
+            errors.append(f"{path}.{key}: must be a number, got {section[key]!r}")
+            return math.nan
+
+    def optional(section: dict, path: str, key: str):
+        """A number that null or absence leaves unset (None)."""
+        return None if section.get(key) is None else number(section, path, key)
 
     cfg = ScenarioConfig(
-        num_ues=int(sc["num_ues"]),
-        epsilon=float(sc["epsilon"]),
-        delta=db_to_linear(float(sc["delta_db"])),
-        sigma2=dbm_to_watt(float(sc["sigma2_dbm"])),
-        delta_t=float(sc.get("delta_t", 1.0)),
-        attenuation_k=float(sc.get("attenuation_k", 0.09)),
-        cell_side=float(sc.get("cell_side", 50.0)),
+        num_ues=number(sc, "scenario", "num_ues", kind=int),
+        epsilon=number(sc, "scenario", "epsilon"),
+        delta=db_to_linear(number(sc, "scenario", "delta_db")),
+        sigma2=dbm_to_watt(number(sc, "scenario", "sigma2_dbm")),
+        delta_t=number(sc, "scenario", "delta_t", 1.0),
+        attenuation_k=number(sc, "scenario", "attenuation_k", 0.09),
+        cell_side=number(sc, "scenario", "cell_side", 50.0),
         hbs_placement=str(sc.get("hbs_placement", "center")),
-        seed=int(sc.get("seed", 0)),
-        tol=float(sc.get("tol", 1e-9)),
-        max_iter=int(sc.get("max_iter", 2000)),
+        seed=number(sc, "scenario", "seed", 0, kind=int),
+        tol=number(sc, "scenario", "tol", 1e-9),
+        max_iter=number(sc, "scenario", "max_iter", 2000, kind=int),
     )
     hbs = HbsParams(
-        p_bar_h=dbm_to_watt(float(hb["p_bar_h_dbm"])),
-        n_antennas=int(hb.get("n_antennas", 2)),
-        p_dyn=dbm_to_watt(float(hb["p_dyn_dbm"])),
-        p_sta=dbm_to_watt(float(hb["p_sta_dbm"])),
+        p_bar_h=dbm_to_watt(number(hb, "hbs", "p_bar_h_dbm")),
+        n_antennas=number(hb, "hbs", "n_antennas", 2, kind=int),
+        p_dyn=dbm_to_watt(number(hb, "hbs", "p_dyn_dbm")),
+        p_sta=dbm_to_watt(number(hb, "hbs", "p_sta_dbm")),
     )
     template = UeTemplate(
-        mu=None if ut.get("mu") is None else float(ut["mu"]),
-        gamma_target=float(ut["gamma_target"]),
-        eta=float(ut.get("eta", 1.0)),
-        n_antennas=int(ut.get("n_antennas", 2)),
-        p_dyn=dbm_to_watt(float(ut["p_dyn_dbm"])),
-        p_sta=dbm_to_watt(float(ut["p_sta_dbm"])),
-        p_bar_u=dbm_to_watt(float(ut["p_bar_u_dbm"])) if "p_bar_u_dbm" in ut else None,
-        e_bar=float(ut["e_bar_joules"]) if "e_bar_joules" in ut else None,
+        mu=optional(ut, "ue_template", "mu"),
+        gamma_target=number(ut, "ue_template", "gamma_target"),
+        eta=number(ut, "ue_template", "eta", 1.0),
+        n_antennas=number(ut, "ue_template", "n_antennas", 2, kind=int),
+        p_dyn=dbm_to_watt(number(ut, "ue_template", "p_dyn_dbm")),
+        p_sta=dbm_to_watt(number(ut, "ue_template", "p_sta_dbm")),
+        p_bar_u=None if "p_bar_u_dbm" not in ut
+        else dbm_to_watt(number(ut, "ue_template", "p_bar_u_dbm")),
+        e_bar=number(ut, "ue_template", "e_bar_joules"),
     )
     fixed_ues = None
     if fixed is not None:
         fixed_ues = tuple(
             FixedUe(
-                distance=float(fu["distance"]),
-                gamma_target=None if fu.get("gamma_target") is None else float(fu["gamma_target"]),
-                mu=None if fu.get("mu") is None else float(fu["mu"]),
-                eta=None if fu.get("eta") is None else float(fu["eta"]),
+                number(fu, f"fixed_ues[{i}]", "distance"),
+                *(optional(fu, f"fixed_ues[{i}]", key) for key in ("gamma_target", "mu", "eta")),
             )
-            for fu in fixed
+            for i, fu in enumerate(fixed)
         )
-        if len(fixed_ues) != cfg.num_ues:
-            raise ConfigError(
-                [f"fixed_ues: expected {cfg.num_ues} entries, got {len(fixed_ues)}"]
-            )
+    if errors:
+        raise ConfigError(errors)
+    if fixed_ues is not None and len(fixed_ues) != cfg.num_ues:
+        raise ConfigError([f"fixed_ues: expected {cfg.num_ues} entries, got {len(fixed_ues)}"])
 
     # template-level sanity before any UE exists
     probe_cap = template.resolve_p_bar_u(cfg.epsilon, cfg.delta_t) if cfg.epsilon > 0 else -1.0
@@ -335,7 +351,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a JSON scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"{path}: not valid JSON: {exc}"]) from None
     return scenario_from_dict(doc)
 
 

@@ -2,9 +2,9 @@
 
 The iteration is Jacobi-style: every UE and (for the harvesting algorithms)
 the base station compute their next power from the full state of the current
-step. Snapshot-level work is reproducible from (seed, snapshot_id) alone, so
-sweeps over an axis reuse identical snapshot draws for every axis value and
-every algorithm (common random numbers).
+step. Random snapshot s comes from the stream cfg.seed + s alone (see
+`channel.sample_batch`), so sweeps over an axis reuse identical snapshot
+draws for every axis value and every algorithm (common random numbers).
 
 A state is one array: the K uplink powers, then the harvest power, so (K+1,)
 for one state and (S, K+1) for S of them (see `core`). There is one
@@ -392,9 +392,10 @@ def run_monte_carlo(
 ) -> SweepResult:
     """Average fixed-point metrics over seeded snapshots per axis value.
 
-    Snapshot i always comes from the stream seeded with cfg.seed + i, so the
-    same random placements back every axis value (and any other algorithm run
-    with the same scenario), which keeps trend comparisons paired. Snapshots
+    Snapshot i is random snapshot i of `sample_batch` (stream cfg.seed + i),
+    also when the scenario pins its UEs, so the same random placements back
+    every axis value (and any other algorithm run with the same scenario),
+    which keeps trend comparisons paired. Snapshots
     that fail to converge are counted and left out of the averages. Each axis
     value is one `solve` call over all its snapshots, with `give_up` on: a
     row certified unable to converge within max_iter stops early (counted in
@@ -402,8 +403,6 @@ def run_monte_carlo(
     unconverged, the averages and counts are those of full iteration.
     """
     alg = Algorithm(algorithm)
-    # sweeps are Monte-Carlo by definition: pinned UE layouts do not apply
-    scenario = dataclasses.replace(scenario, fixed_ues=None)
     stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}
     n_conv, n_nonconv, n_early, iterations = [], [], [], []
     for value in values:
@@ -514,7 +513,7 @@ def run_mobility(
     if not math.isfinite(step) or step <= 0:
         raise ValueError("step must be positive and finite")
     cfg = scenario.cfg
-    base = snapshot_from_scenario(scenario, snapshot_id=0)
+    base = snapshot_from_scenario(scenario)
     K = base.num_ues
 
     # start on the x=0 edge; keep sampled heights if random, else spread evenly

@@ -238,7 +238,7 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
     """
     alg = Algorithm(algorithm)
     cfg = scenario.cfg
-    base = snapshot_from_scenario(scenario, snapshot_id=0)
+    base = snapshot_from_scenario(scenario)
     K = base.num_ues
     if scenario.fixed_ues is None:
         ys = base.positions[:, 1]

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fdpowerctl import channel
 from fdpowerctl.channel import (
     path_gain,
     sample_batch,
-    sample_snapshot,
-    snapshot_csv_rows,
     snapshot_from_distances,
     snapshot_from_scenario,
 )
-from fdpowerctl.config import ConfigError, HbsParams, ScenarioConfig, UeTemplate
+from fdpowerctl.config import MU_FLOOR, ConfigError, HbsParams, ScenarioConfig, UeTemplate
 
 
 def _cfg(**kw):
@@ -54,9 +53,8 @@ def test_path_gain_strictly_decreasing(d, k):
 
 def test_sample_snapshot_reproducible():
     cfg = _cfg()
-    a = sample_snapshot(cfg, HBS, TEMPLATE, snapshot_id=4)
-    b = sample_snapshot(cfg, HBS, TEMPLATE, snapshot_id=4)
-    assert a.seed_used == cfg.seed + 4
+    a = sample_batch(cfg, HBS, TEMPLATE, 5).rows(4)
+    b = sample_batch(cfg, HBS, TEMPLATE, 5).rows(4)
     np.testing.assert_array_equal(a.g, b.g)
     np.testing.assert_array_equal(a.mu, b.mu)
     assert a.positions.tolist() == b.positions.tolist()
@@ -64,7 +62,7 @@ def test_sample_snapshot_reproducible():
 
 def test_sample_snapshot_reciprocity_and_bounds():
     cfg = _cfg(num_ues=40)
-    snap = sample_snapshot(cfg, HBS, TEMPLATE, snapshot_id=0)
+    snap = sample_batch(cfg, HBS, TEMPLATE, 1).rows(0)
     np.testing.assert_array_equal(snap.g, snap.h)
     for (x, y), mu in zip(snap.positions.tolist(), snap.mu.tolist()):
         assert 0.0 <= x <= cfg.cell_side
@@ -74,8 +72,8 @@ def test_sample_snapshot_reciprocity_and_bounds():
 
 def test_ue_count_prefix_property():
     # drawing K UEs consumes a prefix of the (K+n)-UE stream
-    small = sample_snapshot(_cfg(num_ues=3), HBS, TEMPLATE, snapshot_id=11)
-    big = sample_snapshot(_cfg(num_ues=8), HBS, TEMPLATE, snapshot_id=11)
+    small = sample_batch(_cfg(num_ues=3), HBS, TEMPLATE, 12).rows(11)
+    big = sample_batch(_cfg(num_ues=8), HBS, TEMPLATE, 12).rows(11)
     np.testing.assert_array_equal(small.g, big.g[:3])
     np.testing.assert_array_equal(small.mu, big.mu[:3])
 
@@ -83,39 +81,66 @@ def test_ue_count_prefix_property():
 def test_fixed_mu_draw_keeps_prefix_and_stream():
     # one (K, 2) draw must read the stream exactly like 2K scalar draws
     cfg = _cfg(num_ues=8)
-    big = sample_snapshot(cfg, HBS, FIXED_MU, snapshot_id=11)
-    assert big.seed_used == cfg.seed + 11
+    big = sample_batch(cfg, HBS, FIXED_MU, 12).rows(11)
     rng = np.random.default_rng(cfg.seed + 11)
     scalar = [(rng.uniform(0.0, 1.0) * 50.0, rng.uniform(0.0, 1.0) * 50.0) for _ in range(8)]
     assert [tuple(xy) for xy in big.positions.tolist()] == scalar
-    small = sample_snapshot(_cfg(num_ues=3), HBS, FIXED_MU, snapshot_id=11)
+    small = sample_batch(_cfg(num_ues=3), HBS, FIXED_MU, 12).rows(11)
     assert [tuple(xy) for xy in small.positions.tolist()] == scalar[:3]
-    batch = sample_batch(_cfg(num_ues=3), HBS, FIXED_MU, 12)
+    # row 11 does not depend on how many rows the batch has
+    batch = sample_batch(_cfg(num_ues=3), HBS, FIXED_MU, 20)
     assert batch.g[11].tolist() == small.g.tolist() == big.g[:3].tolist()
 
 
-@BOTH_TEMPLATES
-def test_sample_batch_rows_equal_snapshots(template):
+def _scalar_draws(cfg, template, sid, floor):
+    """Positions and mu of snapshot sid, one scalar draw at a time from its
+    stream: per UE x, then y, then mu (drawn again while below the floor)
+    when the template leaves it random."""
+    rng = np.random.default_rng(cfg.seed + sid)
+    positions, mus, redraws = [], [], 0
+    for _ in range(cfg.num_ues):
+        positions.append([rng.uniform(0.0, 1.0) * cfg.cell_side,
+                          rng.uniform(0.0, 1.0) * cfg.cell_side])
+        mu = template.mu
+        if mu is None:
+            mu = rng.uniform(0.0, 1.0)
+            while mu < floor:
+                mu, redraws = rng.uniform(0.0, 1.0), redraws + 1
+        mus.append(mu)
+    return positions, mus, redraws
+
+
+@pytest.mark.parametrize("template, floor", [
+    (TEMPLATE, MU_FLOOR), (TEMPLATE, 0.5), (FIXED_MU, MU_FLOOR),
+], ids=["mu-random", "mu-random-floor-0.5", "mu-fixed"])
+def test_sample_batch_rows_follow_their_streams(template, floor, monkeypatch):
+    # a floor of 0.5 sends about half the mu draws round the redraw loop
+    monkeypatch.setattr(channel, "MU_FLOOR", floor)
     cfg = _cfg(num_ues=7)
     batch = sample_batch(cfg, HBS, template, 6)
     assert (len(batch), batch.num_ues) == (6, 7)
+    redraws = 0
     for sid in range(6):
-        snap = sample_snapshot(cfg, HBS, template, snapshot_id=sid)
-        for name in ("g", "h", "mu", "gamma_target", "eta", "p_bar_u", "p_cir", "p_min"):
-            assert getattr(batch, name)[sid].tolist() == getattr(snap, name).tolist(), name
+        positions, mus, n = _scalar_draws(cfg, template, sid, floor)
+        redraws += n
+        assert batch.positions[sid].tolist() == positions
+        assert batch.mu[sid].tolist() == mus
+        distances = [math.hypot(x - 25.0, y - 25.0) for x, y in positions]
+        assert batch.distances[sid].tolist() == distances
+        assert batch.g[sid].tolist() == [path_gain(d, cfg.attenuation_k) for d in distances]
+    assert (redraws > 0) == (floor == 0.5)
 
 
 def test_distances_are_math_hypot_bit_for_bit():
     # on this snapshot np.hypot rounds UE 0's distance differently
     cfg, sid = _cfg(), 15
-    snap = sample_snapshot(cfg, HBS, FIXED_MU, snapshot_id=sid)
+    snap = sample_batch(cfg, HBS, FIXED_MU, sid + 1).rows(sid)
     xy = snap.positions
     centre = cfg.cell_side / 2.0
     exact = [math.hypot(x - centre, y - centre) for x, y in xy.tolist()]
     assert np.hypot(xy[:, 0] - centre, xy[:, 1] - centre).tolist() != exact
     assert snap.distances.tolist() == exact
-    batch = sample_batch(cfg, HBS, FIXED_MU, sid + 1)
-    assert batch.g[sid].tolist() == [path_gain(d, cfg.attenuation_k) for d in exact]
+    assert snap.g.tolist() == [path_gain(d, cfg.attenuation_k) for d in exact]
 
 
 @pytest.mark.parametrize(
@@ -134,7 +159,7 @@ def test_batch_validation_matches_snapshot(cfg_change, template_change, paths):
     cfg = _cfg(**cfg_change)
     template = dataclasses.replace(FIXED_MU, **template_change)
     with pytest.raises(ConfigError) as single:
-        sample_snapshot(cfg, HBS, template, snapshot_id=0)
+        sample_batch(cfg, HBS, template, 1).rows(0)
     with pytest.raises(ConfigError) as batched:
         sample_batch(cfg, HBS, template, 3)
     assert batched.value.errors == single.value.errors
@@ -146,8 +171,8 @@ def test_batch_validation_matches_snapshot(cfg_change, template_change, paths):
 
 def test_cell_side_scaling_shares_draws():
     # positions scale with the side for a fixed seed, so sweeps stay paired
-    a = sample_snapshot(_cfg(cell_side=40.0), HBS, TEMPLATE, snapshot_id=2)
-    b = sample_snapshot(_cfg(cell_side=60.0), HBS, TEMPLATE, snapshot_id=2)
+    a = sample_batch(_cfg(cell_side=40.0), HBS, TEMPLATE, 3).rows(2)
+    b = sample_batch(_cfg(cell_side=60.0), HBS, TEMPLATE, 3).rows(2)
     pa = a.positions / 40.0
     pb = b.positions / 60.0
     np.testing.assert_allclose(pa, pb, rtol=1e-12)
@@ -157,11 +182,7 @@ def test_mean_distance_matches_quadrature_oracle():
     from scipy import integrate
 
     cfg = _cfg(num_ues=100, hbs_placement="center")
-    dists = []
-    for sid in range(1000):
-        snap = sample_snapshot(cfg, HBS, TEMPLATE, snapshot_id=sid)
-        dists.append(snap.distances)
-    empirical = float(np.concatenate(dists).mean())
+    empirical = float(sample_batch(cfg, HBS, TEMPLATE, 1000).distances.mean())
 
     side = cfg.cell_side
     val, _ = integrate.dblquad(
@@ -174,7 +195,7 @@ def test_mean_distance_matches_quadrature_oracle():
 
 def test_corner_placement_bound():
     cfg = _cfg(num_ues=200, hbs_placement="corner")
-    snap = sample_snapshot(cfg, HBS, TEMPLATE, snapshot_id=0)
+    snap = sample_batch(cfg, HBS, TEMPLATE, 1).rows(0)
     assert snap.distances.max() <= cfg.cell_side * math.sqrt(2.0)
 
 
@@ -206,27 +227,11 @@ def test_scenario_dispatch(paper_scenario):
     snap = snapshot_from_scenario(paper_scenario)
     assert snap.num_ues == 5
     assert snap.distances.tolist() == [41, 25, 37, 16, 8]
-
-
-def test_csv_rows(paper_scenario):
-    snap = snapshot_from_scenario(paper_scenario)
-    rows = snapshot_csv_rows(snap)
-    assert len(rows) == 5
-    assert rows[0][2] == 41.0
-    assert rows[0][3] == pytest.approx(0.09 / 41 ** 3)
-
-
-def test_snapshot_json_export(tmp_path, paper_scenario):
-    import json
-    from fdpowerctl.channel import snapshot_to_json
-
-    snap = snapshot_from_scenario(paper_scenario)
-    out = tmp_path / "snap.json"
-    snapshot_to_json(snap, out)
-    doc = json.loads(out.read_text())
-    assert len(doc["ues"]) == 5
-    assert doc["ues"][4]["distance"] == 8.0
-    assert doc["ues"][4]["g"] == pytest.approx(0.09 / 512)
+    # without pinned UEs: random snapshot 0
+    sampled = snapshot_from_scenario(dataclasses.replace(paper_scenario, fixed_ues=None))
+    row = sample_batch(paper_scenario.cfg, paper_scenario.hbs, paper_scenario.ue_template, 3)
+    assert sampled.positions.tolist() == row.positions[0].tolist()
+    assert sampled.g.tolist() == row.g[0].tolist()
 
 
 @pytest.mark.parametrize("template_mu, fallback", [(None, 0.5), (0.7, 0.7)])

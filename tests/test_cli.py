@@ -141,14 +141,13 @@ def test_sweep_single_value_matches_snapshot(tmp_path):
     assert rows[0] == "axis,metric_name,mean,half_width,n"
     table = {r.split(",")[1]: float(r.split(",")[2]) for r in rows[1:]}
     # one random snapshot at delta=-120 dB reduces to a single run
-    import dataclasses
-    from fdpowerctl.channel import snapshot_from_scenario
+    from fdpowerctl.channel import sample_batch
     from fdpowerctl.config import load_scenario
     from fdpowerctl.core import Algorithm
     from fdpowerctl.engine import run_fixed_point
 
-    scenario = dataclasses.replace(load_scenario(DESK), fixed_ues=None)
-    snap = snapshot_from_scenario(scenario, snapshot_id=0)
+    scenario = load_scenario(DESK)
+    snap = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 1).rows(0)
     trace = run_fixed_point(Algorithm.TPCEH, snap)
     assert table["p_h"] == pytest.approx(trace.fixed_point[-1], rel=1e-12)
 
@@ -237,6 +236,7 @@ def test_verify_optimality_beyond_grid_limit_exits_2(tmp_path, capsys, monkeypat
         raise AssertionError("a snapshot was drawn before the claims were checked")
 
     monkeypatch.setattr(cli, "snapshot_from_scenario", no_snapshot)
+    monkeypatch.setattr(cli, "sample_batch", no_snapshot)
     rc = main(["verify", "--config", DESK, "--out", str(tmp_path), *flags])
     assert rc == 2
     err = capsys.readouterr().err
@@ -258,16 +258,83 @@ def test_verify_draws_each_snapshot_once(tmp_path, monkeypatch):
     import fdpowerctl.cli as cli
 
     drawn = []
-    original = cli.snapshot_from_scenario
+    original_batch, original_one = cli.sample_batch, cli.snapshot_from_scenario
 
-    def counting(scenario, *args, **kwargs):
-        drawn.append(kwargs.get("snapshot_id"))
-        return original(scenario, *args, **kwargs)
+    def counting_batch(cfg, hbs, ue_template, n_snapshots):
+        drawn.append(("sample_batch", n_snapshots))
+        return original_batch(cfg, hbs, ue_template, n_snapshots)
 
-    monkeypatch.setattr(cli, "snapshot_from_scenario", counting)
+    def counting_one(scenario):
+        drawn.append(("snapshot_from_scenario", scenario.cfg.num_ues))
+        return original_one(scenario)
+
+    monkeypatch.setattr(cli, "sample_batch", counting_batch)
+    monkeypatch.setattr(cli, "snapshot_from_scenario", counting_one)
     rc = main(["verify", "--config", DESK, "--k", "2", "--snapshots", "3",
                "--trials", "100", "--out", str(tmp_path)])
     assert rc == 0
-    # three shared random snapshots, plus snapshot 0 for scalability and
-    # fl-conditions, which use the scenario as configured
-    assert sorted(drawn) == [0, 0, 0, 1, 2]
+    # one batch of the three shared random snapshots, plus the scenario's
+    # own snapshot for scalability and for fl-conditions
+    assert sorted(drawn) == [
+        ("sample_batch", 3), ("snapshot_from_scenario", 2), ("snapshot_from_scenario", 2),
+    ]
+
+
+def _exits_2_in_argparse(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--k", "2", "--snapshots", "-1"], "--snapshots: must be at least 1, got -1"),
+    (["sweep", "--axis", "num_ues", "--values", "2", "--snapshots", "-1"],
+     "--snapshots: must be at least 1, got -1"),
+    (["verify", "--k", "2", "--trials", "-3"], "--trials: must be at least 1, got -3"),
+])
+def test_counts_below_one_exit_2(tmp_path, capsys, argv, message):
+    err = _exits_2_in_argparse([*argv, "--config", DESK, "--out", str(tmp_path)], capsys)
+    assert message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--algorithms", "TPC,FOO"], "unknown algorithm(s): FOO"),
+    (["--values", "2.7"], "num_ues values must be whole numbers, got '2.7'"),
+    (["--values", "2,nan"], "num_ues values must be whole numbers, got '2,nan'"),
+])
+def test_sweep_bad_algorithm_or_ue_count_exits_2(tmp_path, capsys, flags, message):
+    argv = ["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2",
+            "--snapshots", "2", "--out", str(tmp_path)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["mobility", "--duration", "0.01", "--tol", "5", "--max-iter", "3"],
+    ["verify", "--claims", "scalability", "--tol", "0.5", "--max-iter", "1"],
+])
+def test_budget_flags_only_where_a_solve_uses_them(tmp_path, capsys, argv):
+    # mobility and verify never read --tol or --max-iter
+    err = _exits_2_in_argparse([*argv, "--config", DESK, "--out", str(tmp_path)], capsys)
+    assert "unrecognized arguments: --tol" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"scenario": {', "not valid JSON"),
+    (json.dumps({"scenario": {"num_ues": 2}, "hbs": {}, "ue_template": {}}),
+     "scenario.epsilon: missing key"),
+    ((CONFIG_DIR / "desk_consistent.json").read_text().replace('"num_ues": 5', '"num_ues": "5x"'),
+     "scenario.num_ues: must be a number, got '5x'"),
+], ids=["malformed-json", "missing-key", "not-a-number"])
+def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["snapshot", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()

@@ -198,3 +198,85 @@ def test_load_scenario_roundtrip(tmp_path, paper_scenario):
     path.write_text(json.dumps(doc))
     again = load_scenario(path)
     assert dataclasses.asdict(again.cfg) == dataclasses.asdict(paper_scenario.cfg)
+
+
+REQUIRED_KEYS = [
+    ("scenario", "num_ues"), ("scenario", "epsilon"), ("scenario", "delta_db"),
+    ("scenario", "sigma2_dbm"), ("hbs", "p_bar_h_dbm"), ("hbs", "p_dyn_dbm"),
+    ("hbs", "p_sta_dbm"), ("ue_template", "gamma_target"), ("ue_template", "p_dyn_dbm"),
+    ("ue_template", "p_sta_dbm"),
+]
+
+
+@pytest.mark.parametrize("section, key", REQUIRED_KEYS)
+def test_missing_required_key_reported(section, key):
+    doc = copy.deepcopy(BASE_DOC)
+    del doc[section][key]
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == [f"{section}.{key}: missing key"]
+
+
+def test_every_missing_key_reported_at_once():
+    doc = copy.deepcopy(BASE_DOC)
+    for section, key in REQUIRED_KEYS:
+        del doc[section][key]
+    doc["fixed_ues"] = [{"distance": 10.0}, {"mu": 0.5}]
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == [
+        *(f"{section}.{key}: missing key" for section, key in REQUIRED_KEYS),
+        "fixed_ues[1].distance: missing key",
+    ]
+
+
+@pytest.mark.parametrize("path, value, expected", [
+    (("scenario", "num_ues"), "five", "scenario.num_ues: must be a number, got 'five'"),
+    (("scenario", "epsilon"), None, "scenario.epsilon: must be a number, got None"),
+    (("scenario", "seed"), math.nan, "scenario.seed: must be a number, got nan"),
+    (("hbs", "p_dyn_dbm"), [38.0], "hbs.p_dyn_dbm: must be a number, got [38.0]"),
+    (("ue_template", "mu"), "half", "ue_template.mu: must be a number, got 'half'"),
+    (("fixed_ues", 1, "distance"), "far", "fixed_ues[1].distance: must be a number, got 'far'"),
+    (("fixed_ues", 0, "eta"), {}, "fixed_ues[0].eta: must be a number, got {}"),
+])
+def test_non_number_reported(path, value, expected):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["fixed_ues"] = [{"distance": 10.0}, {"distance": 20.0}]
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = value
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == [expected]
+
+
+@pytest.mark.parametrize("change, expected", [
+    (lambda doc: doc.update(hbs=5), ["hbs: must be an object"]),
+    (lambda doc: doc.update(fixed_ues=5), ["fixed_ues: must be a list"]),
+    (lambda doc: doc.update(fixed_ues=[10.0, 20.0]),
+     ["fixed_ues[0]: must be an object", "fixed_ues[1]: must be an object"]),
+    (lambda doc: doc.pop("hbs"), ["$.hbs: missing key"]),
+])
+def test_sections_of_the_wrong_type_reported(change, expected):
+    doc = copy.deepcopy(BASE_DOC)
+    change(doc)
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == expected
+
+
+def test_document_not_an_object_reported():
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict([BASE_DOC])
+    assert err.value.errors == ["$: must be an object"]
+
+
+def test_load_scenario_malformed_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"scenario": {"num_ues": 2,}}')
+    with pytest.raises(ConfigError) as err:
+        load_scenario(path)
+    [message] = err.value.errors
+    assert message.startswith(f"{path}: not valid JSON: ")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdpowerctl.channel import snapshot_from_scenario
+from fdpowerctl.channel import sample_batch
 from fdpowerctl.core import (
     Algorithm,
     Metrics,
@@ -273,10 +273,10 @@ def test_metrics_feasibility_slack_boundary():
 def test_batched_maps_equal_row_by_row(desk_scenario, alg, k, snapshot_id):
     # a trace's metrics come from one call on its (T, K+1) history; every
     # row must equal, bit for bit, the metrics of that state on its own
-    scenario = dataclasses.replace(
-        desk_scenario, cfg=dataclasses.replace(desk_scenario.cfg, num_ues=k), fixed_ues=None,
-    )
-    snap = snapshot_from_scenario(scenario, snapshot_id=snapshot_id)
+    cfg = dataclasses.replace(desk_scenario.cfg, num_ues=k)
+    snap = sample_batch(
+        cfg, desk_scenario.hbs, desk_scenario.ue_template, snapshot_id + 1
+    ).rows(snapshot_id)
     one_row = snap.repeated()
     trace = run_fixed_point(alg, snap, record="all")
     assert trace.states.shape == (trace.iterations_used + 1, k + 1)

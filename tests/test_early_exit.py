@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fdpowerctl import engine
-from fdpowerctl.channel import sample_batch, sample_snapshot, snapshot_from_scenario
+from fdpowerctl.channel import sample_batch, snapshot_from_scenario
 from fdpowerctl.core import Algorithm, joint_update
 from fdpowerctl.engine import apply_axis, run_fixed_point, run_monte_carlo, solve
 
@@ -28,7 +28,7 @@ OPCEH_UNCONVERGED = {
 
 
 def _batch(scenario, k, n=N_SNAPSHOTS):
-    sc = apply_axis(dataclasses.replace(scenario, fixed_ues=None), "num_ues", k)
+    sc = apply_axis(scenario, "num_ues", k)
     return sample_batch(sc.cfg, sc.hbs, sc.ue_template, n)
 
 
@@ -149,12 +149,12 @@ def _thompson_steps(states, lag):
 
 @pytest.mark.parametrize("alg", list(Algorithm))
 def test_updates_do_not_expand_the_thompson_metric(desk_scenario, paper_scenario, alg):
-    sampled = dataclasses.replace(desk_scenario, fixed_ues=None)
+    paper, desk = paper_scenario, desk_scenario
     snaps = [
         snapshot_from_scenario(desk_scenario),
         snapshot_from_scenario(paper_scenario),
-        snapshot_from_scenario(dataclasses.replace(paper_scenario, fixed_ues=None), 3),
-        *(sample_snapshot(sampled.cfg, sampled.hbs, sampled.ue_template, sid)
+        sample_batch(paper.cfg, paper.hbs, paper.ue_template, 4).rows(3),
+        *(sample_batch(desk.cfg, desk.hbs, desk.ue_template, sid + 1).rows(sid)
           for sid in (0, 57, 118)),
     ]
     for snap in snaps:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdpowerctl import engine
-from fdpowerctl.channel import sample_batch, sample_snapshot, snapshot_from_scenario
+from fdpowerctl.channel import sample_batch, snapshot_from_scenario
 from fdpowerctl.core import Algorithm, Metrics
 from fdpowerctl.engine import (
     apply_axis,
@@ -129,7 +129,10 @@ def test_feasibility_equality_at_unclipped_update():
 def test_monte_carlo_single_snapshot_degenerates_to_fixed_point(desk_scenario):
     scenario = dataclasses.replace(desk_scenario, fixed_ues=None)
     result = run_monte_carlo(Algorithm.TPCEH, scenario, "delta_db", [-120.0], 1)
-    snap = snapshot_from_scenario(scenario, snapshot_id=0)
+    # a sweep draws random snapshots also when the scenario pins its UEs
+    pinned = run_monte_carlo(Algorithm.TPCEH, desk_scenario, "delta_db", [-120.0], 1)
+    assert pinned.stats == result.stats
+    snap = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 1).rows(0)
     trace = run_fixed_point(Algorithm.TPCEH, snap)
     mean, half = result.stats["p_h"][0]
     assert mean == pytest.approx(trace.fixed_point[-1], rel=1e-12)
@@ -317,9 +320,7 @@ def _with(scenario, k, hbs=None, **template):
 def _assert_rows_match_scalar(alg, scenario, sol, p_init=None, max_iter=None):
     """Every row of a batched solve equals the scalar loop on its snapshot."""
     for sid in range(len(sol.converged)):
-        snap = sample_snapshot(
-            scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=sid
-        )
+        snap = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, sid + 1).rows(sid)
         start = None if p_init is None else p_init[sid]
         p, used, converged, change = scalar_fixed_point(
             alg, snap, p_init=start, max_iter=max_iter
@@ -367,7 +368,8 @@ def test_batched_solver_clips_start_like_scalar_loop(desk_scenario, alg):
 
 
 def test_run_fixed_point_is_the_one_row_batch(desk_scenario):
-    snap = snapshot_from_scenario(_with(desk_scenario, 5), snapshot_id=3)
+    scenario = _with(desk_scenario, 5)
+    snap = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 4).rows(3)
     for alg in Algorithm:
         trace = run_fixed_point(alg, snap)
         p, used, converged, change = scalar_fixed_point(alg, snap)
@@ -386,7 +388,7 @@ def test_opportunistic_cycles_run_to_max_iter(desk_scenario):
     sol = solve(Algorithm.OPCEH, batch)
     assert np.flatnonzero(~sol.converged).tolist() == cycling
     assert sol.iterations_used[cycling].tolist() == [scenario.cfg.max_iter] * len(cycling)
-    snap = sample_snapshot(scenario.cfg, scenario.hbs, scenario.ue_template, snapshot_id=57)
+    snap = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 58).rows(57)
     p, used, converged, change = scalar_fixed_point(Algorithm.OPCEH, snap)
     assert sol.fixed_point[57].tolist() == p.tolist()
     assert sol.final_change[57] == change

@@ -1,10 +1,11 @@
-"""CLI and exporter outputs compared byte for byte with recorded golden files.
+"""CLI outputs compared byte for byte with recorded golden files.
 
-Every file a case writes, except the JSON manifests (they hold wall times),
-must equal the file under data/golden/<case>/. A case is either CLI
-arguments or a function that writes its files into a given directory. A
-changed fixed point, iteration count, convergence flag or sweep statistic
-shows up here as a byte difference, whatever path the solver takes to it.
+Every file a case's CLI arguments write, except the JSON manifests (they
+hold wall times), must equal the file under data/golden/<case>/. A changed
+fixed point, iteration count, convergence flag or sweep statistic shows up
+here as a byte difference, whatever path the solver takes to it. Two more
+directories, export_*, hold snapshots as recorded by a former exporter; the
+snapshots drawn today must match them exactly.
 
 To record the files again, for an output change that is intended:
 
@@ -16,14 +17,14 @@ With case names only those cases are recorded again; with none, all are.
 from __future__ import annotations
 
 import csv
-import dataclasses
+import json
 import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-from fdpowerctl.channel import snapshot_csv_rows, snapshot_from_scenario, snapshot_to_json
+from fdpowerctl.channel import sample_batch, snapshot_from_scenario
 from fdpowerctl.cli import main
 from fdpowerctl.config import load_scenario
 
@@ -38,22 +39,6 @@ ALL = "TPC,OPC,TPCEH,OPCEH"
 def _sweep(config, axis, values, *extra):
     return ["sweep", "--config", config, "--axis", axis, f"--values={values}",
             "--algorithms", ALL, "--snapshots", "3", *extra]
-
-
-def _export(config, snapshot_id=0, sampled=False):
-    """A case that writes one snapshot through both exporters."""
-
-    def run(out: Path) -> None:
-        scenario = load_scenario(config)
-        if sampled:
-            scenario = dataclasses.replace(scenario, fixed_ues=None)
-        snap = snapshot_from_scenario(scenario, snapshot_id=snapshot_id)
-        out.mkdir(parents=True, exist_ok=True)
-        snapshot_to_json(snap, out / "snapshot.json")
-        with open(out / "snapshot.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(snapshot_csv_rows(snap))
-
-    return run
 
 
 CASES = {
@@ -111,18 +96,7 @@ CASES = {
     # a three-dimensional uplink grid
     "verify_desk_k3": ["verify", "--config", DESK, "--k", "3",
                        "--snapshots", "2", "--trials", "1000"],
-    # the pinned distances and per-UE overrides of the paper's scenario
-    "export_paper_fixed": _export(PAPER),
-    # a sampled snapshot: positions drawn in the cell, mu from the template
-    "export_desk_sampled": _export(DESK, snapshot_id=3, sampled=True),
 }
-
-
-def _run(case, out: Path) -> None:
-    if callable(case):
-        case(out)
-    else:
-        main([*case, "--out", str(out)])
 
 
 def _outputs(out: Path) -> dict[str, bytes]:
@@ -135,12 +109,49 @@ def _outputs(out: Path) -> dict[str, bytes]:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_outputs_match_golden(case, tmp_path):
-    _run(CASES[case], tmp_path)
+    main([*CASES[case], "--out", str(tmp_path)])
     expected = _outputs(GOLDEN / case)
     actual = _outputs(tmp_path)
     assert sorted(actual) == sorted(expected)
     for name, data in expected.items():
         assert actual[name] == data, f"{case}/{name} differs from the golden file"
+
+
+# snapshot.json: snapshot_id, seed_used, hbs_placement and one record per UE
+# with these fields; snapshot.csv: one row (snapshot_id, ue, distance, g, mu)
+# per UE
+EXPORT_FIELDS = {
+    "position": "positions", "distance": "distances", "g": "g", "h": "h", "mu": "mu",
+    "gamma_target": "gamma_target", "eta": "eta", "p_bar_u": "p_bar_u", "p_cir": "p_cir",
+    "p_min": "p_min",
+}
+
+
+@pytest.mark.parametrize("case, config, row", [
+    # the pinned distances and per-UE overrides of the paper's scenario
+    ("export_paper_fixed", PAPER, None),
+    # random snapshot 3: positions drawn in the cell, mu from the template
+    ("export_desk_sampled", DESK, 3),
+], ids=["export_paper_fixed", "export_desk_sampled"])
+def test_snapshots_match_export_golden(case, config, row):
+    scenario = load_scenario(config)
+    if row is None:
+        snap = snapshot_from_scenario(scenario)
+    else:
+        snap = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, row + 1).rows(row)
+    doc = json.loads((GOLDEN / case / "snapshot.json").read_text(encoding="utf-8"))
+    assert doc["hbs_placement"] == snap.cfg.hbs_placement
+    if row is not None:
+        assert (doc["snapshot_id"], doc["seed_used"]) == (row, scenario.cfg.seed + row)
+    for field, name in EXPORT_FIELDS.items():
+        assert [ue[field] for ue in doc["ues"]] == getattr(snap, name).tolist(), field
+    with open(GOLDEN / case / "snapshot.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [
+        [str(doc["snapshot_id"]), str(i), str(d), str(g), str(mu)]
+        for i, (d, g, mu) in enumerate(zip(snap.distances.tolist(), snap.g.tolist(),
+                                           snap.mu.tolist()))
+    ]
 
 
 if __name__ == "__main__":
@@ -151,6 +162,6 @@ if __name__ == "__main__":
     for case in names:
         target = GOLDEN / case
         shutil.rmtree(target, ignore_errors=True)
-        _run(CASES[case], target)
+        main([*CASES[case], "--out", str(target)])
         for manifest in target.glob("*.manifest.json"):
             manifest.unlink()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdpowerctl.channel import snapshot_from_scenario
+from fdpowerctl.channel import sample_batch, snapshot_from_scenario
 from fdpowerctl.core import Algorithm, joint_update
 from fdpowerctl.engine import run_fixed_point
 from fdpowerctl.oracle import (
@@ -283,10 +283,8 @@ def test_uniqueness_across_random_inits(alg, rng):
 
 
 def _scenario_snapshot(scenario, k, snapshot_id=0):
-    scenario = dataclasses.replace(
-        scenario, cfg=dataclasses.replace(scenario.cfg, num_ues=k), fixed_ues=None
-    )
-    return snapshot_from_scenario(scenario, snapshot_id=snapshot_id)
+    cfg = dataclasses.replace(scenario.cfg, num_ues=k)
+    return sample_batch(cfg, scenario.hbs, scenario.ue_template, snapshot_id + 1).rows(snapshot_id)
 
 
 @pytest.mark.parametrize("rel_slack", [1e-12, -1e-3, -0.5])
