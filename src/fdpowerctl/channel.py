@@ -203,9 +203,8 @@ def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     ox, oy = hbs_position(cfg)
     # math.hypot per UE: np.hypot differs from it in the last bit on some
     # inputs, which would move every derived gain and fixed point
-    return np.array(
-        [max(math.hypot(x - ox, y - oy), 1e-9) for x, y in positions.tolist()]
-    )
+    dist = map(math.hypot, (positions[:, 0] - ox).tolist(), (positions[:, 1] - oy).tolist())
+    return np.maximum(list(dist), 1e-9)
 
 
 def sample_batch(

@@ -53,23 +53,18 @@ CLAIMS = (
 PER_SNAPSHOT_CLAIMS = {"uniqueness", "optimality", "harvest-tightness", "update-equivalence"}
 
 
-def _column_text(column) -> list[str]:
-    """CSV cells of one column, formatted by its dtype: bools as 1/0, ints
-    as is, floats in scientific notation with 17 significant digits."""
-    values = np.asarray(column)
-    kind = values.dtype.kind
-    if kind == "b":
-        return ["1" if v else "0" for v in values.tolist()]
-    if kind == "f":
-        return list(map("{:.16e}".format, values.tolist()))
-    return list(map(str, values.tolist()))
+# CSV cell formats by dtype kind: bools as 1/0, floats in scientific
+# notation with 17 significant digits, anything else as str() gives it
+_CELL_FORMATS = {"b": "{:d}", "f": "{:.16e}"}
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns (arrays or lists) under a header."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*map(_column_text, columns))))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write equal-length columns (arrays or lists) under a header, each
+    formatted by its dtype through one row template."""
+    arrays = [np.asarray(column) for column in columns]
+    template = ",".join(_CELL_FORMATS.get(a.dtype.kind, "{}") for a in arrays)
+    rows = map(template.format, *(a.tolist() for a in arrays))
+    path.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
 
 
 def _write_manifest(
@@ -180,6 +175,9 @@ def cmd_sweep(args) -> int:
         print(f"num_ues values must be whole numbers, got {args.values!r}", file=sys.stderr)
         return EXIT_CONFIG
     names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not names:
+        print("empty algorithm list", file=sys.stderr)
+        return EXIT_CONFIG
     unknown = [a for a in names if a not in {alg.value for alg in Algorithm}]
     if unknown:
         print(f"unknown algorithm(s): {', '.join(unknown)}", file=sys.stderr)

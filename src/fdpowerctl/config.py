@@ -276,14 +276,19 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
     def number(section: dict, path: str, key: str, default=None, kind=float):
         """section[key] converted by kind, or default when absent. A value
-        kind cannot convert is recorded as an error."""
+        kind cannot convert, or a fraction where kind is int, is recorded
+        as an error."""
         if key not in section:
             return default
+        raw = section[key]
         try:
-            return kind(section[key])
+            value = kind(raw)
         except (TypeError, ValueError, OverflowError):
-            errors.append(f"{path}.{key}: must be a number, got {section[key]!r}")
+            errors.append(f"{path}.{key}: must be a number, got {raw!r}")
             return math.nan
+        if kind is int and isinstance(raw, float) and value != raw:
+            errors.append(f"{path}.{key}: must be a whole number, got {raw!r}")
+        return value
 
     def optional(section: dict, path: str, key: str):
         """A number that null or absence leaves unset (None)."""

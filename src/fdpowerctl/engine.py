@@ -27,6 +27,22 @@ one-step distances can shrink by at most the two-step distance per step
 unconverged rows out anyway, so its outputs do not change. `run_fixed_point`
 (the `snapshot` command's trace and exit status) and the oracle iterate to
 max_iter.
+
+A mobility run is a recurrence in time: each step is one joint update of
+the step before on that step's gains, and the batteries decide which UEs
+transmit. The update is a standard interference function (Yates 1995), so a
+wrong start is forgotten geometrically, and `run_mobility` solves the
+recurrence a window of steps at a time by waveform relaxation (Lelarasmee,
+Ruehli & Sangiovanni-Vincentelli 1982). With each UE's transmit mask and the
+harvest flag held, one `joint_update` call sweeps the whole window: row t is
+updated from row t-1 of the previous sweep, and row 0 from the exact state
+before the window. The masked trajectory is the unique fixed point of this
+sweep, and after k sweeps its first k rows are exact; more sharply, every
+row up to the first one a sweep changed is exact, since each of those rows
+is the update of an exact row. A sweep that changes no bit therefore proves
+the whole window exact, with no tolerance involved. A battery pass then
+checks the held masks row by row, so the outputs are those of stepping the
+recurrence one step at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -70,6 +86,11 @@ __all__ = [
 
 # Denominator floor for relative power changes near zero.
 CHANGE_FLOOR = 1e-18
+
+# Mobility windows: the most steps one sweep covers, and the most sweeps a
+# window takes before it commits only the rows proven exact.
+MAX_WINDOW = 4096
+MAX_SWEEPS = 64
 
 # The early-exit certificate checks at steps 16, 32, 64, ... below max_iter.
 FIRST_GIVE_UP_CHECK = 16
@@ -504,8 +525,26 @@ def run_mobility(
     also defines the measured depletion time.
 
     The motion does not depend on the powers, so the whole trajectory and the
-    gains of every step are computed first, as one (T, K) batch; only the
-    power and battery recurrence runs step by step.
+    gains of every step are computed first, as one (T, K) batch. The power
+    and battery recurrence is solved in windows of steps by relaxation (see
+    the module docstring), with the bits of stepping it one step at a time:
+
+    - A window starts from an exact state, with each UE's transmit mask and
+      the harvest flag held at their current values. It is swept until all
+      its rows are proven exact, or for at most min(w, MAX_SWEEPS) sweeps:
+      after k sweeps the first k rows are exact, and so is every row up to
+      the first one the last sweep changed.
+    - Each UE's battery then runs as its own chain of Python floats, in the
+      operations and order of one step. The pass commits the exact rows
+      before the first one that breaks a held mask: an affordability flip,
+      or the first depletion. That row's inputs are exact, so its depletion
+      flag and masks are settled as one step would settle them, and the next
+      window starts there with them.
+    - Width: a window that commits every row doubles it, up to MAX_WINDOW,
+      if it was narrower than MAX_SWEEPS or proved its rows in fewer than w
+      sweeps; otherwise the map contracts too slowly for wide windows to
+      pay, and the width falls back to MAX_SWEEPS. After a break the width
+      is the number of rows the window committed, at least 1.
     """
     alg = Algorithm(algorithm)
     if not math.isfinite(duration) or duration < 0:
@@ -526,29 +565,73 @@ def run_mobility(
     gains = base.moved(positions)
     harvest_gain = gains.mu * gains.g
 
-    states = np.zeros((n_steps, K + 1))
+    states = np.empty((n_steps, K + 1))
     battery = np.empty((n_steps, K))
-    level = np.full(K, battery_init)
-    x = np.zeros(K + 1)
+    level = [battery_init] * K           # each UE's joules before step n
+    transmit = [True] * K                # the held transmit masks
+    x = np.zeros(K + 1)                  # the state after step n - 1, exact
     first_depletion: int | None = None
     activation: int | None = None
-    for n in range(n_steps):
-        # synchronous candidate powers from the previous state
-        cand = joint_update(alg, x, gains.rows(n))
-        need = (cand[:-1] / cfg.epsilon + base.p_cir) * step
-        if first_depletion is None and bool(np.any(level < need)):
-            first_depletion = n + 1
-            if alg.harvesting:
-                activation = n + 1
-        if activation is not None:
-            states[n, -1] = cand[-1]
-        harvest = harvest_gain[n] * states[n, -1] * step
-
-        affordable = level + harvest >= need
-        states[n, :-1] = np.where(affordable, cand[:-1], 0.0)
-        level = np.clip(level + harvest - np.where(affordable, need, 0.0), 0.0, battery_init)
-        battery[n] = level
-        x = states[n]
+    n, width = 0, 1
+    while n < n_steps:
+        w = min(width, n_steps - n)
+        rows = gains.rows(slice(n, n + w))
+        # the non-harvesting updates keep p_h at 0 by themselves
+        keep = np.array(transmit + [activation is not None or not alg.harvesting])
+        masked = not keep.all()
+        # traj[0] is the exact start, traj[1:] the window's guessed rows
+        traj = np.empty((w + 1, K + 1))
+        traj[:] = x
+        for sweeps in range(1, min(w, MAX_SWEEPS) + 1):
+            cand = joint_update(alg, traj[:-1], rows)
+            nxt = np.where(keep, cand, 0.0) if masked else cand
+            changed = (nxt != traj[1:]).ravel()
+            traj[1:] = nxt
+            # every row up to the first one this sweep changed is exact
+            first = int(changed.argmax())
+            exact = first // (K + 1) + 1 if changed[first] else w
+            if exact == w:
+                break
+        need = (cand[:exact, :-1] / cfg.epsilon + base.p_cir) * step
+        harvest = harvest_gain[n : n + exact] * traj[1 : exact + 1, -1:] * step
+        # Each UE's battery is its own chain while the masks hold: run it in
+        # the loop's operations up to the first row that breaks its mask.
+        # Until the first depletion no harvest flows and every UE transmits,
+        # so that depletion breaks the depleting UE's mask. An affordable
+        # step spends at most what the battery holds, so only the capacity
+        # clips.
+        end, chains = exact, []
+        for lv, on, needs, harvests in zip(level, transmit, need.T.tolist(), harvest.T.tolist()):
+            chain = []
+            for nd, hv in zip(needs[:end], harvests[:end]):
+                lv += hv
+                if (lv >= nd) != on:
+                    break
+                lv = min(lv - nd if on else lv, battery_init)
+                chain.append(lv)
+            end = min(end, len(chain))
+            chains.append(chain)
+        states[n : n + end] = traj[1 : end + 1]
+        battery[n : n + end] = np.array([chain[:end] for chain in chains]).T
+        if end:
+            x = traj[end]
+            level = [chain[end - 1] for chain in chains]
+        if end < exact:
+            # row `end` has exact inputs: settle its flags and masks as one
+            # step of the loop would, so the next window's first row holds
+            lv, nd = np.array(level), need[end]
+            if first_depletion is None and bool((lv < nd).any()):
+                first_depletion = n + end + 1
+                if alg.harvesting:
+                    activation = n + end + 1
+            p_h = cand[end, -1] if activation is not None else 0.0
+            transmit = (lv + harvest_gain[n + end] * p_h * step >= nd).tolist()
+            width = max(end, 1)
+        elif w < MAX_SWEEPS or (sweeps < w and exact == w):
+            width = min(2 * w, MAX_WINDOW)
+        else:
+            width = MAX_SWEEPS
+        n += end
 
     steps = np.arange(1, n_steps + 1)
     return MobilityResult(

@@ -303,6 +303,7 @@ def test_counts_below_one_exit_2(tmp_path, capsys, argv, message):
     (["--algorithms", "TPC,FOO"], "unknown algorithm(s): FOO"),
     (["--values", "2.7"], "num_ues values must be whole numbers, got '2.7'"),
     (["--values", "2,nan"], "num_ues values must be whole numbers, got '2,nan'"),
+    (["--algorithms", ","], "empty algorithm list"),
 ])
 def test_sweep_bad_algorithm_or_ue_count_exits_2(tmp_path, capsys, flags, message):
     argv = ["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2",
@@ -329,7 +330,9 @@ def test_budget_flags_only_where_a_solve_uses_them(tmp_path, capsys, argv):
      "scenario.epsilon: missing key"),
     ((CONFIG_DIR / "desk_consistent.json").read_text().replace('"num_ues": 5', '"num_ues": "5x"'),
      "scenario.num_ues: must be a number, got '5x'"),
-], ids=["malformed-json", "missing-key", "not-a-number"])
+    ((CONFIG_DIR / "desk_consistent.json").read_text().replace('"num_ues": 5', '"num_ues": 2.7'),
+     "scenario.num_ues: must be a whole number, got 2.7"),
+], ids=["malformed-json", "missing-key", "not-a-number", "not-a-whole-number"])
 def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)

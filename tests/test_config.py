@@ -13,6 +13,7 @@ from fdpowerctl.config import (
     UeTemplate,
     load_scenario,
     scenario_from_dict,
+    scenario_to_dict,
     validate_scenario,
 )
 from fdpowerctl.channel import path_gain, snapshot_from_distances, snapshot_from_scenario
@@ -250,6 +251,22 @@ def test_non_number_reported(path, value, expected):
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(doc)
     assert err.value.errors == [expected]
+
+
+@pytest.mark.parametrize("path", [
+    ("scenario", "num_ues"), ("scenario", "seed"), ("scenario", "max_iter"),
+    ("hbs", "n_antennas"), ("ue_template", "n_antennas"),
+], ids=".".join)
+def test_fractional_integer_field_reported(path):
+    section, key = path
+    doc = copy.deepcopy(BASE_DOC)
+    doc[section][key] = 2.7
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == [f"{section}.{key}: must be a whole number, got 2.7"]
+    doc[section][key] = 5.0
+    value = scenario_to_dict(scenario_from_dict(doc))[section][key]
+    assert value == 5 and isinstance(value, int)
 
 
 @pytest.mark.parametrize("change, expected", [

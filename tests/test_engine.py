@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdpowerctl import engine
-from fdpowerctl.channel import sample_batch, snapshot_from_scenario
+from fdpowerctl.channel import Snapshot, sample_batch, snapshot_from_scenario
 from fdpowerctl.core import Algorithm, Metrics
 from fdpowerctl.engine import (
     apply_axis,
@@ -301,6 +303,75 @@ def test_mobility_matches_scalar_loop_with_infinite_battery(desk_scenario, alg):
 @pytest.mark.parametrize("alg", list(Algorithm))
 def test_mobility_matches_scalar_loop_at_zero_duration(desk_scenario, alg):
     _assert_mobility_matches_scalar(alg, _mobility_scenario(desk_scenario), duration=0.0)
+
+
+# The window relaxation against the per-step loop. Each test checks a run bit
+# for bit; `_windows` records the (start, stop) of every window it solved.
+
+
+def _windows(monkeypatch):
+    windows = []
+    rows = Snapshot.rows
+
+    def spy(self, index):
+        if isinstance(index, slice):
+            windows.append((index.start, index.stop))
+        return rows(self, index)
+
+    monkeypatch.setattr(Snapshot, "rows", spy)
+    return windows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(Algorithm)),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=1000),
+    st.sampled_from([0.0, 5.0, 5000.0]),
+    st.sampled_from([1e-6, 1e-4, 6e-3, math.inf]),
+)
+def test_mobility_relaxation_matches_scalar_loop(desk_scenario, alg, k, seed, speed_kmh,
+                                                 battery_init):
+    scenario = _mobility_scenario(desk_scenario, n=k)
+    scenario = dataclasses.replace(scenario, cfg=dataclasses.replace(scenario.cfg, seed=seed))
+    _assert_mobility_matches_scalar(
+        alg, scenario, duration=0.3, speed_kmh=speed_kmh, battery_init=battery_init
+    )
+
+
+def test_mobility_long_run_reaches_the_widest_window(desk_scenario, monkeypatch):
+    windows = _windows(monkeypatch)
+    _assert_mobility_matches_scalar(Algorithm.TPCEH, desk_scenario, duration=10.0)
+    assert max(stop - start for start, stop in windows) == engine.MAX_WINDOW
+
+
+def test_mobility_flip_heavy_run(desk_scenario):
+    scenario = _mobility_scenario(desk_scenario, n=5)
+    scenario = dataclasses.replace(scenario, cfg=dataclasses.replace(scenario.cfg, seed=11))
+    result = _assert_mobility_matches_scalar(
+        Algorithm.OPCEH, scenario, duration=3.0, speed_kmh=5000.0, battery_init=6e-3
+    )
+    on = np.vstack([np.ones((1, 5), dtype=bool), result.states[:, :-1] > 0.0])
+    assert int((on[1:] != on[:-1]).sum()) == 433
+
+
+def test_mobility_depletion_inside_a_window(desk_scenario, monkeypatch):
+    windows = _windows(monkeypatch)
+    result = _assert_mobility_matches_scalar(Algorithm.TPCEH, desk_scenario, duration=0.5)
+    row = result.first_depletion_step - 1
+    assert any(start < row < stop for start, stop in windows)
+
+
+def test_mobility_window_past_its_sweep_budget(desk_scenario, monkeypatch):
+    # with an infinite battery no mask breaks, so a window that commits only
+    # part of its rows stopped at its sweep budget with an exact prefix
+    windows = _windows(monkeypatch)
+    scenario = _mobility_scenario(desk_scenario, n=5)
+    scenario = dataclasses.replace(scenario, cfg=dataclasses.replace(scenario.cfg, seed=38))
+    _assert_mobility_matches_scalar(
+        Algorithm.OPC, scenario, duration=0.6, speed_kmh=5000.0, battery_init=math.inf
+    )
+    assert any(nxt[0] < stop for (_, stop), nxt in zip(windows, windows[1:]))
 
 
 # ---------------------------------------------------------------------------
