@@ -24,13 +24,10 @@ from .core import (  # noqa: F401
     hbs_update,
     joint_update,
     metrics,
-    optimal_hbs_power,
-    rate,
     sinr,
 )
 from .engine import (  # noqa: F401
     IterationTrace,
-    check_energy_feasibility,
     run_fixed_point,
     run_mobility,
     run_monte_carlo,

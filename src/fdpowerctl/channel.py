@@ -224,11 +224,10 @@ def sample_batch(
     """
     k = max(cfg.num_ues, 0)
     positions = np.empty((n_snapshots, k, 2))
-    distances = np.empty((n_snapshots, k))
     mu = np.empty((n_snapshots, k))
     for sid in range(n_snapshots):
         positions[sid], mu[sid] = _draw_ues(cfg, ue_template, np.random.default_rng(cfg.seed + sid))
-        distances[sid] = _distances(positions[sid], cfg)
+    distances = _distances(positions.reshape(-1, 2), cfg).reshape(n_snapshots, k)
     return _snapshot(cfg, hbs, ue_template, positions, distances, mu)
 
 

@@ -22,7 +22,6 @@ from .core import Algorithm
 from .engine import (
     SWEEP_AXES,
     SWEEP_METRICS,
-    check_energy_feasibility,
     run_fixed_point,
     run_mobility,
     run_monte_carlo,
@@ -108,7 +107,7 @@ def cmd_snapshot(args) -> int:
     scenario = _load(args)
     alg = Algorithm(args.algorithm)
     snap = snapshot_from_scenario(scenario)
-    trace = run_fixed_point(alg, snap, record="all", **_overrides(args))
+    trace = run_fixed_point(alg, snap, **_overrides(args))
     K = snap.num_ues
 
     out = Path(args.out)
@@ -128,7 +127,6 @@ def cmd_snapshot(args) -> int:
         [trace.steps, *trace.states.T, *mx.sinr.T, *mx.rate.T, *mx.energy_feasible.T],
     )
 
-    feas = check_energy_feasibility(trace, snap)
     summary = {
         "algorithm": alg.value,
         "converged": trace.converged,
@@ -141,9 +139,9 @@ def cmd_snapshot(args) -> int:
         "outage": mx.outage[-1].tolist(),
         "aggregate_power": float(mx.aggregate_power[-1]),
         "aggregate_throughput": float(mx.aggregate_throughput[-1]),
-        "energy_feasible": [bool(b) for b in feas.feasible],
-        "all_feasible": feas.all_feasible,
-        "hbs_cap_binding": feas.hbs_cap_binding,
+        "energy_feasible": mx.energy_feasible[-1].tolist(),
+        "all_feasible": bool(mx.energy_feasible[-1].all()),
+        "hbs_cap_binding": bool(mx.hbs_cap_binding[-1]),
         "distances": snap.distances.tolist(),
     }
     summary_path = out / f"summary_{alg.value.lower()}.json"
@@ -231,7 +229,7 @@ def cmd_mobility(args) -> int:
         )
     except ConfigError:
         raise                    # main reports these
-    except ValueError as exc:    # duration or step out of range
+    except ValueError as exc:    # duration, step or battery_init out of range
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     columns = [
@@ -322,7 +320,7 @@ def cmd_verify(args) -> int:
             ok = True
             skipped = 0
             for snap in snaps:
-                trace = run_fixed_point(Algorithm.TPCEH, snap, record="ends")
+                trace = run_fixed_point(Algorithm.TPCEH, snap)
                 rep = check_harvest_power_tightness(trace, snap)
                 if rep.status == "cap_binding":
                     skipped += 1

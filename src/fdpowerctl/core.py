@@ -38,16 +38,14 @@ __all__ = [
     "Metrics",
     "state_caps",
     "sinr",
-    "rate",
     "hbs_update",
-    "optimal_hbs_power",
     "joint_update",
     "metrics",
     "required_hbs_power",
 ]
 
 # Numeric guards, not model semantics: slack applied when classifying
-# energy feasibility and outage at a fixed point.
+# energy feasibility, a binding harvest cap and outage at a fixed point.
 FEASIBILITY_REL_SLACK = 1e-12
 OUTAGE_REL_SLACK = 1e-6
 
@@ -90,28 +88,16 @@ def sinr(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     return snap.h * x[..., :-1] / _interference(x, snap)
 
 
-def rate(x: np.ndarray, snap: Snapshot) -> np.ndarray:
-    """Achievable uplink rate log2(1 + SINR), bits/s/Hz."""
-    return np.log2(1.0 + sinr(x, snap))
-
-
 def required_hbs_power(p_u: np.ndarray, snap: Snapshot) -> np.ndarray:
     """Per-UE downlink power the harvest constraint demands: p_u/(eps mu g) + p_min."""
     return p_u / (snap.cfg.epsilon * snap.mu * snap.g) + snap.p_min
 
 
-def optimal_hbs_power(p_u: np.ndarray, snap: Snapshot) -> float | np.ndarray:
-    """Smallest downlink power satisfying every UE's harvest constraint.
-
-    Unclipped max of the per-UE requirements; exceeding the peak power cap
-    means the state is energy-infeasible at that cap.
-    """
-    return required_hbs_power(p_u, snap).max(axis=-1)
-
-
 def hbs_update(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
-    """Harvest-power update: the per-UE requirement max, clipped to the peak."""
-    return np.minimum(snap.hbs.p_bar_h, optimal_hbs_power(x[..., :-1], snap))
+    """Harvest-power update: the smallest downlink power meeting every UE's
+    harvest requirement, clipped to the peak. Above the peak the state is
+    energy-infeasible."""
+    return np.minimum(snap.hbs.p_bar_h, required_hbs_power(x[..., :-1], snap).max(axis=-1))
 
 
 def joint_update(alg: Algorithm, x: np.ndarray, snap: Snapshot) -> np.ndarray:
@@ -142,11 +128,18 @@ class Metrics:
     aggregate_power: float | np.ndarray
     aggregate_throughput: float | np.ndarray
     energy_feasible: np.ndarray      # bool per UE
+    hbs_cap_binding: bool | np.ndarray    # p_h at its peak while some UE is unmet
     outage: np.ndarray               # bool per UE
 
 
 def metrics(x: np.ndarray, snap: Snapshot) -> Metrics:
-    """Evaluate all metrics of a power state (or a batch) on a snapshot."""
+    """Evaluate all metrics of a power state (or a batch) on a snapshot.
+
+    The energy verdict is decided here: UE i is energy-feasible when p_h
+    covers its requirement p_u,i / (eps mu_i g_i) + p_min,i, and the harvest
+    cap binds when p_h sits at p_bar_h while some UE's requirement is unmet;
+    both up to FEASIBILITY_REL_SLACK.
+    """
     eps = snap.cfg.epsilon
     p_u, p_h = x[..., :-1], x[..., -1:]
     s = sinr(x, snap)
@@ -156,6 +149,9 @@ def metrics(x: np.ndarray, snap: Snapshot) -> Metrics:
     harvested = snap.mu * snap.g * p_h
     required = required_hbs_power(p_u, snap)
     feasible = p_h >= required * (1.0 - FEASIBILITY_REL_SLACK)
+    cap_binding = (
+        x[..., -1] >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK)
+    ) & ~feasible.all(axis=-1)
     outage = s < snap.gamma_target * (1.0 - OUTAGE_REL_SLACK)
     return Metrics(
         sinr=s,
@@ -166,5 +162,6 @@ def metrics(x: np.ndarray, snap: Snapshot) -> Metrics:
         aggregate_power=ue_total.sum(axis=-1) + hbs_total,
         aggregate_throughput=r.sum(axis=-1),
         energy_feasible=feasible,
+        hbs_cap_binding=cap_binding,
         outage=outage,
     )

@@ -49,34 +49,24 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .channel import Snapshot, sample_batch, snapshot_from_scenario
 from .config import Scenario
-from .core import (
-    FEASIBILITY_REL_SLACK,
-    Algorithm,
-    Metrics,
-    state_caps,
-    joint_update,
-    metrics,
-    required_hbs_power,
-)
+from .core import Algorithm, Metrics, state_caps, joint_update, metrics
 from .units import db_to_linear
 
 __all__ = [
     "IterationTrace",
     "BatchSolution",
-    "FeasibilityReport",
     "SweepResult",
     "MobilityResult",
     "iterate",
     "solve",
     "run_fixed_point",
-    "check_energy_feasibility",
     "apply_axis",
     "run_monte_carlo",
     "run_mobility",
@@ -115,12 +105,11 @@ SWEEP_METRICS = (
 
 @dataclass
 class IterationTrace:
-    """Record of one fixed-point run, one row per recorded step."""
+    """Record of one fixed-point run, one row per step, the start included."""
 
-    algorithm: Algorithm
     steps: np.ndarray             # (T,) step index of each row, 0 for the start
-    states: np.ndarray            # (T, K+1) state after each recorded step
-    metrics: Metrics              # of each recorded state
+    states: np.ndarray            # (T, K+1) state after each step
+    metrics: Metrics              # of each state
     converged: bool
     iterations_used: int
     fixed_point: np.ndarray       # (K+1,) the last row of states
@@ -293,62 +282,28 @@ def run_fixed_point(
     p_init: np.ndarray | None = None,
     tol: float | None = None,
     max_iter: int | None = None,
-    record: str = "all",
 ) -> IterationTrace:
     """Iterate the joint power update until the relative change drops below tol.
 
     This is `solve` on a batch of one row, from a (K+1,) start. Non-convergence
-    within max_iter yields converged=False, not an exception. `record="all"`
-    keeps every step, the start included; `record="ends"` keeps only the last.
-    The metrics of all kept states come from one `metrics` call.
+    within max_iter yields converged=False, not an exception. The trace keeps
+    every step, the clipped start included, and the metrics of all its states
+    come from one `metrics` call; their last row holds the fixed point's
+    energy verdict (`energy_feasible`, `hbs_cap_binding`).
     """
-    alg = Algorithm(algorithm)
-    history = [] if record == "all" else None
+    history: list[np.ndarray] = []
     if p_init is not None:
         p_init = p_init[None, :]
-    sol = solve(alg, snap.repeated(), p_init, tol, max_iter, history)
-    iterations_used = int(sol.iterations_used[0])
-    if history is None:
-        steps, states = np.array([iterations_used]), sol.fixed_point
-    else:
-        steps, states = np.arange(len(history)), np.concatenate(history)
+    sol = solve(algorithm, snap.repeated(), p_init, tol, max_iter, history)
+    states = np.concatenate(history)
     return IterationTrace(
-        algorithm=alg,
-        steps=steps,
+        steps=np.arange(len(history)),
         states=states,
         metrics=metrics(states, snap),
         converged=bool(sol.converged[0]),
-        iterations_used=iterations_used,
+        iterations_used=int(sol.iterations_used[0]),
         fixed_point=states[-1],
         final_change=float(sol.final_change[0]),
-    )
-
-
-@dataclass
-class FeasibilityReport:
-    """Energy-harvesting constraint status at a fixed point."""
-
-    feasible: np.ndarray          # bool per UE
-    all_feasible: bool
-    hbs_cap_binding: bool         # peak power reached while some UE unmet
-    p_h: float
-    required: np.ndarray          # per-UE downlink power requirement
-
-
-def check_energy_feasibility(trace: IterationTrace, snap: Snapshot) -> FeasibilityReport:
-    """Evaluate the harvest constraint per UE at the trace's fixed point."""
-    p_h = float(trace.fixed_point[-1])
-    feasible = trace.metrics.energy_feasible[-1]
-    all_ok = bool(np.all(feasible))
-    cap_binding = bool(
-        p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK) and not all_ok
-    )
-    return FeasibilityReport(
-        feasible=feasible,
-        all_feasible=all_ok,
-        hbs_cap_binding=cap_binding,
-        p_h=p_h,
-        required=required_hbs_power(trace.fixed_point[:-1], snap),
     )
 
 
@@ -373,17 +328,13 @@ def apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
 class SweepResult:
     """Averaged metrics over snapshots for each value of one sweep axis."""
 
-    axis: str
     values: list[float]
-    algorithm: Algorithm
-    n_snapshots: int
     stats: dict[str, list[tuple[float, float]]]   # metric -> [(mean, half_width)]
     n_converged: list[int]
     n_nonconverged: list[int]
     n_stopped_early: list[int]    # unconverged rows the certificate stopped
     # (min, median, max) iterations of the converged rows, None without any
     converged_iterations: list[tuple[int, float, int] | None]
-    metadata: dict = field(default_factory=dict)
 
 
 def _snapshot_scalars(mx: Metrics, x: np.ndarray) -> dict[str, np.ndarray]:
@@ -450,19 +401,12 @@ def run_monte_carlo(
                 half = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
                 stats[key].append((float(arr.mean()), float(half)))
     return SweepResult(
-        axis=sweep_axis,
         values=list(values),
-        algorithm=alg,
-        n_snapshots=n_snapshots,
         stats=stats,
         n_converged=n_conv,
         n_nonconverged=n_nonconv,
         n_stopped_early=n_early,
         converged_iterations=iterations,
-        metadata={
-            "seed": scenario.cfg.seed,
-            "hbs_placement": scenario.cfg.hbs_placement,
-        },
     )
 
 
@@ -470,7 +414,6 @@ def run_monte_carlo(
 class MobilityResult:
     """Time series of a mobility run, one row per step, plus its events."""
 
-    algorithm: Algorithm
     time: np.ndarray                     # (T,) seconds at the end of each step
     states: np.ndarray                   # (T, K+1) powers after each step
     metrics: Metrics                     # of each step's state on its gains
@@ -522,7 +465,8 @@ def run_mobility(
     harvested power; a UE that cannot afford a step (battery plus harvest)
     stays silent and consumes nothing. The base station's energy signal stays
     off until the first step some battery cannot cover its consumption, which
-    also defines the measured depletion time.
+    also defines the measured depletion time. Each battery starts full at
+    battery_init joules, which must be non-negative (inf: no limit).
 
     The motion does not depend on the powers, so the whole trajectory and the
     gains of every step are computed first, as one (T, K) batch. The power
@@ -551,6 +495,8 @@ def run_mobility(
         raise ValueError("duration must be finite and non-negative")
     if not math.isfinite(step) or step <= 0:
         raise ValueError("step must be positive and finite")
+    if math.isnan(battery_init) or battery_init < 0:
+        raise ValueError("battery_init must be non-negative")
     cfg = scenario.cfg
     base = snapshot_from_scenario(scenario)
     K = base.num_ues
@@ -635,7 +581,6 @@ def run_mobility(
 
     steps = np.arange(1, n_steps + 1)
     return MobilityResult(
-        algorithm=alg,
         time=steps * step,
         states=states,
         metrics=metrics(states, gains),

@@ -27,7 +27,6 @@ from .core import (
     Algorithm,
     state_caps,
     joint_update,
-    metrics,
     required_hbs_power,
 )
 from .engine import IterationTrace, iterate, run_fixed_point, solve
@@ -232,12 +231,10 @@ def verify_min_power_optimality(
     refine_rounds: int = 3,
 ) -> OptimalityReport:
     """Compare the tracking algorithm's fixed point with the brute optimum."""
-    p = run_fixed_point(
-        Algorithm.TPCEH, snap, tol=1e-12, max_iter=20000, record="ends"
-    ).fixed_point
-    alg_obj = aggregate_power(p, snap)
-    mx = metrics(p, snap)
-    alg_feasible = bool(np.all(mx.energy_feasible)) and not bool(np.any(mx.outage))
+    trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12, max_iter=20000)
+    alg_obj = aggregate_power(trace.fixed_point, snap)
+    mx = trace.metrics
+    alg_feasible = bool(np.all(mx.energy_feasible[-1])) and not bool(np.any(mx.outage[-1]))
 
     if snap.num_ues == 1:
         closed = closed_form_single_ue(snap)
@@ -414,9 +411,7 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
     condition states it; the row-sum norm is included alongside.
     """
     if at is None:
-        at = run_fixed_point(
-            Algorithm.TPCEH, snap, tol=1e-10, max_iter=20000, record="ends"
-        ).fixed_point
+        at = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-10, max_iter=20000).fixed_point
     y = -at
     K = snap.num_ues
     cfg = snap.cfg
@@ -486,13 +481,12 @@ def check_update_form_equivalence(
     snap: Snapshot,
     trials: int,
     rng: np.random.Generator,
-    fp_rel_tol: float = 1e-9,
-    eval_rel_tol: float = 1e-12,
 ) -> EquivalenceReport:
     """Iterate the plain and ratio-form updates from random initial states.
 
-    Asserts that both iterations reach the same fixed point and that the
-    ratio-form map reproduces the plain fixed point when evaluated there.
+    Asserts that both iterations (tol 1e-13) reach the same fixed point, to
+    a relative 1e-9, and that the ratio-form map reproduces the plain fixed
+    point, to a relative 1e-12, when evaluated there.
     Valid on scenarios whose fixed point leaves every cap slack. The trials
     run as the rows of one batch.
     """
@@ -506,7 +500,7 @@ def check_update_form_equivalence(
     eval_gap = np.max(np.abs(cross - a) / np.maximum(np.abs(a), 1e-30), axis=-1)
     ok = (
         plain.converged & ratio.converged
-        & (fp_gap <= fp_rel_tol) & (eval_gap <= eval_rel_tol)
+        & (fp_gap <= 1e-9) & (eval_gap <= 1e-12)
     )
     example = None
     if not ok.all():
@@ -577,19 +571,17 @@ def check_fixed_point_uniqueness(
     algorithm: Algorithm | str,
     n_inits: int,
     rng: np.random.Generator,
-    tol: float = 1e-9,
-    rel_match: float = 1e-6,
-    max_iter: int = 20000,
 ) -> UniquenessReport:
     """Run the iteration from random initial vectors and compare fixed points.
 
-    The restarts run as the rows of one batch.
+    The restarts run as the rows of one batch, each to tol 1e-9 within 20000
+    steps; their fixed points must all converge and agree to a relative 1e-6.
     """
     alg = Algorithm(algorithm)
     starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(n_inits, snap.num_ues + 1))
     if not alg.harvesting:
         starts[:, -1] = 0.0
-    sol = solve(alg, snap.repeated(n_inits), starts, tol, max_iter)
+    sol = solve(alg, snap.repeated(n_inits), starts, 1e-9, 20000)
     all_ok = bool(sol.converged.all())
     stack = sol.fixed_point
     ref = stack[0]
@@ -597,7 +589,7 @@ def check_fixed_point_uniqueness(
         np.max(np.abs(stack - ref) / np.maximum(np.abs(ref), 1e-30))
     ) if n_inits > 1 else 0.0
     return UniquenessReport(
-        passed=bool(all_ok and spread <= rel_match),
+        passed=bool(all_ok and spread <= 1e-6),
         n_inits=n_inits,
         all_converged=bool(all_ok),
         max_spread=spread,

@@ -1,8 +1,9 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and every imported name is used.
 
 Nothing imports the package with `import *`, so a name left in a module's
 `__all__`, or imported by the package for re-export, after its definition
-is deleted would otherwise go unnoticed.
+is deleted would otherwise go unnoticed. No linter runs on the package, so
+an import its last user's deletion leaves behind would go unnoticed too.
 """
 
 import ast
@@ -47,3 +48,19 @@ def test_package_reexports_resolve(module, name):
     source = importlib.import_module(f"fdpowerctl.{module}")
     assert name in source.__all__
     assert getattr(fdpowerctl, name) is getattr(source, name)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_modules_use_every_import(name):
+    # the package's __init__ imports to re-export, so it is not among MODULES
+    module = importlib.import_module(f"fdpowerctl.{name}")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", []))) == []

@@ -181,6 +181,7 @@ def test_mobility_negative_duration_exits_2(tmp_path):
 @pytest.mark.parametrize("flags", [
     ["--step", "0"], ["--step", "-0.001"], ["--step", "nan"], ["--step", "inf"],
     ["--duration", "nan"], ["--duration", "inf"],
+    ["--battery-init", "nan"], ["--battery-init", "-1"],
 ])
 def test_mobility_invalid_step_or_duration_exits_2(tmp_path, capsys, flags):
     argv = ["mobility", "--config", DESK, "--duration", "0.01", "--out", str(tmp_path)]

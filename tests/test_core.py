@@ -12,8 +12,7 @@ from fdpowerctl.core import (
     hbs_update,
     joint_update,
     metrics,
-    optimal_hbs_power,
-    rate,
+    required_hbs_power,
     sinr,
 )
 from fdpowerctl.engine import run_fixed_point
@@ -46,9 +45,9 @@ def test_sinr_zero_powers():
 
 def test_rate_log2_points():
     snap = make_single_ue_snapshot(h=1.0, sigma2=1.0, delta=0.0)
-    assert rate(np.array([1.0, 0.0]), snap)[0] == pytest.approx(1.0)
-    assert rate(np.array([0.0, 0.0]), snap)[0] == 0.0
-    assert rate(np.array([3.0, 0.0]), snap)[0] == pytest.approx(2.0)
+    assert metrics(np.array([1.0, 0.0]), snap).rate[0] == pytest.approx(1.0)
+    assert metrics(np.array([0.0, 0.0]), snap).rate[0] == 0.0
+    assert metrics(np.array([3.0, 0.0]), snap).rate[0] == pytest.approx(2.0)
 
 
 def test_hbs_update_max_of_constants():
@@ -76,14 +75,14 @@ def test_hbs_update_hand_value():
 def test_optimal_hbs_power_unclipped():
     snap = make_desk_snapshot([41.0], p_bar_h=1e-9)
     p = np.array([0.5, 0.0])
-    assert optimal_hbs_power(p[:-1], snap) > snap.hbs.p_bar_h
+    assert required_hbs_power(p[:-1], snap).max() > snap.hbs.p_bar_h
     assert hbs_update(p, snap) == snap.hbs.p_bar_h
 
 
 def test_optimal_equals_update_when_below_cap():
     snap = make_desk_snapshot([20.0], p_bar_h=1e6)
     p = np.array([1e-8, 0.0])
-    assert hbs_update(p, snap) == pytest.approx(optimal_hbs_power(p[:-1], snap))
+    assert hbs_update(p, snap) == pytest.approx(required_hbs_power(p[:-1], snap).max())
 
 
 def test_tpceh_update_zero_interference():
@@ -278,7 +277,7 @@ def test_batched_maps_equal_row_by_row(desk_scenario, alg, k, snapshot_id):
         cfg, desk_scenario.hbs, desk_scenario.ue_template, snapshot_id + 1
     ).rows(snapshot_id)
     one_row = snap.repeated()
-    trace = run_fixed_point(alg, snap, record="all")
+    trace = run_fixed_point(alg, snap)
     assert trace.states.shape == (trace.iterations_used + 1, k + 1)
     for t, x in enumerate(trace.states):
         alone = metrics(x, snap)

@@ -158,7 +158,7 @@ def test_updates_do_not_expand_the_thompson_metric(desk_scenario, paper_scenario
           for sid in (0, 57, 118)),
     ]
     for snap in snaps:
-        trace = run_fixed_point(alg, snap, record="all")
+        trace = run_fixed_point(alg, snap)
         # from step 1 on, components that are identically 0 stay at 0
         states = trace.states[1:]
         for lag in (1, 2):

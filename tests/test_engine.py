@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from fdpowerctl import engine
 from fdpowerctl.channel import Snapshot, sample_batch, snapshot_from_scenario
-from fdpowerctl.core import Algorithm, Metrics
+from fdpowerctl.core import Algorithm, Metrics, required_hbs_power
 from fdpowerctl.engine import (
     apply_axis,
-    check_energy_feasibility,
     run_fixed_point,
     run_mobility,
     run_monte_carlo,
@@ -106,25 +105,23 @@ def test_init_clipped_into_caps():
 
 def test_feasibility_check_desk_vs_reference(paper_scenario, desk_scenario):
     paper_snap = snapshot_from_scenario(paper_scenario)
-    trace = run_fixed_point(Algorithm.TPCEH, paper_snap)
-    report = check_energy_feasibility(trace, paper_snap)
-    assert not report.all_feasible
-    assert report.hbs_cap_binding
+    mx = run_fixed_point(Algorithm.TPCEH, paper_snap).metrics
+    assert not mx.energy_feasible[-1].all()
+    assert mx.hbs_cap_binding[-1]
 
     desk_snap = snapshot_from_scenario(desk_scenario)
-    trace = run_fixed_point(Algorithm.TPCEH, desk_snap)
-    report = check_energy_feasibility(trace, desk_snap)
-    assert report.all_feasible
-    assert not report.hbs_cap_binding
+    mx = run_fixed_point(Algorithm.TPCEH, desk_snap).metrics
+    assert mx.energy_feasible[-1].all()
+    assert not mx.hbs_cap_binding[-1]
 
 
 def test_feasibility_equality_at_unclipped_update():
     snap = make_desk_snapshot([25.0, 14.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
-    report = check_energy_feasibility(trace, snap)
-    assert report.all_feasible
+    assert trace.metrics.energy_feasible[-1].all()
     # the max requirement is met with equality at the fixed point
-    tight = np.isclose(report.required, report.p_h, rtol=1e-9)
+    required = required_hbs_power(trace.fixed_point[:-1], snap)
+    tight = np.isclose(required, trace.fixed_point[-1], rtol=1e-9)
     assert tight.any()
 
 
@@ -245,6 +242,7 @@ def test_mobility_zero_duration(desk_scenario):
 @pytest.mark.parametrize("kwargs", [
     {"step": 0.0}, {"step": -1e-3}, {"step": math.nan}, {"step": math.inf},
     {"duration": math.nan}, {"duration": math.inf}, {"duration": -1.0},
+    {"battery_init": math.nan}, {"battery_init": -1.0}, {"battery_init": -math.inf},
 ])
 def test_mobility_rejects_invalid_step_and_duration(desk_scenario, kwargs):
     with pytest.raises(ValueError):
