@@ -198,13 +198,23 @@ def _draw_ues(
     return unit * cfg.cell_side, mu
 
 
+# Rows of positions per Python-float pass in _distances, which bounds its
+# temporaries (about 100 bytes a row) whatever the input's length.
+DISTANCE_CHUNK = 512
+
+
 def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """UE distances to the base station, floored at 1 nm."""
+    """UE distances to the base station of an (N, 2) array, floored at 1 nm."""
     ox, oy = hbs_position(cfg)
+    out = np.empty(len(positions))
     # math.hypot per UE: np.hypot differs from it in the last bit on some
     # inputs, which would move every derived gain and fixed point
-    dist = map(math.hypot, (positions[:, 0] - ox).tolist(), (positions[:, 1] - oy).tolist())
-    return np.maximum(list(dist), 1e-9)
+    for start in range(0, len(positions), DISTANCE_CHUNK):
+        rows = positions[start : start + DISTANCE_CHUNK]
+        out[start : start + len(rows)] = list(
+            map(math.hypot, (rows[:, 0] - ox).tolist(), (rows[:, 1] - oy).tolist())
+        )
+    return np.maximum(out, 1e-9, out=out)
 
 
 def sample_batch(

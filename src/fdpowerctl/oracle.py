@@ -1,9 +1,10 @@
 """Independent verification of the power-control scheme's claims.
 
 Every check here avoids the iteration path it validates: the minimum-power
-optimality check uses an exhaustive grid (or, for one UE, a closed form), the
-sandwich-scalability check samples random states, and the constraint-stack
-gradient is built analytically so tests can difference it numerically.
+optimality check compares with the closed-form optimum of every snapshot of
+a batch, the sandwich-scalability check samples random states, and the
+constraint-stack gradient is built analytically so tests can difference it
+numerically.
 
 The randomized checks draw from the generator they are given, and a caller
 may hand the same generator from one check to the next, so each check's
@@ -17,7 +18,7 @@ each run as the rows of one batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +28,21 @@ from .core import (
     Algorithm,
     state_caps,
     joint_update,
+    metrics,
     required_hbs_power,
 )
-from .engine import IterationTrace, iterate, run_fixed_point, solve
+from .engine import iterate, run_fixed_point, solve
 
 __all__ = [
-    "BruteForceResult",
     "FLReport",
     "ScalabilityReport",
     "OptimalityReport",
     "EquivalenceReport",
     "TightnessReport",
     "UniquenessReport",
+    "MinPowerOptimum",
     "aggregate_power",
-    "closed_form_single_ue",
-    "brute_force_min_power",
+    "min_power_optimum",
     "verify_min_power_optimality",
     "check_two_sided_scalable",
     "alpha_coefficients",
@@ -51,221 +52,116 @@ __all__ = [
     "check_update_form_equivalence",
     "check_harvest_power_tightness",
     "check_fixed_point_uniqueness",
-    "BRUTE_FORCE_MAX_UES",
+    "INFEASIBLE_CONDITIONS",
 ]
 
-# constraint slacks for grid feasibility: the continuous optimum sits exactly
-# on the constraint boundary, which a finite grid can only approach
-QOS_GRID_SLACK = 1e-9
-HARVEST_GRID_SLACK = 1e-12
 
-# the grid search visits (points per dimension)^(K+1) points per round
-BRUTE_FORCE_MAX_UES = 3
-
-
-def aggregate_power(x: np.ndarray, snap: Snapshot) -> float:
-    """Total consumed power of a (K+1,) state: UE transmit/eps + circuits,
-    plus the HBS side."""
+def aggregate_power(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
+    """Total consumed power of a state, or of each state of a batch: UE
+    transmit/eps + circuits, plus the HBS side."""
     eps = snap.cfg.epsilon
-    return float(np.sum(x[:-1] / eps + snap.p_cir) + x[-1] / eps + snap.hbs.p_cir)
+    return np.sum(x[..., :-1] / eps + snap.p_cir, axis=-1) + x[..., -1] / eps + snap.hbs.p_cir
 
 
 # ---------------------------------------------------------------------------
-# minimum-power optimum: closed form (K=1) and grid search (K<=3)
+# minimum-power optimum: the closed form of the least fixed point
 
 
-def closed_form_single_ue(snap: Snapshot) -> tuple[np.ndarray, float] | None:
-    """Exact minimum-power solution for one UE, or None when infeasible.
-
-    Both constraints are tight at the optimum, giving a 2x2 linear system:
-    p_u = gamma_hat (delta p_h + sigma2) / h and p_h = p_u/(eps mu g) + p_min.
-    The self-interference feedback coefficient must stay below one.
-    """
-    assert snap.num_ues == 1
-    cfg = snap.cfg
-    h, g, mu = snap.h[0], snap.g[0], snap.mu[0]
-    gt = snap.gamma_target[0]
-    p_min = snap.p_min[0]
-    c = gt * cfg.delta / (h * cfg.epsilon * mu * g)
-    if c >= 1.0:
-        return None
-    p_u = gt * (cfg.delta * p_min + cfg.sigma2) / (h * (1.0 - c))
-    p_h = p_u / (cfg.epsilon * mu * g) + p_min
-    if p_u > snap.p_bar_u[0] or p_h > snap.hbs.p_bar_h:
-        return None
-    x = np.array([p_u, p_h])
-    return x, aggregate_power(x, snap)
+# The conditions that can leave the minimum-power problem infeasible, in the
+# order `min_power_optimum` tests them.
+INFEASIBLE_CONDITIONS = ("sum_c", "self_interference", "cap")
 
 
 @dataclass
-class BruteForceResult:
-    """Outcome of the exhaustive grid search over the joint power box."""
+class MinPowerOptimum:
+    """Closed-form minimum-power point of each snapshot row. Where "sum_c" or
+    "self_interference" fails no such point exists, and x means nothing."""
 
-    best_power_vector: np.ndarray | None     # (K+1,) state
-    best_objective: float
-    grid_points_per_dim: int
-    refine_rounds: int
-    final_rel_resolution: float
-    feasible_count: int
-    infeasible: bool
-    round_objectives: list[float] = field(default_factory=list)
+    x: np.ndarray                 # (..., K+1) the least fixed point, caps ignored
+    objective: np.ndarray         # (...,) its aggregate power, nan where infeasible
+    failing: np.ndarray           # (...,) first failing condition, "" where feasible
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.failing == ""
 
 
-def brute_force_min_power(
-    snap: Snapshot,
-    grid_points_per_dim: int = 64,
-    refine_rounds: int = 3,
-) -> BruteForceResult:
-    """Grid-search the minimum aggregate power over [0, caps]^(K+1).
+def min_power_optimum(batch: Snapshot) -> MinPowerOptimum:
+    """Minimum aggregate power subject to every UE's target SINR and the
+    harvest constraint, within the caps, for each row of the batch.
 
-    The initial pass uses per-dimension geometric grids (plus the exact zero)
-    spanning sixteen decades below each cap, because the operating powers of
-    different scenarios differ by many orders of magnitude. Each refinement
-    round re-grids a shrinking multiplicative window around the incumbent.
-    Only K <= BRUTE_FORCE_MAX_UES is accepted; the search is exhaustive
-    within each round.
+    Let c_i = gamma_i / (1 + gamma_i), C = sum_i c_i and alpha_i from
+    `alpha_coefficients`. With both constraints tight, h_i p_i = c_i T where
+    T = (delta p_h + sigma2) / (1 - C), and p_h is the largest of the
+    per-UE harvest fixed points
 
-    Per round, the received powers, the interference from other UEs and the
-    largest harvest requirement of every uplink grid point are computed once;
-    each harvest level then adds only its self-interference term. Levels are
-    visited in grid order and only a strictly lower objective replaces the
-    incumbent, so ties keep the first point found.
+        p_h = max_i (alpha_i sigma2 / (1 - C) + p_min,i) / (1 - alpha_i delta / (1 - C)).
+
+    This is the least fixed point of the tracking update without caps, a
+    maximum of monotone affine maps (Foschini & Miljanic 1993; Yates 1995),
+    and every feasible point lies above it. So it is the optimum when it
+    lies under the caps, and no point is feasible otherwise. It exists when
+    C < 1 ("sum_c") and alpha_i delta < 1 - C for every i
+    ("self_interference"); "cap" marks an optimum above a cap.
     """
-    K = snap.num_ues
-    if K > BRUTE_FORCE_MAX_UES:
-        raise ValueError(f"brute force limited to K <= {BRUTE_FORCE_MAX_UES} (got K={K})")
-    n = grid_points_per_dim
-    eps = snap.cfg.epsilon
-    caps = state_caps(snap).tolist()
-
-    grids = [
-        np.concatenate([[0.0], np.geomspace(c * 1e-16, c, n - 1)]) for c in caps
-    ]
-    ratios = [(1e16) ** (1.0 / (n - 2))] * (K + 1)
-
-    incumbent: np.ndarray | None = None
-    inc_obj = math.inf
-    feasible_count = 0
-    round_objectives: list[float] = []
-
-    # QoS threshold per UE, shaped to broadcast over the (K, N) grid
-    thr = (snap.gamma_target * (1.0 - QOS_GRID_SLACK))[:, None]
-    for _ in range(refine_rounds + 1):
-        pu_mesh = np.meshgrid(*grids[:K], indexing="ij")
-        pu = np.stack([m.ravel() for m in pu_mesh])            # (K, N)
-        base_obj = pu.sum(axis=0) / eps + snap.p_cir.sum() + snap.hbs.p_cir
-        # everything but the self-interference term is independent of ph
-        received = pu * snap.h[:, None]
-        others = received.sum(axis=0) - received
-        req = pu / (eps * snap.mu * snap.g)[:, None] + snap.p_min[:, None]
-        reqmax = np.max(req * (1.0 - HARVEST_GRID_SLACK), axis=0)
-        for ph in grids[K]:
-            interf = others + snap.cfg.delta * ph + snap.cfg.sigma2
-            ok = np.all(received / interf >= thr, axis=0) & (ph >= reqmax)
-            if not ok.any():
-                continue
-            feasible_count += int(ok.sum())
-            obj = base_obj[ok] + ph / eps
-            j = int(np.argmin(obj))
-            if obj[j] < inc_obj:
-                inc_obj = float(obj[j])
-                incumbent = np.append(pu[:, ok][:, j], ph)
-        round_objectives.append(inc_obj)
-        if incumbent is None:
-            break
-        new_grids = []
-        for d in range(K + 1):
-            x = incumbent[d]
-            if x <= 0.0:
-                new_grids.append(
-                    np.concatenate([[0.0], np.geomspace(caps[d] * 1e-18, caps[d] * 1e-15, n - 1)])
-                )
-                continue
-            w = ratios[d] ** 2
-            lo = x / w
-            hi = min(x * w, caps[d])
-            new_grids.append(np.geomspace(lo, hi, n))
-            ratios[d] = (hi / lo) ** (1.0 / (n - 1))
-        grids = new_grids
-
-    if incumbent is None:
-        return BruteForceResult(
-            best_power_vector=None,
-            best_objective=math.inf,
-            grid_points_per_dim=n,
-            refine_rounds=refine_rounds,
-            final_rel_resolution=math.inf,
-            feasible_count=0,
-            infeasible=True,
-            round_objectives=round_objectives,
+    cfg = batch.cfg
+    gt = batch.gamma_target
+    c = gt / (1.0 + gt)
+    total_c = c.sum(axis=-1)
+    slack = (1.0 - total_c)[..., None]
+    alpha = alpha_coefficients(batch)
+    x = np.empty((*total_c.shape, batch.num_ues + 1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x[..., -1] = np.max(
+            (alpha * cfg.sigma2 / slack + batch.p_min) / (1.0 - alpha * cfg.delta / slack),
+            axis=-1,
         )
-    return BruteForceResult(
-        best_power_vector=incumbent,
-        best_objective=inc_obj,
-        grid_points_per_dim=n,
-        refine_rounds=refine_rounds,
-        final_rel_resolution=max(ratios) - 1.0,
-        feasible_count=feasible_count,
-        infeasible=False,
-        round_objectives=round_objectives,
+        total = (cfg.delta * x[..., -1:] + cfg.sigma2) / slack
+        x[..., :-1] = c * total / batch.h
+    failing = np.select(
+        [
+            ~(total_c < 1.0),
+            ~np.all(alpha * cfg.delta < slack, axis=-1),
+            ~np.all(x <= state_caps(batch), axis=-1),
+        ],
+        INFEASIBLE_CONDITIONS,
+        "",
     )
+    objective = np.where(failing == "", aggregate_power(x, batch), math.nan)
+    return MinPowerOptimum(x=x, objective=objective, failing=failing)
 
 
 @dataclass
 class OptimalityReport:
-    """Fixed-point aggregate power versus an independent optimum."""
+    """Per snapshot row: the fixed point's aggregate power against the optimum."""
 
-    passed: bool
-    gap: float
-    algorithm_objective: float
-    oracle_objective: float
-    oracle: str                   # "closed-form" or "grid"
-    infeasible: bool              # both sides agree the scenario is infeasible
-    constraints_ok: bool
+    passed: np.ndarray            # (S,) bool
+    gap: np.ndarray               # (S,) relative gap, nan where infeasible
+    algorithm_objective: np.ndarray   # (S,) aggregate power at the fixed point
+    constraints_ok: np.ndarray    # (S,) the fixed point meets every constraint
+    optimum: MinPowerOptimum
 
 
-def verify_min_power_optimality(
-    snap: Snapshot,
-    rel_tol: float,
-    grid_points_per_dim: int = 64,
-    refine_rounds: int = 3,
-) -> OptimalityReport:
-    """Compare the tracking algorithm's fixed point with the brute optimum."""
-    trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12, max_iter=20000)
-    alg_obj = aggregate_power(trace.fixed_point, snap)
-    mx = trace.metrics
-    alg_feasible = bool(np.all(mx.energy_feasible[-1])) and not bool(np.any(mx.outage[-1]))
+def verify_min_power_optimality(batch: Snapshot, rel_tol: float) -> OptimalityReport:
+    """Compare the tracking algorithm's fixed points with the closed-form optimum.
 
-    if snap.num_ues == 1:
-        closed = closed_form_single_ue(snap)
-        if closed is None:
-            return OptimalityReport(
-                passed=not alg_feasible, gap=math.nan,
-                algorithm_objective=alg_obj, oracle_objective=math.nan,
-                oracle="closed-form", infeasible=True, constraints_ok=alg_feasible,
-            )
-        _, oracle_obj = closed
-        oracle_name = "closed-form"
-    else:
-        bf = brute_force_min_power(snap, grid_points_per_dim, refine_rounds)
-        if bf.infeasible:
-            return OptimalityReport(
-                passed=not alg_feasible, gap=math.nan,
-                algorithm_objective=alg_obj, oracle_objective=math.nan,
-                oracle="grid", infeasible=True, constraints_ok=alg_feasible,
-            )
-        oracle_obj = bf.best_objective
-        oracle_name = "grid"
-
-    gap = abs(alg_obj - oracle_obj) / oracle_obj
+    A row passes when both sides find it infeasible, or when the fixed point
+    meets every constraint and its aggregate power is within rel_tol of the
+    optimum. The fixed points come from one solve of the batch (tol 1e-12,
+    at most 20000 steps); each row's equals that of solving it alone.
+    """
+    x = solve(Algorithm.TPCEH, batch, tol=1e-12, max_iter=20000).fixed_point
+    alg_obj = aggregate_power(x, batch)
+    mx = metrics(x, batch)
+    alg_feasible = mx.energy_feasible.all(axis=-1) & ~mx.outage.any(axis=-1)
+    optimum = min_power_optimum(batch)
+    gap = np.abs(alg_obj - optimum.objective) / optimum.objective
     return OptimalityReport(
-        passed=bool(gap <= rel_tol and alg_feasible),
-        gap=float(gap),
+        passed=np.where(optimum.feasible, (gap <= rel_tol) & alg_feasible, ~alg_feasible),
+        gap=gap,
         algorithm_objective=alg_obj,
-        oracle_objective=oracle_obj,
-        oracle=oracle_name,
-        infeasible=False,
         constraints_ok=alg_feasible,
+        optimum=optimum,
     )
 
 
@@ -534,16 +430,17 @@ class TightnessReport:
 
 
 def check_harvest_power_tightness(
-    trace: IterationTrace, snap: Snapshot, rel_tol: float = 1e-9
+    x: np.ndarray, snap: Snapshot, rel_tol: float = 1e-9
 ) -> TightnessReport:
-    """At a converged, non-cap-binding fixed point the harvest power must
-    equal the largest per-UE requirement: every UE satisfied, the argmax UE
-    exactly tight. Cap-binding runs are skipped with a distinct status.
+    """At a converged, non-cap-binding (K+1,) fixed point x the harvest power
+    must equal the largest per-UE requirement: every UE satisfied, the argmax
+    UE exactly tight. Cap-binding fixed points are skipped with a distinct
+    status.
 
     rel_tol bounds both the relative gap to the largest requirement and how
     far the harvest power may fall short of any one UE's requirement."""
-    p_h = float(trace.fixed_point[-1])
-    required = required_hbs_power(trace.fixed_point[:-1], snap)
+    p_h = float(x[-1])
+    required = required_hbs_power(x[:-1], snap)
     argmax = int(np.argmax(required))
     if p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK):
         return TightnessReport("cap_binding", True, math.nan, None, argmax)

@@ -143,6 +143,18 @@ def test_distances_are_math_hypot_bit_for_bit():
     assert snap.g.tolist() == [path_gain(d, cfg.attenuation_k) for d in exact]
 
 
+@pytest.mark.parametrize("n", [1, channel.DISTANCE_CHUNK, channel.DISTANCE_CHUNK + 1,
+                               2 * channel.DISTANCE_CHUNK + 37])
+def test_chunked_distances_match_one_pass(n):
+    cfg = _cfg()
+    positions = np.random.default_rng(3).uniform(-10.0, 60.0, size=(n, 2))
+    positions[0] = (25.0, 25.0)           # on the base station: the 1 nm floor
+    one_pass = np.maximum(
+        [math.hypot(x - 25.0, y - 25.0) for x, y in positions.tolist()], 1e-9
+    )
+    assert channel._distances(positions, cfg).tobytes() == one_pass.tobytes()
+
+
 @pytest.mark.parametrize(
     "cfg_change, template_change, paths",
     [

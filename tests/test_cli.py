@@ -225,24 +225,27 @@ def test_verify_optimality_k2(tmp_path):
     assert report["optimality"]["max_gap"] <= 0.01
 
 
-@pytest.mark.parametrize("flags", [
-    [],                                            # all claims on the bundled K=5
-    ["--k", "4", "--claims", "optimality"],
-    ["--k", "9", "--claims", "scalability,optimality"],
-])
-def test_verify_optimality_beyond_grid_limit_exits_2(tmp_path, capsys, monkeypatch, flags):
-    import fdpowerctl.cli as cli
-
-    def no_snapshot(*args, **kwargs):
-        raise AssertionError("a snapshot was drawn before the claims were checked")
-
-    monkeypatch.setattr(cli, "snapshot_from_scenario", no_snapshot)
-    monkeypatch.setattr(cli, "sample_batch", no_snapshot)
-    rc = main(["verify", "--config", DESK, "--out", str(tmp_path), *flags])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "K <= 3" in err and "--claims" in err
-    assert not list(tmp_path.iterdir())
+@pytest.mark.parametrize("config, flags", [
+    (DESK, ["--k", "5", "--claims", "optimality"]),
+    (PAPER, ["--k", "5", "--claims", "optimality"]),
+    # every claim on the bundled K=5
+    (DESK, ["--snapshots", "2", "--trials", "200"]),
+], ids=["desk-k5", "paper-k5", "desk-all-claims"])
+def test_verify_optimality_at_any_k(tmp_path, config, flags):
+    rc = main(["verify", "--config", config, "--out", str(tmp_path), *flags])
+    assert rc == 0
+    entry = json.loads((tmp_path / "verification.json").read_text())["optimality"]
+    n = entry["feasible"] + entry["infeasible"]
+    assert entry["passed"]
+    assert sum(entry["failing"].values()) == entry["infeasible"]
+    if config == DESK:
+        assert entry["feasible"] == n
+        assert entry["max_gap"] <= 1e-12
+    else:
+        # some UE's circuit alone needs more than the harvest peak allows
+        assert entry["infeasible"] == entry["p_min_above_p_bar_h"] == n
+        assert entry["failing"]["cap"] == n
+        assert entry["max_gap"] is None
 
 
 def test_verify_fl_conditions_informational(tmp_path):

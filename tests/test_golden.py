@@ -89,13 +89,14 @@ CASES = {
     # verification.json holds max gaps, spreads and counterexamples, so any
     # drift in the oracle's numbers shows up as a byte difference
     "verify_desk_k2": ["verify", "--config", DESK, "--k", "2"],
-    # one UE: the optimality claim uses the closed form
+    # one UE
     "verify_desk_k1": ["verify", "--config", DESK, "--k", "1"],
-    # caps bind and the grid search reports infeasible
+    # caps bind and the closed-form optimum reports every snapshot infeasible
     "verify_paper_k2": ["verify", "--config", PAPER, "--k", "2"],
-    # a three-dimensional uplink grid
     "verify_desk_k3": ["verify", "--config", DESK, "--k", "3",
                        "--snapshots", "2", "--trials", "1000"],
+    # the optimality claim at the bundled configuration's own size
+    "verify_desk_k5": ["verify", "--config", DESK, "--k", "5", "--claims", "optimality"],
 }
 
 
