@@ -8,6 +8,11 @@ tests hold it to this loop's numbers exactly.
 The oracle's sandwich test ran one trial (two single-state updates) at a
 time. The tests hold the batched oracle to it, field for field.
 
+The oracle once found the minimum aggregate power by a grid search over the
+joint power box; it now uses the closed form of the least fixed point. The
+grid search stays here as an independent upper bound on the optimum, and the
+tests hold the closed form to it at small K.
+
 The mobility run rebuilt a Snapshot from the moved UEs and called metrics
 at every step. It now computes the trajectory and the gains of all steps
 first and evaluates the metrics once; the tests hold it to the old series.
@@ -130,6 +135,96 @@ def scalar_two_sided_scalable(snap, algorithm, trials, rng, rel_slack=1e-12):
         trials=trials,
         violations=violations,
         counterexample=example,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the minimum-power grid search
+
+# constraint slack of the grid, against floating-point ties at the boundary
+QOS_GRID_SLACK = 1e-9
+HARVEST_GRID_SLACK = 1e-12
+
+
+@dataclasses.dataclass
+class GridSearchResult:
+    """Best grid point of the minimum-power search, None when none is feasible."""
+
+    best_power_vector: np.ndarray | None     # (K+1,) state
+    best_objective: float
+    infeasible: bool
+    round_objectives: list[float]
+
+
+def _feasible_mask(pu, ph, snap):
+    """Constraint check for a batch of uplink vectors at one harvest power."""
+    received = pu * snap.h                       # (N, K)
+    tot = received.sum(axis=1, keepdims=True)
+    interf = tot - received + snap.cfg.delta * ph + snap.cfg.sigma2
+    s = received / interf
+    ok = np.all(s >= snap.gamma_target * (1.0 - QOS_GRID_SLACK), axis=1)
+    req = pu / (snap.cfg.epsilon * snap.mu * snap.g) + snap.p_min
+    ok &= np.all(ph >= req * (1.0 - HARVEST_GRID_SLACK), axis=1)
+    return ok
+
+
+def scalar_brute_force_min_power(snap, grid_points_per_dim=64, refine_rounds=3):
+    """Grid search for the minimum aggregate power of a (K,) snapshot.
+
+    Each round visits grid_points_per_dim^(K+1) points of the box under the
+    caps (geometric grids with a zero), keeps the cheapest one that meets
+    every constraint, and refines the grids around it.
+    """
+    K = snap.num_ues
+    n = grid_points_per_dim
+    eps = snap.cfg.epsilon
+    caps = [float(c) for c in snap.p_bar_u] + [snap.hbs.p_bar_h]
+
+    grids = [
+        np.concatenate([[0.0], np.geomspace(c * 1e-16, c, n - 1)]) for c in caps
+    ]
+    ratios = [(1e16) ** (1.0 / (n - 2))] * (K + 1)
+
+    incumbent = None
+    inc_obj = math.inf
+    round_objectives = []
+
+    for _ in range(refine_rounds + 1):
+        pu_mesh = np.meshgrid(*grids[:K], indexing="ij")
+        pu = np.stack([m.ravel() for m in pu_mesh], axis=1)    # (N, K)
+        base_obj = pu.sum(axis=1) / eps + snap.p_cir.sum() + snap.hbs.p_cir
+        for ph in grids[K]:
+            ok = _feasible_mask(pu, float(ph), snap)
+            if not ok.any():
+                continue
+            obj = base_obj[ok] + ph / eps
+            j = int(np.argmin(obj))
+            if obj[j] < inc_obj:
+                inc_obj = float(obj[j])
+                incumbent = np.append(pu[ok][j], ph)
+        round_objectives.append(inc_obj)
+        if incumbent is None:
+            break
+        new_grids = []
+        for d in range(K + 1):
+            x = incumbent[d]
+            if x <= 0.0:
+                new_grids.append(
+                    np.concatenate([[0.0], np.geomspace(caps[d] * 1e-18, caps[d] * 1e-15, n - 1)])
+                )
+                continue
+            w = ratios[d] ** 2
+            lo = x / w
+            hi = min(x * w, caps[d])
+            new_grids.append(np.geomspace(lo, hi, n))
+            ratios[d] = (hi / lo) ** (1.0 / (n - 1))
+        grids = new_grids
+
+    return GridSearchResult(
+        best_power_vector=incumbent,
+        best_objective=inc_obj,
+        infeasible=incumbent is None,
+        round_objectives=round_objectives,
     )
 
 

@@ -22,7 +22,7 @@ from fdpowerctl.oracle import (
 )
 
 from conftest import make_desk_snapshot, make_single_ue_snapshot
-from scalar_reference import scalar_two_sided_scalable
+from scalar_reference import scalar_brute_force_min_power, scalar_two_sided_scalable
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +180,82 @@ def test_closed_form_single_ue_matches_two_by_two_solve():
     p_u = gt * (cfg.delta * p_min + cfg.sigma2) / (h * (1.0 - c))
     p_h = p_u / (cfg.epsilon * mu * h) + p_min
     np.testing.assert_allclose(min_power_optimum(snap).x, [p_u, p_h], rtol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# minimum-power optimum: the closed form against a grid search
+
+
+def _assert_grid_bounds_optimum(snap, grid, rel_gap):
+    """The grid's best point is feasible, so it lies above the optimum (up to
+    the grid's 1e-9 constraint slack), and within rel_gap of it."""
+    optimum = min_power_optimum(snap)
+    assert grid.infeasible is not bool(optimum.feasible)
+    if grid.infeasible:
+        assert grid.best_power_vector is None
+        return None
+    gap = (grid.best_objective - optimum.objective) / optimum.objective
+    assert -1e-9 <= gap <= rel_gap
+    return gap
+
+
+def test_brute_force_single_ue_matches_closed_form():
+    snap = make_desk_snapshot([25.0])
+    _assert_grid_bounds_optimum(snap, scalar_brute_force_min_power(snap), 0.005)
+
+
+def test_optimality_gap_shrinks_with_resolution():
+    snap = make_desk_snapshot([14.0, 27.0])
+    gaps = [
+        _assert_grid_bounds_optimum(
+            snap, scalar_brute_force_min_power(snap, grid_points_per_dim=n, refine_rounds=2), 1.0
+        )
+        for n in (12, 24, 48)
+    ]
+    assert gaps[2] <= gaps[0] * (1 + 1e-9)
+    assert gaps[2] <= 0.01
+
+
+def test_brute_force_incumbent_non_increasing():
+    snap = make_desk_snapshot([18.0, 33.0])
+    objs = scalar_brute_force_min_power(snap).round_objectives
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(objs, objs[1:]))
+
+
+# the grid's optimum sits above the exact one by about its resolution
+GRID_GAP = {64: 1e-3, 20: 0.05, 16: 0.05}
+
+
+@pytest.mark.parametrize("config,k,snapshot_id,points,feasible", [
+    ("desk", 1, 0, 64, True),
+    ("desk", 2, 0, 64, True),
+    ("desk", 2, 3, 64, True),
+    ("desk", 3, 1, 20, True),
+    ("paper", 2, 0, 64, False),
+    ("paper", 3, 0, 20, False),
+])
+def test_brute_force_matches_scalar_reference(
+    config, k, snapshot_id, points, feasible, desk_scenario, paper_scenario
+):
+    scenario = desk_scenario if config == "desk" else paper_scenario
+    snap = _scenario_snapshot(scenario, k, snapshot_id)
+    grid = scalar_brute_force_min_power(snap, points)
+    assert grid.infeasible is not feasible
+    _assert_grid_bounds_optimum(snap, grid, GRID_GAP[points])
+
+
+@pytest.mark.parametrize("name", ["zero-targets", "infeasible-target", "k3-one-zero-target"])
+def test_brute_force_edge_cases_match_scalar_reference(name):
+    snap = EDGE_SNAPSHOTS[name]
+    grid = scalar_brute_force_min_power(snap, grid_points_per_dim=16, refine_rounds=2)
+    _assert_grid_bounds_optimum(snap, grid, GRID_GAP[16])
+    if name == "zero-targets":
+        # every UE off ties on the objective with the closed form exactly
+        np.testing.assert_array_equal(grid.best_power_vector, min_power_optimum(snap).x)
+
+
+# ---------------------------------------------------------------------------
+# the optimality claim
 
 
 def test_optimality_two_ue_gap_within_one_percent():
