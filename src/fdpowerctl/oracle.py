@@ -11,13 +11,18 @@ may hand the same generator from one check to the next, so each check's
 draw order is part of its contract. The sandwich test reads 2K+3 uniforms
 per trial (K+1 exponents, the scale's exponent, K+1 wiggle exponents) with
 one rng.random((trials, 2K+3)) call, the same stream trial-by-trial draws
-would read. Its trials, the uniqueness restarts and the equivalence trials
-each run as the rows of one batch.
+would read. The uniqueness and equivalence checks take an (S, K) batch of
+snapshots and draw the starts of all its rows with one call, snapshot-major:
+uniqueness reads (S, algorithms, restarts, K+1) exponents and equivalence
+(S, trials, K+1), the same stream as checking one snapshot after the other.
+Each check then runs all its rows as one batch per algorithm, and each
+snapshot's verdict depends on its own rows alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,41 +372,54 @@ def transformed_joint_update(x: np.ndarray, snap: Snapshot) -> np.ndarray:
 
 @dataclass
 class EquivalenceReport:
-    passed: bool
-    max_fixed_point_gap: float
-    max_cross_eval_gap: float
-    counterexample: dict | None
+    """Per snapshot row of the batch checked."""
+
+    passed: np.ndarray                  # (S,) bool
+    max_fixed_point_gap: np.ndarray     # (S,) over the snapshot's trials
+    max_cross_eval_gap: np.ndarray      # (S,)
+    counterexamples: list[dict | None]  # per snapshot, its first failing trial
+
+
+def _per_snapshot(batch: Snapshot, copies: int) -> Snapshot:
+    """Each row of the batch `copies` times in a row, snapshot-major."""
+    return batch.rows(np.repeat(np.arange(len(batch)), copies))
 
 
 def check_update_form_equivalence(
-    snap: Snapshot,
+    batch: Snapshot,
     trials: int,
     rng: np.random.Generator,
 ) -> EquivalenceReport:
     """Iterate the plain and ratio-form updates from random initial states.
 
-    Asserts that both iterations (tol 1e-13) reach the same fixed point, to
-    a relative 1e-9, and that the ratio-form map reproduces the plain fixed
-    point, to a relative 1e-12, when evaluated there.
-    Valid on scenarios whose fixed point leaves every cap slack. The trials
-    run as the rows of one batch.
+    Asserts for every snapshot of the (S, K) batch and each of its `trials`
+    starts that both iterations (tol 1e-13) reach the same fixed point, to a
+    relative 1e-9, and that the ratio-form map reproduces the plain fixed
+    point, to a relative 1e-12, when evaluated there. Valid on scenarios
+    whose fixed point leaves every cap slack.
+
+    The starts are one rng.uniform(-12, 0, size=(S * trials, K+1)) draw of
+    exponents, snapshot-major, the stream of drawing each snapshot's trials
+    in turn. All S * trials rows run as one batch per update form.
     """
-    starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(trials, snap.num_ues + 1))
-    batch = snap.repeated(trials)
-    plain = solve(Algorithm.TPCEH, batch, starts, 1e-13, 50000)
-    ratio = iterate(transformed_joint_update, batch, starts, 1e-13, 50000)
+    n = len(batch)
+    rows = _per_snapshot(batch, trials)
+    exponents = rng.uniform(-12.0, 0.0, size=(n * trials, batch.num_ues + 1))
+    starts = state_caps(rows) * 10.0 ** exponents
+    plain = solve(Algorithm.TPCEH, rows, starts, 1e-13, 50000)
+    ratio = iterate(transformed_joint_update, rows, starts, 1e-13, 50000)
     a, b = plain.fixed_point, ratio.fixed_point
     fp_gap = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30), axis=-1)
-    cross = transformed_joint_update(a, batch)
+    cross = transformed_joint_update(a, rows)
     eval_gap = np.max(np.abs(cross - a) / np.maximum(np.abs(a), 1e-30), axis=-1)
     ok = (
         plain.converged & ratio.converged
         & (fp_gap <= 1e-9) & (eval_gap <= 1e-12)
-    )
-    example = None
-    if not ok.all():
-        i = int(np.argmin(ok))
-        example = {
+    ).reshape(n, trials)
+    examples: list[dict | None] = [None] * n
+    for s in np.flatnonzero(~ok.all(axis=1)):
+        i = s * trials + int(np.argmin(ok[s]))
+        examples[s] = {
             "init": starts[i].tolist(),
             "fp_plain": a[i].tolist(),
             "fp_ratio": b[i].tolist(),
@@ -409,10 +427,10 @@ def check_update_form_equivalence(
             "eval_gap": float(eval_gap[i]),
         }
     return EquivalenceReport(
-        passed=bool(ok.all()),
-        max_fixed_point_gap=float(fp_gap.max(initial=0.0)),
-        max_cross_eval_gap=float(eval_gap.max(initial=0.0)),
-        counterexample=example,
+        passed=ok.all(axis=1),
+        max_fixed_point_gap=fp_gap.reshape(n, trials).max(axis=1, initial=0.0),
+        max_cross_eval_gap=eval_gap.reshape(n, trials).max(axis=1, initial=0.0),
+        counterexamples=examples,
     )
 
 
@@ -422,72 +440,93 @@ def check_update_form_equivalence(
 
 @dataclass
 class TightnessReport:
-    status: str                  # "ok", "cap_binding" or "violated"
-    passed: bool
-    rel_gap: float
-    offending_ue: int | None
-    argmax_ue: int
+    """Per state, (S,) for an (S, K+1) batch of states."""
+
+    cap_binding: np.ndarray      # bool: skipped, the harvest power is at its peak
+    passed: np.ndarray           # bool: skipped, or tight with every UE met
+    rel_gap: np.ndarray          # to the largest requirement, nan where the cap binds
+    offending_ue: np.ndarray     # first UE whose requirement is unmet, -1 for none
+    argmax_ue: np.ndarray        # the UE with the largest requirement
 
 
 def check_harvest_power_tightness(
-    x: np.ndarray, snap: Snapshot, rel_tol: float = 1e-9
+    x: np.ndarray, batch: Snapshot, rel_tol: float = 1e-9
 ) -> TightnessReport:
-    """At a converged, non-cap-binding (K+1,) fixed point x the harvest power
-    must equal the largest per-UE requirement: every UE satisfied, the argmax
-    UE exactly tight. Cap-binding fixed points are skipped with a distinct
-    status.
+    """At a converged, non-cap-binding fixed point the harvest power must
+    equal the largest per-UE requirement: every UE satisfied, the argmax UE
+    exactly tight. Cap-binding fixed points are skipped: they pass, flagged
+    in `cap_binding`. x is an (S, K+1) batch of fixed points on the (S, K)
+    batch, or one (K+1,) fixed point on one snapshot; each state is judged
+    alone.
 
     rel_tol bounds both the relative gap to the largest requirement and how
     far the harvest power may fall short of any one UE's requirement."""
-    p_h = float(x[-1])
-    required = required_hbs_power(x[:-1], snap)
-    argmax = int(np.argmax(required))
-    if p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK):
-        return TightnessReport("cap_binding", True, math.nan, None, argmax)
-    target = float(required[argmax])
-    rel_gap = abs(p_h - target) / target
-    unmet = np.where(p_h < required * (1.0 - rel_tol))[0]
-    if rel_gap > rel_tol or unmet.size:
-        return TightnessReport(
-            "violated", False, rel_gap,
-            int(unmet[0]) if unmet.size else None, argmax,
-        )
-    return TightnessReport("ok", True, rel_gap, None, argmax)
+    p_h = x[..., -1]
+    required = required_hbs_power(x[..., :-1], batch)
+    cap = p_h >= batch.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK)
+    target = required.max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel_gap = np.where(cap, math.nan, np.abs(p_h - target) / target)
+    unmet = (p_h[..., None] < required * (1.0 - rel_tol)) & ~cap[..., None]
+    violated = ~cap & ((rel_gap > rel_tol) | unmet.any(axis=-1))
+    return TightnessReport(
+        cap_binding=cap,
+        passed=~violated,
+        rel_gap=rel_gap,
+        offending_ue=np.where(unmet.any(axis=-1), np.argmax(unmet, axis=-1), -1),
+        argmax_ue=np.argmax(required, axis=-1),
+    )
 
 
 @dataclass
 class UniquenessReport:
-    passed: bool
+    """Per snapshot row (axis 0) and algorithm (axis 1, in the order given)."""
+
+    passed: np.ndarray           # (S, A) bool
     n_inits: int
-    all_converged: bool
-    max_spread: float            # relative infinity-norm across fixed points
+    all_converged: np.ndarray    # (S, A) bool
+    max_spread: np.ndarray       # (S, A) relative infinity-norm across fixed points
 
 
 def check_fixed_point_uniqueness(
-    snap: Snapshot,
-    algorithm: Algorithm | str,
+    batch: Snapshot,
+    algorithms: Sequence[Algorithm | str],
     n_inits: int,
     rng: np.random.Generator,
 ) -> UniquenessReport:
-    """Run the iteration from random initial vectors and compare fixed points.
+    """Run each algorithm from random initial vectors and compare fixed points.
 
-    The restarts run as the rows of one batch, each to tol 1e-9 within 20000
-    steps; their fixed points must all converge and agree to a relative 1e-6.
+    Every snapshot of the (S, K) batch gets n_inits restarts per algorithm,
+    each to tol 1e-9 within 20000 steps; a snapshot passes for an algorithm
+    when all its restarts converge and their fixed points agree with its
+    first restart's to a relative 1e-6.
+
+    The starts are one rng.uniform(-12, 0, size=(S, A, n_inits, K+1)) draw
+    of exponents, snapshot-major and then in the order of `algorithms`: the
+    stream of checking one snapshot and algorithm after the other. Each
+    algorithm's S * n_inits restarts run as one batch.
     """
-    alg = Algorithm(algorithm)
-    starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(n_inits, snap.num_ues + 1))
-    if not alg.harvesting:
-        starts[:, -1] = 0.0
-    sol = solve(alg, snap.repeated(n_inits), starts, 1e-9, 20000)
-    all_ok = bool(sol.converged.all())
-    stack = sol.fixed_point
-    ref = stack[0]
-    spread = float(
-        np.max(np.abs(stack - ref) / np.maximum(np.abs(ref), 1e-30))
-    ) if n_inits > 1 else 0.0
+    algs = [Algorithm(a) for a in algorithms]
+    n, k = len(batch), batch.num_ues
+    exponents = rng.uniform(-12.0, 0.0, size=(n, len(algs), n_inits, k + 1))
+    starts = state_caps(batch)[:, None, None, :] * 10.0 ** exponents
+    rows = _per_snapshot(batch, n_inits)
+    converged = np.empty((n, len(algs)), dtype=bool)
+    spread = np.empty((n, len(algs)))
+    for j, alg in enumerate(algs):
+        p_init = starts[:, j].reshape(-1, k + 1)
+        if not alg.harvesting:
+            p_init[:, -1] = 0.0
+        sol = solve(alg, rows, p_init, 1e-9, 20000)
+        stack = sol.fixed_point.reshape(n, n_inits, k + 1)
+        ref = stack[:, :1]
+        converged[:, j] = sol.converged.reshape(n, n_inits).all(axis=1)
+        spread[:, j] = np.max(
+            np.abs(stack - ref) / np.maximum(np.abs(ref), 1e-30), axis=(1, 2), initial=0.0
+        )
     return UniquenessReport(
-        passed=bool(all_ok and spread <= 1e-6),
+        passed=converged & (spread <= 1e-6),
         n_inits=n_inits,
-        all_converged=bool(all_ok),
+        all_converged=converged,
         max_spread=spread,
     )

@@ -6,7 +6,9 @@ of each step. The engine now steps whole batches of snapshots at once; the
 tests hold it to this loop's numbers exactly.
 
 The oracle's sandwich test ran one trial (two single-state updates) at a
-time. The tests hold the batched oracle to it, field for field.
+time, and its uniqueness, update-equivalence and harvest-tightness checks
+one snapshot at a time. The tests hold the batched oracle to them, field for
+field, and to the generator state they leave.
 
 The oracle once found the minimum aggregate power by a grid search over the
 joint power box; it now uses the closed form of the least fixed point. The
@@ -30,13 +32,17 @@ import numpy as np
 
 from fdpowerctl.channel import Snapshot, hbs_position, path_gain, snapshot_from_scenario
 from fdpowerctl.core import (
+    FEASIBILITY_REL_SLACK,
     Algorithm,
     _interference,
     hbs_update,
     joint_update,
     metrics,
+    required_hbs_power,
+    state_caps,
 )
-from fdpowerctl.oracle import ScalabilityReport
+from fdpowerctl.engine import iterate, solve
+from fdpowerctl.oracle import ScalabilityReport, transformed_joint_update
 
 CHANGE_FLOOR = 1e-18
 
@@ -100,7 +106,7 @@ def scalar_fixed_point(alg, snap, p_init=None, tol=None, max_iter=None):
 
 
 # ---------------------------------------------------------------------------
-# the oracle's two hot loops as they ran before batching
+# the oracle's loops as they ran before batching
 
 
 def scalar_two_sided_scalable(snap, algorithm, trials, rng, rel_slack=1e-12):
@@ -136,6 +142,122 @@ def scalar_two_sided_scalable(snap, algorithm, trials, rng, rel_slack=1e-12):
         violations=violations,
         counterexample=example,
     )
+
+
+@dataclasses.dataclass
+class SnapshotUniqueness:
+    passed: bool
+    n_inits: int
+    all_converged: bool
+    max_spread: float
+
+
+def _uniqueness_one(snap, alg, n_inits, rng):
+    alg = Algorithm(alg)
+    starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(n_inits, snap.num_ues + 1))
+    if not alg.harvesting:
+        starts[:, -1] = 0.0
+    sol = solve(alg, snap.repeated(n_inits), starts, 1e-9, 20000)
+    all_ok = bool(sol.converged.all())
+    stack = sol.fixed_point
+    ref = stack[0]
+    spread = float(
+        np.max(np.abs(stack - ref) / np.maximum(np.abs(ref), 1e-30))
+    ) if n_inits > 1 else 0.0
+    return SnapshotUniqueness(
+        passed=bool(all_ok and spread <= 1e-6),
+        n_inits=n_inits,
+        all_converged=all_ok,
+        max_spread=spread,
+    )
+
+
+def scalar_fixed_point_uniqueness(batch, algorithms, n_inits, rng):
+    """[s][a]: the uniqueness record of snapshot s and algorithm a, checked
+    one snapshot and algorithm after the other, with one solve each."""
+    return [
+        [_uniqueness_one(batch.rows(s), alg, n_inits, rng) for alg in algorithms]
+        for s in range(len(batch))
+    ]
+
+
+@dataclasses.dataclass
+class SnapshotEquivalence:
+    passed: bool
+    max_fixed_point_gap: float
+    max_cross_eval_gap: float
+    counterexample: dict | None
+
+
+def _equivalence_one(snap, trials, rng):
+    starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(trials, snap.num_ues + 1))
+    batch = snap.repeated(trials)
+    plain = solve(Algorithm.TPCEH, batch, starts, 1e-13, 50000)
+    ratio = iterate(transformed_joint_update, batch, starts, 1e-13, 50000)
+    a, b = plain.fixed_point, ratio.fixed_point
+    fp_gap = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30), axis=-1)
+    cross = transformed_joint_update(a, batch)
+    eval_gap = np.max(np.abs(cross - a) / np.maximum(np.abs(a), 1e-30), axis=-1)
+    ok = (
+        plain.converged & ratio.converged
+        & (fp_gap <= 1e-9) & (eval_gap <= 1e-12)
+    )
+    example = None
+    if not ok.all():
+        i = int(np.argmin(ok))
+        example = {
+            "init": starts[i].tolist(),
+            "fp_plain": a[i].tolist(),
+            "fp_ratio": b[i].tolist(),
+            "fp_gap": float(fp_gap[i]),
+            "eval_gap": float(eval_gap[i]),
+        }
+    return SnapshotEquivalence(
+        passed=bool(ok.all()),
+        max_fixed_point_gap=float(fp_gap.max(initial=0.0)),
+        max_cross_eval_gap=float(eval_gap.max(initial=0.0)),
+        counterexample=example,
+    )
+
+
+def scalar_update_form_equivalence(batch, trials, rng):
+    """[s]: the equivalence record of snapshot s, one snapshot after the other."""
+    return [_equivalence_one(batch.rows(s), trials, rng) for s in range(len(batch))]
+
+
+@dataclasses.dataclass
+class SnapshotTightness:
+    status: str
+    passed: bool
+    rel_gap: float
+    offending_ue: int | None
+    argmax_ue: int
+
+    @property
+    def cap_binding(self) -> bool:
+        return self.status == "cap_binding"
+
+
+def _tightness_one(x, snap, rel_tol):
+    p_h = float(x[-1])
+    required = required_hbs_power(x[:-1], snap)
+    argmax = int(np.argmax(required))
+    if p_h >= snap.hbs.p_bar_h * (1.0 - FEASIBILITY_REL_SLACK):
+        return SnapshotTightness("cap_binding", True, math.nan, None, argmax)
+    target = float(required[argmax])
+    rel_gap = abs(p_h - target) / target
+    unmet = np.where(p_h < required * (1.0 - rel_tol))[0]
+    if rel_gap > rel_tol or unmet.size:
+        return SnapshotTightness(
+            "violated", False, rel_gap,
+            int(unmet[0]) if unmet.size else None, argmax,
+        )
+    return SnapshotTightness("ok", True, rel_gap, None, argmax)
+
+
+def scalar_harvest_power_tightness(x, batch, rel_tol=1e-9):
+    """[s]: the tightness record of fixed point x[s] on snapshot s, one at a time."""
+    return [_tightness_one(x[s], batch.rows(s), rel_tol) for s in range(len(batch))]
 
 
 # ---------------------------------------------------------------------------

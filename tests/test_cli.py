@@ -278,10 +278,41 @@ def test_verify_draws_each_snapshot_once(tmp_path, monkeypatch):
                "--trials", "100", "--out", str(tmp_path)])
     assert rc == 0
     # one batch of the three shared random snapshots, plus the scenario's
-    # own snapshot for scalability and for fl-conditions
-    assert sorted(drawn) == [
-        ("sample_batch", 3), ("snapshot_from_scenario", 2), ("snapshot_from_scenario", 2),
-    ]
+    # own snapshot, which scalability and fl-conditions share
+    assert sorted(drawn) == [("sample_batch", 3), ("snapshot_from_scenario", 2)]
+
+
+def test_verify_calls_each_check_and_solve_once_per_claim(tmp_path, monkeypatch):
+    import fdpowerctl.cli as cli
+    import fdpowerctl.oracle as oracle
+
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("check_fixed_point_uniqueness", "check_update_form_equivalence",
+                 "check_harvest_power_tightness", "solve"):
+        counting(cli, name)
+    counting(oracle, "solve")
+    rc = main(["verify", "--config", DESK, "--k", "2", "--snapshots", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    # one batched call per claim, whatever the number of snapshots; solve
+    # runs twice for uniqueness (one per algorithm) and once each for
+    # update-equivalence, optimality and harvest-tightness
+    assert {name: calls.count(name) for name in set(calls)} == {
+        "check_fixed_point_uniqueness": 1,
+        "check_update_form_equivalence": 1,
+        "check_harvest_power_tightness": 1,
+        "solve": 5,
+    }
 
 
 def _exits_2_in_argparse(argv, capsys) -> str:

@@ -95,6 +95,9 @@ CASES = {
     "verify_paper_k2": ["verify", "--config", PAPER, "--k", "2"],
     "verify_desk_k3": ["verify", "--config", DESK, "--k", "3",
                        "--snapshots", "2", "--trials", "1000"],
+    # one snapshot, and the floor of one update-equivalence trial
+    "verify_desk_k2_edge": ["verify", "--config", DESK, "--k", "2",
+                            "--snapshots", "1", "--trials", "999"],
     # the optimality claim at the bundled configuration's own size
     "verify_desk_k5": ["verify", "--config", DESK, "--k", "5", "--claims", "optimality"],
 }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from fdpowerctl import oracle
 from fdpowerctl.channel import Snapshot, sample_batch, snapshot_from_scenario
 from fdpowerctl.core import Algorithm, joint_update
 from fdpowerctl.engine import run_fixed_point, solve
@@ -22,7 +23,13 @@ from fdpowerctl.oracle import (
 )
 
 from conftest import make_desk_snapshot, make_single_ue_snapshot
-from scalar_reference import scalar_brute_force_min_power, scalar_two_sided_scalable
+from scalar_reference import (
+    scalar_brute_force_min_power,
+    scalar_fixed_point_uniqueness,
+    scalar_harvest_power_tightness,
+    scalar_two_sided_scalable,
+    scalar_update_form_equivalence,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +405,10 @@ def test_equivalence_zero_target_both_zero():
 def test_equivalence_random_inits(rng):
     snap = make_desk_snapshot([41, 25, 37, 16, 8],
                               gamma_targets=[0.04, 0.05, 0.07, 0.08, 0.1])
-    rep = check_update_form_equivalence(snap, trials=5, rng=rng)
-    assert rep.passed, rep.counterexample
-    assert rep.max_fixed_point_gap <= 1e-9
-    assert rep.max_cross_eval_gap <= 1e-12
+    rep = check_update_form_equivalence(snap.repeated(), trials=5, rng=rng)
+    assert rep.passed.tolist() == [True], rep.counterexamples
+    assert rep.max_fixed_point_gap[0] <= 1e-9
+    assert rep.max_cross_eval_gap[0] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -412,50 +419,51 @@ def test_tightness_ok_on_feasible_snapshot():
     snap = make_desk_snapshot([41, 25, 37, 16, 8],
                               gamma_targets=[0.04, 0.05, 0.07, 0.08, 0.1])
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
-    rep = check_harvest_power_tightness(trace.fixed_point, snap)
-    assert rep.status == "ok"
-    assert rep.passed
-    assert rep.rel_gap <= 1e-9
+    rep = check_harvest_power_tightness(trace.fixed_point[None], snap.repeated())
+    assert rep.passed.tolist() == [True]
+    assert not rep.cap_binding.any()
+    assert rep.rel_gap[0] <= 1e-9
     # the argmax UE is exactly tight by construction of the update
-    assert rep.argmax_ue == 0     # farthest UE dominates here
+    assert rep.argmax_ue.tolist() == [0]     # farthest UE dominates here
 
 
 def test_tightness_skips_cap_binding(paper_scenario):
     snap = snapshot_from_scenario(paper_scenario)
     trace = run_fixed_point(Algorithm.TPCEH, snap)
-    rep = check_harvest_power_tightness(trace.fixed_point, snap)
-    assert rep.status == "cap_binding"
-    assert rep.passed
+    rep = check_harvest_power_tightness(trace.fixed_point[None], snap.repeated())
+    assert rep.cap_binding.tolist() == [True]
+    assert rep.passed.all()
 
 
 def test_tightness_unmet_check_uses_rel_tol():
     snap = make_desk_snapshot([20.0, 30.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
     trace.fixed_point[-1] *= 1.0 - 1e-6   # every requirement missed by 1 ppm
-    loose = check_harvest_power_tightness(trace.fixed_point, snap, rel_tol=1e-3)
-    assert loose.status == "ok"
-    strict = check_harvest_power_tightness(trace.fixed_point, snap)
-    assert strict.status == "violated"
-    assert strict.offending_ue == strict.argmax_ue
+    x, batch = trace.fixed_point[None], snap.repeated()
+    loose = check_harvest_power_tightness(x, batch, rel_tol=1e-3)
+    assert loose.passed.tolist() == [True]
+    strict = check_harvest_power_tightness(x, batch)
+    assert strict.passed.tolist() == [False]
+    assert strict.offending_ue.tolist() == strict.argmax_ue.tolist()
 
 
 def test_tightness_flags_violation():
     snap = make_desk_snapshot([20.0, 30.0])
     trace = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-12)
     trace.fixed_point[-1] *= 0.5    # corrupt the harvest power
-    rep = check_harvest_power_tightness(trace.fixed_point, snap)
-    assert rep.status == "violated"
-    assert not rep.passed
-    assert rep.offending_ue is not None
+    rep = check_harvest_power_tightness(trace.fixed_point[None], snap.repeated())
+    assert rep.passed.tolist() == [False]
+    assert not rep.cap_binding.any()
+    assert rep.offending_ue[0] >= 0
 
 
 @pytest.mark.parametrize("alg", [Algorithm.TPCEH, Algorithm.OPCEH])
 def test_uniqueness_across_random_inits(alg, rng):
     snap = make_desk_snapshot([41, 25, 37, 16, 8],
                               gamma_targets=[0.04, 0.05, 0.07, 0.08, 0.1])
-    rep = check_fixed_point_uniqueness(snap, alg, n_inits=6, rng=rng)
-    assert rep.passed
-    assert rep.max_spread <= 1e-6
+    rep = check_fixed_point_uniqueness(snap.repeated(), [alg], n_inits=6, rng=rng)
+    assert rep.passed.tolist() == [[True]]
+    assert rep.max_spread[0, 0] <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -488,3 +496,130 @@ def test_sandwich_zero_trials(desk_scenario):
     rep = check_two_sided_scalable(snap, Algorithm.TPCEH, 0, rng)
     assert rep == scalar_two_sided_scalable(snap, Algorithm.TPCEH, 0, ref_rng)
     assert rng.random() == ref_rng.random()
+
+
+def _assert_row_matches(rep, index, ref, fields):
+    """Entry `index` of each of the batched report's fields equals the
+    reference record's field; NaN matches NaN and -1 the reference's None."""
+    for field in fields:
+        value, expected = getattr(rep, field)[index], getattr(ref, field)
+        if expected is None:
+            assert value == -1, (field, index)
+        else:
+            assert value == expected or (value != value and expected != expected), (
+                field, index, value, expected)
+
+
+UNIQUENESS_FIELDS = ("passed", "all_converged", "max_spread")
+EQUIVALENCE_FIELDS = ("passed", "max_fixed_point_gap", "max_cross_eval_gap")
+TIGHTNESS_FIELDS = ("cap_binding", "passed", "rel_gap", "offending_ue", "argmax_ue")
+VERIFY_ALGORITHMS = (Algorithm.TPCEH, Algorithm.OPCEH)
+
+
+@pytest.fixture
+def scenarios(desk_scenario, paper_scenario):
+    return {"desk": desk_scenario, "paper": paper_scenario}
+
+
+@pytest.mark.parametrize("snapshots", [1, 3, 10])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("config", ["desk", "paper"])
+def test_uniqueness_matches_scalar_reference(config, k, snapshots, scenarios):
+    batch = _scenario_batch(scenarios[config], k, snapshots)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    rep = check_fixed_point_uniqueness(batch, VERIFY_ALGORITHMS, 10, rng)
+    refs = scalar_fixed_point_uniqueness(batch, VERIFY_ALGORITHMS, 10, ref_rng)
+    assert rep.passed.shape == (snapshots, 2)
+    assert rep.n_inits == 10
+    for s in range(snapshots):
+        for a in range(2):
+            _assert_row_matches(rep, (s, a), refs[s][a], UNIQUENESS_FIELDS)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_uniqueness_any_algorithms_match_scalar_reference(k, desk_scenario):
+    # the half-duplex algorithms start with no harvest signal
+    batch = _scenario_batch(desk_scenario, k, 3)
+    algs = (Algorithm.OPC, Algorithm.TPCEH, Algorithm.TPC)
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    rep = check_fixed_point_uniqueness(batch, algs, 4, rng)
+    refs = scalar_fixed_point_uniqueness(batch, algs, 4, ref_rng)
+    for s in range(3):
+        for a in range(3):
+            _assert_row_matches(rep, (s, a), refs[s][a], UNIQUENESS_FIELDS)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [999, 10000])
+@pytest.mark.parametrize("snapshots", [1, 3, 10])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("config", ["desk", "paper"])
+def test_equivalence_matches_scalar_reference(config, k, snapshots, trials, scenarios):
+    batch = _scenario_batch(scenarios[config], k, snapshots)
+    per_snapshot = max(1, trials // 1000)     # as `verify --trials` sets it
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    rep = check_update_form_equivalence(batch, per_snapshot, rng)
+    refs = scalar_update_form_equivalence(batch, per_snapshot, ref_rng)
+    for s in range(snapshots):
+        _assert_row_matches(rep, s, refs[s], EQUIVALENCE_FIELDS)
+    assert rep.counterexamples == [ref.counterexample for ref in refs]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("snapshots", [1, 3, 10])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("config", ["desk", "paper"])
+def test_tightness_matches_scalar_reference(config, k, snapshots, scenarios):
+    batch = _scenario_batch(scenarios[config], k, snapshots)
+    x = solve(Algorithm.TPCEH, batch).fixed_point
+    # every other fixed point misses its requirements by 1 ppm
+    x[1::2, -1] *= 1.0 - 1e-6
+    for rel_tol in (1e-9, 1e-3):
+        rep = check_harvest_power_tightness(x, batch, rel_tol)
+        refs = scalar_harvest_power_tightness(x, batch, rel_tol)
+        for s in range(snapshots):
+            _assert_row_matches(rep, s, refs[s], TIGHTNESS_FIELDS)
+            # one state on one snapshot gives the same verdict
+            one = check_harvest_power_tightness(x[s], batch.rows(s), rel_tol)
+            _assert_row_matches(one, (), refs[s], TIGHTNESS_FIELDS)
+
+
+def _starve(monkeypatch, name, snap):
+    """Make the oracle's `name` (solve or iterate) stop the rows of the (K,)
+    snapshot `snap` after one step, and run every other row as before."""
+    real = getattr(oracle, name)
+
+    def starved(first, batch, p_init, tol, max_iter):
+        sol = real(first, batch, p_init, tol, max_iter)
+        rows = np.flatnonzero((batch.g == snap.g).all(axis=-1))
+        short = real(first, batch.rows(rows), p_init[rows], tol, 1)
+        for field in dataclasses.fields(sol):
+            getattr(sol, field.name)[rows] = getattr(short, field.name)
+        return sol
+
+    monkeypatch.setattr(oracle, name, starved)
+
+
+def test_uniqueness_unconverged_snapshot_fails_alone(monkeypatch, desk_scenario):
+    batch = _scenario_batch(desk_scenario, 2, 3)
+    refs = scalar_fixed_point_uniqueness(batch, VERIFY_ALGORITHMS, 10,
+                                         np.random.default_rng(7))
+    _starve(monkeypatch, "solve", batch.rows(1))
+    rep = check_fixed_point_uniqueness(batch, VERIFY_ALGORITHMS, 10, np.random.default_rng(7))
+    assert rep.passed.tolist() == [[True, True], [False, False], [True, True]]
+    assert not rep.all_converged[1].any()
+    for s in (0, 2):
+        for a in range(2):
+            _assert_row_matches(rep, (s, a), refs[s][a], UNIQUENESS_FIELDS)
+
+
+def test_equivalence_unconverged_snapshot_fails_alone(monkeypatch, desk_scenario):
+    batch = _scenario_batch(desk_scenario, 2, 3)
+    refs = scalar_update_form_equivalence(batch, 4, np.random.default_rng(7))
+    _starve(monkeypatch, "iterate", batch.rows(1))
+    rep = check_update_form_equivalence(batch, 4, np.random.default_rng(7))
+    assert rep.passed.tolist() == [True, False, True]
+    assert rep.counterexamples[1] is not None
+    for s in (0, 2):
+        _assert_row_matches(rep, s, refs[s], EQUIVALENCE_FIELDS)
