@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -41,18 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
-
-CLAIMS = (
-    "uniqueness",
-    "scalability",
-    "optimality",
-    "harvest-tightness",
-    "update-equivalence",
-    "fl-conditions",
-)
-PER_SNAPSHOT_CLAIMS = {"uniqueness", "optimality", "harvest-tightness", "update-equivalence"}
-SCENARIO_CLAIMS = {"scalability", "fl-conditions"}
-
 
 # CSV cell formats by dtype kind: bools as 1/0, floats in scientific
 # notation with 17 significant digits, anything else as str() gives it
@@ -95,21 +85,12 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _overrides(args) -> dict:
-    out = {}
-    if args.tol is not None:
-        out["tol"] = args.tol
-    if args.max_iter is not None:
-        out["max_iter"] = args.max_iter
-    return out
-
-
 def cmd_snapshot(args) -> int:
     t0 = time.monotonic()
     scenario = _load(args)
     alg = Algorithm(args.algorithm)
     snap = snapshot_from_scenario(scenario)
-    trace = run_fixed_point(alg, snap, **_overrides(args))
+    trace = run_fixed_point(alg, snap, tol=args.tol, max_iter=args.max_iter)
     K = snap.num_ues
 
     out = Path(args.out)
@@ -190,7 +171,8 @@ def cmd_sweep(args) -> int:
     solves = {}
     for alg in algorithms:
         result = run_monte_carlo(
-            alg, scenario, args.axis, values, args.snapshots, **_overrides(args)
+            alg, scenario, args.axis, values, args.snapshots,
+            tol=args.tol, max_iter=args.max_iter,
         )
         solves[alg.value] = [
             {
@@ -251,95 +233,102 @@ def cmd_mobility(args) -> int:
     return EXIT_OK
 
 
+def _uniqueness(batch, snap, rng, args) -> dict:
+    rep = check_fixed_point_uniqueness(batch(), (Algorithm.TPCEH, Algorithm.OPCEH), 10, rng)
+    return {"passed": bool(rep.passed.all()), "max_spread": float(rep.max_spread.max())}
+
+
+def _scalability(batch, snap, rng, args) -> dict:
+    entry = {"passed": True}
+    for alg in (Algorithm.TPCEH, Algorithm.OPCEH):
+        rep = check_two_sided_scalable(snap(), alg, args.trials, rng)
+        entry[alg.value] = {"violations": rep.violations, "counterexample": rep.counterexample}
+        entry["passed"] = entry["passed"] and rep.passed
+    return entry
+
+
+def _optimality(batch, snap, rng, args) -> dict:
+    snaps = batch()
+    tol = 0.005 if snaps.num_ues == 1 else 0.01
+    rep = verify_min_power_optimality(snaps, rel_tol=tol)
+    gaps = rep.gap[rep.optimum.feasible].tolist()
+    if gaps:
+        print(f"optimality: max gap {max(gaps):.3e} over {len(gaps)} scenarios")
+    return {
+        "passed": bool(rep.passed.all()),
+        "rel_tol": tol,
+        "max_gap": max(gaps) if gaps else None,
+        "feasible": len(gaps),
+        "infeasible": len(snaps) - len(gaps),
+        # the first condition each infeasible snapshot fails
+        "failing": {c: int((rep.optimum.failing == c).sum()) for c in INFEASIBLE_CONDITIONS},
+        # snapshots where some UE's circuit alone needs more than p_bar_h
+        "p_min_above_p_bar_h": int((snaps.p_min > snaps.hbs.p_bar_h).any(axis=-1).sum()),
+    }
+
+
+def _harvest_tightness(batch, snap, rng, args) -> dict:
+    rep = check_harvest_power_tightness(solve(Algorithm.TPCEH, batch()).fixed_point, batch())
+    return {"passed": bool(rep.passed.all()), "cap_binding_skipped": int(rep.cap_binding.sum())}
+
+
+def _update_equivalence(batch, snap, rng, args) -> dict:
+    rep = check_update_form_equivalence(batch(), max(1, args.trials // 1000), rng)
+    gap = float(rep.max_fixed_point_gap.max())
+    return {"passed": bool(rep.passed.all()), "max_fixed_point_gap": gap}
+
+
+def _fl_conditions(batch, snap, rng, args) -> dict:
+    rep = fast_lipschitz_report(snap())
+    return {
+        "passed": True,          # informational, never asserted
+        "qualifies": rep.qualifies,
+        "grad_norm_inf": rep.grad_norm_inf,
+        "grad_norm_rowsum": rep.grad_norm_rowsum,
+        "grad_nonneg": rep.grad_nonneg,
+        "grad_f0_positive": rep.grad_f0_positive,
+        "alpha": rep.alpha.tolist(),
+    }
+
+
+# claim -> check(batch, snap, rng, args) -> report entry; batch() and snap()
+# are cached draws, and each check calls the oracle by this module's names,
+# which tests and the benchmark wrap. The claims share one generator in the
+# order they run, so this order, a run's without --claims, is its draw order.
+CLAIMS = {
+    "uniqueness": _uniqueness,
+    "scalability": _scalability,
+    "optimality": _optimality,
+    "harvest-tightness": _harvest_tightness,
+    "update-equivalence": _update_equivalence,
+    "fl-conditions": _fl_conditions,
+}
+
+
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     scenario = _load(args)
-    claims = [c.strip() for c in args.claims.split(",")] if args.claims else list(CLAIMS)
+    # each named claim once, in the order first named
+    names = CLAIMS if args.claims is None else args.claims.split(",")
+    claims = list(dict.fromkeys(c.strip() for c in names if c.strip()))
+    if not claims:
+        print("empty claim list", file=sys.stderr)
+        return EXIT_CONFIG
     unknown = [c for c in claims if c not in CLAIMS]
     if unknown:
         print(f"unknown claim(s): {', '.join(unknown)}", file=sys.stderr)
         return EXIT_CONFIG
 
     if args.k is not None:
-        scenario = dataclasses.replace(
-            scenario,
-            cfg=dataclasses.replace(scenario.cfg, num_ues=args.k),
-            fixed_ues=None,
-        )
-    k = scenario.cfg.num_ues
+        cfg = dataclasses.replace(scenario.cfg, num_ues=args.k)
+        scenario = dataclasses.replace(scenario, cfg=cfg, fixed_ues=None)
     rng = np.random.default_rng(scenario.cfg.seed)
-    report: dict[str, dict] = {}
-    failing: list[str] = []
-
-    # the random snapshots the per-snapshot claims share, and the scenario's
-    # own snapshot, each drawn once
-    if PER_SNAPSHOT_CLAIMS.intersection(claims):
-        batch = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, args.snapshots)
-    if SCENARIO_CLAIMS.intersection(claims):
-        snap = snapshot_from_scenario(scenario)
-
-    for claim in claims:
-        if claim == "uniqueness":
-            rep = check_fixed_point_uniqueness(batch, (Algorithm.TPCEH, Algorithm.OPCEH), 10, rng)
-            report[claim] = {
-                "passed": bool(rep.passed.all()),
-                "max_spread": float(rep.max_spread.max()),
-            }
-        elif claim == "scalability":
-            entry = {"passed": True}
-            for alg in (Algorithm.TPCEH, Algorithm.OPCEH):
-                rep = check_two_sided_scalable(snap, alg, args.trials, rng)
-                entry[alg.value] = {
-                    "violations": rep.violations,
-                    "counterexample": rep.counterexample,
-                }
-                entry["passed"] = entry["passed"] and rep.passed
-            report[claim] = entry
-        elif claim == "optimality":
-            tol = 0.005 if k == 1 else 0.01
-            rep = verify_min_power_optimality(batch, rel_tol=tol)
-            reasons = rep.optimum.failing
-            gaps = rep.gap[rep.optimum.feasible].tolist()
-            report[claim] = {
-                "passed": bool(rep.passed.all()),
-                "rel_tol": tol,
-                "max_gap": max(gaps) if gaps else None,
-                "feasible": len(gaps),
-                "infeasible": len(batch) - len(gaps),
-                # the first condition each infeasible snapshot fails
-                "failing": {name: int((reasons == name).sum()) for name in INFEASIBLE_CONDITIONS},
-                # snapshots where some UE's circuit alone needs more than p_bar_h
-                "p_min_above_p_bar_h": int(
-                    (batch.p_min > batch.hbs.p_bar_h).any(axis=-1).sum()
-                ),
-            }
-            if gaps:
-                print(f"optimality: max gap {max(gaps):.3e} over {len(gaps)} scenarios")
-        elif claim == "harvest-tightness":
-            rep = check_harvest_power_tightness(solve(Algorithm.TPCEH, batch).fixed_point, batch)
-            report[claim] = {
-                "passed": bool(rep.passed.all()),
-                "cap_binding_skipped": int(rep.cap_binding.sum()),
-            }
-        elif claim == "update-equivalence":
-            rep = check_update_form_equivalence(batch, max(1, args.trials // 1000), rng)
-            report[claim] = {
-                "passed": bool(rep.passed.all()),
-                "max_fixed_point_gap": float(rep.max_fixed_point_gap.max()),
-            }
-        elif claim == "fl-conditions":
-            rep = fast_lipschitz_report(snap)
-            report[claim] = {
-                "passed": True,          # informational, never asserted
-                "qualifies": rep.qualifies,
-                "grad_norm_inf": rep.grad_norm_inf,
-                "grad_norm_rowsum": rep.grad_norm_rowsum,
-                "grad_nonneg": rep.grad_nonneg,
-                "grad_f0_positive": rep.grad_f0_positive,
-                "alpha": rep.alpha.tolist(),
-            }
-        if not report[claim].get("passed", False):
-            failing.append(claim)
+    batch = functools.cache(
+        lambda: sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, args.snapshots)
+    )
+    snap = functools.cache(lambda: snapshot_from_scenario(scenario))
+    report = {claim: CLAIMS[claim](batch, snap, rng, args) for claim in claims}
+    failing = [claim for claim, entry in report.items() if not entry["passed"]]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -347,9 +336,8 @@ def cmd_verify(args) -> int:
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     _write_manifest([path], "verify", scenario, scenario.cfg.seed, t0)
 
-    for claim in claims:
-        status = "pass" if report[claim].get("passed") else "FAIL"
-        print(f"{claim}: {status}")
+    for claim, entry in report.items():
+        print(f"{claim}: {'pass' if entry['passed'] else 'FAIL'}")
     if failing:
         print(f"failing claims: {', '.join(failing)}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -361,6 +349,22 @@ def count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    """A --tol value: a finite number above 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def step_budget(text: str) -> int:
+    """A --max-iter value: a whole number of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
     return value
 
 
@@ -394,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     # mobility and verify keep the scenario's own tol and max_iter
     for p in (p_snap, p_sweep):
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
+        p.add_argument("--tol", type=tolerance, default=None)
+        p.add_argument("--max-iter", type=step_budget, default=None, dest="max_iter")
 
     p_mob = sub.add_parser("mobility", help="moving UEs with finite batteries")
     common(p_mob)

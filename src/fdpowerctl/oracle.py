@@ -177,7 +177,6 @@ def verify_min_power_optimality(batch: Snapshot, rel_tol: float) -> OptimalityRe
 @dataclass
 class ScalabilityReport:
     passed: bool
-    trials: int
     violations: int
     counterexample: dict | None
 
@@ -245,7 +244,6 @@ def check_two_sided_scalable(
         }
     return ScalabilityReport(
         passed=bad.size == 0,
-        trials=trials,
         violations=int(bad.size),
         counterexample=example,
     )
@@ -483,7 +481,6 @@ class UniquenessReport:
     """Per snapshot row (axis 0) and algorithm (axis 1, in the order given)."""
 
     passed: np.ndarray           # (S, A) bool
-    n_inits: int
     all_converged: np.ndarray    # (S, A) bool
     max_spread: np.ndarray       # (S, A) relative infinity-norm across fixed points
 
@@ -526,7 +523,6 @@ def check_fixed_point_uniqueness(
         )
     return UniquenessReport(
         passed=converged & (spread <= 1e-6),
-        n_inits=n_inits,
         all_converged=converged,
         max_spread=spread,
     )

@@ -138,7 +138,6 @@ def scalar_two_sided_scalable(snap, algorithm, trials, rng, rel_slack=1e-12):
                 }
     return ScalabilityReport(
         passed=violations == 0,
-        trials=trials,
         violations=violations,
         counterexample=example,
     )

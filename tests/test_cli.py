@@ -258,7 +258,15 @@ def test_verify_fl_conditions_informational(tmp_path):
     assert "qualifies" in entry and "grad_norm_inf" in entry
 
 
-def test_verify_draws_each_snapshot_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("flags, expected", [
+    # the per-snapshot claims share one batch and draw no scenario snapshot
+    (["--claims", "optimality,harvest-tightness"], [("sample_batch", 3)]),
+    # the scenario claims share its own snapshot and draw no batch
+    (["--claims", "scalability,fl-conditions"], [("snapshot_from_scenario", 2)]),
+    # every claim: one of each
+    ([], [("sample_batch", 3), ("snapshot_from_scenario", 2)]),
+], ids=["batch-only", "scenario-only", "all-claims"])
+def test_verify_draws_each_snapshot_once(tmp_path, monkeypatch, flags, expected):
     import fdpowerctl.cli as cli
 
     drawn = []
@@ -275,11 +283,52 @@ def test_verify_draws_each_snapshot_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "sample_batch", counting_batch)
     monkeypatch.setattr(cli, "snapshot_from_scenario", counting_one)
     rc = main(["verify", "--config", DESK, "--k", "2", "--snapshots", "3",
-               "--trials", "100", "--out", str(tmp_path)])
+               "--trials", "100", "--out", str(tmp_path), *flags])
     assert rc == 0
-    # one batch of the three shared random snapshots, plus the scenario's
-    # own snapshot, which scalability and fl-conditions share
-    assert sorted(drawn) == [("sample_batch", 3), ("snapshot_from_scenario", 2)]
+    assert sorted(drawn) == expected
+
+
+def test_generator_free_claims_alone_match_the_full_run(tmp_path):
+    # these claims read no generator, so where they run in the order
+    # cannot change their entries
+    argv = ["verify", "--config", DESK, "--k", "2", "--snapshots", "3", "--trials", "200"]
+    assert main([*argv, "--out", str(tmp_path / "all")]) == 0
+    full = json.loads((tmp_path / "all" / "verification.json").read_text())
+    for claim in ("optimality", "harvest-tightness", "fl-conditions"):
+        out = tmp_path / claim
+        assert main([*argv, "--claims", claim, "--out", str(out)]) == 0
+        alone = json.loads((out / "verification.json").read_text())
+        assert alone == {claim: full[claim]}
+
+
+@pytest.mark.parametrize("claims, same_as", [
+    # an empty entry is dropped
+    ("optimality,", "optimality"),
+    (" ,optimality, ", "optimality"),
+    # a claim named twice runs once, where it was first named
+    ("optimality,optimality", "optimality"),
+    ("uniqueness,uniqueness", "uniqueness"),
+    ("fl-conditions,uniqueness,fl-conditions", "fl-conditions,uniqueness"),
+])
+def test_verify_claim_list_runs_each_named_claim_once(tmp_path, capsys, claims, same_as):
+    argv = ["verify", "--config", DESK, "--k", "2", "--snapshots", "2", "--trials", "200"]
+    outputs = []
+    for name, text in (("given", claims), ("plain", same_as)):
+        assert main([*argv, "--claims", text, "--out", str(tmp_path / name)]) == 0
+        outputs.append(((tmp_path / name / "verification.json").read_text(),
+                        capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0][0])
+    assert list(report) == same_as.split(",")
+    assert outputs[0][1].count(": pass") == len(report)
+
+
+@pytest.mark.parametrize("claims", ["", ",", " , "])
+def test_verify_empty_claim_list_exits_2(tmp_path, capsys, claims):
+    rc = main(["verify", "--config", DESK, "--claims", claims, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "empty claim list"
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_calls_each_check_and_solve_once_per_claim(tmp_path, monkeypatch):
@@ -327,6 +376,16 @@ def _exits_2_in_argparse(argv, capsys) -> str:
     (["sweep", "--axis", "num_ues", "--values", "2", "--snapshots", "-1"],
      "--snapshots: must be at least 1, got -1"),
     (["verify", "--k", "2", "--trials", "-3"], "--trials: must be at least 1, got -3"),
+    # --tol and --max-iter get the checks the config file's tol and max_iter get
+    (["snapshot", "--tol", "nan"], "--tol: must be positive and finite, got nan"),
+    (["snapshot", "--tol", "-1"], "--tol: must be positive and finite, got -1"),
+    (["snapshot", "--tol", "0"], "--tol: must be positive and finite, got 0"),
+    (["snapshot", "--tol", "inf"], "--tol: must be positive and finite, got inf"),
+    (["sweep", "--axis", "num_ues", "--values", "2", "--tol", "nan"],
+     "--tol: must be positive and finite, got nan"),
+    (["snapshot", "--max-iter", "-3"], "--max-iter: must be at least 0, got -3"),
+    (["sweep", "--axis", "num_ues", "--values", "2", "--max-iter", "-1"],
+     "--max-iter: must be at least 0, got -1"),
 ])
 def test_counts_below_one_exit_2(tmp_path, capsys, argv, message):
     err = _exits_2_in_argparse([*argv, "--config", DESK, "--out", str(tmp_path)], capsys)

@@ -100,6 +100,11 @@ CASES = {
                             "--snapshots", "1", "--trials", "999"],
     # the optimality claim at the bundled configuration's own size
     "verify_desk_k5": ["verify", "--config", DESK, "--k", "5", "--claims", "optimality"],
+    # the user's claim order sets both the order the claims draw from the
+    # shared generator and the order of the report's keys
+    "verify_desk_k2_reordered": ["verify", "--config", DESK, "--k", "2", "--snapshots", "3",
+                                 "--trials", "2000",
+                                 "--claims", "update-equivalence,scalability,uniqueness"],
 }
 
 
