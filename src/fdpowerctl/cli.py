@@ -76,6 +76,21 @@ def _write_manifest(
         sidecar.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def _listed(text: str, known, noun: str) -> list[str] | None:
+    """The names of a comma-separated list, each once in the order first
+    named, empty entries dropped; None, after saying why on stderr, when it
+    names nothing or a name not in `known`."""
+    names = list(dict.fromkeys(n.strip() for n in text.split(",") if n.strip()))
+    unknown = [n for n in names if n not in known]
+    if not names:
+        print(f"empty {noun} list", file=sys.stderr)
+    elif unknown:
+        print(f"unknown {noun}(s): {', '.join(unknown)}", file=sys.stderr)
+    else:
+        return names
+    return None
+
+
 def _load(args) -> Scenario:
     scenario = load_scenario(args.config)
     if args.seed is not None:
@@ -155,21 +170,15 @@ def cmd_sweep(args) -> int:
     if args.axis == "num_ues" and not all(v.is_integer() for v in values):
         print(f"num_ues values must be whole numbers, got {args.values!r}", file=sys.stderr)
         return EXIT_CONFIG
-    names = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    if not names:
-        print("empty algorithm list", file=sys.stderr)
+    names = _listed(args.algorithms, {alg.value for alg in Algorithm}, "algorithm")
+    if names is None:
         return EXIT_CONFIG
-    unknown = [a for a in names if a not in {alg.value for alg in Algorithm}]
-    if unknown:
-        print(f"unknown algorithm(s): {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_CONFIG
-    algorithms = [Algorithm(a) for a in names]
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = []
     solves = {}
-    for alg in algorithms:
+    for alg in map(Algorithm, names):
         result = run_monte_carlo(
             alg, scenario, args.axis, values, args.snapshots,
             tol=args.tol, max_iter=args.max_iter,
@@ -184,12 +193,12 @@ def cmd_sweep(args) -> int:
                     zip(("min", "median", "max"), stats)
                 ),
             }
-            for vi, (value, stats) in enumerate(zip(result.values, result.converged_iterations))
+            for vi, (value, stats) in enumerate(zip(values, result.converged_iterations))
         ]
         # one row per (axis value, metric), metrics varying fastest
         cells = [
             (value, metric, *result.stats[metric][vi], result.n_converged[vi])
-            for vi, value in enumerate(result.values)
+            for vi, value in enumerate(values)
             for metric in SWEEP_METRICS
         ]
         path = out / f"sweep_{args.axis}_{alg.value.lower()}.csv"
@@ -308,15 +317,8 @@ CLAIMS = {
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     scenario = _load(args)
-    # each named claim once, in the order first named
-    names = CLAIMS if args.claims is None else args.claims.split(",")
-    claims = list(dict.fromkeys(c.strip() for c in names if c.strip()))
-    if not claims:
-        print("empty claim list", file=sys.stderr)
-        return EXIT_CONFIG
-    unknown = [c for c in claims if c not in CLAIMS]
-    if unknown:
-        print(f"unknown claim(s): {', '.join(unknown)}", file=sys.stderr)
+    claims = list(CLAIMS) if args.claims is None else _listed(args.claims, CLAIMS, "claim")
+    if claims is None:
         return EXIT_CONFIG
 
     if args.k is not None:

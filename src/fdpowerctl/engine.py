@@ -89,18 +89,20 @@ GIVE_UP_SLACK = 1e-12
 
 SWEEP_AXES = ("delta_db", "cell_side", "gamma_target", "num_ues")
 
-SWEEP_METRICS = (
-    "avg_sinr",
-    "aggregate_throughput",
-    "p_h",
-    "avg_p_u",
-    "sum_p_u",
-    "total_ue_power",
-    "hbs_total_power",
-    "aggregate_power",
-    "outage_fraction",
-    "feasible_fraction",
-)
+# metric -> sample(mx, x): one sample per row of a batch x of fixed points
+# with metrics mx. The order is the sweep CSV's row order.
+SWEEP_METRICS: dict[str, Callable[[Metrics, np.ndarray], np.ndarray]] = {
+    "avg_sinr": lambda mx, x: mx.sinr.mean(axis=-1),
+    "aggregate_throughput": lambda mx, x: mx.aggregate_throughput,
+    "p_h": lambda mx, x: x[:, -1],
+    "avg_p_u": lambda mx, x: x[:, :-1].mean(axis=-1),
+    "sum_p_u": lambda mx, x: x[:, :-1].sum(axis=-1),
+    "total_ue_power": lambda mx, x: mx.ue_total_power.sum(axis=-1),
+    "hbs_total_power": lambda mx, x: mx.hbs_total_power,
+    "aggregate_power": lambda mx, x: mx.aggregate_power,
+    "outage_fraction": lambda mx, x: mx.outage.mean(axis=-1),
+    "feasible_fraction": lambda mx, x: mx.energy_feasible.mean(axis=-1),
+}
 
 
 @dataclass
@@ -328,29 +330,12 @@ def apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
 class SweepResult:
     """Averaged metrics over snapshots for each value of one sweep axis."""
 
-    values: list[float]
     stats: dict[str, list[tuple[float, float]]]   # metric -> [(mean, half_width)]
     n_converged: list[int]
     n_nonconverged: list[int]
     n_stopped_early: list[int]    # unconverged rows the certificate stopped
     # (min, median, max) iterations of the converged rows, None without any
     converged_iterations: list[tuple[int, float, int] | None]
-
-
-def _snapshot_scalars(mx: Metrics, x: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-snapshot sweep samples of a batch of fixed points, one per row."""
-    return {
-        "avg_sinr": mx.sinr.mean(axis=-1),
-        "aggregate_throughput": mx.aggregate_throughput,
-        "p_h": x[:, -1],
-        "avg_p_u": x[:, :-1].mean(axis=-1),
-        "sum_p_u": x[:, :-1].sum(axis=-1),
-        "total_ue_power": mx.ue_total_power.sum(axis=-1),
-        "hbs_total_power": mx.hbs_total_power,
-        "aggregate_power": mx.aggregate_power,
-        "outage_fraction": mx.outage.mean(axis=-1),
-        "feasible_fraction": mx.energy_feasible.mean(axis=-1),
-    }
 
 
 def run_monte_carlo(
@@ -383,7 +368,7 @@ def run_monte_carlo(
         sol = solve(alg, batch, tol=tol, max_iter=max_iter, give_up=True)
         ok = sol.converged
         fixed = sol.fixed_point[ok]
-        samples = _snapshot_scalars(metrics(fixed, batch.rows(ok)), fixed)
+        mx = metrics(fixed, batch.rows(ok))
         n_conv.append(int(ok.sum()))
         n_nonconv.append(n_snapshots - int(ok.sum()))
         n_early.append(int(sol.stopped_early.sum()))
@@ -393,15 +378,14 @@ def run_monte_carlo(
             (used[0], (used[(len(used) - 1) // 2] + used[len(used) // 2]) / 2, used[-1])
             if used else None
         )
-        for key in SWEEP_METRICS:
-            arr = samples[key]
+        for key, sample in SWEEP_METRICS.items():
+            arr = sample(mx, fixed)
             if arr.size == 0:
                 stats[key].append((math.nan, math.nan))
             else:
                 half = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
                 stats[key].append((float(arr.mean()), float(half)))
     return SweepResult(
-        values=list(values),
         stats=stats,
         n_converged=n_conv,
         n_nonconverged=n_nonconv,
@@ -422,7 +406,6 @@ class MobilityResult:
     harvesting_active: np.ndarray        # (T,) bool
     first_depletion_step: int | None     # 1-based step index, None if never
     activation_step: int | None          # harvesting switch-on step (EH only)
-    battery_capacity: float
 
 
 def _trajectory(
@@ -431,20 +414,20 @@ def _trajectory(
     """Positions (T, K, 2) of UEs leaving the x = 0 edge at heights ys.
 
     Each UE moves along x by speed * step per step and reflects at x = side
-    and x = 0; the reflected coordinate is 2 * side - x, then -x.
+    and x = 0; the reflected coordinate is 2 * side - x, then -x. All UEs
+    start at x = 0 with the same speed, so they share one x path.
     """
+    x, direction, xs = 0.0, 1.0, []
+    for _ in range(n_steps):
+        x += direction * speed * step
+        if x > side:
+            x, direction = 2 * side - x, -direction
+        if x < 0.0:
+            x, direction = -x, -direction
+        xs.append(x)
     positions = np.empty((n_steps, len(ys), 2))
+    positions[:, :, 0] = np.array(xs)[:, None]
     positions[:, :, 1] = ys
-    for i in range(len(ys)):
-        x, direction, xs = 0.0, 1.0, []
-        for _ in range(n_steps):
-            x += direction * speed * step
-            if x > side:
-                x, direction = 2 * side - x, -direction
-            if x < 0.0:
-                x, direction = -x, -direction
-            xs.append(x)
-        positions[:, i, 0] = xs
     return positions
 
 
@@ -589,5 +572,4 @@ def run_mobility(
         harvesting_active=steps >= (activation or math.inf),
         first_depletion_step=first_depletion,
         activation_step=activation,
-        battery_capacity=battery_init,
     )

@@ -2,9 +2,11 @@
 
 Every check here avoids the iteration path it validates: the minimum-power
 optimality check compares with the closed-form optimum of every snapshot of
-a batch, the sandwich-scalability check samples random states, and the
-constraint-stack gradient is built analytically so tests can difference it
-numerically.
+a batch, and the sandwich-scalability check samples random states. The
+fast-Lipschitz report's constraint functions are the ratio-form update,
+`transformed_joint_update`, in the negated variables; the report builds
+their gradient analytically, as `FLReport.grad`, and tests difference the
+update to check it.
 
 The randomized checks draw from the generator they are given, and a caller
 may hand the same generator from one check to the next, so each check's
@@ -51,7 +53,6 @@ __all__ = [
     "verify_min_power_optimality",
     "check_two_sided_scalable",
     "alpha_coefficients",
-    "fl_constraint_stack",
     "fast_lipschitz_report",
     "transformed_joint_update",
     "check_update_form_equivalence",
@@ -250,7 +251,7 @@ def check_two_sided_scalable(
 
 
 # ---------------------------------------------------------------------------
-# constraint-stack gradient (fast-Lipschitz qualification)
+# fast-Lipschitz qualification
 
 
 def alpha_coefficients(snap: Snapshot) -> np.ndarray:
@@ -259,36 +260,12 @@ def alpha_coefficients(snap: Snapshot) -> np.ndarray:
     return gt / ((1.0 + gt) * snap.cfg.epsilon * snap.h * snap.g * snap.mu)
 
 
-def fl_constraint_stack(y: np.ndarray, snap: Snapshot) -> np.ndarray:
-    """Constraint functions of the negated-variable optimization form.
-
-    y is the stacked vector (uplink components, harvest component) of the
-    sign-flipped variables. The first K entries bound each uplink power via
-    the SINR constraint rearranged to isolate the own power; the last entry
-    is the pointwise max of the per-UE harvest requirements.
-    """
-    cfg = snap.cfg
-    gt = snap.gamma_target
-    total = float(snap.h @ y[: snap.num_ues] + cfg.delta * y[-1] + cfg.sigma2)
-    rows = gt / ((1.0 + gt) * snap.h) * total
-    alpha = alpha_coefficients(snap)
-    z = float(np.max(alpha * total + snap.p_min))
-    return np.append(rows, z)
-
-
-def _fl_active_index(y: np.ndarray, snap: Snapshot) -> int:
-    cfg = snap.cfg
-    total = float(snap.h @ y[: snap.num_ues] + cfg.delta * y[-1] + cfg.sigma2)
-    terms = alpha_coefficients(snap) * total + snap.p_min
-    # ties break to the lowest UE index (np.argmax already does)
-    return int(np.argmax(terms))
-
-
 @dataclass
 class FLReport:
     """Gradient-condition record for the constraint-iteration form."""
 
     alpha: np.ndarray
+    grad: np.ndarray              # (K+1, K+1) constraint gradient at eval_point
     grad_norm_inf: float          # column-sum norm of the gradient matrix
     grad_norm_rowsum: float       # row-sum norm, reported for transparency
     grad_nonneg: bool
@@ -299,15 +276,19 @@ class FLReport:
 
 
 def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLReport:
-    """Build the constraint-stack gradient analytically and test the
-    qualification conditions (positive objective gradient, non-negative
-    constraint gradient, norm below one). The qualification outcome is
-    informational; it depends on the scenario's targets and gains.
+    """Build the constraint gradient analytically and test the qualification
+    conditions (positive objective gradient, non-negative constraint
+    gradient, norm below one). The qualification outcome is informational;
+    it depends on the scenario's targets and gains.
 
-    The gradient convention is the transpose of the Jacobian: entry (i, j)
-    holds the derivative of constraint j with respect to variable i. The
-    reported norm is the maximum absolute column sum, as the qualification
-    condition states it; the row-sum norm is included alongside.
+    The constraint functions are `transformed_joint_update`, the ratio-form
+    update, in the negated variables y = -at, without its caps; the active
+    UE is the argmax of its harvest terms. `grad` is their gradient at y,
+    which tests difference the update against. Its convention is the
+    transpose of the Jacobian: entry (i, j) holds the derivative of
+    constraint j with respect to variable i. The reported norm is the
+    maximum absolute column sum, as the qualification condition states it;
+    the row-sum norm is included alongside.
     """
     if at is None:
         at = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-10, max_iter=20000).fixed_point
@@ -317,7 +298,9 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
     gt = snap.gamma_target
     c = gt / ((1.0 + gt) * snap.h)
     alpha = alpha_coefficients(snap)
-    istar = _fl_active_index(y, snap)
+    total = float(snap.h @ y[:K] + cfg.delta * y[-1] + cfg.sigma2)
+    # ties break to the lowest UE index (np.argmax already does)
+    istar = int(np.argmax(alpha * total + snap.p_min))
 
     grad = np.zeros((K + 1, K + 1))
     # columns j = 0..K-1: uplink constraint rows c_j * (sum h_l y_l + delta y_H)
@@ -332,6 +315,7 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
     f0_positive = cfg.epsilon > 0.0             # objective gradient is 1/eps
     return FLReport(
         alpha=alpha,
+        grad=grad,
         grad_norm_inf=col_norm,
         grad_norm_rowsum=row_norm,
         grad_nonneg=nonneg,

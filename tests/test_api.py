@@ -1,9 +1,11 @@
-"""Every exported name resolves, and every imported name is used.
+"""Every exported name resolves, every imported name is used, and every
+private name is referenced.
 
 Nothing imports the package with `import *`, so a name left in a module's
 `__all__`, or imported by the package for re-export, after its definition
 is deleted would otherwise go unnoticed. No linter runs on the package, so
-an import its last user's deletion leaves behind would go unnoticed too.
+an import its last user's deletion leaves behind would go unnoticed too,
+and so would a private helper or constant nothing calls or reads any more.
 """
 
 import ast
@@ -18,10 +20,16 @@ import fdpowerctl
 MODULES = sorted(info.name for info in pkgutil.iter_modules(fdpowerctl.__path__))
 
 
+# the parsed source of each package module, __init__ included
+TREES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"))
+    for path in Path(fdpowerctl.__file__).parent.glob("*.py")
+}
+
 # (module, name) for each name the package's __init__ imports from a submodule
 REEXPORTS = [
     (node.module, alias.name)
-    for node in ast.parse(Path(fdpowerctl.__file__).read_text(encoding="utf-8")).body
+    for node in TREES["__init__"].body
     if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
     for alias in node.names
 ]
@@ -64,3 +72,26 @@ def test_modules_use_every_import(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_private_names_are_referenced(name):
+    # a top-level _name (function, class or assignment) some package module reads
+    defined = set()
+    for node in TREES[name].body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    referenced = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted(private - referenced) == []

@@ -164,6 +164,17 @@ def test_sweep_outputs_deterministic(tmp_path):
     assert a == b
 
 
+def test_sweep_repeated_algorithm_runs_once(tmp_path, capsys):
+    rc = main(["sweep", "--config", DESK, "--axis", "cell_side", "--values", "40",
+               "--algorithms", "TPCEH,,TPCEH", "--snapshots", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"TPCEH: wrote {tmp_path / 'sweep_cell_side_tpceh.csv'}"
+    ]
+    manifest = json.loads((tmp_path / "sweep_cell_side_tpceh.csv.manifest.json").read_text())
+    assert manifest["outputs"] == ["sweep_cell_side_tpceh.csv"]
+
+
 def test_mobility_zero_duration_header_only(tmp_path):
     rc = main(["mobility", "--config", DESK, "--algorithm", "TPC",
                "--duration", "0", "--out", str(tmp_path)])

@@ -196,8 +196,8 @@ def test_mobility_tpceh_activates_and_recovers(desk_scenario):
 
 def test_mobility_battery_accounting(desk_scenario):
     scenario = _mobility_scenario(desk_scenario, n=2)
-    result = run_mobility(Algorithm.TPCEH, scenario, duration=1.0)
-    cap = result.battery_capacity
+    cap = 1e-6
+    result = run_mobility(Algorithm.TPCEH, scenario, duration=1.0, battery_init=cap)
     eps = scenario.cfg.epsilon
     battery = result.battery
     assert np.all(battery >= 0.0)

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from fdpowerctl import oracle
 from fdpowerctl.channel import Snapshot, sample_batch, snapshot_from_scenario
-from fdpowerctl.core import Algorithm, joint_update
+from fdpowerctl.core import Algorithm, joint_update, state_caps
 from fdpowerctl.engine import run_fixed_point, solve
 from fdpowerctl.oracle import (
     aggregate_power,
@@ -16,7 +16,6 @@ from fdpowerctl.oracle import (
     check_two_sided_scalable,
     check_update_form_equivalence,
     fast_lipschitz_report,
-    fl_constraint_stack,
     min_power_optimum,
     transformed_joint_update,
     verify_min_power_optimality,
@@ -322,7 +321,7 @@ def test_scalable_randomized(alg, rng):
 
 
 # ---------------------------------------------------------------------------
-# constraint-stack gradient
+# fast-Lipschitz qualification
 
 
 def test_alpha_positive_and_formula():
@@ -346,18 +345,14 @@ def test_fl_gradient_matches_finite_differences():
         hstep = max(abs(y0[i]), 1e-6) * 1e-6
         up = y0.copy(); up[i] += hstep
         dn = y0.copy(); dn[i] -= hstep
-        fd[i, :] = (fl_constraint_stack(up, snap) - fl_constraint_stack(dn, snap)) / (2 * hstep)
+        fd[i, :] = (
+            transformed_joint_update(up, snap) - transformed_joint_update(dn, snap)
+        ) / (2 * hstep)
 
-    grad = np.zeros((K + 1, K + 1))
-    c = snap.gamma_target / ((1 + snap.gamma_target) * snap.h)
-    alpha = alpha_coefficients(snap)
-    grad[:K, :K] = np.outer(snap.h, c)
-    grad[K, :K] = snap.cfg.delta * c
-    grad[:K, K] = alpha[rep.active_index] * snap.h
-    grad[K, K] = alpha[rep.active_index] * snap.cfg.delta
-
-    scale = np.maximum(np.abs(grad), 1e-30)
-    rel = np.abs(fd - grad) / scale
+    # no cap binds here, so the update is the constraint stack itself
+    assert np.all(transformed_joint_update(y0, snap) < state_caps(snap))
+    scale = np.maximum(np.abs(rep.grad), 1e-30)
+    rel = np.abs(fd - rep.grad) / scale
     assert rel.max() < 1e-6
 
 
