@@ -157,7 +157,7 @@ def _snapshot(
         errors += ue_errors({name: r[:1] for name, r in rows.items()} if errors else rows)
         if errors:
             raise ConfigError(errors)
-    p_cir = np.full(shape, t.n_antennas * t.p_dyn + t.p_sta)
+    p_cir = np.full(shape, t.p_cir)
     denom = mu * g
     p_min = np.divide(p_cir, denom, out=np.full(shape, math.inf), where=denom > 0)
     return Snapshot(

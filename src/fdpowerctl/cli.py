@@ -1,7 +1,12 @@
 """Command-line front end: scenario runs, sweeps, mobility and verification.
 
-Every output CSV is deterministic for a given (config, flags, seed) and gets
+Every output file is deterministic for a given (config, flags, seed) and gets
 a JSON manifest sidecar recording the invocation that produced it.
+
+`main` is the one boundary: it loads the scenario, reports every input error
+(exit 2) and writes every manifest. A command computes, writes its outputs,
+which create the output directory, and returns (exit code, outputs, extra
+manifest fields); it raises `UsageError` for a flag value it cannot use.
 """
 
 from __future__ import annotations
@@ -49,67 +54,69 @@ EXIT_VERIFY_FAILED = 4
 _CELL_FORMATS = {"b": "{:d}", "f": "{:.16e}"}
 
 
+class UsageError(Exception):
+    """A flag value the command cannot use; main prints the message bare."""
+
+
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns (arrays or lists) under a header, each
     formatted by its dtype through one row template."""
     arrays = [np.asarray(column) for column in columns]
     template = ",".join(_CELL_FORMATS.get(a.dtype.kind, "{}") for a in arrays)
     rows = map(template.format, *(a.tolist() for a in arrays))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
 
 
+def _write_json(path: Path, doc) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def _write_manifest(
-    out_files: list[Path], subcommand: str, scenario: Scenario, seed: int, t0: float,
-    **extra,
+    out_files: list[Path], subcommand: str, scenario: Scenario, t0: float, **extra
 ) -> None:
     manifest = {
         "subcommand": subcommand,
         "config_hash": config_hash(scenario_to_dict(scenario)),
-        "seed": seed,
+        "seed": scenario.cfg.seed,
         "tool_version": __version__,
         "outputs": [f.name for f in out_files],
         "duration_s": time.monotonic() - t0,
         **extra,
     }
     for f in out_files:
-        sidecar = f.with_name(f.name + ".manifest.json")
-        sidecar.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        _write_json(f.with_name(f.name + ".manifest.json"), manifest)
 
 
-def _listed(text: str, known, noun: str) -> list[str] | None:
-    """The names of a comma-separated list, each once in the order first
-    named, empty entries dropped; None, after saying why on stderr, when it
-    names nothing or a name not in `known`."""
+def _listed(text: str, known, noun: str) -> list[str]:
+    """The names of a comma-separated list, each once in the order first named,
+    empty entries dropped; UsageError if it names nothing or a name not in `known`."""
     names = list(dict.fromkeys(n.strip() for n in text.split(",") if n.strip()))
     unknown = [n for n in names if n not in known]
     if not names:
-        print(f"empty {noun} list", file=sys.stderr)
-    elif unknown:
-        print(f"unknown {noun}(s): {', '.join(unknown)}", file=sys.stderr)
-    else:
-        return names
-    return None
+        raise UsageError(f"empty {noun} list")
+    if unknown:
+        raise UsageError(f"unknown {noun}(s): {', '.join(unknown)}")
+    return names
 
 
 def _load(args) -> Scenario:
+    """The config file's scenario with --seed, and verify's --k, applied."""
     scenario = load_scenario(args.config)
-    if args.seed is not None:
-        scenario = dataclasses.replace(
-            scenario, cfg=dataclasses.replace(scenario.cfg, seed=args.seed)
-        )
+    seed = scenario.cfg.seed if args.seed is None else args.seed
+    scenario = dataclasses.replace(scenario, cfg=dataclasses.replace(scenario.cfg, seed=seed))
+    if getattr(args, "k", None) is not None:     # that many random UEs
+        cfg = dataclasses.replace(scenario.cfg, num_ues=args.k)
+        scenario = dataclasses.replace(scenario, cfg=cfg, fixed_ues=None)
     return scenario
 
 
-def cmd_snapshot(args) -> int:
-    t0 = time.monotonic()
-    scenario = _load(args)
+def cmd_snapshot(args, scenario: Scenario, out: Path):
     alg = Algorithm(args.algorithm)
     snap = snapshot_from_scenario(scenario)
     trace = run_fixed_point(alg, snap, tol=args.tol, max_iter=args.max_iter)
     K = snap.num_ues
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     header = (
         ["t"]
         + [f"p_u_{i+1}" for i in range(K)]
@@ -143,39 +150,28 @@ def cmd_snapshot(args) -> int:
         "distances": snap.distances.tolist(),
     }
     summary_path = out / f"summary_{alg.value.lower()}.json"
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    _write_manifest([trace_path, summary_path], "snapshot", scenario, scenario.cfg.seed, t0)
+    _write_json(summary_path, summary)
 
     if not trace.converged:
         print(f"non-convergence after {trace.iterations_used} iterations", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NO_CONVERGENCE, [trace_path, summary_path], {}
     print(f"converged in {trace.iterations_used} iterations -> {trace_path}")
-    return EXIT_OK
+    return EXIT_OK, [trace_path, summary_path], {}
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.monotonic()
-    scenario = _load(args)
+def cmd_sweep(args, scenario: Scenario, out: Path):
     if args.axis not in SWEEP_AXES:
-        print(f"invalid axis {args.axis!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError(f"invalid axis {args.axis!r}")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
-        print(f"could not parse sweep values {args.values!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError(f"could not parse sweep values {args.values!r}") from None
     if not values:
-        print("empty sweep value list", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError("empty sweep value list")
     if args.axis == "num_ues" and not all(v.is_integer() for v in values):
-        print(f"num_ues values must be whole numbers, got {args.values!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError(f"num_ues values must be whole numbers, got {args.values!r}")
     names = _listed(args.algorithms, {alg.value for alg in Algorithm}, "algorithm")
-    if names is None:
-        return EXIT_CONFIG
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     outputs = []
     solves = {}
     for alg in map(Algorithm, names):
@@ -183,37 +179,21 @@ def cmd_sweep(args) -> int:
             alg, scenario, args.axis, values, args.snapshots,
             tol=args.tol, max_iter=args.max_iter,
         )
-        solves[alg.value] = [
-            {
-                "value": value,
-                "n_converged": result.n_converged[vi],
-                "n_nonconverged": result.n_nonconverged[vi],
-                "n_stopped_early": result.n_stopped_early[vi],
-                "converged_iterations": None if stats is None else dict(
-                    zip(("min", "median", "max"), stats)
-                ),
-            }
-            for vi, (value, stats) in enumerate(zip(values, result.converged_iterations))
-        ]
+        solves[alg.value] = result.solves
         # one row per (axis value, metric), metrics varying fastest
         cells = [
-            (value, metric, *result.stats[metric][vi], result.n_converged[vi])
-            for vi, value in enumerate(values)
+            (record["value"], metric, *result.stats[metric][vi], record["n_converged"])
+            for vi, record in enumerate(result.solves)
             for metric in SWEEP_METRICS
         ]
         path = out / f"sweep_{args.axis}_{alg.value.lower()}.csv"
         _write_csv(path, ["axis", "metric_name", "mean", "half_width", "n"], list(zip(*cells)))
         outputs.append(path)
         print(f"{alg.value}: wrote {path}")
-    # per algorithm and axis value: how the solves ended, and the iteration
-    # counts of the converged ones
-    _write_manifest(outputs, "sweep", scenario, scenario.cfg.seed, t0, solves=solves)
-    return EXIT_OK
+    return EXIT_OK, outputs, {"solves": solves}
 
 
-def cmd_mobility(args) -> int:
-    t0 = time.monotonic()
-    scenario = _load(args)
+def cmd_mobility(args, scenario: Scenario, out: Path):
     alg = Algorithm(args.algorithm)
     try:
         result = run_mobility(
@@ -223,8 +203,7 @@ def cmd_mobility(args) -> int:
     except ConfigError:
         raise                    # main reports these
     except ValueError as exc:    # duration, step or battery_init out of range
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError(str(exc)) from None
     columns = [
         result.time,
         result.metrics.sinr.mean(axis=-1),
@@ -232,14 +211,11 @@ def cmd_mobility(args) -> int:
         result.states[:, -1],
         result.battery.min(axis=-1),
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"mobility_{alg.value.lower()}.csv"
     _write_csv(path, ["t", "avg_sinr", "avg_p_u", "p_h", "min_battery"], columns)
-    _write_manifest([path], "mobility", scenario, scenario.cfg.seed, t0)
     dep = result.first_depletion_step
     print(f"wrote {path} (depletion step: {dep if dep is not None else 'none'})")
-    return EXIT_OK
+    return EXIT_OK, [path], {}
 
 
 def _uniqueness(batch, snap, rng, args) -> dict:
@@ -314,16 +290,8 @@ CLAIMS = {
 }
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
-    scenario = _load(args)
+def cmd_verify(args, scenario: Scenario, out: Path):
     claims = list(CLAIMS) if args.claims is None else _listed(args.claims, CLAIMS, "claim")
-    if claims is None:
-        return EXIT_CONFIG
-
-    if args.k is not None:
-        cfg = dataclasses.replace(scenario.cfg, num_ues=args.k)
-        scenario = dataclasses.replace(scenario, cfg=cfg, fixed_ues=None)
     rng = np.random.default_rng(scenario.cfg.seed)
     batch = functools.cache(
         lambda: sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, args.snapshots)
@@ -331,19 +299,14 @@ def cmd_verify(args) -> int:
     snap = functools.cache(lambda: snapshot_from_scenario(scenario))
     report = {claim: CLAIMS[claim](batch, snap, rng, args) for claim in claims}
     failing = [claim for claim, entry in report.items() if not entry["passed"]]
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "verification.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    _write_manifest([path], "verify", scenario, scenario.cfg.seed, t0)
+    _write_json(path, report)
 
     for claim, entry in report.items():
         print(f"{claim}: {'pass' if entry['passed'] else 'FAIL'}")
     if failing:
         print(f"failing claims: {', '.join(failing)}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return EXIT_VERIFY_FAILED if failing else EXIT_OK, [path], {}
 
 
 def count(text: str) -> int:
@@ -426,17 +389,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a list that starts with a negative number, such as
+    # -120,-100, as an option: pass `--values X` on as `--values=X`
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--values" and not argv[i + 1].startswith("--"):
+            argv[i : i + 2] = [f"--values={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        for err in exc.errors:
+        scenario = _load(args)
+        code, outputs, extra = args.func(args, scenario, Path(args.out))
+    except (ConfigError, FileNotFoundError) as exc:
+        for err in getattr(exc, "errors", [exc]):
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_CONFIG
+    _write_manifest(outputs, args.subcommand, scenario, t0, **extra)
+    return code
 
 
 if __name__ == "__main__":

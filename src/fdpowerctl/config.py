@@ -92,12 +92,15 @@ class UeTemplate:
     p_bar_u: float | None = None
     e_bar: float | None = None
 
+    @property
+    def p_cir(self) -> float:       # circuit power of one UE
+        return self.n_antennas * self.p_dyn + self.p_sta
+
     def resolve_p_bar_u(self, epsilon: float, delta_t: float) -> float:
         """Uplink cap, either direct or derived from the harvest-energy limit."""
         if self.p_bar_u is not None:
             return self.p_bar_u
-        p_cir = self.n_antennas * self.p_dyn + self.p_sta
-        return epsilon * (self.e_bar / delta_t - p_cir)
+        return epsilon * (self.e_bar / delta_t - self.p_cir)
 
 
 @dataclass(frozen=True)

@@ -328,14 +328,16 @@ def apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
 
 @dataclass
 class SweepResult:
-    """Averaged metrics over snapshots for each value of one sweep axis."""
+    """Averaged metrics over snapshots for each value of one sweep axis.
+
+    `solves` holds one record per axis value, in the sweep manifest's form:
+    `value`; `n_converged` and `n_nonconverged` snapshots; `n_stopped_early`,
+    the unconverged ones the certificate stopped; and `converged_iterations`,
+    the {min, median, max} iterations of the converged ones, None without any.
+    """
 
     stats: dict[str, list[tuple[float, float]]]   # metric -> [(mean, half_width)]
-    n_converged: list[int]
-    n_nonconverged: list[int]
-    n_stopped_early: list[int]    # unconverged rows the certificate stopped
-    # (min, median, max) iterations of the converged rows, None without any
-    converged_iterations: list[tuple[int, float, int] | None]
+    solves: list[dict]
 
 
 def run_monte_carlo(
@@ -361,7 +363,7 @@ def run_monte_carlo(
     """
     alg = Algorithm(algorithm)
     stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}
-    n_conv, n_nonconv, n_early, iterations = [], [], [], []
+    solves = []
     for value in values:
         sc = apply_axis(scenario, sweep_axis, value)
         batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, n_snapshots)
@@ -369,15 +371,18 @@ def run_monte_carlo(
         ok = sol.converged
         fixed = sol.fixed_point[ok]
         mx = metrics(fixed, batch.rows(ok))
-        n_conv.append(int(ok.sum()))
-        n_nonconv.append(n_snapshots - int(ok.sum()))
-        n_early.append(int(sol.stopped_early.sum()))
         # sorted Python ints: np.median would page in numpy's sort kernels (0.5 MB RSS)
         used = sorted(sol.iterations_used[ok].tolist())
-        iterations.append(
-            (used[0], (used[(len(used) - 1) // 2] + used[len(used) // 2]) / 2, used[-1])
-            if used else None
-        )
+        n_ok = len(used)
+        solves.append({
+            "value": value,
+            "n_converged": n_ok,
+            "n_nonconverged": n_snapshots - n_ok,
+            "n_stopped_early": int(sol.stopped_early.sum()),
+            "converged_iterations": dict(
+                min=used[0], median=(used[(n_ok - 1) // 2] + used[n_ok // 2]) / 2, max=used[-1]
+            ) if used else None,
+        })
         for key, sample in SWEEP_METRICS.items():
             arr = sample(mx, fixed)
             if arr.size == 0:
@@ -385,13 +390,7 @@ def run_monte_carlo(
             else:
                 half = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
                 stats[key].append((float(arr.mean()), float(half)))
-    return SweepResult(
-        stats=stats,
-        n_converged=n_conv,
-        n_nonconverged=n_nonconv,
-        n_stopped_early=n_early,
-        converged_iterations=iterations,
-    )
+    return SweepResult(stats=stats, solves=solves)
 
 
 @dataclass

@@ -38,7 +38,7 @@ from .core import (
     metrics,
     required_hbs_power,
 )
-from .engine import iterate, run_fixed_point, solve
+from .engine import iterate, solve
 
 __all__ = [
     "FLReport",
@@ -291,7 +291,7 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
     the row-sum norm is included alongside.
     """
     if at is None:
-        at = run_fixed_point(Algorithm.TPCEH, snap, tol=1e-10, max_iter=20000).fixed_point
+        at = solve(Algorithm.TPCEH, snap.repeated(), tol=1e-10, max_iter=20000).fixed_point[0]
     y = -at
     K = snap.num_ues
     cfg = snap.cfg

@@ -233,6 +233,10 @@ def test_snapshot_from_distances_errors():
         snapshot_from_distances([1.0], cfg, HBS, TEMPLATE)
     with pytest.raises(ConfigError):
         snapshot_from_distances([1.0, 0.0], cfg, HBS, TEMPLATE)
+    for name in ("gamma_targets", "mus", "etas"):
+        with pytest.raises(ConfigError) as exc:
+            snapshot_from_distances([1.0, 2.0], cfg, HBS, TEMPLATE, **{name: [0.5]})
+        assert exc.value.errors == [f"{name}: expected 2 entries, got 1"]
 
 
 def test_scenario_dispatch(paper_scenario):

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from fdpowerctl import __version__
 from fdpowerctl.cli import main
+from fdpowerctl.config import config_hash, load_scenario, scenario_to_dict
 
 from conftest import CONFIG_DIR
 
@@ -366,12 +369,13 @@ def test_verify_calls_each_check_and_solve_once_per_claim(tmp_path, monkeypatch)
     assert rc == 0
     # one batched call per claim, whatever the number of snapshots; solve
     # runs twice for uniqueness (one per algorithm) and once each for
-    # update-equivalence, optimality and harvest-tightness
+    # update-equivalence, optimality, harvest-tightness and the point
+    # fl-conditions is evaluated at
     assert {name: calls.count(name) for name in set(calls)} == {
         "check_fixed_point_uniqueness": 1,
         "check_update_form_equivalence": 1,
         "check_harvest_power_tightness": 1,
-        "solve": 5,
+        "solve": 6,
     }
 
 
@@ -409,6 +413,8 @@ def test_counts_below_one_exit_2(tmp_path, capsys, argv, message):
     (["--values", "2.7"], "num_ues values must be whole numbers, got '2.7'"),
     (["--values", "2,nan"], "num_ues values must be whole numbers, got '2,nan'"),
     (["--algorithms", ","], "empty algorithm list"),
+    (["--values", "2,five"], "could not parse sweep values '2,five'"),
+    (["--values", " , "], "empty sweep value list"),
 ])
 def test_sweep_bad_algorithm_or_ue_count_exits_2(tmp_path, capsys, flags, message):
     argv = ["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2",
@@ -446,3 +452,119 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_values_may_start_with_a_negative_number(tmp_path):
+    # delta_db is negative in practice; argparse alone reads "-120,-100" as an option
+    argv = ["sweep", "--config", DESK, "--axis", "delta_db", "--snapshots", "2"]
+    assert main([*argv, "--values", "-120,-100", "--out", str(tmp_path / "split")]) == 0
+    assert main([*argv, "--values=-120,-100", "--out", str(tmp_path / "joined")]) == 0
+    name = "sweep_delta_db_tpceh.csv"
+    assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "joined" / name).read_bytes()
+
+
+def _fail_first_tightness_row(monkeypatch):
+    import fdpowerctl.cli as cli
+
+    original = cli.check_harvest_power_tightness
+
+    def failing(x, batch):
+        rep = original(x, batch)
+        rep.passed[0] = False
+        return rep
+
+    monkeypatch.setattr(cli, "check_harvest_power_tightness", failing)
+
+
+def test_verify_failing_claim_exits_4(tmp_path, monkeypatch, capsys):
+    _fail_first_tightness_row(monkeypatch)
+    rc = main(["verify", "--config", DESK, "--k", "2", "--snapshots", "2", "--trials", "100",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    captured = capsys.readouterr()
+    assert captured.err == "failing claims: harvest-tightness\n"
+    assert "harvest-tightness: FAIL" in captured.out.splitlines()
+    report = json.loads((tmp_path / "verification.json").read_text())
+    assert report["harvest-tightness"]["passed"] is False
+    assert [claim for claim, entry in report.items() if not entry["passed"]] == [
+        "harvest-tightness"
+    ]
+    manifest = json.loads((tmp_path / "verification.json.manifest.json").read_text())
+    assert manifest["outputs"] == ["verification.json"]
+
+
+def test_seed_flag_writes_what_the_config_seed_writes(tmp_path):
+    doc = json.loads(open(DESK).read())
+    doc["scenario"]["seed"] = 3
+    seeded = tmp_path / "seed3.json"
+    seeded.write_text(json.dumps(doc))
+    argv = ["sweep", "--axis", "cell_side", "--values", "40", "--snapshots", "3"]
+    runs = {
+        "flag": ["--config", DESK, "--seed", "3"],
+        "file": ["--config", str(seeded)],
+        "default": ["--config", DESK],
+    }
+    csv = {}
+    for name, flags in runs.items():
+        assert main([*argv, *flags, "--out", str(tmp_path / name)]) == 0
+        csv[name] = (tmp_path / name / "sweep_cell_side_tpceh.csv").read_bytes()
+    assert csv["flag"] == csv["file"] != csv["default"]
+    manifest = json.loads(
+        (tmp_path / "flag" / "sweep_cell_side_tpceh.csv.manifest.json").read_text()
+    )
+    assert manifest["seed"] == 3
+
+
+def test_snapshot_tol_flag_sets_the_stopping_rule(tmp_path):
+    from fdpowerctl.core import Algorithm
+    from fdpowerctl.channel import snapshot_from_scenario
+    from fdpowerctl.engine import run_fixed_point
+
+    rc = main(["snapshot", "--config", DESK, "--tol", "1e-4", "--out", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "summary_tpceh.json").read_text())
+    trace = run_fixed_point(Algorithm.TPCEH, snapshot_from_scenario(load_scenario(DESK)),
+                            tol=1e-4)
+    assert summary["iterations_used"] == trace.iterations_used
+    assert summary["final_relative_change"] == trace.final_change <= 1e-4
+    default = run_fixed_point(Algorithm.TPCEH, snapshot_from_scenario(load_scenario(DESK)))
+    assert trace.iterations_used < default.iterations_used
+
+
+MANIFEST_KEYS = {"subcommand", "config_hash", "seed", "tool_version", "outputs", "duration_s"}
+
+
+@pytest.mark.parametrize("argv, code, fail_claim", [
+    (["snapshot"], 0, False),
+    (["snapshot", "--algorithm", "OPCEH", "--max-iter", "5"], 3, False),
+    (["sweep", "--axis", "cell_side", "--values", "40,60", "--algorithms", "TPC,OPCEH",
+      "--snapshots", "2"], 0, False),
+    (["mobility", "--duration", "0.01"], 0, False),
+    (["verify", "--k", "2", "--snapshots", "2", "--trials", "100"], 0, False),
+    (["verify", "--k", "2", "--snapshots", "2", "--trials", "100"], 4, True),
+], ids=["snapshot", "snapshot-exit-3", "sweep", "mobility", "verify", "verify-exit-4"])
+def test_every_output_has_a_manifest(tmp_path, monkeypatch, argv, code, fail_claim):
+    if fail_claim:
+        _fail_first_tightness_row(monkeypatch)
+    rc = main([*argv, "--config", DESK, "--seed", "7", "--out", str(tmp_path)])
+    assert rc == code
+    outputs = sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*outputs, *(f"{name}.manifest.json" for name in outputs)]
+    )
+    scenario = load_scenario(DESK)
+    scenario = dataclasses.replace(scenario, cfg=dataclasses.replace(scenario.cfg, seed=7))
+    if argv[0] == "verify":
+        # the hash is that of the scenario the claims ran on
+        cfg = dataclasses.replace(scenario.cfg, num_ues=2)
+        scenario = dataclasses.replace(scenario, cfg=cfg, fixed_ues=None)
+    manifests = [json.loads((tmp_path / f"{n}.manifest.json").read_text()) for n in outputs]
+    for manifest in manifests:
+        assert manifest == manifests[0]
+        assert MANIFEST_KEYS <= set(manifest)
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["config_hash"] == config_hash(scenario_to_dict(scenario))
+        assert manifest["seed"] == 7
+        assert manifest["tool_version"] == __version__
+        assert sorted(manifest["outputs"]) == outputs
+        assert manifest["duration_s"] >= 0.0

@@ -128,23 +128,49 @@ def test_validate_rejects_non_finite_ue_inputs(distance, overrides, template_cha
     assert exc.value.errors == [expected]
 
 
-@pytest.mark.parametrize("part, field, expected", [
-    ("cfg", "tol", "scenario.tol: must be finite"),
-    ("cfg", "sigma2", "scenario.sigma2: must be finite"),
-    ("cfg", "delta", "scenario.delta: must be finite"),
-    ("cfg", "cell_side", "scenario.cell_side: must be finite"),
-    ("cfg", "delta_t", "scenario.delta_t: must be finite"),
-    ("cfg", "attenuation_k", "scenario.attenuation_k: must be finite"),
-    ("hbs", "p_bar_h", "hbs.p_bar_h: must be finite"),
-    ("hbs", "p_dyn", "hbs.circuit: circuit powers must be finite"),
-    ("hbs", "p_sta", "hbs.circuit: circuit powers must be finite"),
-])
-def test_validate_rejects_non_finite_scenario_values(part, field, expected):
+SCENARIO_VALUE_CASES = [
     # NaN passes every < or <= range test, so each value is tested for finiteness
+    ("cfg", "tol", math.nan, "scenario.tol: must be finite"),
+    ("cfg", "sigma2", math.nan, "scenario.sigma2: must be finite"),
+    ("cfg", "delta", math.nan, "scenario.delta: must be finite"),
+    ("cfg", "cell_side", math.nan, "scenario.cell_side: must be finite"),
+    ("cfg", "delta_t", math.nan, "scenario.delta_t: must be finite"),
+    ("cfg", "attenuation_k", math.nan, "scenario.attenuation_k: must be finite"),
+    ("hbs", "p_bar_h", math.nan, "hbs.p_bar_h: must be finite"),
+    ("hbs", "p_dyn", math.nan, "hbs.circuit: circuit powers must be finite"),
+    ("hbs", "p_sta", math.nan, "hbs.circuit: circuit powers must be finite"),
+    # finite values out of range
+    ("cfg", "delta_t", 0.0, "scenario.delta_t: must be strictly positive"),
+    ("cfg", "attenuation_k", -0.09, "scenario.attenuation_k: must be strictly positive"),
+    ("cfg", "hbs_placement", "edge", "scenario.hbs_placement: must be 'center' or 'corner'"),
+    ("cfg", "max_iter", 0, "scenario.max_iter: must be at least 1"),
+    ("hbs", "p_bar_h", 0.0, "hbs.p_bar_h: must be strictly positive"),
+    ("hbs", "n_antennas", 0, "hbs.n_antennas: must be at least 1"),
+    ("hbs", "p_dyn", -1.0, "hbs.circuit: circuit powers must be non-negative"),
+    ("hbs", "p_sta", -1.0, "hbs.circuit: circuit powers must be non-negative"),
+]
+
+
+@pytest.mark.parametrize(
+    "part, field, value, expected", SCENARIO_VALUE_CASES,
+    # the NaN cases keep the ids they had before the range cases joined them
+    ids=[f"{part}-{field}-{expected if isinstance(value, float) and math.isnan(value) else value}"
+         for part, field, value, expected in SCENARIO_VALUE_CASES],
+)
+def test_validate_rejects_non_finite_scenario_values(part, field, value, expected):
     cfg, hbs, template, snap = _valid_parts()
     parts = {"cfg": cfg, "hbs": hbs}
-    parts[part] = dataclasses.replace(parts[part], **{field: math.nan})
+    parts[part] = dataclasses.replace(parts[part], **{field: value})
     assert validate_scenario(parts["cfg"], parts["hbs"]) == [expected]
+
+
+@pytest.mark.parametrize("mu", [0.0, 1.0, -0.5, 1.5])
+def test_template_mu_outside_unit_interval_reported(mu):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["ue_template"]["mu"] = mu
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == ["ue_template.mu: must lie in (0, 1)"]
 
 
 @pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])

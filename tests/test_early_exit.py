@@ -73,17 +73,18 @@ def test_opceh_unconverged_rows_are_stopped_early(desk_scenario, k):
 def test_sweep_counts_rows_stopped_early(desk_scenario):
     result = run_monte_carlo(Algorithm.OPCEH, desk_scenario, "num_ues", [2, 5, 10, 20],
                              N_SNAPSHOTS)
-    assert result.n_stopped_early == [0, 7, 10, 10]
-    assert result.n_nonconverged == [0, 7, 10, 10]
-    assert result.n_converged == [200, 193, 190, 190]
-    for low, median, high in result.converged_iterations:
-        assert 1 <= low <= median <= high < 2000
+    assert [s["value"] for s in result.solves] == [2, 5, 10, 20]
+    assert [s["n_stopped_early"] for s in result.solves] == [0, 7, 10, 10]
+    assert [s["n_nonconverged"] for s in result.solves] == [0, 7, 10, 10]
+    assert [s["n_converged"] for s in result.solves] == [200, 193, 190, 190]
+    for s in result.solves:
+        iterations = s["converged_iterations"]
+        assert 1 <= iterations["min"] <= iterations["median"] <= iterations["max"] < 2000
 
 
 def test_sweep_iteration_stats_without_converged_rows(desk_scenario):
     result = run_monte_carlo(Algorithm.OPCEH, desk_scenario, "num_ues", [5], 3, max_iter=1)
-    assert result.n_converged == [0]
-    assert result.converged_iterations == [None]
+    assert [(s["n_converged"], s["converged_iterations"]) for s in result.solves] == [(0, None)]
 
 
 @pytest.mark.parametrize("alg", list(Algorithm))

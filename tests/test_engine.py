@@ -136,7 +136,7 @@ def test_monte_carlo_single_snapshot_degenerates_to_fixed_point(desk_scenario):
     mean, half = result.stats["p_h"][0]
     assert mean == pytest.approx(trace.fixed_point[-1], rel=1e-12)
     assert half == 0.0
-    assert result.n_converged == [1]
+    assert [s["n_converged"] for s in result.solves] == [1]
 
 
 def test_monte_carlo_deterministic(desk_scenario):
@@ -469,7 +469,6 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
 
     monkeypatch.setattr(engine, "joint_update", no_step)
     result = run_monte_carlo(Algorithm.TPCEH, desk_scenario, "num_ues", [2, 5], 0)
-    assert result.n_converged == [0, 0]
-    assert result.n_nonconverged == [0, 0]
+    assert [(s["n_converged"], s["n_nonconverged"]) for s in result.solves] == [(0, 0), (0, 0)]
     for pairs in result.stats.values():
         assert all(np.isnan(m) and np.isnan(h) for m, h in pairs)
