@@ -27,6 +27,8 @@ __all__ = [
     "Snapshot",
     "path_gain",
     "hbs_position",
+    "draw_ues",
+    "place_ues",
     "sample_batch",
     "snapshot_from_distances",
     "snapshot_from_scenario",
@@ -173,31 +175,6 @@ def _draw_mu(rng: np.random.Generator) -> float:
     return mu
 
 
-def _draw_ues(
-    cfg: ScenarioConfig, ue_template: UeTemplate, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """UE positions (K, 2) in meters and harvesting efficiencies (K,).
-
-    Each UE consumes a fixed number of draws (x, y, then mu when random), in
-    UE order, so a K-UE draw is a prefix of the (K+1)-UE draw from the same
-    stream. With a fixed mu, one (K, 2) draw reads the same 2K numbers as the
-    per-UE scalar draws; a random mu keeps the per-UE loop.
-    """
-    k = max(cfg.num_ues, 0)
-    if ue_template.mu is not None:
-        unit = rng.uniform(0.0, 1.0, size=(k, 2))
-        mu = np.full(k, ue_template.mu)
-    else:
-        unit = np.empty((k, 2))
-        mu = np.empty(k)
-        for i in range(k):
-            unit[i] = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
-            mu[i] = _draw_mu(rng)
-    # a unit-square draw scaled by the side keeps positions comparable
-    # across cell-side sweeps that share a seed
-    return unit * cfg.cell_side, mu
-
-
 # Rows of positions per Python-float pass in _distances, which bounds its
 # temporaries (about 100 bytes a row) whatever the input's length.
 DISTANCE_CHUNK = 512
@@ -217,28 +194,62 @@ def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return np.maximum(out, 1e-9, out=out)
 
 
+def draw_ues(
+    cfg: ScenarioConfig, ue_template: UeTemplate, n_snapshots: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-square coordinates (S, K, 2) and mu (S, K) of random snapshots
+    0 .. n_snapshots-1, row s read from stream cfg.seed + s (see sample_batch).
+
+    With a fixed mu, one (K, 2) draw reads the same 2K numbers, x then y per
+    UE, as per-UE scalar draws; a random mu keeps the per-UE loop.
+    """
+    k = max(cfg.num_ues, 0)
+    unit = np.empty((n_snapshots, k, 2))
+    mu = np.empty((n_snapshots, k))
+    for sid in range(n_snapshots):
+        rng = np.random.default_rng(cfg.seed + sid)
+        if ue_template.mu is not None:
+            unit[sid] = rng.uniform(0.0, 1.0, size=(k, 2))
+            mu[sid] = ue_template.mu
+        else:
+            for i in range(k):
+                unit[sid, i] = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+                mu[sid, i] = _draw_mu(rng)
+    return unit, mu
+
+
+def place_ues(
+    cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, unit: np.ndarray, mu: np.ndarray
+) -> Snapshot:
+    """The validated batch of cfg.num_ues UEs placed from a draw of at least
+    that many: the first cfg.num_ues columns of the (S, K, 2) unit
+    coordinates and (S, K) mu, in a cell of side cfg.cell_side."""
+    k = max(cfg.num_ues, 0)
+    mu = mu[:, :k]
+    positions = unit[:, :k] * cfg.cell_side
+    distances = _distances(positions.reshape(-1, 2), cfg).reshape(mu.shape)
+    return _snapshot(cfg, hbs, ue_template, positions, distances, mu)
+
+
 def sample_batch(
     cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, n_snapshots: int
 ) -> Snapshot:
     """Random snapshots 0 .. n_snapshots-1, one per row of a batch.
 
-    Every random snapshot comes from here, under one contract:
+    Every random snapshot is a draw (`draw_ues`) placed in the cell
+    (`place_ues`), under one contract:
     - row s draws from its own stream, default_rng(cfg.seed + s), so row s
       does not depend on n_snapshots;
-    - each UE in turn draws x, then y (uniform on the unit square, scaled by
-      the cell side), then mu when the template leaves it random (uniform on
-      [0, 1), drawn again while below MU_FLOOR);
-    - so the K-UE row s is a prefix of the (K+1)-UE row s (K-prefix property).
+    - each UE in turn draws x, then y (uniform on the unit square), then mu
+      when the template leaves it random (uniform on [0, 1), drawn again
+      while below MU_FLOOR);
+    - so the K-UE row s is a prefix of the (K+1)-UE row s (K-prefix property);
+    - the placement scales x and y by the cell side, so one draw serves
+      every cell side, delta, target and UE count up to its own.
     Invalid parameters raise a ConfigError listing the violations of the
     first invalid row; a batch of no snapshots checks nothing.
     """
-    k = max(cfg.num_ues, 0)
-    positions = np.empty((n_snapshots, k, 2))
-    mu = np.empty((n_snapshots, k))
-    for sid in range(n_snapshots):
-        positions[sid], mu[sid] = _draw_ues(cfg, ue_template, np.random.default_rng(cfg.seed + sid))
-    distances = _distances(positions.reshape(-1, 2), cfg).reshape(n_snapshots, k)
-    return _snapshot(cfg, hbs, ue_template, positions, distances, mu)
+    return place_ues(cfg, hbs, ue_template, *draw_ues(cfg, ue_template, n_snapshots))
 
 
 def snapshot_from_distances(

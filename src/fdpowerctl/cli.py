@@ -172,25 +172,22 @@ def cmd_sweep(args, scenario: Scenario, out: Path):
         raise UsageError(f"num_ues values must be whole numbers, got {args.values!r}")
     names = _listed(args.algorithms, {alg.value for alg in Algorithm}, "algorithm")
 
+    results = run_monte_carlo(
+        names, scenario, args.axis, values, args.snapshots, tol=args.tol, max_iter=args.max_iter
+    )
     outputs = []
-    solves = {}
-    for alg in map(Algorithm, names):
-        result = run_monte_carlo(
-            alg, scenario, args.axis, values, args.snapshots,
-            tol=args.tol, max_iter=args.max_iter,
-        )
-        solves[alg.value] = result.solves
+    for name, result in zip(names, results):
         # one row per (axis value, metric), metrics varying fastest
         cells = [
             (record["value"], metric, *result.stats[metric][vi], record["n_converged"])
             for vi, record in enumerate(result.solves)
             for metric in SWEEP_METRICS
         ]
-        path = out / f"sweep_{args.axis}_{alg.value.lower()}.csv"
+        path = out / f"sweep_{args.axis}_{name.lower()}.csv"
         _write_csv(path, ["axis", "metric_name", "mean", "half_width", "n"], list(zip(*cells)))
         outputs.append(path)
-        print(f"{alg.value}: wrote {path}")
-    return EXIT_OK, outputs, {"solves": solves}
+        print(f"{name}: wrote {path}")
+    return EXIT_OK, outputs, {"solves": {n: r.solves for n, r in zip(names, results)}}
 
 
 def cmd_mobility(args, scenario: Scenario, out: Path):
@@ -380,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_ver)
     p_ver.add_argument("--claims", default=None,
                        help=f"comma-separated subset of: {', '.join(CLAIMS)}")
-    p_ver.add_argument("--k", type=int, default=None, help="override UE count")
+    p_ver.add_argument("--k", type=count, default=None, help="override UE count")
     p_ver.add_argument("--snapshots", type=count, default=10)
     p_ver.add_argument("--trials", type=count, default=10000)
     p_ver.set_defaults(func=cmd_verify)

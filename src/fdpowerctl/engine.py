@@ -3,8 +3,8 @@
 The iteration is Jacobi-style: every UE and (for the harvesting algorithms)
 the base station compute their next power from the full state of the current
 step. Random snapshot s comes from the stream cfg.seed + s alone (see
-`channel.sample_batch`), so sweeps over an axis reuse identical snapshot
-draws for every axis value and every algorithm (common random numbers).
+`channel.sample_batch`). A sweep draws its snapshots once and places that
+one draw for every axis value and every algorithm (common random numbers).
 
 A state is one array: the K uplink powers, then the harvest power, so (K+1,)
 for one state and (S, K+1) for S of them (see `core`). There is one
@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import Snapshot, sample_batch, snapshot_from_scenario
+from .channel import Snapshot, draw_ues, place_ues, snapshot_from_scenario
 from .config import Scenario
 from .core import Algorithm, Metrics, state_caps, joint_update, metrics
 from .units import db_to_linear
@@ -341,56 +341,63 @@ class SweepResult:
 
 
 def run_monte_carlo(
-    algorithm: Algorithm | str,
+    algorithms: list[Algorithm | str],
     scenario: Scenario,
     sweep_axis: str,
     values: list[float],
     n_snapshots: int,
     tol: float | None = None,
     max_iter: int | None = None,
-) -> SweepResult:
-    """Average fixed-point metrics over seeded snapshots per axis value.
+) -> list[SweepResult]:
+    """Per algorithm, in the order given, a SweepResult of fixed-point metrics
+    averaged over seeded snapshots per axis value.
 
-    Snapshot i is random snapshot i of `sample_batch` (stream cfg.seed + i),
-    also when the scenario pins its UEs, so the same random placements back
-    every axis value (and any other algorithm run with the same scenario),
-    which keeps trend comparisons paired. Snapshots
-    that fail to converge are counted and left out of the averages. Each axis
-    value is one `solve` call over all its snapshots, with `give_up` on: a
-    row certified unable to converge within max_iter stops early (counted in
+    Snapshot i is random snapshot i (stream cfg.seed + i), also when the
+    scenario pins its UEs. One draw at the sweep's largest UE count is placed
+    for every value before the first solve (see `channel.sample_batch`), so
+    every value and algorithm gets the same placements, which keeps trend
+    comparisons paired, and an invalid value fails before any solve.
+    Unconverged snapshots are counted and left out of the averages. Each
+    (algorithm, value) is one `solve` call with `give_up` on: a row certified
+    unable to converge within max_iter stops early (counted in
     n_stopped_early), and since such a row is one that full iteration leaves
     unconverged, the averages and counts are those of full iteration.
     """
-    alg = Algorithm(algorithm)
-    stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}
-    solves = []
-    for value in values:
-        sc = apply_axis(scenario, sweep_axis, value)
-        batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, n_snapshots)
-        sol = solve(alg, batch, tol=tol, max_iter=max_iter, give_up=True)
-        ok = sol.converged
-        fixed = sol.fixed_point[ok]
-        mx = metrics(fixed, batch.rows(ok))
-        # sorted Python ints: np.median would page in numpy's sort kernels (0.5 MB RSS)
-        used = sorted(sol.iterations_used[ok].tolist())
-        n_ok = len(used)
-        solves.append({
-            "value": value,
-            "n_converged": n_ok,
-            "n_nonconverged": n_snapshots - n_ok,
-            "n_stopped_early": int(sol.stopped_early.sum()),
-            "converged_iterations": dict(
-                min=used[0], median=(used[(n_ok - 1) // 2] + used[n_ok // 2]) / 2, max=used[-1]
-            ) if used else None,
-        })
-        for key, sample in SWEEP_METRICS.items():
-            arr = sample(mx, fixed)
-            if arr.size == 0:
-                stats[key].append((math.nan, math.nan))
-            else:
-                half = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
-                stats[key].append((float(arr.mean()), float(half)))
-    return SweepResult(stats=stats, solves=solves)
+    scenarios = [apply_axis(scenario, sweep_axis, value) for value in values]
+    widest = max(scenarios, key=lambda sc: sc.cfg.num_ues, default=scenario)
+    unit, mu = draw_ues(widest.cfg, widest.ue_template, n_snapshots)
+    batches = [place_ues(sc.cfg, sc.hbs, sc.ue_template, unit, mu) for sc in scenarios]
+    results = []
+    for alg in algorithms:
+        stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}
+        solves = []
+        for value, batch in zip(values, batches):
+            sol = solve(alg, batch, tol=tol, max_iter=max_iter, give_up=True)
+            ok = sol.converged
+            fixed = sol.fixed_point[ok]
+            mx = metrics(fixed, batch.rows(ok))
+            # sorted Python ints: np.median would page in numpy's sort kernels (0.5 MB RSS)
+            used = sorted(sol.iterations_used[ok].tolist())
+            n_ok = len(used)
+            solves.append({
+                "value": value,
+                "n_converged": n_ok,
+                "n_nonconverged": n_snapshots - n_ok,
+                "n_stopped_early": int(sol.stopped_early.sum()),
+                "converged_iterations": dict(
+                    min=used[0], median=(used[(n_ok - 1) // 2] + used[n_ok // 2]) / 2,
+                    max=used[-1],
+                ) if used else None,
+            })
+            for key, sample in SWEEP_METRICS.items():
+                arr = sample(mx, fixed)
+                if arr.size == 0:
+                    stats[key].append((math.nan, math.nan))
+                else:
+                    half = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
+                    stats[key].append((float(arr.mean()), float(half)))
+        results.append(SweepResult(stats=stats, solves=solves))
+    return results
 
 
 @dataclass

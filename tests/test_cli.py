@@ -178,6 +178,69 @@ def test_sweep_repeated_algorithm_runs_once(tmp_path, capsys):
     assert manifest["outputs"] == ["sweep_cell_side_tpceh.csv"]
 
 
+def _sweep_csv(out, config, axis, values, algorithm, snapshots=5) -> list[str]:
+    rc = main(["sweep", "--config", config, "--axis", axis, "--values", values,
+               "--algorithms", algorithm, "--snapshots", str(snapshots), "--out", str(out)])
+    assert rc == 0
+    return (out / f"sweep_{axis}_{algorithm.lower()}.csv").read_text().splitlines()
+
+
+def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
+    import numpy as np
+
+    built = []
+    original = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    rc = main(["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2,5,10,20",
+               "--algorithms", "TPCEH,OPCEH", "--snapshots", "7", "--out", str(tmp_path)])
+    assert rc == 0
+    # one generator per snapshot stream, whatever the axis values and algorithms
+    assert built == [(1 + s,) for s in range(7)]
+    for alg in ("TPCEH", "OPCEH"):
+        _sweep_csv(tmp_path / alg, DESK, "num_ues", "2,5,10,20", alg, 7)
+        name = f"sweep_num_ues_{alg.lower()}.csv"
+        assert (tmp_path / name).read_bytes() == (tmp_path / alg / name).read_bytes()
+
+
+def _random_mu_config(tmp_path) -> str:
+    # paper_4a with each UE's mu drawn at random
+    doc = json.loads((CONFIG_DIR / "paper_4a.json").read_text())
+    doc["ue_template"]["mu"] = None
+    path = tmp_path / "random_mu.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("axis, values", [("num_ues", "20,2,10"), ("cell_side", "40,60")])
+@pytest.mark.parametrize("config", ["desk-fixed-mu", "paper-random-mu"])
+def test_sweep_rows_equal_single_value_sweeps(tmp_path, config, axis, values):
+    # the vectorised fixed-mu draw, and the per-UE loop of a random mu: a
+    # value's rows do not depend on the other values or on their order
+    path = DESK if config == "desk-fixed-mu" else _random_mu_config(tmp_path)
+    swept = _sweep_csv(tmp_path / "all", path, axis, values, "TPCEH")
+    alone = [_sweep_csv(tmp_path / v, path, axis, v, "TPCEH")[1:] for v in values.split(",")]
+    assert swept[1:] == [row for rows in alone for row in rows]
+
+
+def test_sweep_bad_value_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    import fdpowerctl.engine as engine
+
+    def no_solve(*args):
+        raise AssertionError("a solve ran before every value was checked")
+
+    monkeypatch.setattr(engine, "joint_update", no_solve)
+    rc = main(["sweep", "--config", DESK, "--axis", "num_ues", "--values", "5,0",
+               "--snapshots", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "config error: scenario.num_ues: must be at least 1"
+    assert not list(tmp_path.iterdir())
+
+
 def test_mobility_zero_duration_header_only(tmp_path):
     rc = main(["mobility", "--config", DESK, "--algorithm", "TPC",
                "--duration", "0", "--out", str(tmp_path)])
@@ -401,10 +464,14 @@ def _exits_2_in_argparse(argv, capsys) -> str:
     (["snapshot", "--max-iter", "-3"], "--max-iter: must be at least 0, got -3"),
     (["sweep", "--axis", "num_ues", "--values", "2", "--max-iter", "-1"],
      "--max-iter: must be at least 0, got -1"),
+    (["verify", "--k", "0"], "--k: must be at least 1, got 0"),
+    (["verify", "--k", "-2"], "--k: must be at least 1, got -2"),
 ])
 def test_counts_below_one_exit_2(tmp_path, capsys, argv, message):
     err = _exits_2_in_argparse([*argv, "--config", DESK, "--out", str(tmp_path)], capsys)
     assert message in err
+    # the flag is named, not the config field it overrides
+    assert "num_ues" not in err
     assert not list(tmp_path.iterdir())
 
 

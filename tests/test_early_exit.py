@@ -71,8 +71,8 @@ def test_opceh_unconverged_rows_are_stopped_early(desk_scenario, k):
 
 
 def test_sweep_counts_rows_stopped_early(desk_scenario):
-    result = run_monte_carlo(Algorithm.OPCEH, desk_scenario, "num_ues", [2, 5, 10, 20],
-                             N_SNAPSHOTS)
+    (result,) = run_monte_carlo([Algorithm.OPCEH], desk_scenario, "num_ues", [2, 5, 10, 20],
+                                N_SNAPSHOTS)
     assert [s["value"] for s in result.solves] == [2, 5, 10, 20]
     assert [s["n_stopped_early"] for s in result.solves] == [0, 7, 10, 10]
     assert [s["n_nonconverged"] for s in result.solves] == [0, 7, 10, 10]
@@ -83,7 +83,7 @@ def test_sweep_counts_rows_stopped_early(desk_scenario):
 
 
 def test_sweep_iteration_stats_without_converged_rows(desk_scenario):
-    result = run_monte_carlo(Algorithm.OPCEH, desk_scenario, "num_ues", [5], 3, max_iter=1)
+    (result,) = run_monte_carlo([Algorithm.OPCEH], desk_scenario, "num_ues", [5], 3, max_iter=1)
     assert [(s["n_converged"], s["converged_iterations"]) for s in result.solves] == [(0, None)]
 
 

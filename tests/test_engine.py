@@ -127,9 +127,9 @@ def test_feasibility_equality_at_unclipped_update():
 
 def test_monte_carlo_single_snapshot_degenerates_to_fixed_point(desk_scenario):
     scenario = dataclasses.replace(desk_scenario, fixed_ues=None)
-    result = run_monte_carlo(Algorithm.TPCEH, scenario, "delta_db", [-120.0], 1)
+    (result,) = run_monte_carlo([Algorithm.TPCEH], scenario, "delta_db", [-120.0], 1)
     # a sweep draws random snapshots also when the scenario pins its UEs
-    pinned = run_monte_carlo(Algorithm.TPCEH, desk_scenario, "delta_db", [-120.0], 1)
+    (pinned,) = run_monte_carlo([Algorithm.TPCEH], desk_scenario, "delta_db", [-120.0], 1)
     assert pinned.stats == result.stats
     snap = sample_batch(scenario.cfg, scenario.hbs, scenario.ue_template, 1).rows(0)
     trace = run_fixed_point(Algorithm.TPCEH, snap)
@@ -141,14 +141,14 @@ def test_monte_carlo_single_snapshot_degenerates_to_fixed_point(desk_scenario):
 
 def test_monte_carlo_deterministic(desk_scenario):
     scenario = dataclasses.replace(desk_scenario, fixed_ues=None)
-    a = run_monte_carlo(Algorithm.OPCEH, scenario, "cell_side", [40.0, 60.0], 5)
-    b = run_monte_carlo(Algorithm.OPCEH, scenario, "cell_side", [40.0, 60.0], 5)
+    (a,) = run_monte_carlo([Algorithm.OPCEH], scenario, "cell_side", [40.0, 60.0], 5)
+    (b,) = run_monte_carlo([Algorithm.OPCEH], scenario, "cell_side", [40.0, 60.0], 5)
     assert a.stats == b.stats
 
 
 def test_monte_carlo_invalid_axis(desk_scenario):
     with pytest.raises(ValueError):
-        run_monte_carlo(Algorithm.TPCEH, desk_scenario, "bogus", [1.0], 1)
+        run_monte_carlo([Algorithm.TPCEH], desk_scenario, "bogus", [1.0], 1)
 
 
 def test_apply_axis_fields(desk_scenario):
@@ -468,7 +468,7 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
         raise AssertionError("an update ran on an empty batch")
 
     monkeypatch.setattr(engine, "joint_update", no_step)
-    result = run_monte_carlo(Algorithm.TPCEH, desk_scenario, "num_ues", [2, 5], 0)
+    (result,) = run_monte_carlo([Algorithm.TPCEH], desk_scenario, "num_ues", [2, 5], 0)
     assert [(s["n_converged"], s["n_nonconverged"]) for s in result.solves] == [(0, 0), (0, 0)]
     for pairs in result.stats.values():
         assert all(np.isnan(m) and np.isnan(h) for m, h in pairs)
