@@ -7,6 +7,7 @@ path-loss law g = k * d^-3; there is no fading or shadowing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ __all__ = [
     "path_gain",
     "hbs_position",
     "draw_ues",
+    "cell_distances",
     "place_ues",
     "sample_batch",
     "snapshot_from_distances",
@@ -75,6 +77,15 @@ class Snapshot:
     @property
     def h(self) -> np.ndarray:
         return self.g
+
+    @functools.cached_property
+    def harvest_scale(self) -> np.ndarray:
+        """eps * mu * g, the divisor of each UE's harvest requirement.
+
+        Computed once per snapshot object: not a field, so a snapshot made by
+        `dataclasses.replace`, `rows`, `repeated` or `moved` computes its own.
+        """
+        return self.cfg.epsilon * self.mu * self.g
 
     @property
     def num_ues(self) -> int:
@@ -218,17 +229,28 @@ def draw_ues(
     return unit, mu
 
 
+def cell_distances(cfg: ScenarioConfig, unit: np.ndarray) -> np.ndarray:
+    """Distances (S, K) to the base station of the UEs of a draw's (S, K, 2)
+    unit coordinates, placed in a cell of side cfg.cell_side."""
+    return _distances((unit * cfg.cell_side).reshape(-1, 2), cfg).reshape(unit.shape[:-1])
+
+
 def place_ues(
-    cfg: ScenarioConfig, hbs: HbsParams, ue_template: UeTemplate, unit: np.ndarray, mu: np.ndarray
+    cfg: ScenarioConfig,
+    hbs: HbsParams,
+    ue_template: UeTemplate,
+    unit: np.ndarray,
+    mu: np.ndarray,
+    distances: np.ndarray,
 ) -> Snapshot:
     """The validated batch of cfg.num_ues UEs placed from a draw of at least
     that many: the first cfg.num_ues columns of the (S, K, 2) unit
-    coordinates and (S, K) mu, in a cell of side cfg.cell_side."""
+    coordinates, (S, K) mu and (S, K) `cell_distances` of the draw in a cell
+    of side cfg.cell_side. A UE's distance depends on its own position
+    alone, so one distance computation serves every UE count up to K."""
     k = max(cfg.num_ues, 0)
-    mu = mu[:, :k]
     positions = unit[:, :k] * cfg.cell_side
-    distances = _distances(positions.reshape(-1, 2), cfg).reshape(mu.shape)
-    return _snapshot(cfg, hbs, ue_template, positions, distances, mu)
+    return _snapshot(cfg, hbs, ue_template, positions, distances[:, :k], mu[:, :k])
 
 
 def sample_batch(
@@ -249,7 +271,8 @@ def sample_batch(
     Invalid parameters raise a ConfigError listing the violations of the
     first invalid row; a batch of no snapshots checks nothing.
     """
-    return place_ues(cfg, hbs, ue_template, *draw_ues(cfg, ue_template, n_snapshots))
+    unit, mu = draw_ues(cfg, ue_template, n_snapshots)
+    return place_ues(cfg, hbs, ue_template, unit, mu, cell_distances(cfg, unit))
 
 
 def snapshot_from_distances(

@@ -7,8 +7,13 @@ engine.
 A state is one array x: the K uplink powers in x[..., :-1], then the base
 station's harvest transmit power in x[..., -1] (watts). One state has shape
 (K+1,); a batch of S states has shape (S, K+1) and goes with a Snapshot whose
-per-UE arrays are (S, K). Sums and maxima run over the last (UE) axis, so
-each row gets exactly the result it would get on its own.
+per-UE arrays are (S, K). Each row gets exactly the result it would get
+on its own, which fixes how the reductions over the UEs may run:
+
+* a maximum (`ue_max`) is exact in any order, so it may run across rows,
+  over a transposed copy, where that is cheaper;
+* the interference sum may not: it is a last-axis `np.add.reduce` over each
+  contiguous row, whose (pairwise, from 8 UEs on) order is part of the bits.
 
 Four algorithms are supported:
 
@@ -42,6 +47,7 @@ __all__ = [
     "joint_update",
     "metrics",
     "required_hbs_power",
+    "ue_max",
 ]
 
 # Numeric guards, not model semantics: slack applied when classifying
@@ -74,13 +80,28 @@ def state_caps(snap: Snapshot) -> np.ndarray:
     return caps
 
 
+def ue_max(a: np.ndarray) -> np.ndarray:
+    """Maximum over the last (UE) axis, byte for byte that of np.max(a, axis=-1).
+
+    With more rows than UEs one reduction across the rows of a (K, S) copy
+    beats S short row reductions; with fewer, the copy costs more. Either
+    order gives the same bits, inf and NaN included, except that a maximum
+    of 0.0 and -0.0 may come out as either: the update kernel reduces no
+    -0.0.
+    """
+    if a.ndim == 2 and a.shape[0] > a.shape[1]:
+        return np.maximum.reduce(a.T.copy(), axis=0)
+    return np.maximum.reduce(a, axis=-1)
+
+
 def _interference(x: np.ndarray, snap: Snapshot) -> np.ndarray:
-    """Per-UE interference-plus-noise seen at the base station receiver."""
+    """Per-UE interference-plus-noise seen at the base station receiver,
+    ((sum - own) + delta p_h) + sigma2."""
     received = snap.h * x[..., :-1]
-    return (
-        received.sum(axis=-1, keepdims=True) - received
-        + snap.cfg.delta * x[..., -1:] + snap.cfg.sigma2
-    )
+    interf = np.add.reduce(received, axis=-1, keepdims=True) - received
+    interf += snap.cfg.delta * x[..., -1:]
+    interf += snap.cfg.sigma2
+    return interf
 
 
 def sinr(x: np.ndarray, snap: Snapshot) -> np.ndarray:
@@ -90,25 +111,29 @@ def sinr(x: np.ndarray, snap: Snapshot) -> np.ndarray:
 
 def required_hbs_power(p_u: np.ndarray, snap: Snapshot) -> np.ndarray:
     """Per-UE downlink power the harvest constraint demands: p_u/(eps mu g) + p_min."""
-    return p_u / (snap.cfg.epsilon * snap.mu * snap.g) + snap.p_min
+    required = p_u / snap.harvest_scale
+    required += snap.p_min
+    return required
 
 
 def hbs_update(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
     """Harvest-power update: the smallest downlink power meeting every UE's
     harvest requirement, clipped to the peak. Above the peak the state is
     energy-infeasible."""
-    return np.minimum(snap.hbs.p_bar_h, required_hbs_power(x[..., :-1], snap).max(axis=-1))
+    return np.minimum(snap.hbs.p_bar_h, ue_max(required_hbs_power(x[..., :-1], snap)))
 
 
 def joint_update(alg: Algorithm, x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """One synchronous step: every UE and (for *EH) the base station update
     from the same state. Returns a new state of the same shape."""
     interf = _interference(x, snap)
-    nxt = np.empty(x.shape)
     if alg.opportunistic:
-        nxt[..., :-1] = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)
+        up = np.divide(snap.eta * snap.h, interf, out=interf)
     else:
-        nxt[..., :-1] = np.minimum(snap.p_bar_u, snap.gamma_target * interf / snap.h)
+        up = np.multiply(snap.gamma_target, interf, out=interf)
+        up /= snap.h
+    nxt = np.empty(x.shape)
+    np.minimum(snap.p_bar_u, up, out=nxt[..., :-1])
     nxt[..., -1] = hbs_update(x, snap) if alg.harvesting else 0.0
     return nxt
 

@@ -54,9 +54,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import Snapshot, draw_ues, place_ues, snapshot_from_scenario
+from .channel import Snapshot, cell_distances, draw_ues, place_ues, snapshot_from_scenario
 from .config import Scenario
-from .core import Algorithm, Metrics, state_caps, joint_update, metrics
+from .core import Algorithm, Metrics, state_caps, joint_update, metrics, ue_max
 from .units import db_to_linear
 
 __all__ = [
@@ -210,7 +210,10 @@ def iterate(
         if t + 1 == check:
             older = x
         nxt = update(x, batch)
-        change = np.max(np.abs(nxt - x) / np.maximum(x, CHANGE_FLOOR), axis=-1)
+        rel = nxt - x
+        np.abs(rel, out=rel)
+        rel /= np.maximum(x, CHANGE_FLOOR)
+        change = ue_max(rel)
         prev, x = x, nxt
         if history is not None:
             history.append(x)
@@ -356,17 +359,26 @@ def run_monte_carlo(
     scenario pins its UEs. One draw at the sweep's largest UE count is placed
     for every value before the first solve (see `channel.sample_batch`), so
     every value and algorithm gets the same placements, which keeps trend
-    comparisons paired, and an invalid value fails before any solve.
+    comparisons paired, and an invalid value fails before any solve. The
+    draw's distances are computed once per cell side, and each value places
+    its first K columns of them.
     Unconverged snapshots are counted and left out of the averages. Each
     (algorithm, value) is one `solve` call with `give_up` on: a row certified
     unable to converge within max_iter stops early (counted in
     n_stopped_early), and since such a row is one that full iteration leaves
     unconverged, the averages and counts are those of full iteration.
     """
+    if isinstance(algorithms, str):
+        raise TypeError(f"algorithms: expected a list of algorithms, got {algorithms!r}")
     scenarios = [apply_axis(scenario, sweep_axis, value) for value in values]
     widest = max(scenarios, key=lambda sc: sc.cfg.num_ues, default=scenario)
     unit, mu = draw_ues(widest.cfg, widest.ue_template, n_snapshots)
-    batches = [place_ues(sc.cfg, sc.hbs, sc.ue_template, unit, mu) for sc in scenarios]
+    cells = {sc.cfg.cell_side: sc.cfg for sc in scenarios}
+    distances = {side: cell_distances(cfg, unit) for side, cfg in cells.items()}
+    batches = [
+        place_ues(sc.cfg, sc.hbs, sc.ue_template, unit, mu, distances[sc.cfg.cell_side])
+        for sc in scenarios
+    ]
     results = []
     for alg in algorithms:
         stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}

@@ -260,3 +260,41 @@ def test_partial_mu_override_falls_back_per_ue(template_mu, fallback):
     assert snap.mu.tolist() == [0.3, fallback, fallback]
     assert snap.eta.tolist() == [template.eta, 2.0, template.eta]
     assert snap.p_min.tolist() == (snap.p_cir / (snap.mu * snap.g)).tolist()
+
+
+@BOTH_TEMPLATES
+def test_harvest_scale_is_never_stale(template):
+    # a derived snapshot computes eps * mu * g from its own arrays, also
+    # after its source has computed (and cached) its own
+    snap = sample_batch(_cfg(), HBS, template, 4)
+    eps = snap.cfg.epsilon
+    assert snap.harvest_scale.tobytes() == (eps * snap.mu * snap.g).tobytes()
+    positions = np.stack([snap.rows(0).positions, snap.rows(1).positions])
+    derived = [
+        dataclasses.replace(snap, g=snap.g * 3.0),
+        dataclasses.replace(snap, mu=snap.mu * 0.5),
+        snap.rows(slice(1, 3)),
+        snap.rows(np.array([True, False, True, True])),
+        snap.rows(2),
+        snap.rows(1).repeated(3),
+        snap.rows(3).moved(positions),
+    ]
+    for d in derived:
+        assert d.harvest_scale.shape == d.g.shape
+        assert d.harvest_scale.tobytes() == (eps * d.mu * d.g).tobytes()
+
+
+@BOTH_TEMPLATES
+def test_place_ues_from_shared_distances_equals_fresh(template):
+    # a narrower or equal placement from the widest draw's distances in the
+    # same cell is the fresh K-UE batch, field for field
+    wide = _cfg(num_ues=12, cell_side=60.0)
+    unit, mu = channel.draw_ues(wide, template, 5)
+    distances = channel.cell_distances(wide, unit)
+    for k in (1, 5, 12):
+        cfg = _cfg(num_ues=k, cell_side=60.0)
+        shared = channel.place_ues(cfg, HBS, template, unit, mu, distances)
+        fresh = channel.sample_batch(cfg, HBS, template, 5)
+        for name in channel._ARRAYS:
+            a, b = getattr(shared, name), getattr(fresh, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (k, name)

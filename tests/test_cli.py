@@ -227,6 +227,41 @@ def test_sweep_rows_equal_single_value_sweeps(tmp_path, config, axis, values):
     assert swept[1:] == [row for rows in alone for row in rows]
 
 
+@pytest.mark.parametrize("axis, values, rows", [
+    ("num_ues", "2,5,10,20", 7 * 20),
+    ("cell_side", "30,60,30", 2 * 7 * 5),
+])
+def test_sweep_distances_once_per_cell_side(tmp_path, monkeypatch, axis, values, rows):
+    # the CSVs equal those of a sweep that places every value afresh, and
+    # each distinct cell side computes the draw's distances once
+    import fdpowerctl.channel as channel
+    import fdpowerctl.engine as engine
+
+    args = ["sweep", "--config", DESK, "--axis", axis, "--values", values,
+            "--algorithms", "TPC,OPC,TPCEH,OPCEH", "--snapshots", "7"]
+    measured = []
+    hypot_rows = channel._distances
+
+    def counting(positions, cfg):
+        measured.append(len(positions))
+        return hypot_rows(positions, cfg)
+
+    monkeypatch.setattr(channel, "_distances", counting)
+    assert main(args + ["--out", str(tmp_path / "shared")]) == 0
+    assert sum(measured) == rows
+    place_ues = engine.place_ues
+
+    def fresh(cfg, hbs, template, unit, mu, shared):
+        unit = unit[:, :cfg.num_ues]
+        return place_ues(cfg, hbs, template, unit, mu, channel.cell_distances(cfg, unit))
+
+    monkeypatch.setattr(engine, "place_ues", fresh)
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    for alg in ("tpc", "opc", "tpceh", "opceh"):
+        name = f"sweep_{axis}_{alg}.csv"
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_sweep_bad_value_fails_before_any_solve(tmp_path, monkeypatch, capsys):
     import fdpowerctl.engine as engine
 

@@ -14,6 +14,8 @@ from fdpowerctl.core import (
     metrics,
     required_hbs_power,
     sinr,
+    state_caps,
+    ue_max,
 )
 from fdpowerctl.engine import run_fixed_point
 
@@ -289,3 +291,43 @@ def test_batched_maps_equal_row_by_row(desk_scenario, alg, k, snapshot_id):
         step = joint_update(alg, x, snap)
         assert step.shape == (k + 1,)
         assert step.tobytes() == joint_update(alg, x[None, :], one_row)[0].tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+def test_ue_max_equals_last_axis_max_bytes(k):
+    # one shape per branch and boundary: 1-D, one row, square, more rows
+    # than UEs (the transposed reduction); -0.0 is left out, as its
+    # maximum with 0.0 depends on the order and the kernel reduces none
+    rng = np.random.default_rng(k)
+    for shape in ((k,), (1, k), (k, k), (3 * k + 4, k)):
+        a = rng.lognormal(-10.0, 5.0, size=shape)
+        flat = a.reshape(-1)
+        flat[rng.integers(flat.size, size=max(flat.size // 6, 1))] = np.inf
+        flat[rng.integers(flat.size, size=max(flat.size // 6, 1))] = np.nan
+        if a.ndim == 2 and len(a) > 2:
+            a[1] = np.inf
+            a[2] = np.nan
+        got, want = np.asarray(ue_max(a)), np.asarray(np.max(a, axis=-1))
+        assert got.dtype == want.dtype and got.shape == want.shape, shape
+        assert got.tobytes() == want.tobytes(), shape
+
+
+@pytest.mark.parametrize("k", [5, 20])
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_joint_update_batches_equal_rows_alone(desk_scenario, alg, k):
+    # fewer rows than UEs, as many, and more: the harvest maximum runs along
+    # the rows in the first two batches and across them in the last
+    cfg = dataclasses.replace(desk_scenario.cfg, num_ues=k)
+    rng = np.random.default_rng(k)
+    for n in (k // 2, k, 3 * k + 1):
+        batch = sample_batch(cfg, desk_scenario.hbs, desk_scenario.ue_template, n)
+        caps = state_caps(batch)
+        x = caps * 10.0 ** rng.uniform(-12.0, -6.0, size=caps.shape)
+        x[0] = caps[0]
+        step = joint_update(alg, x, batch)
+        assert step.shape == x.shape
+        if alg.harvesting:
+            assert (step[1:, -1] < batch.hbs.p_bar_h).all()
+        for s in range(n):
+            alone = joint_update(alg, x[s], batch.rows(s))
+            assert step[s].tobytes() == alone.tobytes(), (n, s)

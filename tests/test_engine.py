@@ -146,6 +146,12 @@ def test_monte_carlo_deterministic(desk_scenario):
     assert a.stats == b.stats
 
 
+@pytest.mark.parametrize("algorithm", [Algorithm.TPCEH, "OPC"])
+def test_monte_carlo_rejects_a_bare_algorithm(desk_scenario, algorithm):
+    with pytest.raises(TypeError, match="expected a list of algorithms"):
+        run_monte_carlo(algorithm, desk_scenario, "num_ues", [2], 1)
+
+
 def test_monte_carlo_invalid_axis(desk_scenario):
     with pytest.raises(ValueError):
         run_monte_carlo([Algorithm.TPCEH], desk_scenario, "bogus", [1.0], 1)
