@@ -3,6 +3,11 @@
 A snapshot is one realization of UE placement and harvesting efficiencies
 inside a square cell. Channels are reciprocal (g = h) and follow the cubic
 path-loss law g = k * d^-3; there is no fading or shadowing.
+
+A Snapshot stores as arrays only what some input can set per UE: distance,
+gain, mu, target SINR and eta. What the UE template fixes for every UE (the
+uplink cap, the circuit power) is one scalar, and what follows from other
+fields (h, p_min, harvest_scale) is derived from them, never stored.
 """
 
 from __future__ import annotations
@@ -56,27 +61,35 @@ class Snapshot:
     """Per-UE parameters of one snapshot as (K,) arrays, or of S as (S, K).
 
     Row s of a batch is snapshot s, so the update rules and metrics in core,
-    which reduce over the last (UE) axis, apply to both. Channels are
-    reciprocal: the uplink gain h is the downlink gain g. Snapshots made from
-    one another share arrays, which must be treated as read-only.
+    which reduce over the last (UE) axis, apply to both. Only the inputs that
+    vary per UE are arrays (`_ARRAYS`); the uplink cap is one float for every
+    UE, the circuit power is `ue_template.p_cir`, and h, p_min and
+    harvest_scale are derived. Channels are reciprocal: the uplink gain h is
+    the downlink gain g. Snapshots made from one another share arrays, which
+    must be treated as read-only.
     """
 
     cfg: ScenarioConfig
     hbs: HbsParams
     ue_template: UeTemplate
-    positions: np.ndarray        # (..., K, 2) meters
     distances: np.ndarray        # meters to the base station
     g: np.ndarray                # channel power gain
     mu: np.ndarray               # energy-harvesting efficiency
     gamma_target: np.ndarray     # target SINR, linear
     eta: np.ndarray              # target signal-interference product
-    p_bar_u: np.ndarray          # uplink transmit power cap, watts
-    p_cir: np.ndarray            # UE circuit power, watts
-    p_min: np.ndarray            # harvest power that covers p_cir alone
+    p_bar_u: float               # uplink transmit power cap of every UE, watts
 
     @property
     def h(self) -> np.ndarray:
         return self.g
+
+    @functools.cached_property
+    def p_min(self) -> np.ndarray:
+        """Harvest power that covers the UE circuit power alone, p_cir / (mu g);
+        inf where mu g is 0. Derived per snapshot object, like harvest_scale."""
+        denom = self.mu * self.g
+        return np.divide(self.ue_template.p_cir, denom, out=np.full(denom.shape, math.inf),
+                         where=denom > 0)
 
     @functools.cached_property
     def harvest_scale(self) -> np.ndarray:
@@ -100,7 +113,7 @@ class Snapshot:
         an int index picks one snapshot, with (K,) arrays."""
         return Snapshot(
             self.cfg, self.hbs, self.ue_template,
-            *(getattr(self, name)[index] for name in _ARRAYS),
+            *(getattr(self, name)[index] for name in _ARRAYS), self.p_bar_u,
         )
 
     def repeated(self, copies: int = 1) -> Snapshot:
@@ -109,6 +122,7 @@ class Snapshot:
             self.cfg, self.hbs, self.ue_template,
             *(np.broadcast_to(getattr(self, name), (copies, *getattr(self, name).shape))
               for name in _ARRAYS),
+            self.p_bar_u,
         )
 
     def moved(self, positions: np.ndarray) -> Snapshot:
@@ -123,19 +137,17 @@ class Snapshot:
         mu, gamma_target, eta = (
             np.broadcast_to(column, shape) for column in (self.mu, self.gamma_target, self.eta)
         )
-        return _snapshot(self.cfg, self.hbs, self.ue_template, positions, distances, mu,
-                         gamma_target, eta)
+        return _snapshot(self.cfg, self.hbs, self.ue_template, distances, mu, gamma_target, eta)
 
 
 # The per-UE arrays of a snapshot, in field order.
-_ARRAYS = ("positions", "distances", "g", "mu", "gamma_target", "eta", "p_bar_u", "p_cir", "p_min")
+_ARRAYS = ("distances", "g", "mu", "gamma_target", "eta")
 
 
 def _snapshot(
     cfg: ScenarioConfig,
     hbs: HbsParams,
     template: UeTemplate,
-    positions: np.ndarray,
     distances: np.ndarray,
     mu: np.ndarray,
     gamma_target: np.ndarray | None = None,
@@ -155,11 +167,12 @@ def _snapshot(
     # get a stand-in gain, and ue_errors reports them, so it is never used
     usable = np.isfinite(distances) & (distances > 0.0)
     g = path_gain(np.where(usable, distances, 1.0), cfg.attenuation_k)
+    p_bar_u = t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)
     columns = {
         "mu": mu, "g": g, "h": g, "distance": distances,
         "gamma_target": np.full(shape, t.gamma_target) if gamma_target is None else gamma_target,
         "eta": np.full(shape, t.eta) if eta is None else eta,
-        "p_bar_u": np.full(shape, t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)),
+        "p_bar_u": np.full(shape, p_bar_u),
         "p_dyn": np.full(shape, t.p_dyn),
         "p_sta": np.full(shape, t.p_sta),
         "e_bar": np.full(shape, math.nan if t.e_bar is None else t.e_bar),
@@ -170,13 +183,7 @@ def _snapshot(
         errors += ue_errors({name: r[:1] for name, r in rows.items()} if errors else rows)
         if errors:
             raise ConfigError(errors)
-    p_cir = np.full(shape, t.p_cir)
-    denom = mu * g
-    p_min = np.divide(p_cir, denom, out=np.full(shape, math.inf), where=denom > 0)
-    return Snapshot(
-        cfg, hbs, t, positions, distances, g, mu, columns["gamma_target"], columns["eta"],
-        columns["p_bar_u"], p_cir, p_min,
-    )
+    return Snapshot(cfg, hbs, t, distances, g, mu, columns["gamma_target"], columns["eta"], p_bar_u)
 
 
 def _draw_mu(rng: np.random.Generator) -> float:
@@ -239,18 +246,16 @@ def place_ues(
     cfg: ScenarioConfig,
     hbs: HbsParams,
     ue_template: UeTemplate,
-    unit: np.ndarray,
     mu: np.ndarray,
     distances: np.ndarray,
 ) -> Snapshot:
     """The validated batch of cfg.num_ues UEs placed from a draw of at least
-    that many: the first cfg.num_ues columns of the (S, K, 2) unit
-    coordinates, (S, K) mu and (S, K) `cell_distances` of the draw in a cell
-    of side cfg.cell_side. A UE's distance depends on its own position
-    alone, so one distance computation serves every UE count up to K."""
+    that many: the first cfg.num_ues columns of its (S, K) mu and of the
+    (S, K) `cell_distances` of its unit coordinates in a cell of side
+    cfg.cell_side. A UE's distance depends on its own position alone, so one
+    distance computation serves every UE count up to K."""
     k = max(cfg.num_ues, 0)
-    positions = unit[:, :k] * cfg.cell_side
-    return _snapshot(cfg, hbs, ue_template, positions, distances[:, :k], mu[:, :k])
+    return _snapshot(cfg, hbs, ue_template, distances[:, :k], mu[:, :k])
 
 
 def sample_batch(
@@ -272,7 +277,7 @@ def sample_batch(
     first invalid row; a batch of no snapshots checks nothing.
     """
     unit, mu = draw_ues(cfg, ue_template, n_snapshots)
-    return place_ues(cfg, hbs, ue_template, unit, mu, cell_distances(cfg, unit))
+    return place_ues(cfg, hbs, ue_template, mu, cell_distances(cfg, unit))
 
 
 def snapshot_from_distances(
@@ -286,10 +291,8 @@ def snapshot_from_distances(
 ) -> Snapshot:
     """Fixed-distance snapshot with per-UE overrides; bypasses cell geometry.
 
-    UEs are placed on a ray from the base station, so positions may fall
-    outside the cell; only the distances matter in this mode. An override
-    list may leave some UEs out (None); they take the template's value, and
-    0.5 for mu when the template draws it at random.
+    An override list may leave some UEs out (None); they take the template's
+    value, and 0.5 for mu when the template draws it at random.
     """
     k = cfg.num_ues
     if len(distances) != k:
@@ -304,11 +307,8 @@ def snapshot_from_distances(
     def column(values, default):
         return np.array([default if v is None else v for v in values or [None] * k], dtype=float)
 
-    d = np.array(distances, dtype=float)
-    ox, oy = hbs_position(cfg)
-    positions = np.stack([ox + d, np.full(k, oy)], axis=-1)
     return _snapshot(
-        cfg, hbs, ue_template, positions, d,
+        cfg, hbs, ue_template, np.array(distances, dtype=float),
         column(mus, 0.5 if ue_template.mu is None else ue_template.mu),
         column(gamma_targets, ue_template.gamma_target),
         column(etas, ue_template.eta),

@@ -370,7 +370,7 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """Round-trippable plain-dict form of a scenario (linear units kept)."""
     out: dict[str, Any] = {
         "scenario": dataclasses.asdict(scenario.cfg),
-        "hbs": {k: v for k, v in dataclasses.asdict(scenario.hbs).items()},
+        "hbs": dataclasses.asdict(scenario.hbs),
         "ue_template": dataclasses.asdict(scenario.ue_template),
     }
     if scenario.fixed_ues is not None:

@@ -74,7 +74,7 @@ class Algorithm(str, enum.Enum):
 def state_caps(snap: Snapshot) -> np.ndarray:
     """Upper bounds of a state on the snapshot: each UE's p_bar_u, then the
     harvest peak p_bar_h; (K+1,) for one snapshot, (S, K+1) for a batch."""
-    caps = np.empty((*snap.p_bar_u.shape[:-1], snap.num_ues + 1))
+    caps = np.empty((*snap.g.shape[:-1], snap.num_ues + 1))
     caps[..., :-1] = snap.p_bar_u
     caps[..., -1] = snap.hbs.p_bar_h
     return caps
@@ -169,7 +169,7 @@ def metrics(x: np.ndarray, snap: Snapshot) -> Metrics:
     p_u, p_h = x[..., :-1], x[..., -1:]
     s = sinr(x, snap)
     r = np.log2(1.0 + s)
-    ue_total = p_u / eps + snap.p_cir
+    ue_total = p_u / eps + snap.ue_template.p_cir
     hbs_total = x[..., -1] / eps + snap.hbs.p_cir
     harvested = snap.mu * snap.g * p_h
     required = required_hbs_power(p_u, snap)

@@ -376,7 +376,7 @@ def run_monte_carlo(
     cells = {sc.cfg.cell_side: sc.cfg for sc in scenarios}
     distances = {side: cell_distances(cfg, unit) for side, cfg in cells.items()}
     batches = [
-        place_ues(sc.cfg, sc.hbs, sc.ue_template, unit, mu, distances[sc.cfg.cell_side])
+        place_ues(sc.cfg, sc.hbs, sc.ue_template, mu, distances[sc.cfg.cell_side])
         for sc in scenarios
     ]
     results = []
@@ -467,7 +467,8 @@ def run_mobility(
     stays silent and consumes nothing. The base station's energy signal stays
     off until the first step some battery cannot cover its consumption, which
     also defines the measured depletion time. Each battery starts full at
-    battery_init joules, which must be non-negative (inf: no limit).
+    battery_init joules, which must be non-negative (inf: no limit); the
+    speed must be finite and non-negative.
 
     The motion does not depend on the powers, so the whole trajectory and the
     gains of every step are computed first, as one (T, K) batch. The power
@@ -498,13 +499,15 @@ def run_mobility(
         raise ValueError("step must be positive and finite")
     if math.isnan(battery_init) or battery_init < 0:
         raise ValueError("battery_init must be non-negative")
+    if not math.isfinite(speed_kmh) or speed_kmh < 0:
+        raise ValueError("speed_kmh must be finite and non-negative")
     cfg = scenario.cfg
     base = snapshot_from_scenario(scenario)
     K = base.num_ues
 
     # start on the x=0 edge; keep sampled heights if random, else spread evenly
     if scenario.fixed_ues is None:
-        ys = base.positions[:, 1]
+        ys = draw_ues(cfg, scenario.ue_template, 1)[0][0, :, 1] * cfg.cell_side
     else:
         ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
     n_steps = int(round(duration / step))
@@ -539,7 +542,7 @@ def run_mobility(
             exact = first // (K + 1) + 1 if changed[first] else w
             if exact == w:
                 break
-        need = (cand[:exact, :-1] / cfg.epsilon + base.p_cir) * step
+        need = (cand[:exact, :-1] / cfg.epsilon + base.ue_template.p_cir) * step
         harvest = harvest_gain[n : n + exact] * traj[1 : exact + 1, -1:] * step
         # Each UE's battery is its own chain while the masks hold: run it in
         # the loop's operations up to the first row that breaks its mask.

@@ -48,7 +48,6 @@ __all__ = [
     "TightnessReport",
     "UniquenessReport",
     "MinPowerOptimum",
-    "aggregate_power",
     "min_power_optimum",
     "verify_min_power_optimality",
     "check_two_sided_scalable",
@@ -60,13 +59,6 @@ __all__ = [
     "check_fixed_point_uniqueness",
     "INFEASIBLE_CONDITIONS",
 ]
-
-
-def aggregate_power(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
-    """Total consumed power of a state, or of each state of a batch: UE
-    transmit/eps + circuits, plus the HBS side."""
-    eps = snap.cfg.epsilon
-    return np.sum(x[..., :-1] / eps + snap.p_cir, axis=-1) + x[..., -1] / eps + snap.hbs.p_cir
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +116,7 @@ def min_power_optimum(batch: Snapshot) -> MinPowerOptimum:
         )
         total = (cfg.delta * x[..., -1:] + cfg.sigma2) / slack
         x[..., :-1] = c * total / batch.h
+        aggregate = metrics(x, batch).aggregate_power
     failing = np.select(
         [
             ~(total_c < 1.0),
@@ -133,7 +126,7 @@ def min_power_optimum(batch: Snapshot) -> MinPowerOptimum:
         INFEASIBLE_CONDITIONS,
         "",
     )
-    objective = np.where(failing == "", aggregate_power(x, batch), math.nan)
+    objective = np.where(failing == "", aggregate, math.nan)
     return MinPowerOptimum(x=x, objective=objective, failing=failing)
 
 
@@ -157,8 +150,8 @@ def verify_min_power_optimality(batch: Snapshot, rel_tol: float) -> OptimalityRe
     at most 20000 steps); each row's equals that of solving it alone.
     """
     x = solve(Algorithm.TPCEH, batch, tol=1e-12, max_iter=20000).fixed_point
-    alg_obj = aggregate_power(x, batch)
     mx = metrics(x, batch)
+    alg_obj = mx.aggregate_power
     alg_feasible = mx.energy_feasible.all(axis=-1) & ~mx.outage.any(axis=-1)
     optimum = min_power_optimum(batch)
     gap = np.abs(alg_obj - optimum.objective) / optimum.objective
@@ -267,9 +260,7 @@ class FLReport:
     alpha: np.ndarray
     grad: np.ndarray              # (K+1, K+1) constraint gradient at eval_point
     grad_norm_inf: float          # column-sum norm of the gradient matrix
-    grad_norm_rowsum: float       # row-sum norm, reported for transparency
     grad_nonneg: bool
-    grad_f0_positive: bool
     qualifies: bool
     active_index: int
     eval_point: np.ndarray
@@ -277,9 +268,10 @@ class FLReport:
 
 def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLReport:
     """Build the constraint gradient analytically and test the qualification
-    conditions (positive objective gradient, non-negative constraint
-    gradient, norm below one). The qualification outcome is informational;
-    it depends on the scenario's targets and gains.
+    conditions (non-negative constraint gradient, norm below one; the
+    objective gradient, 1/eps, is positive on every valid scenario). The
+    qualification outcome is informational; it depends on the scenario's
+    targets and gains.
 
     The constraint functions are `transformed_joint_update`, the ratio-form
     update, in the negated variables y = -at, without its caps; the active
@@ -287,8 +279,7 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
     which tests difference the update against. Its convention is the
     transpose of the Jacobian: entry (i, j) holds the derivative of
     constraint j with respect to variable i. The reported norm is the
-    maximum absolute column sum, as the qualification condition states it;
-    the row-sum norm is included alongside.
+    maximum absolute column sum, as the qualification condition states it.
     """
     if at is None:
         at = solve(Algorithm.TPCEH, snap.repeated(), tol=1e-10, max_iter=20000).fixed_point[0]
@@ -310,17 +301,13 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
     grad[K, K] = alpha[istar] * cfg.delta       # d z / d y_H
 
     col_norm = float(np.max(np.abs(grad).sum(axis=0)))
-    row_norm = float(np.max(np.abs(grad).sum(axis=1)))
     nonneg = bool(np.all(grad >= 0.0))
-    f0_positive = cfg.epsilon > 0.0             # objective gradient is 1/eps
     return FLReport(
         alpha=alpha,
         grad=grad,
         grad_norm_inf=col_norm,
-        grad_norm_rowsum=row_norm,
         grad_nonneg=nonneg,
-        grad_f0_positive=f0_positive,
-        qualifies=bool(f0_positive and nonneg and col_norm < 1.0),
+        qualifies=nonneg and col_norm < 1.0,
         active_index=istar,
         eval_point=y,
     )

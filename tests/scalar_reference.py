@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from fdpowerctl.channel import Snapshot, hbs_position, path_gain, snapshot_from_scenario
+from fdpowerctl.channel import Snapshot, draw_ues, hbs_position, path_gain, snapshot_from_scenario
 from fdpowerctl.core import (
     FEASIBILITY_REL_SLACK,
     Algorithm,
@@ -54,13 +54,13 @@ CHANGE_FLOOR = 1e-18
 def tpceh_ue_update(p: np.ndarray, snap: Snapshot, i: int) -> float:
     """Target-SINR tracking update for UE i with self-interference included."""
     interf = float(_interference(p, snap)[i])
-    return min(snap.p_bar_u[i], snap.gamma_target[i] * interf / snap.h[i])
+    return min(snap.p_bar_u, snap.gamma_target[i] * interf / snap.h[i])
 
 
 def opceh_ue_update(p: np.ndarray, snap: Snapshot, i: int) -> float:
     """Opportunistic update for UE i: eta * h / (interference + noise)."""
     interf = float(_interference(p, snap)[i])
-    return min(snap.p_bar_u[i], snap.eta[i] * snap.h[i] / interf)
+    return min(snap.p_bar_u, snap.eta[i] * snap.h[i] / interf)
 
 
 def tpc_ue_update(p_u: np.ndarray, snap: Snapshot, i: int) -> float:
@@ -113,7 +113,7 @@ def scalar_two_sided_scalable(snap, algorithm, trials, rng, rel_slack=1e-12):
     """ScalabilityReport of the sandwich test, one trial and one state at a time."""
     alg = Algorithm(algorithm)
     K = snap.num_ues
-    caps = np.append(snap.p_bar_u, snap.hbs.p_bar_h)
+    caps = np.append(np.full(K, snap.p_bar_u), snap.hbs.p_bar_h)
     violations = 0
     example = None
     for _ in range(trials):
@@ -299,7 +299,7 @@ def scalar_brute_force_min_power(snap, grid_points_per_dim=64, refine_rounds=3):
     K = snap.num_ues
     n = grid_points_per_dim
     eps = snap.cfg.epsilon
-    caps = [float(c) for c in snap.p_bar_u] + [snap.hbs.p_bar_h]
+    caps = [snap.p_bar_u] * K + [snap.hbs.p_bar_h]
 
     grids = [
         np.concatenate([[0.0], np.geomspace(c * 1e-16, c, n - 1)]) for c in caps
@@ -313,7 +313,7 @@ def scalar_brute_force_min_power(snap, grid_points_per_dim=64, refine_rounds=3):
     for _ in range(refine_rounds + 1):
         pu_mesh = np.meshgrid(*grids[:K], indexing="ij")
         pu = np.stack([m.ravel() for m in pu_mesh], axis=1)    # (N, K)
-        base_obj = pu.sum(axis=1) / eps + snap.p_cir.sum() + snap.hbs.p_cir
+        base_obj = pu.sum(axis=1) / eps + np.full(K, snap.ue_template.p_cir).sum() + snap.hbs.p_cir
         for ph in grids[K]:
             ok = _feasible_mask(pu, float(ph), snap)
             if not ok.any():
@@ -367,7 +367,7 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
     base = snapshot_from_scenario(scenario)
     K = base.num_ues
     if scenario.fixed_ues is None:
-        ys = base.positions[:, 1]
+        ys = draw_ues(cfg, scenario.ue_template, 1)[0][0, :, 1] * cfg.cell_side
     else:
         ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
     positions = np.stack([np.zeros(K), ys], axis=1)
@@ -378,15 +378,11 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
 
     def with_gains(snap, positions):
         origin = hbs_position(snap.cfg)
-        d, g, p_min = [], [], []
-        for (x, y), mu, p_cir in zip(positions, snap.mu.tolist(), snap.p_cir.tolist()):
+        d, g = [], []
+        for x, y in positions:
             d.append(max(math.hypot(x - origin[0], y - origin[1]), 1e-9))
             g.append(path_gain(d[-1], snap.cfg.attenuation_k))
-            p_min.append(p_cir / (mu * g[-1]) if mu * g[-1] > 0 else math.inf)
-        return dataclasses.replace(
-            snap, positions=positions.copy(), distances=np.array(d), g=np.array(g),
-            p_min=np.array(p_min),
-        )
+        return dataclasses.replace(snap, distances=np.array(d), g=np.array(g))
 
     snap = with_gains(base, positions)
     p = np.zeros(K + 1)
@@ -414,7 +410,7 @@ def scalar_mobility(algorithm, scenario, duration, step=1e-3, speed_kmh=5.0,
             cand = np.minimum(snap.p_bar_u, snap.eta * snap.h / interf)
         else:
             cand = np.minimum(snap.p_bar_u, snap.gamma_target * interf / snap.h)
-        need = (cand / cfg.epsilon + snap.p_cir) * step
+        need = (cand / cfg.epsilon + snap.ue_template.p_cir) * step
 
         if first_depletion is None and bool(np.any(battery < need)):
             first_depletion = n

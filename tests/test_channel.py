@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fdpowerctl import channel
 from fdpowerctl.channel import (
+    Snapshot,
     path_gain,
     sample_batch,
     snapshot_from_distances,
@@ -28,6 +29,12 @@ TEMPLATE = UeTemplate(mu=None, gamma_target=0.05, p_dyn=1e-6, p_sta=1e-6, p_bar_
 # a fixed mu takes the vectorised (K, 2) position draw
 FIXED_MU = dataclasses.replace(TEMPLATE, mu=0.5)
 BOTH_TEMPLATES = pytest.mark.parametrize("template", [TEMPLATE, FIXED_MU], ids=["mu-random", "mu-fixed"])
+
+
+def _positions(cfg, template, n_snapshots):
+    """UE positions (S, K, 2) in meters of random snapshots 0 .. S-1: their
+    unit-square draws scaled by the cell side."""
+    return channel.draw_ues(cfg, template, n_snapshots)[0] * cfg.cell_side
 
 
 def test_path_gain_values():
@@ -57,14 +64,14 @@ def test_sample_snapshot_reproducible():
     b = sample_batch(cfg, HBS, TEMPLATE, 5).rows(4)
     np.testing.assert_array_equal(a.g, b.g)
     np.testing.assert_array_equal(a.mu, b.mu)
-    assert a.positions.tolist() == b.positions.tolist()
+    assert _positions(cfg, TEMPLATE, 5)[4].tolist() == _positions(cfg, TEMPLATE, 5)[4].tolist()
 
 
 def test_sample_snapshot_reciprocity_and_bounds():
     cfg = _cfg(num_ues=40)
     snap = sample_batch(cfg, HBS, TEMPLATE, 1).rows(0)
     np.testing.assert_array_equal(snap.g, snap.h)
-    for (x, y), mu in zip(snap.positions.tolist(), snap.mu.tolist()):
+    for (x, y), mu in zip(_positions(cfg, TEMPLATE, 1)[0].tolist(), snap.mu.tolist()):
         assert 0.0 <= x <= cfg.cell_side
         assert 0.0 <= y <= cfg.cell_side
         assert 0.0 < mu < 1.0
@@ -84,9 +91,10 @@ def test_fixed_mu_draw_keeps_prefix_and_stream():
     big = sample_batch(cfg, HBS, FIXED_MU, 12).rows(11)
     rng = np.random.default_rng(cfg.seed + 11)
     scalar = [(rng.uniform(0.0, 1.0) * 50.0, rng.uniform(0.0, 1.0) * 50.0) for _ in range(8)]
-    assert [tuple(xy) for xy in big.positions.tolist()] == scalar
-    small = sample_batch(_cfg(num_ues=3), HBS, FIXED_MU, 12).rows(11)
-    assert [tuple(xy) for xy in small.positions.tolist()] == scalar[:3]
+    assert [tuple(xy) for xy in _positions(cfg, FIXED_MU, 12)[11].tolist()] == scalar
+    small_cfg = _cfg(num_ues=3)
+    small = sample_batch(small_cfg, HBS, FIXED_MU, 12).rows(11)
+    assert [tuple(xy) for xy in _positions(small_cfg, FIXED_MU, 12)[11].tolist()] == scalar[:3]
     # row 11 does not depend on how many rows the batch has
     batch = sample_batch(_cfg(num_ues=3), HBS, FIXED_MU, 20)
     assert batch.g[11].tolist() == small.g.tolist() == big.g[:3].tolist()
@@ -123,7 +131,7 @@ def test_sample_batch_rows_follow_their_streams(template, floor, monkeypatch):
     for sid in range(6):
         positions, mus, n = _scalar_draws(cfg, template, sid, floor)
         redraws += n
-        assert batch.positions[sid].tolist() == positions
+        assert _positions(cfg, template, 6)[sid].tolist() == positions
         assert batch.mu[sid].tolist() == mus
         distances = [math.hypot(x - 25.0, y - 25.0) for x, y in positions]
         assert batch.distances[sid].tolist() == distances
@@ -135,7 +143,7 @@ def test_distances_are_math_hypot_bit_for_bit():
     # on this snapshot np.hypot rounds UE 0's distance differently
     cfg, sid = _cfg(), 15
     snap = sample_batch(cfg, HBS, FIXED_MU, sid + 1).rows(sid)
-    xy = snap.positions
+    xy = _positions(cfg, FIXED_MU, sid + 1)[sid]
     centre = cfg.cell_side / 2.0
     exact = [math.hypot(x - centre, y - centre) for x, y in xy.tolist()]
     assert np.hypot(xy[:, 0] - centre, xy[:, 1] - centre).tolist() != exact
@@ -183,10 +191,8 @@ def test_batch_validation_matches_snapshot(cfg_change, template_change, paths):
 
 def test_cell_side_scaling_shares_draws():
     # positions scale with the side for a fixed seed, so sweeps stay paired
-    a = sample_batch(_cfg(cell_side=40.0), HBS, TEMPLATE, 3).rows(2)
-    b = sample_batch(_cfg(cell_side=60.0), HBS, TEMPLATE, 3).rows(2)
-    pa = a.positions / 40.0
-    pb = b.positions / 60.0
+    pa = _positions(_cfg(cell_side=40.0), TEMPLATE, 3)[2] / 40.0
+    pb = _positions(_cfg(cell_side=60.0), TEMPLATE, 3)[2] / 60.0
     np.testing.assert_allclose(pa, pb, rtol=1e-12)
 
 
@@ -246,7 +252,7 @@ def test_scenario_dispatch(paper_scenario):
     # without pinned UEs: random snapshot 0
     sampled = snapshot_from_scenario(dataclasses.replace(paper_scenario, fixed_ues=None))
     row = sample_batch(paper_scenario.cfg, paper_scenario.hbs, paper_scenario.ue_template, 3)
-    assert sampled.positions.tolist() == row.positions[0].tolist()
+    assert sampled.distances.tolist() == row.distances[0].tolist()
     assert sampled.g.tolist() == row.g[0].tolist()
 
 
@@ -259,17 +265,21 @@ def test_partial_mu_override_falls_back_per_ue(template_mu, fallback):
                                    mus=[0.3, None, None], etas=[None, 2.0, None])
     assert snap.mu.tolist() == [0.3, fallback, fallback]
     assert snap.eta.tolist() == [template.eta, 2.0, template.eta]
-    assert snap.p_min.tolist() == (snap.p_cir / (snap.mu * snap.g)).tolist()
+    assert snap.p_min.tolist() == (template.p_cir / (snap.mu * snap.g)).tolist()
 
 
 @BOTH_TEMPLATES
 def test_harvest_scale_is_never_stale(template):
-    # a derived snapshot computes eps * mu * g from its own arrays, also
-    # after its source has computed (and cached) its own
+    # a derived snapshot computes eps * mu * g and p_min = p_cir / (mu * g)
+    # from its own arrays, also after its source has computed (and cached)
+    # its own; _ARRAYS names exactly the array fields, and the uplink cap
+    # stays one float
     snap = sample_batch(_cfg(), HBS, template, 4)
-    eps = snap.cfg.epsilon
+    fields = [f.name for f in dataclasses.fields(Snapshot)]
+    eps, p_cir = snap.cfg.epsilon, template.p_cir
     assert snap.harvest_scale.tobytes() == (eps * snap.mu * snap.g).tobytes()
-    positions = np.stack([snap.rows(0).positions, snap.rows(1).positions])
+    assert snap.p_min.tobytes() == (p_cir / (snap.mu * snap.g)).tobytes()
+    positions = _positions(_cfg(), template, 2)
     derived = [
         dataclasses.replace(snap, g=snap.g * 3.0),
         dataclasses.replace(snap, mu=snap.mu * 0.5),
@@ -282,6 +292,10 @@ def test_harvest_scale_is_never_stale(template):
     for d in derived:
         assert d.harvest_scale.shape == d.g.shape
         assert d.harvest_scale.tobytes() == (eps * d.mu * d.g).tobytes()
+        assert d.p_min.shape == d.g.shape
+        assert d.p_min.tobytes() == (p_cir / (d.mu * d.g)).tobytes()
+        assert [n for n in fields if isinstance(getattr(d, n), np.ndarray)] == list(channel._ARRAYS)
+        assert type(d.p_bar_u) is float and d.p_bar_u == template.p_bar_u
 
 
 @BOTH_TEMPLATES
@@ -293,8 +307,9 @@ def test_place_ues_from_shared_distances_equals_fresh(template):
     distances = channel.cell_distances(wide, unit)
     for k in (1, 5, 12):
         cfg = _cfg(num_ues=k, cell_side=60.0)
-        shared = channel.place_ues(cfg, HBS, template, unit, mu, distances)
+        shared = channel.place_ues(cfg, HBS, template, mu, distances)
         fresh = channel.sample_batch(cfg, HBS, template, 5)
+        assert shared.p_bar_u == fresh.p_bar_u
         for name in channel._ARRAYS:
             a, b = getattr(shared, name), getattr(fresh, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (k, name)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -77,7 +78,7 @@ def test_invalid_config_exits_2(tmp_path):
 
 def test_snapshot_partial_mu_override(tmp_path):
     # only the first fixed UE gives mu; the others take the template's
-    doc = json.loads(open(PAPER).read())
+    doc = json.loads(Path(PAPER).read_text())
     for fu in doc["fixed_ues"][1:]:
         del fu["mu"]
     path = tmp_path / "partial_mu.json"
@@ -89,7 +90,7 @@ def test_snapshot_partial_mu_override(tmp_path):
 
 def test_snapshot_nan_distance_exits_2(tmp_path, capsys):
     # Python's json reads NaN; the distance check must not let it through
-    doc = json.loads(open(DESK).read())
+    doc = json.loads(Path(DESK).read_text())
     doc["fixed_ues"][1]["distance"] = float("nan")
     path = tmp_path / "nan_distance.json"
     path.write_text(json.dumps(doc))
@@ -101,7 +102,7 @@ def test_snapshot_nan_distance_exits_2(tmp_path, capsys):
 
 def test_snapshot_nan_tol_exits_2(tmp_path, capsys):
     # a NaN tol would never stop the iteration; validation must refuse it
-    doc = json.loads(open(DESK).read())
+    doc = json.loads(Path(DESK).read_text())
     doc["scenario"]["tol"] = float("nan")
     path = tmp_path / "nan_tol.json"
     path.write_text(json.dumps(doc))
@@ -249,12 +250,17 @@ def test_sweep_distances_once_per_cell_side(tmp_path, monkeypatch, axis, values,
     monkeypatch.setattr(channel, "_distances", counting)
     assert main(args + ["--out", str(tmp_path / "shared")]) == 0
     assert sum(measured) == rows
-    place_ues = engine.place_ues
+    draw_ues, place_ues, draws = engine.draw_ues, engine.place_ues, []
 
-    def fresh(cfg, hbs, template, unit, mu, shared):
-        unit = unit[:, :cfg.num_ues]
-        return place_ues(cfg, hbs, template, unit, mu, channel.cell_distances(cfg, unit))
+    def recording(*args):
+        draws.append(draw_ues(*args))
+        return draws[-1]
 
+    def fresh(cfg, hbs, template, mu, shared):
+        unit = draws[-1][0][:, :cfg.num_ues]
+        return place_ues(cfg, hbs, template, mu, channel.cell_distances(cfg, unit))
+
+    monkeypatch.setattr(engine, "draw_ues", recording)
     monkeypatch.setattr(engine, "place_ues", fresh)
     assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
     for alg in ("tpc", "opc", "tpceh", "opceh"):
@@ -294,6 +300,7 @@ def test_mobility_negative_duration_exits_2(tmp_path):
     ["--step", "0"], ["--step", "-0.001"], ["--step", "nan"], ["--step", "inf"],
     ["--duration", "nan"], ["--duration", "inf"],
     ["--battery-init", "nan"], ["--battery-init", "-1"],
+    ["--speed-kmh", "nan"], ["--speed-kmh", "inf"], ["--speed-kmh", "-5"],
 ])
 def test_mobility_invalid_step_or_duration_exits_2(tmp_path, capsys, flags):
     argv = ["mobility", "--config", DESK, "--duration", "0.01", "--out", str(tmp_path)]
@@ -366,7 +373,7 @@ def test_verify_fl_conditions_informational(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "verification.json").read_text())
     entry = report["fl-conditions"]
-    assert entry["passed"]
+    assert entry["passed"] and entry["informational"]
     assert "qualifies" in entry and "grad_norm_inf" in entry
 
 
@@ -596,7 +603,7 @@ def test_verify_failing_claim_exits_4(tmp_path, monkeypatch, capsys):
 
 
 def test_seed_flag_writes_what_the_config_seed_writes(tmp_path):
-    doc = json.loads(open(DESK).read())
+    doc = json.loads(Path(DESK).read_text())
     doc["scenario"]["seed"] = 3
     seeded = tmp_path / "seed3.json"
     seeded.write_text(json.dumps(doc))

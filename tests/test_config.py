@@ -198,7 +198,7 @@ def test_paper_default_parameters_are_valid(paper_scenario):
 def test_derived_fields_exact():
     cfg, hbs, template, snap = _valid_parts()
     # p_min * mu * g == p_cir must hold exactly in floating point
-    assert snap.p_min[0] * snap.mu[0] * snap.g[0] == pytest.approx(snap.p_cir[0], rel=1e-15)
+    assert snap.p_min[0] * snap.mu[0] * snap.g[0] == pytest.approx(template.p_cir, rel=1e-15)
     assert hbs.p_cir == 2 * 1.0 + 0.5
 
 

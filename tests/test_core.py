@@ -235,7 +235,7 @@ def test_opportunistic_map_type_two_monotone(p_u, p_h, a):
 def test_metrics_zero_power():
     snap = make_desk_snapshot([41, 25, 37, 16, 8])
     mx = metrics(np.zeros(6), snap)
-    np.testing.assert_allclose(mx.ue_total_power, snap.p_cir)
+    np.testing.assert_allclose(mx.ue_total_power, np.full(5, snap.ue_template.p_cir))
     assert mx.hbs_total_power == pytest.approx(snap.hbs.p_cir)
     np.testing.assert_array_equal(mx.sinr, np.zeros(5))
     assert np.all(mx.outage)  # targets positive, sinr zero
@@ -244,7 +244,7 @@ def test_metrics_zero_power():
 def test_metrics_amplifier_scaling():
     snap = make_desk_snapshot([20.0])
     mx = metrics(np.array([1.0, 0.0]), snap)
-    assert mx.ue_total_power[0] == pytest.approx(5.0 + snap.p_cir[0], rel=1e-12)
+    assert mx.ue_total_power[0] == pytest.approx(5.0 + snap.ue_template.p_cir, rel=1e-12)
 
 
 def test_metrics_consistency_invariants():

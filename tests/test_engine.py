@@ -211,7 +211,7 @@ def test_mobility_battery_accounting(desk_scenario):
     # transmitting UEs: delta = harvest - consumption unless clamped at cap
     p_u = result.states[:, :-1]
     harvest = result.metrics.harvested_power * 1e-3
-    p_cir = snapshot_from_scenario(scenario).p_cir
+    p_cir = np.full(2, snapshot_from_scenario(scenario).ue_template.p_cir)
     spend = np.where(p_u > 0.0, (p_u / eps + p_cir) * 1e-3, 0.0)
     prev = np.vstack([np.full((1, 2), cap), battery[:-1]])
     expected = np.clip(prev + harvest - spend, 0.0, cap)
@@ -249,6 +249,7 @@ def test_mobility_zero_duration(desk_scenario):
     {"step": 0.0}, {"step": -1e-3}, {"step": math.nan}, {"step": math.inf},
     {"duration": math.nan}, {"duration": math.inf}, {"duration": -1.0},
     {"battery_init": math.nan}, {"battery_init": -1.0}, {"battery_init": -math.inf},
+    {"speed_kmh": math.nan}, {"speed_kmh": math.inf}, {"speed_kmh": -5.0},
 ])
 def test_mobility_rejects_invalid_step_and_duration(desk_scenario, kwargs):
     with pytest.raises(ValueError):

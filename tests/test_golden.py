@@ -22,9 +22,10 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fdpowerctl.channel import sample_batch, snapshot_from_scenario
+from fdpowerctl.channel import draw_ues, sample_batch, snapshot_from_scenario
 from fdpowerctl.cli import main
 from fdpowerctl.config import load_scenario
 
@@ -127,12 +128,18 @@ def test_cli_outputs_match_golden(case, tmp_path):
 
 
 # snapshot.json: snapshot_id, seed_used, hbs_placement and one record per UE
-# with these fields; snapshot.csv: one row (snapshot_id, ue, distance, g, mu)
-# per UE
+# with these fields and a position; snapshot.csv: one row (snapshot_id, ue,
+# distance, g, mu) per UE
 EXPORT_FIELDS = {
-    "position": "positions", "distance": "distances", "g": "g", "h": "h", "mu": "mu",
-    "gamma_target": "gamma_target", "eta": "eta", "p_bar_u": "p_bar_u", "p_cir": "p_cir",
-    "p_min": "p_min",
+    "distance": lambda snap: snap.distances,
+    "g": lambda snap: snap.g,
+    "h": lambda snap: snap.h,
+    "mu": lambda snap: snap.mu,
+    "gamma_target": lambda snap: snap.gamma_target,
+    "eta": lambda snap: snap.eta,
+    "p_bar_u": lambda snap: np.full(snap.num_ues, snap.p_bar_u),
+    "p_cir": lambda snap: np.full(snap.num_ues, snap.ue_template.p_cir),
+    "p_min": lambda snap: snap.p_min,
 }
 
 
@@ -152,8 +159,12 @@ def test_snapshots_match_export_golden(case, config, row):
     assert doc["hbs_placement"] == snap.cfg.hbs_placement
     if row is not None:
         assert (doc["snapshot_id"], doc["seed_used"]) == (row, scenario.cfg.seed + row)
-    for field, name in EXPORT_FIELDS.items():
-        assert [ue[field] for ue in doc["ues"]] == getattr(snap, name).tolist(), field
+    for field, value in EXPORT_FIELDS.items():
+        assert [ue[field] for ue in doc["ues"]] == value(snap).tolist(), field
+    if row is not None:
+        # the draw's unit coordinates in the cell; pinned UEs have no position
+        unit = draw_ues(scenario.cfg, scenario.ue_template, row + 1)[0][row]
+        assert [ue["position"] for ue in doc["ues"]] == (unit * scenario.cfg.cell_side).tolist()
     with open(GOLDEN / case / "snapshot.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     assert rows == [
