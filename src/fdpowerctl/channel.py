@@ -61,9 +61,11 @@ class Snapshot:
     """Per-UE parameters of one snapshot as (K,) arrays, or of S as (S, K).
 
     Row s of a batch is snapshot s, so the update rules and metrics in core,
-    which reduce over the last (UE) axis, apply to both. Only the inputs that
-    vary per UE are arrays (`_ARRAYS`); the uplink cap is one float for every
-    UE, the circuit power is `ue_template.p_cir`, and h, p_min and
+    which reduce over the last (UE) axis, apply to both. A batch's arrays may
+    be row-major or UE-major (each UE's column contiguous, as `moved` makes
+    them); the arrays derived from them keep the layout of g. Only the inputs
+    that vary per UE are arrays (`_ARRAYS`); the uplink cap is one float for
+    every UE, the circuit power is `ue_template.p_cir`, and h, p_min and
     harvest_scale are derived. Channels are reciprocal: the uplink gain h is
     the downlink gain g. Snapshots made from one another share arrays, which
     must be treated as read-only.
@@ -86,9 +88,9 @@ class Snapshot:
     @functools.cached_property
     def p_min(self) -> np.ndarray:
         """Harvest power that covers the UE circuit power alone, p_cir / (mu g);
-        inf where mu g is 0. Derived per snapshot object, like harvest_scale."""
+        inf where mu g is 0. Derived like harvest_scale."""
         denom = self.mu * self.g
-        return np.divide(self.ue_template.p_cir, denom, out=np.full(denom.shape, math.inf),
+        return np.divide(self.ue_template.p_cir, denom, out=np.full_like(denom, math.inf),
                          where=denom > 0)
 
     @functools.cached_property
@@ -96,9 +98,10 @@ class Snapshot:
         """eps * mu * g, the divisor of each UE's harvest requirement.
 
         Computed once per snapshot object: not a field, so a snapshot made by
-        `dataclasses.replace`, `rows`, `repeated` or `moved` computes its own.
+        `dataclasses.replace`, `repeated` or `moved` computes its own, and one
+        made by `rows` takes those rows of what this one has computed.
         """
-        return self.cfg.epsilon * self.mu * self.g
+        return np.multiply(self.cfg.epsilon * self.mu, self.g, out=np.empty_like(self.g))
 
     @property
     def num_ues(self) -> int:
@@ -110,11 +113,15 @@ class Snapshot:
 
     def rows(self, index) -> Snapshot:
         """The snapshots of a batch picked by a mask, index array or slice;
-        an int index picks one snapshot, with (K,) arrays."""
-        return Snapshot(
+        an int index picks one snapshot, with (K,) arrays. Derived arrays this
+        batch has computed are passed on as their picked rows."""
+        picked = Snapshot(
             self.cfg, self.hbs, self.ue_template,
             *(getattr(self, name)[index] for name in _ARRAYS), self.p_bar_u,
         )
+        for name in _DERIVED.intersection(vars(self)):
+            vars(picked)[name] = vars(self)[name][index]
+        return picked
 
     def repeated(self, copies: int = 1) -> Snapshot:
         """A batch of `copies` rows, each one this snapshot (no copy made)."""
@@ -130,18 +137,21 @@ class Snapshot:
 
         Row t has the gains of the distances in row t, computed as
         sample_batch computes them; mu, gamma_target and eta are this
-        snapshot's in every row.
+        snapshot's in every row. The batch is UE-major: each UE's T distances
+        and gains are contiguous.
         """
         shape = positions.shape[:-1]
-        distances = _distances(positions.reshape(-1, 2), self.cfg).reshape(shape)
+        by_ue = positions.transpose(1, 0, 2).reshape(-1, 2)
+        distances = _distances(by_ue, self.cfg).reshape(shape[::-1]).T
         mu, gamma_target, eta = (
             np.broadcast_to(column, shape) for column in (self.mu, self.gamma_target, self.eta)
         )
         return _snapshot(self.cfg, self.hbs, self.ue_template, distances, mu, gamma_target, eta)
 
 
-# The per-UE arrays of a snapshot, in field order.
+# The per-UE arrays of a snapshot, in field order, and those derived from them.
 _ARRAYS = ("distances", "g", "mu", "gamma_target", "eta")
+_DERIVED = {"p_min", "harvest_scale"}
 
 
 def _snapshot(

@@ -7,13 +7,18 @@ engine.
 A state is one array x: the K uplink powers in x[..., :-1], then the base
 station's harvest transmit power in x[..., -1] (watts). One state has shape
 (K+1,); a batch of S states has shape (S, K+1) and goes with a Snapshot whose
-per-UE arrays are (S, K). Each row gets exactly the result it would get
-on its own, which fixes how the reductions over the UEs may run:
+per-UE arrays are (S, K). A batch may be row-major, each row contiguous, or
+UE-major, each UE's column contiguous (the mobility windows are); results
+take the layout of their inputs. Each row gets exactly the result it would
+get on its own, in either layout, which fixes how the reductions over the
+UEs may run:
 
 * a maximum (`ue_max`) is exact in any order, so it may run across rows,
   over a transposed copy, where that is cheaper;
-* the interference sum may not: it is a last-axis `np.add.reduce` over each
-  contiguous row, whose (pairwise, from 8 UEs on) order is part of the bits.
+* the interference sum (`ue_sum`) has the bits of a last-axis
+  `np.add.reduce` over each contiguous row, whose order (pairwise, from 8
+  UEs on) is part of the bits. On a UE-major batch it replays that order
+  column by column, since numpy would sum such an array left to right.
 
 Four algorithms are supported:
 
@@ -48,6 +53,7 @@ __all__ = [
     "metrics",
     "required_hbs_power",
     "ue_max",
+    "ue_sum",
 ]
 
 # Numeric guards, not model semantics: slack applied when classifying
@@ -80,25 +86,81 @@ def state_caps(snap: Snapshot) -> np.ndarray:
     return caps
 
 
+def _ue_major(a: np.ndarray) -> bool:
+    """Whether a is a 2-D batch whose UE columns, not rows, are contiguous."""
+    return a.ndim == 2 and a.strides[0] < a.strides[1]
+
+
 def ue_max(a: np.ndarray) -> np.ndarray:
     """Maximum over the last (UE) axis, byte for byte that of np.max(a, axis=-1).
 
-    With more rows than UEs one reduction across the rows of a (K, S) copy
-    beats S short row reductions; with fewer, the copy costs more. Either
-    order gives the same bits, inf and NaN included, except that a maximum
-    of 0.0 and -0.0 may come out as either: the update kernel reduces no
-    -0.0.
+    numpy reduces a UE-major batch across its rows, one UE column at a time.
+    A row-major batch with more rows than UEs gets the same by one reduction
+    across the rows of a (K, S) copy, which beats S short row reductions;
+    with fewer, the copy costs more. Either order gives the same bits, inf
+    and NaN included, except that a maximum of 0.0 and -0.0 may come out as
+    either: the update kernel reduces no -0.0.
     """
-    if a.ndim == 2 and a.shape[0] > a.shape[1]:
+    if a.ndim == 2 and a.shape[0] > a.shape[1] and not _ue_major(a):
         return np.maximum.reduce(a.T.copy(), axis=0)
     return np.maximum.reduce(a, axis=-1)
+
+
+def _pairwise(t: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of the n rows of t, for every column at once.
+
+    It is the order in which numpy sums n contiguous terms: one running sum
+    below 8 terms; eight accumulators, term i into accumulator i % 8, from 8
+    on, combined as ((0+1)+(2+3))+((4+5)+(6+7)) before the terms past the
+    last multiple of 8 are added one by one; and above 128 terms a split
+    into halves, the first a multiple of 8 long, summed alike and added.
+    """
+    n = len(t)
+    if n < 8:
+        res = t[0] + t[1] if n > 1 else t[0].copy()
+        for i in range(2, n):
+            res += t[i]
+        return res
+    if n <= 128:
+        stop = n - n % 8
+        acc = t[0:8] + t[8:16] if stop > 8 else t[0:8]
+        for i in range(16, stop, 8):
+            acc += t[i : i + 8]
+        acc = acc[0::2] + acc[1::2]
+        acc = acc[0::2] + acc[1::2]
+        res = acc[0] + acc[1]
+        for i in range(stop, n):
+            res += t[i]
+        return res
+    half = n // 2
+    half -= half % 8
+    res = _pairwise(t[:half])
+    res += _pairwise(t[half:])
+    return res
+
+
+def ue_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last (UE) axis with the bits of
+    np.add.reduce(a, axis=-1, keepdims=True) on contiguous rows.
+
+    A UE-major batch gets numpy's pairwise order replayed across its rows
+    (`_pairwise`, then numpy's final addition to the identity 0.0), on
+    contiguous columns and with no copy, where a reduce would sum it left to
+    right. The bits are those of the row reduction except the sign of a NaN,
+    which numpy itself does not fix.
+    """
+    if _ue_major(a) and a.shape[1]:
+        res = _pairwise(a.T)
+        res += 0.0
+        return res[:, None]
+    return np.add.reduce(a, axis=-1, keepdims=True)
 
 
 def _interference(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """Per-UE interference-plus-noise seen at the base station receiver,
     ((sum - own) + delta p_h) + sigma2."""
     received = snap.h * x[..., :-1]
-    interf = np.add.reduce(received, axis=-1, keepdims=True) - received
+    interf = ue_sum(received) - received
     interf += snap.cfg.delta * x[..., -1:]
     interf += snap.cfg.sigma2
     return interf
@@ -125,14 +187,14 @@ def hbs_update(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
 
 def joint_update(alg: Algorithm, x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """One synchronous step: every UE and (for *EH) the base station update
-    from the same state. Returns a new state of the same shape."""
+    from the same state. Returns a new state of the same shape and layout."""
     interf = _interference(x, snap)
     if alg.opportunistic:
         up = np.divide(snap.eta * snap.h, interf, out=interf)
     else:
         up = np.multiply(snap.gamma_target, interf, out=interf)
         up /= snap.h
-    nxt = np.empty(x.shape)
+    nxt = np.empty_like(x)
     np.minimum(snap.p_bar_u, up, out=nxt[..., :-1])
     nxt[..., -1] = hbs_update(x, snap) if alg.harvesting else 0.0
     return nxt

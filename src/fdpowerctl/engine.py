@@ -431,17 +431,21 @@ def _trajectory(
 ) -> np.ndarray:
     """Positions (T, K, 2) of UEs leaving the x = 0 edge at heights ys.
 
-    Each UE moves along x by speed * step per step and reflects at x = side
-    and x = 0; the reflected coordinate is 2 * side - x, then -x. All UEs
-    start at x = 0 with the same speed, so they share one x path.
+    Each UE moves along x by speed * step per step and reflects at x = 0 and
+    x = side until it is inside the cell. A step longer than a round trip
+    first drops its whole round trips (math.fmod, exact); then the reflected
+    coordinate is -x, then 2 * side - x. All UEs start at x = 0 with the same
+    speed, so they share one x path.
     """
     x, direction, xs = 0.0, 1.0, []
     for _ in range(n_steps):
         x += direction * speed * step
-        if x > side:
-            x, direction = 2 * side - x, -direction
-        if x < 0.0:
-            x, direction = -x, -direction
+        if not 0.0 <= x <= side:
+            x = math.fmod(x, 2 * side)
+            if x < 0.0:
+                x, direction = -x, -direction
+            if x > side:
+                x, direction = 2 * side - x, -direction
         xs.append(x)
     positions = np.empty((n_steps, len(ys), 2))
     positions[:, :, 0] = np.array(xs)[:, None]
@@ -513,6 +517,8 @@ def run_mobility(
     n_steps = int(round(duration / step))
     positions = _trajectory(ys, cfg.cell_side, speed_kmh / 3.6, step, n_steps)
     gains = base.moved(positions)
+    # computed once for the run: each window's rows are slices of them
+    gains.p_min, gains.harvest_scale
     harvest_gain = gains.mu * gains.g
 
     states = np.empty((n_steps, K + 1))
@@ -529,36 +535,53 @@ def run_mobility(
         # the non-harvesting updates keep p_h at 0 by themselves
         keep = np.array(transmit + [activation is not None or not alg.harvesting])
         masked = not keep.all()
-        # traj[0] is the exact start, traj[1:] the window's guessed rows
-        traj = np.empty((w + 1, K + 1))
+        # traj[0] is the exact start, traj[1:] the window's guessed rows;
+        # UE-major, so the update runs on contiguous columns (see core)
+        traj = np.empty((w + 1, K + 1), order="F")
         traj[:] = x
         for sweeps in range(1, min(w, MAX_SWEEPS) + 1):
             cand = joint_update(alg, traj[:-1], rows)
-            nxt = np.where(keep, cand, 0.0) if masked else cand
-            changed = (nxt != traj[1:]).ravel()
+            if masked:
+                nxt = cand.copy(order="K")
+                nxt[:, ~keep] = 0.0
+            else:
+                nxt = cand
+            changed = (nxt != traj[1:]).any(axis=1)
             traj[1:] = nxt
             # every row up to the first one this sweep changed is exact
             first = int(changed.argmax())
-            exact = first // (K + 1) + 1 if changed[first] else w
+            exact = first + 1 if changed[first] else w
             if exact == w:
                 break
         need = (cand[:exact, :-1] / cfg.epsilon + base.ue_template.p_cir) * step
         harvest = harvest_gain[n : n + exact] * traj[1 : exact + 1, -1:] * step
         # Each UE's battery is its own chain while the masks hold: run it in
-        # the loop's operations up to the first row that breaks its mask.
-        # Until the first depletion no harvest flows and every UE transmits,
-        # so that depletion breaks the depleting UE's mask. An affordable
-        # step spends at most what the battery holds, so only the capacity
-        # clips.
+        # the loop's operations up to the first row that breaks its mask, a
+        # step a transmitting UE cannot afford (NaN included) or one a silent
+        # UE can. Until the first depletion no harvest flows and every UE
+        # transmits, so that depletion breaks the depleting UE's mask. An
+        # affordable step spends at most what the battery holds, so only the
+        # capacity clips.
         end, chains = exact, []
         for lv, on, needs, harvests in zip(level, transmit, need.T.tolist(), harvest.T.tolist()):
             chain = []
-            for nd, hv in zip(needs[:end], harvests[:end]):
-                lv += hv
-                if (lv >= nd) != on:
-                    break
-                lv = min(lv - nd if on else lv, battery_init)
-                chain.append(lv)
+            if on:
+                for nd, hv in zip(needs[:end], harvests[:end]):
+                    lv += hv
+                    if not lv >= nd:
+                        break
+                    lv -= nd
+                    if lv > battery_init:
+                        lv = battery_init
+                    chain.append(lv)
+            else:
+                for nd, hv in zip(needs[:end], harvests[:end]):
+                    lv += hv
+                    if lv >= nd:
+                        break
+                    if lv > battery_init:
+                        lv = battery_init
+                    chain.append(lv)
             end = min(end, len(chain))
             chains.append(chain)
         states[n : n + end] = traj[1 : end + 1]

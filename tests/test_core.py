@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdpowerctl import channel
 from fdpowerctl.channel import sample_batch
 from fdpowerctl.core import (
     Algorithm,
@@ -16,6 +17,7 @@ from fdpowerctl.core import (
     sinr,
     state_caps,
     ue_max,
+    ue_sum,
 )
 from fdpowerctl.engine import run_fixed_point
 
@@ -331,3 +333,65 @@ def test_joint_update_batches_equal_rows_alone(desk_scenario, alg, k):
         for s in range(n):
             alone = joint_update(alg, x[s], batch.rows(s))
             assert step[s].tobytes() == alone.tobytes(), (n, s)
+
+
+def _same_bits(got, want):
+    """Equal bytes, shapes and dtypes, except that any NaN matches any NaN:
+    numpy fixes no NaN's sign (its compiled additions may swap operands)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    return np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, want).tobytes()
+
+
+def test_ue_sum_equals_add_reduce_bytes():
+    # numpy's pairwise order, replayed across the rows of a UE-major array,
+    # against numpy itself on contiguous rows, for K = 1 .. 300 (the order
+    # changes at 8, 9, 128, 129 and 257): a numpy whose order differs fails
+    # here. Magnitudes span the range, so every change of grouping shows; row
+    # 0 is all -0.0, and other entries are +-0.0, +-inf, NaN and subnormals.
+    rng = np.random.default_rng(19)
+    for k in range(1, 301):
+        a = rng.standard_normal((7, k)) * 10.0 ** rng.integers(-300, 300, size=(7, k))
+        kind = rng.integers(0, 12, size=a.shape)
+        for code, value in ((0, 0.0), (1, -0.0), (2, np.inf), (3, -np.inf), (4, np.nan),
+                            (5, 5e-324), (6, -2.5e-310)):
+            a[kind == code] = value
+        a[0] = -0.0
+        a[1] = rng.lognormal(0.0, 1.0, size=k)
+        ue_major = np.asfortranarray(a)
+        # a UE-major view whose columns are strided
+        strided = np.asfortranarray(np.repeat(a, 2, axis=0))[::2]
+        with np.errstate(invalid="ignore"):
+            want = np.add.reduce(a, axis=-1, keepdims=True)
+            for b in (a, ue_major, strided):
+                assert _same_bits(ue_sum(b), want), (k, b.strides)
+        assert ue_sum(ue_major[1:2]).tobytes() == want[1:2].tobytes(), k
+
+
+def test_ue_sum_of_no_ues_and_of_one_state():
+    assert ue_sum(np.empty((3, 0), order="F")).tolist() == [[0.0]] * 3
+    x = np.array([1e-3, 2e-9, 3.0, -0.0])
+    assert ue_sum(x).tobytes() == np.add.reduce(x, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 20])
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_joint_update_bits_do_not_depend_on_layout(desk_scenario, alg, k):
+    # a UE-major batch (each UE's column contiguous, as a mobility window's)
+    # and the row-major one give the same bytes and keep their layout
+    cfg = dataclasses.replace(desk_scenario.cfg, num_ues=k)
+    rng = np.random.default_rng(k)
+    batch = sample_batch(cfg, desk_scenario.hbs, desk_scenario.ue_template, 3 * k + 7)
+    caps = state_caps(batch)
+    x = caps * 10.0 ** rng.uniform(-12.0, 0.0, size=caps.shape)
+    ue_major = dataclasses.replace(batch, **{
+        name: np.asfortranarray(getattr(batch, name)) for name in channel._ARRAYS
+    })
+    assert ue_major.g.strides[0] < ue_major.g.strides[1] or k == 1
+    want = joint_update(alg, x, batch)
+    got = joint_update(alg, np.asfortranarray(x), ue_major)
+    assert got.flags.f_contiguous and want.flags.c_contiguous
+    assert got.tobytes(order="C") == want.tobytes()
+    assert sinr(np.asfortranarray(x), ue_major).tobytes() == sinr(x, batch).tobytes()

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -230,11 +231,18 @@ def test_mobility_static_infinite_battery_constant(desk_scenario):
 
 
 def test_mobility_positions_stay_in_cell(desk_scenario):
+    # x folds into [0, side] as a triangle wave of the distance travelled,
+    # with period 2 side, also where one 1 ms step is longer than a round
+    # trip of the 50 m cell (at 400000 km/h it is 111 m)
     scenario = _mobility_scenario(desk_scenario)
-    result = run_mobility(Algorithm.TPCEH, scenario, duration=1.0, speed_kmh=5000.0)
     side = scenario.cfg.cell_side
-    assert np.all(result.positions[..., 0] >= -1e-9)
-    assert np.all(result.positions[..., 0] <= side + 1e-9)
+    for speed_kmh in (5000.0, 400000.0, 4e9):
+        result = run_mobility(Algorithm.TPCEH, scenario, duration=1.0, speed_kmh=speed_kmh)
+        x = result.positions[..., 0]
+        assert np.all((x >= 0.0) & (x <= side)), speed_kmh
+        phase = np.mod(result.time * (speed_kmh / 3.6), 2 * side)
+        wave = np.minimum(phase, 2 * side - phase)[:, None]
+        np.testing.assert_allclose(x, np.broadcast_to(wave, x.shape), rtol=0, atol=1e-5)
 
 
 def test_mobility_zero_duration(desk_scenario):
@@ -377,6 +385,48 @@ def test_mobility_window_past_its_sweep_budget(desk_scenario, monkeypatch):
         Algorithm.OPC, scenario, duration=0.6, speed_kmh=5000.0, battery_init=math.inf
     )
     assert any(nxt[0] < stop for (_, stop), nxt in zip(windows, windows[1:]))
+
+
+def test_mobility_windows_run_ue_major(desk_scenario, monkeypatch):
+    # every window wider than one row reaches the update kernel UE-major, each
+    # UE's column contiguous, states and gains alike, which is the layout the
+    # kernel's sum and maximum run fast on; the result's series stay
+    # row-major, so the CLI's means over the UEs keep their bits
+    layouts = []
+    update = engine.joint_update
+
+    def spy(alg, x, snap):
+        nxt = update(alg, x, snap)
+        if len(x) > 1:
+            arrays = (x, snap.g, snap.p_min, snap.harvest_scale, nxt)
+            layouts.append([a.strides[0] < a.strides[1] for a in arrays])
+        return nxt
+
+    monkeypatch.setattr(engine, "joint_update", spy)
+    result = _assert_mobility_matches_scalar(Algorithm.TPCEH, desk_scenario, duration=1.0)
+    assert len(layouts) > 10
+    assert all(all(layout) for layout in layouts)
+    assert result.states.flags.c_contiguous and result.metrics.sinr.flags.c_contiguous
+
+
+def test_mobility_derives_harvest_arrays_once(desk_scenario, monkeypatch):
+    # p_min and harvest_scale are computed for the run's gains once; every
+    # window, and the metrics of the whole series, use slices of them
+    calls = dict.fromkeys(("p_min", "harvest_scale"), 0)
+    for name in calls:
+        derive = vars(Snapshot)[name].func
+
+        def counted(self, derive=derive, name=name):
+            calls[name] += 1
+            return derive(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Snapshot, name)
+        monkeypatch.setattr(Snapshot, name, prop)
+    windows = _windows(monkeypatch)
+    run_mobility(Algorithm.TPCEH, desk_scenario, duration=1.0)
+    assert len(windows) > 10
+    assert calls == {"p_min": 1, "harvest_scale": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from conftest import CONFIG_DIR
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 DESK = str(CONFIG_DIR / "desk_consistent.json")
 PAPER = str(CONFIG_DIR / "paper_4a.json")
+# desk_consistent.json with 20 UEs drawn at random in place of its pinned five
+DESK_K20 = str(Path(__file__).resolve().parent / "data" / "configs" / "desk_k20_sampled.json")
 ALL = "TPC,OPC,TPCEH,OPCEH"
 
 
@@ -87,6 +89,12 @@ CASES = {
     "mobility_desk_fast": ["mobility", "--config", DESK, "--speed-kmh", "5000",
                            "--duration", "0.3"],
     "mobility_zero_duration": ["mobility", "--config", DESK, "--duration", "0"],
+    # 20 sampled UEs: the interference sum runs in numpy's pairwise order,
+    # so these pin that order's bits through the mobility windows; the first
+    # never depletes, the second depletes at step 333 and then harvests
+    "mobility_desk_k20": ["mobility", "--config", DESK_K20, "--battery-init", "1e-4",
+                          "--duration", "0.5"],
+    "mobility_desk_k20_depleting": ["mobility", "--config", DESK_K20, "--duration", "0.5"],
     # verification.json holds max gaps, spreads and counterexamples, so any
     # drift in the oracle's numbers shows up as a byte difference
     "verify_desk_k2": ["verify", "--config", DESK, "--k", "2"],
