@@ -229,7 +229,9 @@ def draw_ues(
     0 .. n_snapshots-1, row s read from stream cfg.seed + s (see sample_batch).
 
     With a fixed mu, one (K, 2) draw reads the same 2K numbers, x then y per
-    UE, as per-UE scalar draws; a random mu keeps the per-UE loop.
+    UE, as per-UE scalar draws; a random mu keeps the per-UE loop. The draw
+    is rng.random, which has the bits of uniform(0.0, 1.0): numpy computes
+    that as 0.0 + 1.0 * u, exactly u.
     """
     k = max(cfg.num_ues, 0)
     unit = np.empty((n_snapshots, k, 2))
@@ -237,7 +239,7 @@ def draw_ues(
     for sid in range(n_snapshots):
         rng = np.random.default_rng(cfg.seed + sid)
         if ue_template.mu is not None:
-            unit[sid] = rng.uniform(0.0, 1.0, size=(k, 2))
+            unit[sid] = rng.random((k, 2))
             mu[sid] = ue_template.mu
         else:
             for i in range(k):

@@ -52,6 +52,8 @@ EXIT_VERIFY_FAILED = 4
 # CSV cell formats by dtype kind: bools as 1/0, floats in scientific
 # notation with 17 significant digits, anything else as str() gives it
 _CELL_FORMATS = {"b": "{:d}", "f": "{:.16e}"}
+# Rows per write of _write_csv.
+CSV_CHUNK = 4096
 
 
 class UsageError(Exception):
@@ -60,12 +62,17 @@ class UsageError(Exception):
 
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
     """Write equal-length columns (arrays or lists) under a header, each
-    formatted by its dtype through one row template."""
+    formatted by its dtype through one row template. Rows are formatted and
+    written CSV_CHUNK at a time, so neither the file's text nor its cells as
+    Python objects are ever held whole."""
     arrays = [np.asarray(column) for column in columns]
     template = ",".join(_CELL_FORMATS.get(a.dtype.kind, "{}") for a in arrays)
-    rows = map(template.format, *(a.tolist() for a in arrays))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, len(arrays[0]), CSV_CHUNK):
+            cells = (a[start : start + CSV_CHUNK].tolist() for a in arrays)
+            f.write("\n".join(map(template.format, *cells)) + "\n")
 
 
 def _write_json(path: Path, doc) -> None:

@@ -12,10 +12,13 @@ iteration loop, `iterate`. It steps S independent rows at once: an (S, K+1)
 state on a batch Snapshot of (S, K) parameter arrays, with a convergence
 record per row. A row stops at the first step whose relative change is at
 most tol, or after max_iter steps; each row's numbers equal those of
-iterating it alone. Rows that stop are written out and dropped from the
-working arrays (compaction), so the cost of a step follows the rows still
-running. `solve` runs it with an algorithm's joint update: a sweep solves
-each axis value in one call, and `run_fixed_point` is the one-row case.
+iterating it alone. A row that stops is written out at once but stays in
+the working arrays, flagged as done, until done rows are at least a quarter
+of them (COMPACT_SHARE); then one integer index drops them all (compaction).
+So the cost of a step follows the rows still running, and a solve rebuilds
+its batch only a few times. `solve` runs it with an algorithm's joint
+update: a sweep solves each axis value in one call, and `run_fixed_point` is
+the one-row case.
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -23,10 +26,12 @@ the update is a two-sided scalable map (Sung & Leung 2005) whose every
 component is monotone in each argument, as all four joint updates are.
 Such a map does not expand the Thompson metric max_i |log(x_i / y_i)|, so
 one-step distances can shrink by at most the two-step distance per step
-(see `iterate`). Only `run_monte_carlo` turns it on: its averages leave
-unconverged rows out anyway, so its outputs do not change. `run_fixed_point`
-(the `snapshot` command's trace and exit status) and the oracle iterate to
-max_iter.
+(see `iterate`). It is checked every 16 steps up to step 128, where cycling
+rows show themselves, then at 256, 512, 1024, ..., so a long converging
+solve pays for few checks. Only `run_monte_carlo` turns it on: its averages
+leave unconverged rows out anyway, so its outputs do not change.
+`run_fixed_point` (the `snapshot` command's trace and exit status) and the
+oracle iterate to max_iter.
 
 A mobility run is a recurrence in time: each step is one joint update of
 the step before on that step's gains, and the batteries decide which UEs
@@ -82,10 +87,18 @@ CHANGE_FLOOR = 1e-18
 MAX_WINDOW = 4096
 MAX_SWEEPS = 64
 
-# The early-exit certificate checks at steps 16, 32, 64, ... below max_iter.
+# The early-exit certificate checks at steps 16, 32, 48, ..., 128, then at
+# 256, 512, 1024, ... below max_iter: densely where cycling rows show
+# themselves, sparsely where slow converging rows would pay for every check.
 FIRST_GIVE_UP_CHECK = 16
+GIVE_UP_CHECK_STRIDE = 16
+LAST_STRIDED_CHECK = 128
 # Allowance per step for rounding in the computed update's non-expansion.
 GIVE_UP_SLACK = 1e-12
+
+# `iterate` drops stopped rows from its working arrays once they are at
+# least this share of them.
+COMPACT_SHARE = 0.25
 
 SWEEP_AXES = ("delta_db", "cell_side", "gamma_target", "num_ues")
 
@@ -166,12 +179,16 @@ def iterate(
     [0, caps] first. A row stops converged at the first step whose
     infinity-norm relative change (denominators floored at CHANGE_FLOOR) is
     at most tol, and unconverged after max_iter steps: an exception is never
-    raised for it. `update` receives the rows still running and their
-    parameters. With a `history` list, the (rows, K+1) state of every step,
-    the clipped start included, is appended to it; runs of one row use it.
+    raised for it. `update` receives the working rows and their parameters:
+    the rows still running, and rows already written out that wait for the
+    next compaction, whose later values nothing reads. Compaction drops the
+    done rows by one `np.flatnonzero` index once they are at least
+    COMPACT_SHARE of the working rows. With a `history` list, the (rows, K+1)
+    state of the running rows at every step, the clipped start included, is
+    appended to it; runs of one row use it.
 
     With `give_up`, a row also stops unconverged, with `stopped_early` set,
-    at a check step t = 16, 32, 64, ... < max_iter when
+    at a check step t = 16, 32, 48, ..., 128, 256, 512, ... < max_iter when
 
         d - (max_iter - t) * (e + GIVE_UP_SLACK) > -log1p(-tol),
 
@@ -184,7 +201,7 @@ def iterate(
     at most -log1p(-tol). The argument also needs the relative change to be
     the exact ratio, so only rows whose components all stay at or above
     CHANGE_FLOOR, or at 0, qualify; that bound costs two `update` calls on
-    the rows still running at step 16, and none when no row gets there.
+    the working rows at step 16, and none when no row gets there.
     Every row it stops is one that full iteration leaves unconverged; the
     other rows get exactly the numbers they get without it.
     """
@@ -199,13 +216,16 @@ def iterate(
     )
     if history is not None:
         history.append(x)
-    active = np.arange(n)
+    # the working rows: their batch indices, and which of them still run
+    index = np.arange(n)
+    running = np.ones(n, dtype=bool)
+    n_done = 0                         # working rows written out, not running
     # with tol >= 1 (or NaN) no distance exceeds the limit: never check
     check = FIRST_GIVE_UP_CHECK if give_up and tol < 1.0 else None
-    older = None                       # x_{t-2} of the running rows at a check
+    older = None                       # x_{t-2} of the working rows at a check
     certifiable = live = None          # per batch row, from the first check on
     for t in range(1, max_iter + 1):
-        if active.size == 0:
+        if index.size == 0:
             break
         if t + 1 == check:
             older = x
@@ -216,7 +236,7 @@ def iterate(
         change = ue_max(rel)
         prev, x = x, nxt
         if history is not None:
-            history.append(x)
+            history.append(x[running] if n_done else x)
         converged = change <= tol
         stop = converged if t < max_iter else np.ones_like(converged)
         early = None
@@ -225,28 +245,37 @@ def iterate(
                 if certifiable is None:
                     certifiable = np.zeros(n, dtype=bool)
                     live = np.zeros((n, x.shape[-1]), dtype=bool)
-                    certifiable[active], live[active] = _certifiable(update, batch)
-                ok = certifiable[active]
-                on = live[active] & ok[:, None]
+                    certifiable[index], live[index] = _certifiable(update, batch)
+                ok = certifiable[index]
+                on = live[index] & ok[:, None]
                 d = _log_distance(x, prev, on)
                 e = _log_distance(x, older, on)
                 early = ok & ~converged & (
                     d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol)
                 )
                 stop = stop | early
-            check, older = 2 * t, None
+            check = t + GIVE_UP_CHECK_STRIDE if t < LAST_STRIDED_CHECK else 2 * t
+            older = None
+        if n_done:
+            stop = stop & running
         if stop.any():
-            rows = active[stop]
+            rows = index[stop]
             out.fixed_point[rows] = x[stop]
             out.iterations_used[rows] = t
             out.converged[rows] = converged[stop]
             out.final_change[rows] = change[stop]
             if early is not None:
                 out.stopped_early[rows] = early[stop]
-            go = ~stop
-            active, x, batch = active[go], x[go], batch.rows(go)
-            if older is not None:
-                older = older[go]
+            running = running & ~stop
+            n_done += int(np.count_nonzero(stop))
+            if n_done == index.size:
+                break
+            if n_done >= COMPACT_SHARE * index.size:
+                keep = np.flatnonzero(running)
+                index, x, batch = index[keep], x[keep], batch.rows(keep)
+                if older is not None:
+                    older = older[keep]
+                running, n_done = np.ones(keep.size, dtype=bool), 0
     return out
 
 

@@ -187,16 +187,18 @@ def _sandwich_draws(
 
     Each row of one rng.random((trials, 2K+3)) call holds a trial's K+1
     exponents, the exponent of a and K+1 wiggle exponents, in that order.
+    p and p' are UE-major (Fortran order), so the update kernel runs on
+    contiguous columns; their values do not depend on the layout.
     """
     n = len(caps)
     u = rng.random((trials, 2 * n + 1))
-    base = caps * 10.0 ** _uniform(u[:, :n], -14.0, 0.0)
+    base = np.multiply(caps, 10.0 ** _uniform(u[:, :n], -14.0, 0.0), order="F")
     # one Python float power per trial, as a scalar draw gives it: numpy's
     # vectorised power can differ from it in the last bit
     a = np.fromiter(
         (10.0 ** x for x in _uniform(u[:, n], 1e-3, 1.0).tolist()), float, trials
     )[:, None]
-    other = base * a ** _uniform(u[:, n + 1 :], -1.0, 1.0)
+    other = np.multiply(base, a ** _uniform(u[:, n + 1 :], -1.0, 1.0), order="F")
     return base, a, other
 
 

@@ -100,6 +100,21 @@ def test_fixed_mu_draw_keeps_prefix_and_stream():
     assert batch.g[11].tolist() == small.g.tolist() == big.g[:3].tolist()
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 20])
+def test_fixed_mu_draw_has_the_bits_of_uniform(k):
+    # rng.random((k, 2)) is numpy's uniform(0.0, 1.0, size=(k, 2)), computed
+    # as 0.0 + 1.0 * u: the same bits, and the stream left at the same place
+    for seed in (0, 1, 7, 12345):
+        unit, _ = channel.draw_ues(_cfg(num_ues=k, seed=seed), FIXED_MU, 3)
+        for sid in range(3):
+            rng = np.random.default_rng(seed + sid)
+            assert unit[sid].tobytes() == rng.uniform(0.0, 1.0, size=(k, 2)).tobytes()
+            a, b = np.random.default_rng(seed + sid), np.random.default_rng(seed + sid)
+            a.random((k, 2))
+            b.uniform(0.0, 1.0, size=(k, 2))
+            assert a.random() == b.random()
+
+
 def _scalar_draws(cfg, template, sid, floor):
     """Positions and mu of snapshot sid, one scalar draw at a time from its
     stream: per UE x, then y, then mu (drawn again while below the floor)

@@ -2,9 +2,10 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fdpowerctl import __version__
+from fdpowerctl import __version__, cli
 from fdpowerctl.cli import main
 from fdpowerctl.config import config_hash, load_scenario, scenario_to_dict
 
@@ -677,3 +678,16 @@ def test_every_output_has_a_manifest(tmp_path, monkeypatch, argv, code, fail_cla
         assert manifest["tool_version"] == __version__
         assert sorted(manifest["outputs"]) == outputs
         assert manifest["duration_s"] >= 0.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
+def test_csv_is_written_in_chunks_with_the_bytes_of_one_text(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(cli, "CSV_CHUNK", 3)
+    columns = [
+        np.arange(n), np.linspace(-1.5, 2.0, n) * 1e-9, np.arange(n) % 2 == 0,
+        [f"m{i}" for i in range(n)],
+    ]
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, ["i", "x", "flag", "name"], columns)
+    rows = [f"{i},{x:.16e},{int(b)},{name}" for i, x, b, name in zip(*columns)]
+    assert path.read_bytes() == ("\n".join(["i,x,flag,name", *rows]) + "\n").encode()

@@ -529,3 +529,70 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
     assert [(s["n_converged"], s["n_nonconverged"]) for s in result.solves] == [(0, 0), (0, 0)]
     for pairs in result.stats.values():
         assert all(np.isnan(m) and np.isnan(h) for m, h in pairs)
+
+
+# Lazy compaction: a stopped row is written out at once and dropped from the
+# working arrays only when stopped rows are COMPACT_SHARE of them. Neither
+# the share nor the moment of compaction may move a bit of any row.
+
+
+def _solutions_equal(a, b):
+    return all(
+        getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes()
+        for f in dataclasses.fields(a)
+    )
+
+
+@pytest.mark.parametrize("give_up", [False, True])
+@pytest.mark.parametrize("alg", list(Algorithm))
+@pytest.mark.parametrize("config", ["desk_scenario", "paper_scenario"])
+def test_lazy_compaction_matches_eager(request, monkeypatch, config, alg, give_up):
+    scenario = request.getfixturevalue(config)
+    for k in (2, 5, 20):
+        sc = _with(scenario, k)
+        batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
+        lazy = solve(alg, batch, give_up=give_up)
+        # a share of 0 compacts at every stop, as eager compaction does; one
+        # above 1 never compacts, so every stopped row runs to the end
+        for share in (0.0, 2.0):
+            monkeypatch.setattr(engine, "COMPACT_SHARE", share)
+            assert _solutions_equal(solve(alg, batch, give_up=give_up), lazy)
+        monkeypatch.undo()
+
+
+def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monkeypatch):
+    calls = []
+    rows = Snapshot.rows
+
+    def counted(self, index):
+        calls.append(len(self))
+        return rows(self, index)
+
+    monkeypatch.setattr(Snapshot, "rows", counted)
+    sc = _with(desk_scenario, 20)
+    batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
+    sol = solve(Algorithm.OPCEH, batch, give_up=True)
+    assert sol.stopped_early.sum() == 10
+    # each compaction drops at least a quarter of the working rows, and the
+    # last stop needs none: at most log(200) / log(4/3) + 1 rebuilds
+    assert 0 < len(calls) <= 19
+    # eager compaction rebuilds at every step some row stops
+    monkeypatch.setattr(engine, "COMPACT_SHARE", 0.0)
+    calls.clear()
+    solve(Algorithm.OPCEH, batch, give_up=True)
+    assert len(calls) > 19
+
+
+def test_history_holds_only_the_running_rows(desk_scenario):
+    sc = _with(desk_scenario, 5)
+    batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 50)
+    history = []
+    sol = solve(Algorithm.TPCEH, batch, history=history)
+    used = sol.iterations_used
+    assert len(history) == used.max() + 1
+    for t, states in enumerate(history):
+        running = np.flatnonzero(used >= t)
+        assert len(states) == len(running)
+    # a row's last state is its fixed point
+    assert history[-1].tolist() == sol.fixed_point[used == used.max()].tolist()
+

@@ -479,6 +479,29 @@ def test_sandwich_matches_scalar_reference(k, alg, rel_slack, desk_scenario):
         assert type(rep.counterexample["a"]) is float
 
 
+@pytest.mark.parametrize("rel_slack", [1e-12, -0.5])
+@pytest.mark.parametrize("alg", list(Algorithm))
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_sandwich_runs_ue_major_with_row_major_bits(k, alg, rel_slack, desk_scenario,
+                                                    monkeypatch):
+    # the sandwich states come UE-major, so the update runs on contiguous
+    # columns; the updates, and so the report, are those of row-major states
+    snap = _scenario_snapshot(desk_scenario, k)
+    base, _, other = oracle._sandwich_draws(state_caps(snap), 500, np.random.default_rng(7))
+    assert base.flags.f_contiguous and other.flags.f_contiguous
+    batch = snap.repeated(500)
+    for p in (base, other):
+        ue_major = joint_update(alg, p, batch)
+        assert ue_major.flags.f_contiguous
+        assert ue_major.tobytes() == joint_update(alg, np.ascontiguousarray(p), batch).tobytes()
+    report = check_two_sided_scalable(snap, alg, 500, np.random.default_rng(7), rel_slack)
+    draws = oracle._sandwich_draws
+    monkeypatch.setattr(oracle, "_sandwich_draws", lambda *args: tuple(
+        np.ascontiguousarray(d) for d in draws(*args)
+    ))
+    assert check_two_sided_scalable(snap, alg, 500, np.random.default_rng(7), rel_slack) == report
+
+
 def test_sandwich_zero_trials(desk_scenario):
     snap = _scenario_snapshot(desk_scenario, 2)
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
