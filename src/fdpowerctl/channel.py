@@ -69,17 +69,23 @@ class Snapshot:
     harvest_scale are derived. Channels are reciprocal: the uplink gain h is
     the downlink gain g. Snapshots made from one another share arrays, which
     must be treated as read-only.
+
+    A sweep solves the batches of several axis values as one wider batch
+    (see `engine.run_monte_carlo`). Such an embedded batch holds only what
+    the update reads: g, gamma_target, eta, an (S, W) p_bar_u array with
+    cap 0 in its padded columns, and p_min and harvest_scale set when it is
+    built. Its distances and mu are None.
     """
 
     cfg: ScenarioConfig
     hbs: HbsParams
     ue_template: UeTemplate
-    distances: np.ndarray        # meters to the base station
+    distances: np.ndarray | None  # meters to the base station
     g: np.ndarray                # channel power gain
-    mu: np.ndarray               # energy-harvesting efficiency
+    mu: np.ndarray | None        # energy-harvesting efficiency
     gamma_target: np.ndarray     # target SINR, linear
     eta: np.ndarray              # target signal-interference product
-    p_bar_u: float               # uplink transmit power cap of every UE, watts
+    p_bar_u: float | np.ndarray  # uplink transmit power cap, watts
 
     @property
     def h(self) -> np.ndarray:
@@ -113,14 +119,14 @@ class Snapshot:
 
     def rows(self, index) -> Snapshot:
         """The snapshots of a batch picked by a mask, index array or slice;
-        an int index picks one snapshot, with (K,) arrays. Derived arrays this
-        batch has computed are passed on as their picked rows."""
-        picked = Snapshot(
-            self.cfg, self.hbs, self.ue_template,
-            *(getattr(self, name)[index] for name in _ARRAYS), self.p_bar_u,
+        an int index picks one snapshot, with (K,) arrays. Every array this
+        batch holds, derived arrays it has computed included, is passed on
+        as its picked rows."""
+        picked = object.__new__(Snapshot)
+        vars(picked).update(
+            (name, value[index] if isinstance(value, np.ndarray) else value)
+            for name, value in vars(self).items()
         )
-        for name in _DERIVED.intersection(vars(self)):
-            vars(picked)[name] = vars(self)[name][index]
         return picked
 
     def repeated(self, copies: int = 1) -> Snapshot:
@@ -149,9 +155,8 @@ class Snapshot:
         return _snapshot(self.cfg, self.hbs, self.ue_template, distances, mu, gamma_target, eta)
 
 
-# The per-UE arrays of a snapshot, in field order, and those derived from them.
+# The per-UE arrays of a snapshot, in field order.
 _ARRAYS = ("distances", "g", "mu", "gamma_target", "eta")
-_DERIVED = {"p_min", "harvest_scale"}
 
 
 def _snapshot(
@@ -182,10 +187,11 @@ def _snapshot(
         "mu": mu, "g": g, "h": g, "distance": distances,
         "gamma_target": np.full(shape, t.gamma_target) if gamma_target is None else gamma_target,
         "eta": np.full(shape, t.eta) if eta is None else eta,
-        "p_bar_u": np.full(shape, p_bar_u),
-        "p_dyn": np.full(shape, t.p_dyn),
-        "p_sta": np.full(shape, t.p_sta),
-        "e_bar": np.full(shape, math.nan if t.e_bar is None else t.e_bar),
+        # the template's constants, checked as columns without being copied
+        "p_bar_u": np.broadcast_to(p_bar_u, shape),
+        "p_dyn": np.broadcast_to(t.p_dyn, shape),
+        "p_sta": np.broadcast_to(t.p_sta, shape),
+        "e_bar": np.broadcast_to(math.nan if t.e_bar is None else t.e_bar, shape),
     }
     rows = {name: np.atleast_2d(column) for name, column in columns.items()}
     if len(rows["g"]):
@@ -222,11 +228,89 @@ def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return np.maximum(out, 1e-9, out=out)
 
 
+# numpy's SeedSequence hash and PCG64 seeding constants
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) of the seeds whose
+    32-bit words, least significant first, are the rows of entropy (S, n),
+    n >= 4, padded with zeros: the hash replayed on every row at once in
+    uint32 arithmetic, which wraps as the C code's does."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, entropy.shape[1]):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    const = _INIT_B
+    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    return state.view("<u8")
+
+
+def _stream_states(seed: int, n: int) -> list[dict]:
+    """The PCG64 states of np.random.default_rng(seed + s) for s < n.
+
+    default_rng seeds PCG64 with the words w of SeedSequence's hash
+    (`_seed_words`): initstate = w0 * 2^64 + w1 and initseq = w2 * 2^64 + w3
+    give inc = 2 initseq + 1 and state = (inc + initstate) * _PCG64_MULT +
+    inc, all mod 2^128. A seed below 2^128 fills the 4-word pool with its
+    words and zeros; a longer seed's further words are mixed in, so seeds
+    are hashed in groups of equal word count. Setting these states on one
+    PCG64 costs a fraction of building a generator per stream.
+    """
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    seeds = range(seed, seed + n)
+    states = []
+    start = 0
+    while start < n:
+        width = max(_POOL_SIZE, -(-seeds[start].bit_length() // 32))
+        stop = min(n, 2 ** (32 * width) - seed)       # the first seed one word longer
+        entropy = np.frombuffer(
+            b"".join(s.to_bytes(4 * width, "little") for s in seeds[start:stop]), dtype="<u4"
+        ).reshape(-1, width)
+        for w0, w1, w2, w3 in _seed_words(entropy).tolist():
+            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+            state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
+            states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0})
+        start = stop
+    return states
+
+
 def draw_ues(
     cfg: ScenarioConfig, ue_template: UeTemplate, n_snapshots: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-square coordinates (S, K, 2) and mu (S, K) of random snapshots
-    0 .. n_snapshots-1, row s read from stream cfg.seed + s (see sample_batch).
+    0 .. n_snapshots-1, row s read from stream cfg.seed + s (see sample_batch),
+    whose state `_stream_states` derives for all rows at once.
 
     With a fixed mu, one (K, 2) draw reads the same 2K numbers, x then y per
     UE, as per-UE scalar draws; a random mu keeps the per-UE loop. The draw
@@ -236,8 +320,10 @@ def draw_ues(
     k = max(cfg.num_ues, 0)
     unit = np.empty((n_snapshots, k, 2))
     mu = np.empty((n_snapshots, k))
-    for sid in range(n_snapshots):
-        rng = np.random.default_rng(cfg.seed + sid)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for sid, state in enumerate(_stream_states(cfg.seed, n_snapshots)):
+        bit_generator.state = state
         if ue_template.mu is not None:
             unit[sid] = rng.random((k, 2))
             mu[sid] = ue_template.mu

@@ -320,6 +320,14 @@ def count(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    """A --seed value: a whole number of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def tolerance(text: str) -> float:
     """A --tol value: a finite number above 0."""
     value = float(text)
@@ -346,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=seed, default=None)
         p.add_argument("--out", default="out", help="output directory")
 
     p_snap = sub.add_parser("snapshot", help="single fixed-point run with trace")

@@ -206,6 +206,9 @@ def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams) -> list[str]:
         bad("scenario.tol", "must be strictly positive")
     if cfg.max_iter < 1:
         bad("scenario.max_iter", "must be at least 1")
+    # snapshot s draws from stream seed + s, and numpy seeds only non-negative integers
+    if cfg.seed < 0:
+        bad("scenario.seed", "must be non-negative")
     # NaN passes every < or <= range test above
     for name in ("delta", "sigma2", "delta_t", "attenuation_k", "cell_side", "tol"):
         if not math.isfinite(getattr(cfg, name)):

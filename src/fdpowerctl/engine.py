@@ -17,8 +17,11 @@ the working arrays, flagged as done, until done rows are at least a quarter
 of them (COMPACT_SHARE); then one integer index drops them all (compaction).
 So the cost of a step follows the rows still running, and a solve rebuilds
 its batch only a few times. `solve` runs it with an algorithm's joint
-update: a sweep solves each axis value in one call, and `run_fixed_point` is
-the one-row case.
+update, and `run_fixed_point` is the one-row case. A sweep solves its axis
+values in groups, one call per group: every value whose UEs embed in the
+widest UE count of the group (`core.ue_columns`) and whose update shares
+its scalars puts its rows in one wide batch, so a sweep pays for its
+longest solve rather than the sum of them (see `run_monte_carlo`).
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -61,7 +64,7 @@ import numpy as np
 
 from .channel import Snapshot, cell_distances, draw_ues, place_ues, snapshot_from_scenario
 from .config import Scenario
-from .core import Algorithm, Metrics, state_caps, joint_update, metrics, ue_max
+from .core import Algorithm, Metrics, state_caps, joint_update, metrics, ue_columns, ue_max
 from .units import db_to_linear
 
 __all__ = [
@@ -372,6 +375,73 @@ class SweepResult:
     solves: list[dict]
 
 
+def _merged(batches: list[Snapshot], width: int) -> Snapshot:
+    """One batch of `width` UE columns with the rows of every batch in turn,
+    each batch's UEs in the columns `core.ue_columns` names for its count.
+
+    A padded column is inert: gain 1, target SINR, eta and uplink cap 0,
+    p_min 0 and harvest_scale inf. From any start it updates to power 0,
+    adds +0.0 to the interference sum and asks for no harvest power, so
+    every row gets the bits it gets in its own batch (see `core.ue_columns`).
+    The batch holds only what the update reads (see `Snapshot`).
+    """
+    if len(batches) == 1 and batches[0].num_ues == width:
+        return batches[0]
+    fills = {"g": 1.0, "gamma_target": 0.0, "eta": 0.0, "p_bar_u": 0.0,
+             "p_min": 0.0, "harvest_scale": math.inf}
+    n = sum(map(len, batches))
+    arrays = {name: np.full((n, width), fill) for name, fill in fills.items()}
+    start = 0
+    for batch in batches:
+        rows = slice(start, start + len(batch))
+        cols = ue_columns(batch.num_ues, width)
+        for name, a in arrays.items():
+            a[rows, cols] = getattr(batch, name)
+        start = rows.stop
+    first = batches[0]
+    merged = Snapshot(first.cfg, first.hbs, first.ue_template, None, arrays["g"], None,
+                      arrays["gamma_target"], arrays["eta"], arrays["p_bar_u"])
+    merged.p_min, merged.harvest_scale = arrays["p_min"], arrays["harvest_scale"]
+    return merged
+
+
+def _groups(batches: list[Snapshot]) -> list[list[int]]:
+    """The batches solved together, by index: the widest pending batch and
+    every pending one that shares the scalars its update reads (delta,
+    sigma2, p_bar_h) and whose UE count embeds in its width
+    (`core.ue_columns`), until none is left. Widest first."""
+    def scalars(b: Snapshot):
+        return b.cfg.delta, b.cfg.sigma2, b.hbs.p_bar_h
+
+    pending = sorted(range(len(batches)), key=lambda i: -batches[i].num_ues)
+    groups = []
+    while pending:
+        widest = batches[pending[0]]
+        group = [
+            i for i in pending
+            if scalars(batches[i]) == scalars(widest)
+            and ue_columns(batches[i].num_ues, widest.num_ues) is not None
+        ]
+        pending = [i for i in pending if i not in group]
+        groups.append(group)
+    return groups
+
+
+def _mean_half_widths(samples: np.ndarray) -> list[tuple[float, float]]:
+    """(mean, 95% half-width) of each row of samples (metrics, n): nan
+    without samples, half-width 0.0 with one. One reduction per statistic for
+    all rows has the bits of the per-row calls: each row is summed alone,
+    in numpy's pairwise order."""
+    n = samples.shape[1]
+    if n == 0:
+        return [(math.nan, math.nan)] * len(samples)
+    means = samples.mean(axis=1).tolist()
+    if n == 1:
+        return [(mean, 0.0) for mean in means]
+    halves = 1.96 * samples.std(axis=1, ddof=1) / math.sqrt(n)
+    return list(zip(means, halves.tolist()))
+
+
 def run_monte_carlo(
     algorithms: list[Algorithm | str],
     scenario: Scenario,
@@ -391,11 +461,21 @@ def run_monte_carlo(
     comparisons paired, and an invalid value fails before any solve. The
     draw's distances are computed once per cell side, and each value places
     its first K columns of them.
+
+    Axis values are solved in groups (`_groups`): values whose batches share
+    the update's scalars and whose UE counts embed in the group's widest
+    count W go in one W-wide batch (`_merged`), and each algorithm makes one
+    `solve` call per group. A `cell_side` or `gamma_target` sweep is one
+    group; a `num_ues` value joins the widest when `core.ue_columns` places
+    its UEs there (5 and 10 under 20, not 15), and each `delta_db` value is
+    a group of its own, since delta is one scalar per batch. Every row gets
+    the bits it gets alone, so each value's result, its columns and the
+    harvest column sliced back out, is that of solving it alone.
     Unconverged snapshots are counted and left out of the averages. Each
-    (algorithm, value) is one `solve` call with `give_up` on: a row certified
-    unable to converge within max_iter stops early (counted in
-    n_stopped_early), and since such a row is one that full iteration leaves
-    unconverged, the averages and counts are those of full iteration.
+    solve runs with `give_up` on: a row certified unable to converge within
+    max_iter stops early (counted in n_stopped_early), and since such a row
+    is one that full iteration leaves unconverged, the averages and counts
+    are those of full iteration.
     """
     if isinstance(algorithms, str):
         raise TypeError(f"algorithms: expected a list of algorithms, got {algorithms!r}")
@@ -408,12 +488,24 @@ def run_monte_carlo(
         place_ues(sc.cfg, sc.hbs, sc.ue_template, mu, distances[sc.cfg.cell_side])
         for sc in scenarios
     ]
+    groups = [(group, _merged([batches[i] for i in group], batches[group[0]].num_ues))
+              for group in _groups(batches)]
     results = []
     for alg in algorithms:
+        solutions: list[BatchSolution] = [None] * len(batches)
+        for group, merged in groups:
+            sol = solve(alg, merged, tol=tol, max_iter=max_iter, give_up=True)
+            start = 0
+            for i in group:
+                rows = slice(start, start + len(batches[i]))
+                cols = np.append(ue_columns(batches[i].num_ues, merged.num_ues), merged.num_ues)
+                part = {f.name: getattr(sol, f.name)[rows] for f in dataclasses.fields(sol)}
+                part["fixed_point"] = part["fixed_point"][:, cols]
+                solutions[i] = BatchSolution(**part)
+                start = rows.stop
         stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}
         solves = []
-        for value, batch in zip(values, batches):
-            sol = solve(alg, batch, tol=tol, max_iter=max_iter, give_up=True)
+        for value, batch, sol in zip(values, batches, solutions):
             ok = sol.converged
             fixed = sol.fixed_point[ok]
             mx = metrics(fixed, batch.rows(ok))
@@ -430,13 +522,9 @@ def run_monte_carlo(
                     max=used[-1],
                 ) if used else None,
             })
-            for key, sample in SWEEP_METRICS.items():
-                arr = sample(mx, fixed)
-                if arr.size == 0:
-                    stats[key].append((math.nan, math.nan))
-                else:
-                    half = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
-                    stats[key].append((float(arr.mean()), float(half)))
+            samples = np.stack([sample(mx, fixed) for sample in SWEEP_METRICS.values()])
+            for key, pair in zip(SWEEP_METRICS, _mean_half_widths(samples)):
+                stats[key].append(pair)
         results.append(SweepResult(stats=stats, solves=solves))
     return results
 

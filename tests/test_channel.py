@@ -154,6 +154,37 @@ def test_sample_batch_rows_follow_their_streams(template, floor, monkeypatch):
     assert (redraws > 0) == (floor == 0.5)
 
 
+# seeds around every change of SeedSequence's word count: one word, two,
+# three, the full 4-word pool, and 2^128 and above, whose fifth word is
+# mixed into the pool; draws of 4 snapshots cross 2^128 from 2^128 - 1
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128 + 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stream_states_are_those_of_default_rng(seed):
+    states = channel._stream_states(seed, 5)
+    assert states == [np.random.default_rng(seed + s).bit_generator.state for s in range(5)]
+    assert channel._stream_states(seed, 0) == []
+
+
+@BOTH_TEMPLATES
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_ues_reads_each_stream_as_default_rng_does(template, seed):
+    # with a random mu, each UE's mu is drawn after its coordinates from
+    # the same generator, and drawn again while below the floor
+    cfg = _cfg(num_ues=6, seed=seed)
+    unit, mu = channel.draw_ues(cfg, template, 4)
+    for sid in range(4):
+        positions, mus, _ = _scalar_draws(cfg, template, sid, MU_FLOOR)
+        assert (unit[sid] * cfg.cell_side).tolist() == positions
+        assert mu[sid].tolist() == mus
+
+
+def test_draw_ues_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        channel.draw_ues(_cfg(seed=-1), FIXED_MU, 1)
+
+
 def test_distances_are_math_hypot_bit_for_bit():
     # on this snapshot np.hypot rounds UE 0's distance differently
     cfg, sid = _cfg(), 15

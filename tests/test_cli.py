@@ -188,21 +188,29 @@ def _sweep_csv(out, config, axis, values, algorithm, snapshots=5) -> list[str]:
 
 
 def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
-    import numpy as np
+    from fdpowerctl import channel
 
-    built = []
-    original = np.random.default_rng
+    derived, built = [], []
+    stream_states, default_rng = channel._stream_states, np.random.default_rng
 
-    def counting(*args, **kwargs):
+    def counting_states(seed, n):
+        derived.append((seed, n))
+        return stream_states(seed, n)
+
+    def counting_rng(*args, **kwargs):
         built.append(args)
-        return original(*args, **kwargs)
+        return default_rng(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(channel, "_stream_states", counting_states)
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
     rc = main(["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2,5,10,20",
                "--algorithms", "TPCEH,OPCEH", "--snapshots", "7", "--out", str(tmp_path)])
     assert rc == 0
-    # one generator per snapshot stream, whatever the axis values and algorithms
-    assert built == [(1 + s,) for s in range(7)]
+    # the states of the snapshot streams 1 .. 7 are derived once, all
+    # together, whatever the axis values and algorithms; no generator is built
+    assert derived == [(1, 7)]
+    assert built == []
+    monkeypatch.undo()
     for alg in ("TPCEH", "OPCEH"):
         _sweep_csv(tmp_path / alg, DESK, "num_ues", "2,5,10,20", alg, 7)
         name = f"sweep_num_ues_{alg.lower()}.csv"
@@ -516,6 +524,33 @@ def test_counts_below_one_exit_2(tmp_path, capsys, argv, message):
     # the flag is named, not the config field it overrides
     assert "num_ues" not in err
     assert not list(tmp_path.iterdir())
+
+
+NEGATIVE_SEED_COMMANDS = [
+    ["sweep", "--axis", "num_ues", "--values", "2,5", "--snapshots", "3"],
+    ["verify", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED_COMMANDS, ids=["sweep", "verify"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, argv):
+    # numpy seeds no negative integer: the flag is rejected before any draw
+    err = _exits_2_in_argparse([*argv, "--config", DESK, "--seed", "-1", "--out", str(tmp_path)],
+                               capsys)
+    assert "--seed: must be non-negative, got -1" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED_COMMANDS, ids=["sweep", "verify"])
+def test_negative_seed_in_config_exits_2(tmp_path, capsys, argv):
+    doc = json.loads(Path(DESK).read_text())
+    doc["scenario"]["seed"] = -1
+    config = tmp_path / "negative_seed.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == "config error: scenario.seed: must be non-negative"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -144,6 +144,7 @@ SCENARIO_VALUE_CASES = [
     ("cfg", "attenuation_k", -0.09, "scenario.attenuation_k: must be strictly positive"),
     ("cfg", "hbs_placement", "edge", "scenario.hbs_placement: must be 'center' or 'corner'"),
     ("cfg", "max_iter", 0, "scenario.max_iter: must be at least 1"),
+    ("cfg", "seed", -1, "scenario.seed: must be non-negative"),
     ("hbs", "p_bar_h", 0.0, "hbs.p_bar_h: must be strictly positive"),
     ("hbs", "n_antennas", 0, "hbs.n_antennas: must be at least 1"),
     ("hbs", "p_dyn", -1.0, "hbs.circuit: circuit powers must be non-negative"),

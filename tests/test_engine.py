@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from fdpowerctl import engine
 from fdpowerctl.channel import Snapshot, sample_batch, snapshot_from_scenario
-from fdpowerctl.core import Algorithm, Metrics, required_hbs_power
+from fdpowerctl.config import load_scenario
+from fdpowerctl.core import Algorithm, Metrics, metrics, required_hbs_power, ue_columns
 from fdpowerctl.engine import (
     apply_axis,
     run_fixed_point,
@@ -18,7 +20,7 @@ from fdpowerctl.engine import (
     solve,
 )
 
-from conftest import make_desk_snapshot, make_single_ue_snapshot
+from conftest import CONFIG_DIR, make_desk_snapshot, make_single_ue_snapshot
 from scalar_reference import scalar_fixed_point, scalar_mobility
 
 
@@ -531,33 +533,128 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
         assert all(np.isnan(m) and np.isnan(h) for m, h in pairs)
 
 
-# Lazy compaction: a stopped row is written out at once and dropped from the
-# working arrays only when stopped rows are COMPACT_SHARE of them. Neither
-# the share nor the moment of compaction may move a bit of any row.
+# The row contract: `solve` gives every row of a batch the five fields it
+# gets when its snapshot is solved alone, whatever other rows share the
+# batch, in whatever order, and in whichever columns of a wider batch
+# `core.ue_columns` puts its UEs. Sweeps rely on it to solve all the axis
+# values of a group at once (`engine._merged`), and lazy compaction relies
+# on it to keep stopped rows in the working arrays.
 
 
-def _solutions_equal(a, b):
-    return all(
-        getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes()
-        for f in dataclasses.fields(a)
-    )
+def _assert_rows_solved_alone(sol, alone, rows=slice(None), cols=slice(None)):
+    """Rows `rows` of sol, with the state columns `cols`, have the bits of
+    every field of the solution alone."""
+    for field in dataclasses.fields(alone):
+        got = getattr(sol, field.name)[rows]
+        if field.name == "fixed_point":
+            got = got[:, cols]
+        want = getattr(alone, field.name)
+        assert got.dtype == want.dtype and got.shape == want.shape, field.name
+        assert got.tobytes() == want.tobytes(), field.name
+
+
+@functools.cache
+def _pool(config: str, k: int) -> Snapshot:
+    scenario = load_scenario(CONFIG_DIR / f"{config}.json")
+    sc = _with(scenario, k)
+    return sample_batch(sc.cfg, sc.hbs, sc.ue_template, 30)
+
+
+@st.composite
+def _embedded_parts(draw):
+    """A width W and one to three batches of K <= W UEs that embed in it,
+    each made of snapshots of one pool picked in any order, repeats allowed."""
+    width = draw(st.integers(1, 24))
+    counts = [k for k in range(1, width + 1) if ue_columns(k, width) is not None]
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.sampled_from(counts))
+        picks = draw(st.lists(st.integers(0, 29), min_size=1, max_size=8))
+        parts.append((k, np.array(picks)))
+    return width, parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.sampled_from(["desk_consistent", "paper_4a"]),
+    alg=st.sampled_from(list(Algorithm)),
+    embedded=_embedded_parts(),
+    give_up=st.booleans(),
+    max_iter=st.sampled_from([0, 1, 20, 100, 400]),
+    share=st.sampled_from([0.0, engine.COMPACT_SHARE, 2.0]),
+    ue_major=st.booleans(),
+)
+def test_rows_get_the_numbers_they_get_alone(config, alg, embedded, give_up, max_iter, share,
+                                             ue_major):
+    # the batch is permuted, duplicated and concatenated snapshots at several
+    # UE counts, embedded at width W; it is solved row-major or UE-major, and
+    # compacted at every stop (share 0), by default, or never (share 2)
+    width, parts = embedded
+    pieces = [_pool(config, k).rows(picks) for k, picks in parts]
+    batch = engine._merged(pieces, width)
+    if ue_major:
+        batch = batch.rows(slice(None))
+        for name, value in vars(batch).items():
+            if isinstance(value, np.ndarray):
+                vars(batch)[name] = np.asfortranarray(value)
+    with mock.patch.object(engine, "COMPACT_SHARE", share):
+        sol = solve(alg, batch, max_iter=max_iter, give_up=give_up)
+    start = 0
+    for piece in pieces:
+        alone = solve(alg, piece, max_iter=max_iter, give_up=give_up)
+        rows = slice(start, start + len(piece))
+        cols = np.append(ue_columns(piece.num_ues, width), width)
+        _assert_rows_solved_alone(sol, alone, rows, cols)
+        start = rows.stop
 
 
 @pytest.mark.parametrize("give_up", [False, True])
 @pytest.mark.parametrize("alg", list(Algorithm))
 @pytest.mark.parametrize("config", ["desk_scenario", "paper_scenario"])
 def test_lazy_compaction_matches_eager(request, monkeypatch, config, alg, give_up):
+    # the row contract on full 200-row batches: a share of 0 compacts at
+    # every stop, as eager compaction does; one above 1 never compacts, so
+    # every stopped row runs to the end
     scenario = request.getfixturevalue(config)
     for k in (2, 5, 20):
         sc = _with(scenario, k)
         batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
         lazy = solve(alg, batch, give_up=give_up)
-        # a share of 0 compacts at every stop, as eager compaction does; one
-        # above 1 never compacts, so every stopped row runs to the end
         for share in (0.0, 2.0):
             monkeypatch.setattr(engine, "COMPACT_SHARE", share)
-            assert _solutions_equal(solve(alg, batch, give_up=give_up), lazy)
+            _assert_rows_solved_alone(solve(alg, batch, give_up=give_up), lazy)
         monkeypatch.undo()
+
+
+def _per_metric_stats(samples):
+    """The former per-metric loop of run_monte_carlo."""
+    stats = []
+    for arr in samples:
+        if arr.size == 0:
+            stats.append((math.nan, math.nan))
+        else:
+            half = 1.96 * arr.std(ddof=1) / math.sqrt(arr.size) if arr.size > 1 else 0.0
+            stats.append((float(arr.mean()), float(half)))
+    return stats
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 200])
+def test_stacked_averages_have_the_bits_of_per_metric_calls(desk_scenario, n):
+    # one mean and one std along the rows of the stacked samples, against
+    # the per-metric calls on each sample as it comes (some are strided
+    # views): a sweep value's samples, and random ones over many magnitudes
+    sc = _with(desk_scenario, 10)
+    batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
+    fixed = solve(Algorithm.TPCEH, batch).fixed_point[:n]
+    mx = metrics(fixed, batch.rows(slice(0, n)))
+    rng = np.random.default_rng(n)
+    drawn = rng.lognormal(0.0, 1.0, size=(n, 10)) * 10.0 ** rng.integers(-30, 30, size=(n, 10))
+    for samples in ([sample(mx, fixed) for sample in engine.SWEEP_METRICS.values()], list(drawn.T)):
+        got = engine._mean_half_widths(np.stack(samples))
+        want = _per_metric_stats(samples)
+        assert [tuple(map(float.hex, pair)) for pair in got] == [
+            tuple(map(float.hex, pair)) for pair in want
+        ]
 
 
 def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monkeypatch):

@@ -64,6 +64,23 @@ CASES = {
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,20",
         "--algorithms", "OPC,OPCEH", "--snapshots", "200", "--max-iter", "20",
     ],
+    # 5 and 10 UEs embed in 20 columns and share its solve; 15 does not
+    # (15 mod 8 > 20 mod 8) and is solved alone
+    "sweep_num_ues_embedded": [
+        "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,15,20",
+        "--algorithms", ALL, "--snapshots", "50",
+    ],
+    # fewer than 8 UEs: numpy sums them left to right, so each narrower
+    # value takes the first columns
+    "sweep_num_ues_narrow": [
+        "sweep", "--config", DESK, "--axis", "num_ues", "--values=1,2,3",
+        "--algorithms", ALL, "--snapshots", "50",
+    ],
+    # binding caps on the paper parameters, across the 8-UE grouping
+    "sweep_paper_num_ues_wide": [
+        "sweep", "--config", PAPER, "--axis", "num_ues", "--values=2,5,10,20",
+        "--algorithms", "TPC,OPC", "--snapshots", "50",
+    ],
     **{
         f"snapshot_{name}_{alg.lower()}": [
             "snapshot", "--config", config, "--algorithm", alg,
