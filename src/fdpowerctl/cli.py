@@ -49,30 +49,172 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_VERIFY_FAILED = 4
 
-# CSV cell formats by dtype kind: bools as 1/0, floats in scientific
-# notation with 17 significant digits, anything else as str() gives it
-_CELL_FORMATS = {"b": "{:d}", "f": "{:.16e}"}
 # Rows per write of _write_csv.
-CSV_CHUNK = 4096
+CSV_CHUNK = 1024
+# _format_e16 computes the digits of |x| in [1e-280, 1e280] itself, from the
+# table of 10^k for k in [_K_MIN, _K_MAX] (k = 16 - E, E the decimal exponent)
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+_K_MIN, _K_MAX = -266, 298
+_SPLIT = 2.0**27 + 1     # Veltkamp's constant for float64
+# The computed y is within about 1e-14 of |x| 10^(16-E); a fraction part this
+# close to 1/2, exact ties among them, is left to Python's half-even rounding
+_TIE_MARGIN = 1e-9
 
 
 class UsageError(Exception):
     """A flag value the command cannot use; main prints the message bare."""
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: hi + lo == a, each with at most 26 significant bits."""
+    c = a * _SPLIT
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _e16_tables():
+    """The (4, K) table of 10^k for k in [_K_MIN, _K_MAX] as hi, hi split in
+    two, and lo, with hi + lo within 2^-106 of 10^k; and the uint32 words a
+    cell is made of: sign and first two digits ("-1.2", by 100 signbit + d),
+    four digits, three digits and "e", and exponent sign and digits (by E + 300)."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den                 # int true division rounds correctly
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    pow10 = np.stack([hi, *_split(np.array(hi)), lo])
+
+    def words(texts):
+        return np.frombuffer(b"".join(texts), np.uint32)
+
+    digits = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + ord("0"))
+    tail = np.column_stack([digits[:1000, 1:], np.full(1000, ord("e"), np.uint8)])
+    signed = [b"%+03d" % e for e in range(-300, 301)]       # "+05", "-105"
+    return (
+        pow10,
+        words(b"%s%d.%d" % (s, d // 10, d % 10) for s in (b"\0", b"-") for d in range(100)),
+        digits.view(np.uint32)[:, 0],                       # "0000" to "9999"
+        tail.view(np.uint32)[:, 0],                         # "000e" to "999e"
+        words(t if len(t) == 4 else t[:1] + b"\0" + t[1:] for t in signed),
+    )
+
+
+def _scaled(a: np.ndarray, e: np.ndarray, pow10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a 10^(16-e) as a double-double (y, y_lo): Dekker's exact product of a
+    and hi, plus a lo, normalised by Fast2Sum."""
+    hi, h_hi, h_lo, lo = pow10[:, 16 - e - _K_MIN]
+    a_hi, a_lo = _split(a)
+    p = a * hi
+    t = (((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo
+    y = p + t
+    return y, t - (y - p)
+
+
+def _python_e16(values: list[float]) -> np.ndarray:
+    """Python's '%.16e' of each value, one NUL-padded row of 24 bytes each."""
+    return np.array(["%.16e" % v for v in values], "S24").view(np.uint8).reshape(-1, 24)
+
+
+def _format_e16(x: np.ndarray) -> np.ndarray:
+    """The bytes of format(v, ".16e") for each float64 v of x: an (n, 24)
+    uint8 matrix, each row a cell padded with NULs.
+
+    For |v| in [_FAST_MIN, _FAST_MAX] the 17 digits D and exponent E come
+    from y = |v| 10^(16-E), computed to about 1e-14: E starts at
+    floor(log10 |v|) and moves by one while y lies outside [1e16, 1e17),
+    and D is y rounded to the nearest integer. Zeros are written directly.
+    Non-finite values, the rest of the range and cells within _TIE_MARGIN
+    of a tie go to Python's formatter.
+    """
+    pow10, lead, four, tail, exponent = _e16_tables()
+    a = np.abs(x)
+    fast = np.flatnonzero((a >= _FAST_MIN) & (a <= _FAST_MAX))
+    v = a[fast]
+    e = np.floor(np.log10(v)).astype(np.int64)
+    y, y_lo = _scaled(v, e, pow10)
+    # within 0.01 of 1e16 or 1e17 either exponent gives the same digits
+    rows = np.arange(len(v))
+    for _ in range(3):          # log10 is off by one decade at most
+        step = ((y[rows] - 1e17) + y_lo[rows] >= 0.01).astype(np.int64)
+        step -= (y[rows] - 1e16) + y_lo[rows] < -0.01
+        rows, step = rows[step != 0], step[step != 0]
+        if not rows.size:
+            break
+        e[rows] += step
+        y[rows], y_lo[rows] = _scaled(v[rows], e[rows], pow10)
+    # y is an integer above 2^53, so y_lo holds the fraction part
+    whole = np.floor(y_lo)
+    frac = y_lo - whole
+    frac[rows] = 0.5             # unsettled rows, if any, go to Python
+    d = y.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = d == 10**17          # 9.99...95 and up rounds to 1.0e(E+1)
+    d[carry] = 10**16
+    e += carry
+
+    digits = np.zeros(len(x), np.int64)
+    exps = np.zeros(len(x), np.int64)
+    digits[fast], exps[fast] = d, e
+    # "-d.d" + 4 + 4 + 4 + "ddde" + "+Edd" bytes: split D as 2, 4, 4, 4, 3 digits
+    groups = []
+    for scale in (10**15, 10**11, 10**7, 10**3):
+        groups.append(digits // scale)
+        digits -= groups[-1] * scale
+    text = np.stack([
+        lead[groups[0] + 100 * np.signbit(x)], four[groups[1]], four[groups[2]],
+        four[groups[3]], tail[digits], exponent[exps + 300],
+    ], axis=1).view(np.uint8)
+
+    slow = a != 0.0
+    slow[fast] = np.abs(frac - 0.5) < _TIE_MARGIN
+    if slow.any():
+        text[slow] = _python_e16(x[slow].tolist())
+    return text
+
+
+def _csv_rows(chunks: list[np.ndarray]) -> bytes:
+    """The text of the rows of equal-length column chunks, each line ended."""
+    n = len(chunks[0])
+    floats = [i for i, c in enumerate(chunks) if c.dtype.kind == "f"]
+    cells = {}
+    if floats:
+        text = _format_e16(np.stack([chunks[i] for i in floats], axis=1, dtype=np.float64).ravel())
+        cells = dict(zip(floats, text.reshape(n, len(floats), 24).transpose(1, 0, 2)))
+    comma, newline = np.full((n, 1), ord(","), np.uint8), np.full((n, 1), ord("\n"), np.uint8)
+    pieces = []
+    for i, c in enumerate(chunks):
+        if i in cells:
+            cell = cells[i]
+        elif c.dtype.kind == "b":
+            cell = (c.astype(np.uint8) + ord("0"))[:, None]
+        elif c.dtype.kind in "iu":
+            cell = c.astype("S").view(np.uint8).reshape(n, -1)
+        else:
+            cell = np.array([str(v).encode() for v in c.tolist()]).view(np.uint8).reshape(n, -1)
+        pieces += [cell, comma]
+    pieces[-1] = newline
+    return np.concatenate(pieces, axis=1).tobytes().replace(b"\0", b"")
+
+
 def _write_csv(path: Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns (arrays or lists) under a header, each
-    formatted by its dtype through one row template. Rows are formatted and
-    written CSV_CHUNK at a time, so neither the file's text nor its cells as
-    Python objects are ever held whole."""
+    """Write equal-length columns (arrays or lists) under a header.
+
+    A cell is written by its column's dtype: a float as format(x, ".16e"),
+    a bool as 1 or 0, anything else as str() gives it. Float cells are
+    formatted in numpy by _format_e16; Python's formatter writes only NaN,
+    infinities, |x| outside [1e-280, 1e280] (subnormals included) and the
+    cells whose digits past the 17th lie within 1e-9 of a half, exact ties
+    among them. Rows are formatted and written CSV_CHUNK at a time, so the
+    file's text is never held whole.
+    """
     arrays = [np.asarray(column) for column in columns]
-    template = ",".join(_CELL_FORMATS.get(a.dtype.kind, "{}") for a in arrays)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        f.write(",".join(header) + "\n")
+    with path.open("wb") as f:
+        f.write((",".join(header) + "\n").encode())
         for start in range(0, len(arrays[0]), CSV_CHUNK):
-            cells = (a[start : start + CSV_CHUNK].tolist() for a in arrays)
-            f.write("\n".join(map(template.format, *cells)) + "\n")
+            f.write(_csv_rows([a[start : start + CSV_CHUNK] for a in arrays]))
 
 
 def _write_json(path: Path, doc) -> None:

@@ -718,11 +718,13 @@ def test_every_output_has_a_manifest(tmp_path, monkeypatch, argv, code, fail_cla
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7])
 def test_csv_is_written_in_chunks_with_the_bytes_of_one_text(tmp_path, monkeypatch, n):
     monkeypatch.setattr(cli, "CSV_CHUNK", 3)
+    # float cells Python's formatter writes, beside ones the kernel does
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -2.5e-17])[:n]
     columns = [
         np.arange(n), np.linspace(-1.5, 2.0, n) * 1e-9, np.arange(n) % 2 == 0,
-        [f"m{i}" for i in range(n)],
+        [f"m{i}" for i in range(n)], special,
     ]
     path = tmp_path / "out.csv"
-    cli._write_csv(path, ["i", "x", "flag", "name"], columns)
-    rows = [f"{i},{x:.16e},{int(b)},{name}" for i, x, b, name in zip(*columns)]
-    assert path.read_bytes() == ("\n".join(["i,x,flag,name", *rows]) + "\n").encode()
+    cli._write_csv(path, ["i", "x", "flag", "name", "s"], columns)
+    rows = [f"{i},{x:.16e},{int(b)},{name},{s:.16e}" for i, x, b, name, s in zip(*columns)]
+    assert path.read_bytes() == ("\n".join(["i,x,flag,name,s", *rows]) + "\n").encode()

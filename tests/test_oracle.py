@@ -502,6 +502,23 @@ def test_sandwich_runs_ue_major_with_row_major_bits(k, alg, rel_slack, desk_scen
     assert check_two_sided_scalable(snap, alg, 500, np.random.default_rng(7), rel_slack) == report
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+@pytest.mark.parametrize("seed", [0, 7, 2018])
+def test_sandwich_scale_is_one_python_power_per_trial(seed, k):
+    # numpy's vectorised power differs from Python's scalar one in the last
+    # bit for some exponents, so a vectorised a would change the reports
+    trials = 400
+    _, a, _ = oracle._sandwich_draws(np.ones(k + 1), trials, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    expected = []
+    for _ in range(trials):
+        rng.uniform(-14.0, 0.0, size=k + 1)
+        expected.append(10.0 ** rng.uniform(1e-3, 1.0))
+        rng.uniform(-1.0, 1.0, size=k + 1)
+    assert a.shape == (trials, 1)
+    assert a[:, 0].tobytes() == np.array(expected).tobytes()
+
+
 def test_sandwich_zero_trials(desk_scenario):
     snap = _scenario_snapshot(desk_scenario, 2)
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
