@@ -32,4 +32,4 @@ from .engine import (  # noqa: F401
     run_mobility,
     run_monte_carlo,
 )
-from .units import dbm_to_watt, db_to_linear, linear_to_db, watt_to_dbm  # noqa: F401
+from .units import dbm_to_watt, db_to_linear  # noqa: F401

@@ -138,17 +138,19 @@ class Snapshot:
             self.p_bar_u,
         )
 
-    def moved(self, positions: np.ndarray) -> Snapshot:
-        """This snapshot's UEs placed at each row of positions (T, K, 2), meters.
+    def moved(self, xs: np.ndarray, ys: np.ndarray) -> Snapshot:
+        """This snapshot's UEs moved along a shared (T,) x path xs, UE i at its
+        own height ys[i], in meters.
 
         Row t has the gains of the distances in row t, computed as
         sample_batch computes them; mu, gamma_target and eta are this
         snapshot's in every row. The batch is UE-major: each UE's T distances
         and gains are contiguous.
         """
-        shape = positions.shape[:-1]
-        by_ue = positions.transpose(1, 0, 2).reshape(-1, 2)
-        distances = _distances(by_ue, self.cfg).reshape(shape[::-1]).T
+        shape = (len(xs), len(ys))
+        distances = np.empty(shape, order="F")
+        for i, y in enumerate(ys.tolist()):
+            distances[:, i] = _distances(xs, np.full(len(xs), y), self.cfg)
         mu, gamma_target, eta = (
             np.broadcast_to(column, shape) for column in (self.mu, self.gamma_target, self.eta)
         )
@@ -184,7 +186,7 @@ def _snapshot(
     g = path_gain(np.where(usable, distances, 1.0), cfg.attenuation_k)
     p_bar_u = t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)
     columns = {
-        "mu": mu, "g": g, "h": g, "distance": distances,
+        "mu": mu, "g": g, "distance": distances,
         "gamma_target": np.full(shape, t.gamma_target) if gamma_target is None else gamma_target,
         "eta": np.full(shape, t.eta) if eta is None else eta,
         # the template's constants, checked as columns without being copied
@@ -209,22 +211,20 @@ def _draw_mu(rng: np.random.Generator) -> float:
     return mu
 
 
-# Rows of positions per Python-float pass in _distances, which bounds its
-# temporaries (about 100 bytes a row) whatever the input's length.
+# Points per Python-float pass in _distances, which bounds its temporaries
+# (about 100 bytes a point) whatever the input's length.
 DISTANCE_CHUNK = 512
 
 
-def _distances(positions: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
-    """UE distances to the base station of an (N, 2) array, floored at 1 nm."""
+def _distances(x: np.ndarray, y: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
+    """Distances to the base station of the points (x, y), (N,) each, floored at 1 nm."""
     ox, oy = hbs_position(cfg)
-    out = np.empty(len(positions))
+    out = np.empty(len(x))
     # math.hypot per UE: np.hypot differs from it in the last bit on some
     # inputs, which would move every derived gain and fixed point
-    for start in range(0, len(positions), DISTANCE_CHUNK):
-        rows = positions[start : start + DISTANCE_CHUNK]
-        out[start : start + len(rows)] = list(
-            map(math.hypot, (rows[:, 0] - ox).tolist(), (rows[:, 1] - oy).tolist())
-        )
+    for start in range(0, len(x), DISTANCE_CHUNK):
+        chunk = slice(start, start + DISTANCE_CHUNK)
+        out[chunk] = list(map(math.hypot, (x[chunk] - ox).tolist(), (y[chunk] - oy).tolist()))
     return np.maximum(out, 1e-9, out=out)
 
 
@@ -337,7 +337,8 @@ def draw_ues(
 def cell_distances(cfg: ScenarioConfig, unit: np.ndarray) -> np.ndarray:
     """Distances (S, K) to the base station of the UEs of a draw's (S, K, 2)
     unit coordinates, placed in a cell of side cfg.cell_side."""
-    return _distances((unit * cfg.cell_side).reshape(-1, 2), cfg).reshape(unit.shape[:-1])
+    x, y = (unit * cfg.cell_side).reshape(-1, 2).T
+    return _distances(x, y, cfg).reshape(unit.shape[:-1])
 
 
 def place_ues(

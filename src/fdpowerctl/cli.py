@@ -348,7 +348,7 @@ def cmd_mobility(args, scenario: Scenario, out: Path):
         )
     except ConfigError:
         raise                    # main reports these
-    except ValueError as exc:    # duration, step, speed or battery_init out of range
+    except (ValueError, MemoryError) as exc:    # an argument out of range, or too many steps
         raise UsageError(str(exc)) from None
     columns = [
         result.time,

@@ -136,8 +136,6 @@ _UE_CHECKS = (
     ("mu", _not_finite("mu"), "must be finite"),
     ("g", lambda u: u["g"] <= 0.0, "channel gain must be strictly positive"),
     ("g", _not_finite("g"), "must be finite"),
-    ("h", lambda u: u["h"] <= 0.0, "channel gain must be strictly positive"),
-    ("h", _not_finite("h"), "must be finite"),
     ("distance", lambda u: u["distance"] <= 0.0, "must be strictly positive"),
     ("distance", _not_finite("distance"), "must be finite"),
     ("gamma_target", lambda u: u["gamma_target"] < 0.0, "must be non-negative"),
@@ -160,9 +158,9 @@ _UE_CHECKS = (
 def ue_errors(columns: dict[str, np.ndarray]) -> list[str]:
     """Per-UE violations, with field paths, of the first snapshot that has any.
 
-    `columns` maps mu, g, h, distance, gamma_target, eta, p_bar_u, p_dyn,
-    p_sta and e_bar each to an (S, K) array: row s holds snapshot s, column i
-    its UE i, and a missing e_bar is NaN.
+    `columns` maps mu, g (h is g), distance, gamma_target, eta, p_bar_u,
+    p_dyn, p_sta and e_bar each to an (S, K) array: row s holds snapshot s,
+    column i its UE i, and a missing e_bar is NaN.
     """
     violated = [(field, bad(columns), msg) for field, bad, msg in _UE_CHECKS]
     # or-ing the masks pairwise avoids stacking them into one (checks, S, K) array

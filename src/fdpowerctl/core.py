@@ -252,7 +252,6 @@ class Metrics:
     rate: np.ndarray
     ue_total_power: np.ndarray       # p_u / eps + p_cir
     hbs_total_power: float | np.ndarray   # p_h / eps + hbs circuit
-    harvested_power: np.ndarray      # mu * g * p_h
     aggregate_power: float | np.ndarray
     aggregate_throughput: float | np.ndarray
     energy_feasible: np.ndarray      # bool per UE
@@ -274,7 +273,6 @@ def metrics(x: np.ndarray, snap: Snapshot) -> Metrics:
     r = np.log2(1.0 + s)
     ue_total = p_u / eps + snap.ue_template.p_cir
     hbs_total = x[..., -1] / eps + snap.hbs.p_cir
-    harvested = snap.mu * snap.g * p_h
     required = required_hbs_power(p_u, snap)
     feasible = p_h >= required * (1.0 - FEASIBILITY_REL_SLACK)
     cap_binding = (
@@ -286,7 +284,6 @@ def metrics(x: np.ndarray, snap: Snapshot) -> Metrics:
         rate=r,
         ue_total_power=ue_total,
         hbs_total_power=hbs_total,
-        harvested_power=harvested,
         aggregate_power=ue_total.sum(axis=-1) + hbs_total,
         aggregate_throughput=r.sum(axis=-1),
         energy_feasible=feasible,

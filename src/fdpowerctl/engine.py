@@ -531,31 +531,28 @@ def run_monte_carlo(
 
 @dataclass
 class MobilityResult:
-    """Time series of a mobility run, one row per step, plus its events."""
+    """Time series of a mobility run, one row per step, and its first depletion,
+    where the energy signal of the harvesting algorithms switches on."""
 
     time: np.ndarray                     # (T,) seconds at the end of each step
     states: np.ndarray                   # (T, K+1) powers after each step
     metrics: Metrics                     # of each step's state on its gains
     battery: np.ndarray                  # (T, K) joules after each step
-    positions: np.ndarray                # (T, K, 2) meters
-    harvesting_active: np.ndarray        # (T,) bool
     first_depletion_step: int | None     # 1-based step index, None if never
-    activation_step: int | None          # harvesting switch-on step (EH only)
 
 
-def _trajectory(
-    ys: np.ndarray, side: float, speed: float, step: float, n_steps: int
-) -> np.ndarray:
-    """Positions (T, K, 2) of UEs leaving the x = 0 edge at heights ys.
+def _trajectory(side: float, speed: float, step: float, n_steps: int) -> np.ndarray:
+    """The (T,) x path that every UE follows from the x = 0 edge, in meters.
 
-    Each UE moves along x by speed * step per step and reflects at x = 0 and
-    x = side until it is inside the cell. A step longer than a round trip
+    The UEs move along x by speed * step per step and reflect at x = 0 and
+    x = side until they are inside the cell. A step longer than a round trip
     first drops its whole round trips (math.fmod, exact); then the reflected
     coordinate is -x, then 2 * side - x. All UEs start at x = 0 with the same
-    speed, so they share one x path.
+    speed, so they share one x path, allocated before the first step.
     """
-    x, direction, xs = 0.0, 1.0, []
-    for _ in range(n_steps):
+    x, direction = 0.0, 1.0
+    xs = np.empty(n_steps)
+    for t in range(n_steps):
         x += direction * speed * step
         if not 0.0 <= x <= side:
             x = math.fmod(x, 2 * side)
@@ -563,11 +560,8 @@ def _trajectory(
                 x, direction = -x, -direction
             if x > side:
                 x, direction = 2 * side - x, -direction
-        xs.append(x)
-    positions = np.empty((n_steps, len(ys), 2))
-    positions[:, :, 0] = np.array(xs)[:, None]
-    positions[:, :, 1] = ys
-    return positions
+        xs[t] = x
+    return xs
 
 
 def run_mobility(
@@ -586,15 +580,17 @@ def run_mobility(
     gains. Batteries pay p_u / eps + p_cir per transmitting step and gain the
     harvested power; a UE that cannot afford a step (battery plus harvest)
     stays silent and consumes nothing. The base station's energy signal stays
-    off until the first step some battery cannot cover its consumption, which
-    also defines the measured depletion time. Each battery starts full at
-    battery_init joules, which must be non-negative (inf: no limit); the
-    speed must be finite and non-negative.
+    off until the first step some battery cannot cover its consumption,
+    first_depletion_step, which also defines the measured depletion time.
+    Each battery starts full at battery_init joules, which must be
+    non-negative (inf: no limit); the speed must be finite and non-negative.
 
     The motion does not depend on the powers, so the whole trajectory and the
-    gains of every step are computed first, as one (T, K) batch. The power
-    and battery recurrence is solved in windows of steps by relaxation (see
-    the module docstring), with the bits of stepping it one step at a time:
+    gains of every step are computed first, as one (T, K) batch, after the
+    run's arrays: too many steps for memory raise MemoryError (ValueError
+    past numpy's largest dimension) at once. The power and battery
+    recurrence is solved in windows of steps by relaxation (see the module
+    docstring), with the bits of stepping it one step at a time:
 
     - A window starts from an exact state, with each UE's transmit mask and
       the harvest flag held at their current values. It is swept until all
@@ -632,25 +628,23 @@ def run_mobility(
     else:
         ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
     n_steps = int(round(duration / step))
-    positions = _trajectory(ys, cfg.cell_side, speed_kmh / 3.6, step, n_steps)
-    gains = base.moved(positions)
+    states = np.empty((n_steps, K + 1))
+    battery = np.empty((n_steps, K))
+    gains = base.moved(_trajectory(cfg.cell_side, speed_kmh / 3.6, step, n_steps), ys)
     # computed once for the run: each window's rows are slices of them
     gains.p_min, gains.harvest_scale
     harvest_gain = gains.mu * gains.g
 
-    states = np.empty((n_steps, K + 1))
-    battery = np.empty((n_steps, K))
     level = [battery_init] * K           # each UE's joules before step n
     transmit = [True] * K                # the held transmit masks
     x = np.zeros(K + 1)                  # the state after step n - 1, exact
     first_depletion: int | None = None
-    activation: int | None = None
     n, width = 0, 1
     while n < n_steps:
         w = min(width, n_steps - n)
         rows = gains.rows(slice(n, n + w))
         # the non-harvesting updates keep p_h at 0 by themselves
-        keep = np.array(transmit + [activation is not None or not alg.harvesting])
+        keep = np.array(transmit + [first_depletion is not None or not alg.harvesting])
         masked = not keep.all()
         # traj[0] is the exact start, traj[1:] the window's guessed rows;
         # UE-major, so the update runs on contiguous columns (see core)
@@ -712,9 +706,7 @@ def run_mobility(
             lv, nd = np.array(level), need[end]
             if first_depletion is None and bool((lv < nd).any()):
                 first_depletion = n + end + 1
-                if alg.harvesting:
-                    activation = n + end + 1
-            p_h = cand[end, -1] if activation is not None else 0.0
+            p_h = cand[end, -1] if first_depletion is not None else 0.0
             transmit = (lv + harvest_gain[n + end] * p_h * step >= nd).tolist()
             width = max(end, 1)
         elif w < MAX_SWEEPS or (sweeps < w and exact == w):
@@ -723,14 +715,10 @@ def run_mobility(
             width = MAX_SWEEPS
         n += end
 
-    steps = np.arange(1, n_steps + 1)
     return MobilityResult(
-        time=steps * step,
+        time=np.arange(1, n_steps + 1) * step,
         states=states,
         metrics=metrics(states, gains),
         battery=battery,
-        positions=positions,
-        harvesting_active=steps >= (activation or math.inf),
         first_depletion_step=first_depletion,
-        activation_step=activation,
     )

@@ -136,8 +136,6 @@ class OptimalityReport:
 
     passed: np.ndarray            # (S,) bool
     gap: np.ndarray               # (S,) relative gap, nan where infeasible
-    algorithm_objective: np.ndarray   # (S,) aggregate power at the fixed point
-    constraints_ok: np.ndarray    # (S,) the fixed point meets every constraint
     optimum: MinPowerOptimum
 
 
@@ -151,15 +149,12 @@ def verify_min_power_optimality(batch: Snapshot, rel_tol: float) -> OptimalityRe
     """
     x = solve(Algorithm.TPCEH, batch, tol=1e-12, max_iter=20000).fixed_point
     mx = metrics(x, batch)
-    alg_obj = mx.aggregate_power
     alg_feasible = mx.energy_feasible.all(axis=-1) & ~mx.outage.any(axis=-1)
     optimum = min_power_optimum(batch)
-    gap = np.abs(alg_obj - optimum.objective) / optimum.objective
+    gap = np.abs(mx.aggregate_power - optimum.objective) / optimum.objective
     return OptimalityReport(
         passed=np.where(optimum.feasible, (gap <= rel_tol) & alg_feasible, ~alg_feasible),
         gap=gap,
-        algorithm_objective=alg_obj,
-        constraints_ok=alg_feasible,
         optimum=optimum,
     )
 
@@ -260,12 +255,10 @@ class FLReport:
     """Gradient-condition record for the constraint-iteration form."""
 
     alpha: np.ndarray
-    grad: np.ndarray              # (K+1, K+1) constraint gradient at eval_point
+    grad: np.ndarray              # (K+1, K+1) constraint gradient at y = -at
     grad_norm_inf: float          # column-sum norm of the gradient matrix
     grad_nonneg: bool
     qualifies: bool
-    active_index: int
-    eval_point: np.ndarray
 
 
 def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLReport:
@@ -310,8 +303,6 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
         grad_norm_inf=col_norm,
         grad_nonneg=nonneg,
         qualifies=nonneg and col_norm < 1.0,
-        active_index=istar,
-        eval_point=y,
     )
 
 
@@ -347,8 +338,6 @@ class EquivalenceReport:
 
     passed: np.ndarray                  # (S,) bool
     max_fixed_point_gap: np.ndarray     # (S,) over the snapshot's trials
-    max_cross_eval_gap: np.ndarray      # (S,)
-    counterexamples: list[dict | None]  # per snapshot, its first failing trial
 
 
 def _per_snapshot(batch: Snapshot, copies: int) -> Snapshot:
@@ -387,21 +376,9 @@ def check_update_form_equivalence(
         plain.converged & ratio.converged
         & (fp_gap <= 1e-9) & (eval_gap <= 1e-12)
     ).reshape(n, trials)
-    examples: list[dict | None] = [None] * n
-    for s in np.flatnonzero(~ok.all(axis=1)):
-        i = s * trials + int(np.argmin(ok[s]))
-        examples[s] = {
-            "init": starts[i].tolist(),
-            "fp_plain": a[i].tolist(),
-            "fp_ratio": b[i].tolist(),
-            "fp_gap": float(fp_gap[i]),
-            "eval_gap": float(eval_gap[i]),
-        }
     return EquivalenceReport(
         passed=ok.all(axis=1),
         max_fixed_point_gap=fp_gap.reshape(n, trials).max(axis=1, initial=0.0),
-        max_cross_eval_gap=eval_gap.reshape(n, trials).max(axis=1, initial=0.0),
-        counterexamples=examples,
     )
 
 
@@ -415,9 +392,6 @@ class TightnessReport:
 
     cap_binding: np.ndarray      # bool: skipped, the harvest power is at its peak
     passed: np.ndarray           # bool: skipped, or tight with every UE met
-    rel_gap: np.ndarray          # to the largest requirement, nan where the cap binds
-    offending_ue: np.ndarray     # first UE whose requirement is unmet, -1 for none
-    argmax_ue: np.ndarray        # the UE with the largest requirement
 
 
 def check_harvest_power_tightness(
@@ -440,13 +414,7 @@ def check_harvest_power_tightness(
         rel_gap = np.where(cap, math.nan, np.abs(p_h - target) / target)
     unmet = (p_h[..., None] < required * (1.0 - rel_tol)) & ~cap[..., None]
     violated = ~cap & ((rel_gap > rel_tol) | unmet.any(axis=-1))
-    return TightnessReport(
-        cap_binding=cap,
-        passed=~violated,
-        rel_gap=rel_gap,
-        offending_ue=np.where(unmet.any(axis=-1), np.argmax(unmet, axis=-1), -1),
-        argmax_ue=np.argmax(required, axis=-1),
-    )
+    return TightnessReport(cap_binding=cap, passed=~violated)
 
 
 @dataclass
@@ -454,7 +422,6 @@ class UniquenessReport:
     """Per snapshot row (axis 0) and algorithm (axis 1, in the order given)."""
 
     passed: np.ndarray           # (S, A) bool
-    all_converged: np.ndarray    # (S, A) bool
     max_spread: np.ndarray       # (S, A) relative infinity-norm across fixed points
 
 
@@ -496,6 +463,5 @@ def check_fixed_point_uniqueness(
         )
     return UniquenessReport(
         passed=converged & (spread <= 1e-6),
-        all_converged=converged,
         max_spread=spread,
     )

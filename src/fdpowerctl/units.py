@@ -1,12 +1,11 @@
-"""dB/dBm <-> linear conversions.
+"""dB/dBm -> linear conversions.
 
 Everything downstream of config parsing works in linear watts, joules and
-seconds; decibel quantities appear only in scenario files and reports.
+seconds; decibel quantities appear only in scenario files and the values
+of the delta_db sweep axis, and nothing converts back to them.
 """
 
-import math
-
-__all__ = ["dbm_to_watt", "watt_to_dbm", "db_to_linear", "linear_to_db"]
+__all__ = ["dbm_to_watt", "db_to_linear"]
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -14,20 +13,6 @@ def dbm_to_watt(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-def watt_to_dbm(watt: float) -> float:
-    """Convert a power in watts to dBm. Raises on non-positive input."""
-    if watt <= 0.0:
-        raise ValueError(f"power must be positive, got {watt}")
-    return 10.0 * math.log10(watt) + 30.0
-
-
 def db_to_linear(db: float) -> float:
     """Convert a ratio in dB to linear scale."""
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(linear: float) -> float:
-    """Convert a linear ratio to dB. Raises on non-positive input."""
-    if linear <= 0.0:
-        raise ValueError(f"ratio must be positive, got {linear}")
-    return 10.0 * math.log10(linear)

@@ -95,3 +95,38 @@ def test_private_names_are_referenced(name):
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
     assert sorted(private - referenced) == []
+
+
+# Fields no package module reads, each kept for a reason of its own.
+UNREAD_FIELDS = {
+    # the analytic gradient, which tests difference the update against
+    "FLReport.grad",
+    # the closed-form least fixed point, which tests compare fixed points with
+    "MinPowerOptimum.x",
+}
+
+
+def test_result_fields_are_read():
+    # every field of a dataclass the package defines is read as an attribute
+    # somewhere in the package: a field no output reads is dead weight
+    fields = set()
+    for tree in TREES.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list
+            ):
+                fields |= {
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                }
+    read = {
+        node.attr
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {f"{cls}.{name}" for cls, name in fields if name not in read}
+    # an exception that is read, or gone, leaves the list too
+    assert sorted(unread ^ UNREAD_FIELDS) == []

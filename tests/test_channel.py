@@ -206,7 +206,8 @@ def test_chunked_distances_match_one_pass(n):
     one_pass = np.maximum(
         [math.hypot(x - 25.0, y - 25.0) for x, y in positions.tolist()], 1e-9
     )
-    assert channel._distances(positions, cfg).tobytes() == one_pass.tobytes()
+    distances = channel._distances(positions[:, 0], positions[:, 1], cfg)
+    assert distances.tobytes() == one_pass.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -325,7 +326,7 @@ def test_harvest_scale_is_never_stale(template):
     eps, p_cir = snap.cfg.epsilon, template.p_cir
     assert snap.harvest_scale.tobytes() == (eps * snap.mu * snap.g).tobytes()
     assert snap.p_min.tobytes() == (p_cir / (snap.mu * snap.g)).tobytes()
-    positions = _positions(_cfg(), template, 2)
+    xy = _positions(_cfg(), template, 2)
     derived = [
         dataclasses.replace(snap, g=snap.g * 3.0),
         dataclasses.replace(snap, mu=snap.mu * 0.5),
@@ -333,7 +334,7 @@ def test_harvest_scale_is_never_stale(template):
         snap.rows(np.array([True, False, True, True])),
         snap.rows(2),
         snap.rows(1).repeated(3),
-        snap.rows(3).moved(positions),
+        snap.rows(3).moved(xy[:, 0, 0], xy[0, :, 1]),
     ]
     for d in derived:
         assert d.harvest_scale.shape == d.g.shape
@@ -346,15 +347,21 @@ def test_harvest_scale_is_never_stale(template):
 
 @BOTH_TEMPLATES
 def test_moved_batch_is_ue_major(template):
-    # moved computes the same distances and gains as the row-major sampling
-    # path, but stores each UE's column contiguously; the arrays derived from
-    # it, and the rows of a window, keep that layout
+    # moved computes the same distances (math.hypot) and gains as the
+    # row-major sampling path places, but stores each UE's column
+    # contiguously; the arrays derived from it, and the rows of a window,
+    # keep that layout
     cfg = _cfg(num_ues=4)
-    positions = _positions(cfg, template, 9)
-    sampled = sample_batch(cfg, HBS, template, 9)
-    moved = sampled.rows(0).moved(positions)
+    xy = _positions(cfg, template, 9)
+    xs, ys = xy[:, 0, 0], xy[0, :, 1]        # a path of 9 steps, 4 heights
+    base = sample_batch(cfg, HBS, template, 1).rows(0)
+    moved = base.moved(xs, ys)
+    centre = cfg.cell_side / 2.0
+    exact = [[math.hypot(x - centre, y - centre) for y in ys.tolist()] for x in xs.tolist()]
+    placed = channel.place_ues(cfg, HBS, template, np.broadcast_to(base.mu, (9, 4)),
+                               np.array(exact))
     for name in ("distances", "g"):
-        a, b = getattr(moved, name), getattr(sampled, name)
+        a, b = getattr(moved, name), getattr(placed, name)
         assert a.flags.f_contiguous and a.tobytes(order="C") == b.tobytes(), name
     derived = (moved.p_min, moved.harvest_scale)
     window = moved.rows(slice(2, 7))

@@ -252,9 +252,9 @@ def test_sweep_distances_once_per_cell_side(tmp_path, monkeypatch, axis, values,
     measured = []
     hypot_rows = channel._distances
 
-    def counting(positions, cfg):
-        measured.append(len(positions))
-        return hypot_rows(positions, cfg)
+    def counting(x, y, cfg):
+        measured.append(len(x))
+        return hypot_rows(x, y, cfg)
 
     monkeypatch.setattr(channel, "_distances", counting)
     assert main(args + ["--out", str(tmp_path / "shared")]) == 0
@@ -317,6 +317,51 @@ def test_mobility_invalid_step_or_duration_exits_2(tmp_path, capsys, flags):
     assert rc == 2
     assert "must be" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_mobility_too_many_steps_exits_2(tmp_path, capsys, monkeypatch):
+    # 1e303 steps: numpy refuses the run's arrays, which are allocated before
+    # any per-step loop; a loop that started anyway fails here at once
+    import builtins
+    import fdpowerctl.engine as engine
+
+    def bounded_range(*args):
+        assert max(args) < 10**9, "a per-step loop started"
+        return builtins.range(*args)
+
+    monkeypatch.setattr(engine, "range", bounded_range, raising=False)
+    rc = main(["mobility", "--config", DESK, "--duration", "1e300",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip()
+    assert not (tmp_path / "out").exists()
+
+
+def test_mobility_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for arrays too large to allocate
+    import fdpowerctl.engine as engine
+
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 29.1 TiB")
+
+    monkeypatch.setattr(engine, "_trajectory", refuse)
+    rc = main(["mobility", "--config", DESK, "--duration", "1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "Unable to allocate 29.1 TiB"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_gain_errors_reported_once(tmp_path, capsys):
+    # in a cell of side 1e308 m every distance cubed overflows, so every gain
+    # is 0: one error line per UE, as the uplink gain h is g
+    with np.errstate(over="ignore"):
+        rc = main(["sweep", "--config", DESK, "--axis", "cell_side", "--values", "1e308",
+                   "--snapshots", "3", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: ues[{i}].g: channel gain must be strictly positive" for i in range(5)
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_mobility_tpceh_harvest_switch(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdpowerctl import engine
-from fdpowerctl.channel import Snapshot, sample_batch, snapshot_from_scenario
+from fdpowerctl.channel import Snapshot, draw_ues, sample_batch, snapshot_from_scenario
 from fdpowerctl.config import load_scenario
 from fdpowerctl.core import Algorithm, Metrics, metrics, required_hbs_power, ue_columns
 from fdpowerctl.engine import (
@@ -190,13 +190,11 @@ def test_mobility_tpc_depletes_and_never_recovers(desk_scenario):
 def test_mobility_tpceh_activates_and_recovers(desk_scenario):
     scenario = _mobility_scenario(desk_scenario)
     result = run_mobility(Algorithm.TPCEH, scenario, duration=2.0)
-    act = result.activation_step
+    act = result.first_depletion_step
     assert act is not None
-    # harvest signal off before activation, on from the activation step
+    # harvest signal off before the first depletion, on from its step
     assert np.all(result.states[: act - 1, -1] == 0.0)
-    assert not np.any(result.harvesting_active[: act - 1])
-    assert result.states[act - 1, -1] > 0.0
-    assert result.harvesting_active[act - 1]
+    assert np.all(result.states[act - 1 :, -1] > 0.0)
     # within 100 steps after activation every UE is back on target
     idx = act - 1 + 100
     gt = 0.05
@@ -213,8 +211,13 @@ def test_mobility_battery_accounting(desk_scenario):
     assert np.all(battery <= cap)
     # transmitting UEs: delta = harvest - consumption unless clamped at cap
     p_u = result.states[:, :-1]
-    harvest = result.metrics.harvested_power * 1e-3
-    p_cir = np.full(2, snapshot_from_scenario(scenario).ue_template.p_cir)
+    # the harvest mu g p_h of each step, on the gains of the UEs moved there
+    base = snapshot_from_scenario(scenario)
+    side = scenario.cfg.cell_side
+    ys = draw_ues(scenario.cfg, scenario.ue_template, 1)[0][0, :, 1] * side
+    gains = base.moved(engine._trajectory(side, 5.0 / 3.6, 1e-3, len(result.time)), ys)
+    harvest = gains.mu * gains.g * result.states[:, -1:] * 1e-3
+    p_cir = np.full(2, base.ue_template.p_cir)
     spend = np.where(p_u > 0.0, (p_u / eps + p_cir) * 1e-3, 0.0)
     prev = np.vstack([np.full((1, 2), cap), battery[:-1]])
     expected = np.clip(prev + harvest - spend, 0.0, cap)
@@ -236,15 +239,15 @@ def test_mobility_positions_stay_in_cell(desk_scenario):
     # x folds into [0, side] as a triangle wave of the distance travelled,
     # with period 2 side, also where one 1 ms step is longer than a round
     # trip of the 50 m cell (at 400000 km/h it is 111 m)
-    scenario = _mobility_scenario(desk_scenario)
-    side = scenario.cfg.cell_side
+    side = desk_scenario.cfg.cell_side
+    time = np.arange(1, 1001) * 1e-3
     for speed_kmh in (5000.0, 400000.0, 4e9):
-        result = run_mobility(Algorithm.TPCEH, scenario, duration=1.0, speed_kmh=speed_kmh)
-        x = result.positions[..., 0]
+        x = engine._trajectory(side, speed_kmh / 3.6, 1e-3, len(time))
+        assert x.shape == time.shape
         assert np.all((x >= 0.0) & (x <= side)), speed_kmh
-        phase = np.mod(result.time * (speed_kmh / 3.6), 2 * side)
-        wave = np.minimum(phase, 2 * side - phase)[:, None]
-        np.testing.assert_allclose(x, np.broadcast_to(wave, x.shape), rtol=0, atol=1e-5)
+        phase = np.mod(time * (speed_kmh / 3.6), 2 * side)
+        wave = np.minimum(phase, 2 * side - phase)
+        np.testing.assert_allclose(x, wave, rtol=0, atol=1e-5)
 
 
 def test_mobility_zero_duration(desk_scenario):
@@ -252,7 +255,7 @@ def test_mobility_zero_duration(desk_scenario):
     assert result.time.shape == (0,)
     assert result.states.shape == (0, 4)
     assert result.battery.shape == (0, 3)
-    assert result.positions.shape == (0, 3, 2)
+    assert engine._trajectory(50.0, 5.0 / 3.6, 1e-3, 0).shape == (0,)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -277,13 +280,23 @@ def _assert_mobility_matches_scalar(alg, scenario, **kwargs):
     assert result.states[:, :-1].tolist() == ref["p_u"].tolist()
     assert result.states[:, -1].tolist() == ref["p_h"].tolist()
     assert result.battery.tolist() == ref["battery"].tolist()
-    assert result.positions.tolist() == ref["positions"].tolist()
-    assert result.harvesting_active.tolist() == ref["harvesting_active"].tolist()
+    # every UE follows the one x path the run's gains were computed on
+    xs = engine._trajectory(
+        scenario.cfg.cell_side, kwargs.get("speed_kmh", 5.0) / 3.6,
+        kwargs.get("step", 1e-3), len(result.time),
+    )
+    k = result.battery.shape[1]
+    assert ref["positions"].reshape(-1, k, 2)[..., 0].tolist() == [[x] * k for x in xs.tolist()]
     for name in (f.name for f in dataclasses.fields(Metrics)):
         want = [np.asarray(getattr(m, name)).tolist() for m in ref["metrics"]]
         assert np.asarray(getattr(result.metrics, name)).tolist() == want, name
-    assert result.first_depletion_step == ref["first_depletion_step"]
-    assert result.activation_step == ref["activation_step"]
+    depletion = result.first_depletion_step
+    assert depletion == ref["first_depletion_step"]
+    # the energy signal switches on at the first depletion, and only for EH
+    assert ref["activation_step"] == (depletion if alg.harvesting else None)
+    active = [alg.harvesting and depletion is not None and t >= depletion
+              for t in range(1, len(result.time) + 1)]
+    assert ref["harvesting_active"].tolist() == active
     return result
 
 
@@ -292,7 +305,6 @@ def test_mobility_matches_scalar_loop_on_fixed_ues(desk_scenario, alg):
     result = _assert_mobility_matches_scalar(alg, desk_scenario, duration=0.5)
     # TPC and TPCEH deplete at step 334 (OPC and OPCEH at once)
     assert result.first_depletion_step is not None
-    assert (result.activation_step is not None) == alg.harvesting
 
 
 @pytest.mark.parametrize("speed_kmh", [0.0, 5000.0])

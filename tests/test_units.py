@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdpowerctl.units import db_to_linear, dbm_to_watt, linear_to_db, watt_to_dbm
+from fdpowerctl.units import db_to_linear, dbm_to_watt
 
 
 def test_dbm_decade_identities():
@@ -20,23 +20,18 @@ def test_db_decade_identities():
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
 
 
-def test_nonpositive_inputs_rejected():
-    with pytest.raises(ValueError):
-        watt_to_dbm(0.0)
-    with pytest.raises(ValueError):
-        watt_to_dbm(-1.0)
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
+# the inverses, 10 log10(.) (+ 30 for dBm), are written out: nothing in the
+# package converts back to decibels
 
 
 @given(st.floats(min_value=-200.0, max_value=60.0))
 def test_dbm_round_trip(x):
-    assert watt_to_dbm(dbm_to_watt(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
+    assert 10.0 * math.log10(dbm_to_watt(x)) + 30.0 == pytest.approx(x, rel=1e-12, abs=1e-12)
 
 
 @given(st.floats(min_value=-200.0, max_value=60.0))
 def test_db_round_trip(x):
-    assert linear_to_db(db_to_linear(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
+    assert 10.0 * math.log10(db_to_linear(x)) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
 
 def test_paper_circuit_power_derivations():
@@ -47,9 +42,3 @@ def test_paper_circuit_power_derivations():
     hbs_p_cir = 2 * dbm_to_watt(38.0) + dbm_to_watt(27.0)
     assert hbs_p_cir == pytest.approx(2 * 10 ** 0.8 + 10 ** -0.3, rel=1e-15)
     assert hbs_p_cir == pytest.approx(13.1204, rel=1e-5)
-
-
-def test_watt_to_dbm_known_points():
-    assert watt_to_dbm(1.0) == pytest.approx(30.0, abs=1e-12)
-    assert watt_to_dbm(10.0) == pytest.approx(40.0, abs=1e-12)
-    assert math.isclose(watt_to_dbm(1e-3), 0.0, abs_tol=1e-12)
