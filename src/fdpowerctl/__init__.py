@@ -8,6 +8,8 @@ from .config import (  # noqa: F401
     Scenario,
     ScenarioConfig,
     UeTemplate,
+    db_to_linear,
+    dbm_to_watt,
     load_scenario,
     validate_scenario,
 )
@@ -32,4 +34,3 @@ from .engine import (  # noqa: F401
     run_mobility,
     run_monte_carlo,
 )
-from .units import dbm_to_watt, db_to_linear  # noqa: F401

@@ -43,10 +43,12 @@ __all__ = [
 
 
 def path_gain(d: float | np.ndarray, k: float) -> float | np.ndarray:
-    """Cubic path-loss channel power gain k * d^-3 at distance(s) d meters."""
+    """Cubic path-loss channel power gain k * d^-3 at distance(s) d meters;
+    0.0, without numpy's overflow warning, where d^3 overflows."""
     if not np.all(np.isfinite(d) & (d > 0.0)):
         raise ValueError(f"distance must be strictly positive and finite, got {d}")
-    return k / (d * d * d)
+    with np.errstate(over="ignore"):
+        return k / (d * d * d)
 
 
 def hbs_position(cfg: ScenarioConfig) -> tuple[float, float]:

@@ -222,10 +222,10 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_manifest(
-    out_files: list[Path], subcommand: str, scenario: Scenario, t0: float, **extra
-) -> None:
+def _write_manifest(out_files: list[Path], argv: list[str], subcommand: str,
+                    scenario: Scenario, t0: float, **extra) -> None:
     manifest = {
+        "argv": argv,
         "subcommand": subcommand,
         "config_hash": config_hash(scenario_to_dict(scenario)),
         "seed": scenario.cfg.seed,
@@ -348,11 +348,11 @@ def cmd_mobility(args, scenario: Scenario, out: Path):
         )
     except ConfigError:
         raise                    # main reports these
-    except (ValueError, MemoryError) as exc:    # an argument out of range, or too many steps
+    except ValueError as exc:    # an argument out of range, or too many steps
         raise UsageError(str(exc)) from None
     columns = [
         result.time,
-        result.metrics.sinr.mean(axis=-1),
+        result.sinr.mean(axis=-1),
         result.states[:, :-1].mean(axis=-1),
         result.states[:, -1],
         result.battery.min(axis=-1),
@@ -543,6 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    received = list(argv)
     # argparse reads a list that starts with a negative number, such as
     # -120,-100, as an option: pass `--values X` on as `--values=X`
     for i in reversed(range(len(argv) - 1)):
@@ -560,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    _write_manifest(outputs, args.subcommand, scenario, t0, **extra)
+    _write_manifest(outputs, received, args.subcommand, scenario, t0, **extra)
     return code
 
 

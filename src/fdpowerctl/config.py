@@ -1,8 +1,10 @@
 """Scenario configuration: dataclasses, validation and strict JSON loading.
 
 Scenario files keep powers in dBm and the self-interference coefficient in
-dB; loading converts everything to linear watts once, so the simulation code
-never touches decibels. Unknown keys in a scenario file are an error.
+dB; loading converts them once (`dbm_to_watt`, `db_to_linear`), so the
+simulation works in linear watts, joules and seconds. The only other decibels
+are the delta_db sweep axis values (`engine.apply_axis`), and nothing converts
+back to decibels. Unknown keys in a scenario file are an error.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Any
 
 import numpy as np
 
-from .units import dbm_to_watt, db_to_linear
-
 __all__ = [
+    "dbm_to_watt",
+    "db_to_linear",
     "ConfigError",
     "ScenarioConfig",
     "HbsParams",
@@ -34,6 +36,16 @@ __all__ = [
     "scenario_to_dict",
     "config_hash",
 ]
+
+def dbm_to_watt(dbm: float) -> float:
+    """Convert a power level in dBm to watts."""
+    return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+def db_to_linear(db: float) -> float:
+    """Convert a ratio in dB to linear scale."""
+    return 10.0 ** (db / 10.0)
+
 
 # Harvesting efficiencies below this make the circuit-power requirement
 # p_cir / (mu * g) blow up; sampled values are resampled above it.

@@ -63,9 +63,8 @@ from typing import Callable
 import numpy as np
 
 from .channel import Snapshot, cell_distances, draw_ues, place_ues, snapshot_from_scenario
-from .config import Scenario
-from .core import Algorithm, Metrics, state_caps, joint_update, metrics, ue_columns, ue_max
-from .units import db_to_linear
+from .config import ConfigError, Scenario, db_to_linear
+from .core import Algorithm, Metrics, state_caps, joint_update, metrics, sinr, ue_columns, ue_max
 
 __all__ = [
     "IterationTrace",
@@ -178,6 +177,7 @@ def iterate(
 ) -> BatchSolution:
     """Iterate `update` on every row of the batch until each row stops.
 
+    A single snapshot raises ValueError: `Snapshot.repeated()` makes a batch.
     `p_init` is the (S, K+1) start, one row per snapshot; it is clipped into
     [0, caps] first. A row stops converged at the first step whose
     infinity-norm relative change (denominators floored at CHANGE_FLOOR) is
@@ -208,6 +208,9 @@ def iterate(
     Every row it stops is one that full iteration leaves unconverged; the
     other rows get exactly the numbers they get without it.
     """
+    if batch.g.ndim != 2:
+        raise ValueError(f"expected a batch of (S, K) arrays, got shape {batch.g.shape}; "
+                         "make a single snapshot a batch with Snapshot.repeated()")
     n = len(batch)
     x = np.clip(p_init, 0.0, state_caps(batch))
     out = BatchSolution(
@@ -532,11 +535,12 @@ def run_monte_carlo(
 @dataclass
 class MobilityResult:
     """Time series of a mobility run, one row per step, and its first depletion,
-    where the energy signal of the harvesting algorithms switches on."""
+    where the energy signal of the harvesting algorithms switches on: what
+    the `mobility` CSV is made of, each series row-major."""
 
     time: np.ndarray                     # (T,) seconds at the end of each step
     states: np.ndarray                   # (T, K+1) powers after each step
-    metrics: Metrics                     # of each step's state on its gains
+    sinr: np.ndarray                     # (T, K) of each step's state on its gains
     battery: np.ndarray                  # (T, K) joules after each step
     first_depletion_step: int | None     # 1-based step index, None if never
 
@@ -587,10 +591,10 @@ def run_mobility(
 
     The motion does not depend on the powers, so the whole trajectory and the
     gains of every step are computed first, as one (T, K) batch, after the
-    run's arrays: too many steps for memory raise MemoryError (ValueError
-    past numpy's largest dimension) at once. The power and battery
-    recurrence is solved in windows of steps by relaxation (see the module
-    docstring), with the bits of stepping it one step at a time:
+    run's arrays: too many steps for memory raise a ValueError that names
+    duration / step, at once. The power and battery recurrence is solved in
+    windows of steps by relaxation (see the module docstring), with the bits
+    of stepping it one step at a time:
 
     - A window starts from an exact state, with each UE's transmit mask and
       the harvest flag held at their current values. It is swept until all
@@ -598,11 +602,12 @@ def run_mobility(
       after k sweeps the first k rows are exact, and so is every row up to
       the first one the last sweep changed.
     - Each UE's battery then runs as its own chain of Python floats, in the
-      operations and order of one step. The pass commits the exact rows
-      before the first one that breaks a held mask: an affordability flip,
-      or the first depletion. That row's inputs are exact, so its depletion
-      flag and masks are settled as one step would settle them, and the next
-      window starts there with them.
+      operations and order of one step, and stops at the first row whose
+      affordability breaks its held mask: an affordability flip, or the
+      first depletion. The pass commits the exact rows before the first
+      stop. That row's inputs are exact, so its depletion flag and masks
+      are settled as one step would settle them, and the next window
+      starts there with them.
     - Width: a window that commits every row doubles it, up to MAX_WINDOW,
       if it was narrower than MAX_SWEEPS or proved its rows in fewer than w
       sweeps; otherwise the map contracts too slowly for wide windows to
@@ -627,13 +632,18 @@ def run_mobility(
         ys = draw_ues(cfg, scenario.ue_template, 1)[0][0, :, 1] * cfg.cell_side
     else:
         ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
-    n_steps = int(round(duration / step))
-    states = np.empty((n_steps, K + 1))
-    battery = np.empty((n_steps, K))
-    gains = base.moved(_trajectory(cfg.cell_side, speed_kmh / 3.6, step, n_steps), ys)
+    try:
+        n_steps = int(round(duration / step))
+        states = np.empty((n_steps, K + 1))
+        battery = np.empty((n_steps, K))
+        gains = base.moved(_trajectory(cfg.cell_side, speed_kmh / 3.6, step, n_steps), ys)
+    except ConfigError:
+        raise
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(f"too many steps: duration / step = {duration:g} / {step:g} = "
+                         f"{duration / step:g} steps do not fit in memory") from None
     # computed once for the run: each window's rows are slices of them
     gains.p_min, gains.harvest_scale
-    harvest_gain = gains.mu * gains.g
 
     level = [battery_init] * K           # each UE's joules before step n
     transmit = [True] * K                # the held transmit masks
@@ -664,35 +674,26 @@ def run_mobility(
             exact = first + 1 if changed[first] else w
             if exact == w:
                 break
+        harvest_gain = rows.mu[:exact] * rows.g[:exact]
         need = (cand[:exact, :-1] / cfg.epsilon + base.ue_template.p_cir) * step
-        harvest = harvest_gain[n : n + exact] * traj[1 : exact + 1, -1:] * step
-        # Each UE's battery is its own chain while the masks hold: run it in
-        # the loop's operations up to the first row that breaks its mask, a
-        # step a transmitting UE cannot afford (NaN included) or one a silent
-        # UE can. Until the first depletion no harvest flows and every UE
-        # transmits, so that depletion breaks the depleting UE's mask. An
-        # affordable step spends at most what the battery holds, so only the
-        # capacity clips.
+        harvest = harvest_gain * traj[1 : exact + 1, -1:] * step
+        # One loop for every chain: add the harvest; break where affording
+        # the need differs from the mask (NaN affords nothing); a transmitting
+        # UE pays, at most what it holds; clip at the capacity. Until the first
+        # depletion no harvest flows and every UE transmits, so that depletion
+        # breaks the depleting UE's mask.
         end, chains = exact, []
         for lv, on, needs, harvests in zip(level, transmit, need.T.tolist(), harvest.T.tolist()):
             chain = []
-            if on:
-                for nd, hv in zip(needs[:end], harvests[:end]):
-                    lv += hv
-                    if not lv >= nd:
-                        break
+            for nd, hv in zip(needs[:end], harvests[:end]):
+                lv += hv
+                if (lv >= nd) != on:
+                    break
+                if on:
                     lv -= nd
-                    if lv > battery_init:
-                        lv = battery_init
-                    chain.append(lv)
-            else:
-                for nd, hv in zip(needs[:end], harvests[:end]):
-                    lv += hv
-                    if lv >= nd:
-                        break
-                    if lv > battery_init:
-                        lv = battery_init
-                    chain.append(lv)
+                if lv > battery_init:
+                    lv = battery_init
+                chain.append(lv)
             end = min(end, len(chain))
             chains.append(chain)
         states[n : n + end] = traj[1 : end + 1]
@@ -707,7 +708,7 @@ def run_mobility(
             if first_depletion is None and bool((lv < nd).any()):
                 first_depletion = n + end + 1
             p_h = cand[end, -1] if first_depletion is not None else 0.0
-            transmit = (lv + harvest_gain[n + end] * p_h * step >= nd).tolist()
+            transmit = (lv + harvest_gain[end] * p_h * step >= nd).tolist()
             width = max(end, 1)
         elif w < MAX_SWEEPS or (sweeps < w and exact == w):
             width = min(2 * w, MAX_WINDOW)
@@ -718,7 +719,7 @@ def run_mobility(
     return MobilityResult(
         time=np.arange(1, n_steps + 1) * step,
         states=states,
-        metrics=metrics(states, gains),
+        sinr=sinr(states, gains),
         battery=battery,
         first_depletion_step=first_depletion,
     )

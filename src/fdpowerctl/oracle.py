@@ -214,12 +214,12 @@ def check_two_sided_scalable(
     the exponent of a, then K+1 wiggle exponents. All trials are drawn by one
     rng.random((trials, 2K+3)) call, which reads the same stream as drawing
     trial by trial and leaves rng in the same state, and evaluated as the
-    rows of one batch. The counterexample is the first violating trial.
+    rows of one update on the snapshot itself, its (K,) arrays broadcast
+    against them. The counterexample is the first violating trial.
     """
     alg = Algorithm(algorithm)
     base, a, other = _sandwich_draws(state_caps(snap), trials, rng)
-    batch = snap.repeated(trials)
-    fp, fq = joint_update(alg, base, batch), joint_update(alg, other, batch)
+    fp, fq = joint_update(alg, base, snap), joint_update(alg, other, snap)
     lower_ok = np.all(fq >= fp / a * (1.0 - rel_slack), axis=-1)
     upper_ok = np.all(fq <= fp * a * (1.0 + rel_slack), axis=-1)
     bad = np.flatnonzero(~(lower_ok & upper_ok))

@@ -48,7 +48,7 @@ def test_modules_with_all_are_covered():
         name for name in MODULES
         if hasattr(importlib.import_module(f"fdpowerctl.{name}"), "__all__")
     ]
-    assert declared == ["channel", "config", "core", "engine", "oracle", "units"]
+    assert declared == ["channel", "config", "core", "engine", "oracle"]
 
 
 @pytest.mark.parametrize("module, name", REEXPORTS, ids=[f"{m}.{n}" for m, n in REEXPORTS])

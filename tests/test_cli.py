@@ -333,7 +333,20 @@ def test_mobility_too_many_steps_exits_2(tmp_path, capsys, monkeypatch):
     rc = main(["mobility", "--config", DESK, "--duration", "1e300",
                "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err.strip()
+    assert capsys.readouterr().err.strip() == (
+        "too many steps: duration / step = 1e+300 / 0.001 = 1e+303 steps do not fit in memory"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_mobility_step_count_past_the_largest_float_exits_2(tmp_path, capsys):
+    # duration / step overflows to inf, which no step count can be
+    rc = main(["mobility", "--config", DESK, "--duration", "1e10", "--step", "1e-320",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        "too many steps: duration / step = 1e+10 / 9.99989e-321 = inf steps do not fit in memory"
+    )
     assert not (tmp_path / "out").exists()
 
 
@@ -347,16 +360,18 @@ def test_mobility_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(engine, "_trajectory", refuse)
     rc = main(["mobility", "--config", DESK, "--duration", "1", "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert capsys.readouterr().err.strip() == "Unable to allocate 29.1 TiB"
+    assert capsys.readouterr().err.strip() == (
+        "too many steps: duration / step = 1 / 0.001 = 1000 steps do not fit in memory"
+    )
     assert not (tmp_path / "out").exists()
 
 
 def test_sweep_gain_errors_reported_once(tmp_path, capsys):
     # in a cell of side 1e308 m every distance cubed overflows, so every gain
-    # is 0: one error line per UE, as the uplink gain h is g
-    with np.errstate(over="ignore"):
-        rc = main(["sweep", "--config", DESK, "--axis", "cell_side", "--values", "1e308",
-                   "--snapshots", "3", "--out", str(tmp_path / "out")])
+    # is 0: one error line per UE, as the uplink gain h is g, and numpy's
+    # overflow warning (an error under this suite's warning filter) is not raised
+    rc = main(["sweep", "--config", DESK, "--axis", "cell_side", "--values", "1e308",
+               "--snapshots", "3", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [
         f"config error: ues[{i}].g: channel gain must be strictly positive" for i in range(5)
@@ -721,7 +736,9 @@ def test_snapshot_tol_flag_sets_the_stopping_rule(tmp_path):
     assert trace.iterations_used < default.iterations_used
 
 
-MANIFEST_KEYS = {"subcommand", "config_hash", "seed", "tool_version", "outputs", "duration_s"}
+MANIFEST_KEYS = {
+    "argv", "subcommand", "config_hash", "seed", "tool_version", "outputs", "duration_s",
+}
 
 
 @pytest.mark.parametrize("argv, code, fail_claim", [
@@ -736,7 +753,8 @@ MANIFEST_KEYS = {"subcommand", "config_hash", "seed", "tool_version", "outputs",
 def test_every_output_has_a_manifest(tmp_path, monkeypatch, argv, code, fail_claim):
     if fail_claim:
         _fail_first_tightness_row(monkeypatch)
-    rc = main([*argv, "--config", DESK, "--seed", "7", "--out", str(tmp_path)])
+    received = [*argv, "--config", DESK, "--seed", "7", "--out", str(tmp_path)]
+    rc = main(received)
     assert rc == code
     outputs = sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json"))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
@@ -752,6 +770,7 @@ def test_every_output_has_a_manifest(tmp_path, monkeypatch, argv, code, fail_cla
     for manifest in manifests:
         assert manifest == manifests[0]
         assert MANIFEST_KEYS <= set(manifest)
+        assert manifest["argv"] == received
         assert manifest["subcommand"] == argv[0]
         assert manifest["config_hash"] == config_hash(scenario_to_dict(scenario))
         assert manifest["seed"] == 7

@@ -11,13 +11,13 @@ from fdpowerctl.config import (
     HbsParams,
     ScenarioConfig,
     UeTemplate,
+    dbm_to_watt,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
     validate_scenario,
 )
 from fdpowerctl.channel import path_gain, snapshot_from_distances, snapshot_from_scenario
-from fdpowerctl.units import dbm_to_watt
 
 BASE_DOC = {
     "scenario": {

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fdpowerctl import engine
 from fdpowerctl.channel import Snapshot, draw_ues, sample_batch, snapshot_from_scenario
-from fdpowerctl.config import load_scenario
-from fdpowerctl.core import Algorithm, Metrics, metrics, required_hbs_power, ue_columns
+from fdpowerctl.config import ConfigError, load_scenario
+from fdpowerctl.core import Algorithm, metrics, required_hbs_power, ue_columns
 from fdpowerctl.engine import (
     apply_axis,
     run_fixed_point,
@@ -183,7 +183,7 @@ def test_mobility_tpc_depletes_and_never_recovers(desk_scenario):
     assert silent.any()
     dead_from = int(np.argmax(silent))
     assert np.all(result.states[dead_from:, :-1] == 0.0)
-    assert np.all(result.metrics.sinr[dead_from:] == 0.0)
+    assert np.all(result.sinr[dead_from:] == 0.0)
     assert np.all(result.states[dead_from:, -1] == 0.0)
 
 
@@ -198,7 +198,7 @@ def test_mobility_tpceh_activates_and_recovers(desk_scenario):
     # within 100 steps after activation every UE is back on target
     idx = act - 1 + 100
     gt = 0.05
-    np.testing.assert_allclose(result.metrics.sinr[idx], gt, rtol=1e-3)
+    np.testing.assert_allclose(result.sinr[idx], gt, rtol=1e-3)
 
 
 def test_mobility_battery_accounting(desk_scenario):
@@ -269,6 +269,16 @@ def test_mobility_rejects_invalid_step_and_duration(desk_scenario, kwargs):
         run_mobility(Algorithm.TPCEH, desk_scenario, **{"duration": 0.01, **kwargs})
 
 
+def test_mobility_gain_errors_are_not_reported_as_too_many_steps(desk_scenario):
+    # the fixed UEs' own gains are valid, but in a cell of side 1e103 m the
+    # farthest moved positions' distances cube past the largest float
+    cfg = dataclasses.replace(desk_scenario.cfg, cell_side=1e103)
+    scenario = dataclasses.replace(desk_scenario, cfg=cfg)
+    snapshot_from_scenario(scenario)
+    with pytest.raises(ConfigError, match="channel gain must be strictly positive"):
+        run_mobility(Algorithm.TPCEH, scenario, duration=0.01, speed_kmh=1e110)
+
+
 # ---------------------------------------------------------------------------
 # columnar mobility run against the per-step loop
 
@@ -287,9 +297,9 @@ def _assert_mobility_matches_scalar(alg, scenario, **kwargs):
     )
     k = result.battery.shape[1]
     assert ref["positions"].reshape(-1, k, 2)[..., 0].tolist() == [[x] * k for x in xs.tolist()]
-    for name in (f.name for f in dataclasses.fields(Metrics)):
-        want = [np.asarray(getattr(m, name)).tolist() for m in ref["metrics"]]
-        assert np.asarray(getattr(result.metrics, name)).tolist() == want, name
+    # the run keeps only the SINR of the loop's metrics, the one the CLI writes
+    assert result.sinr.tolist() == [m.sinr.tolist() for m in ref["metrics"]]
+    assert result.sinr.shape == result.battery.shape
     depletion = result.first_depletion_step
     assert depletion == ref["first_depletion_step"]
     # the energy signal switches on at the first depletion, and only for EH
@@ -420,12 +430,12 @@ def test_mobility_windows_run_ue_major(desk_scenario, monkeypatch):
     result = _assert_mobility_matches_scalar(Algorithm.TPCEH, desk_scenario, duration=1.0)
     assert len(layouts) > 10
     assert all(all(layout) for layout in layouts)
-    assert result.states.flags.c_contiguous and result.metrics.sinr.flags.c_contiguous
+    assert result.states.flags.c_contiguous and result.sinr.flags.c_contiguous
 
 
 def test_mobility_derives_harvest_arrays_once(desk_scenario, monkeypatch):
     # p_min and harvest_scale are computed for the run's gains once; every
-    # window, and the metrics of the whole series, use slices of them
+    # window uses slices of them
     calls = dict.fromkeys(("p_min", "harvest_scale"), 0)
     for name in calls:
         derive = vars(Snapshot)[name].func
@@ -518,6 +528,20 @@ def test_run_fixed_point_is_the_one_row_batch(desk_scenario):
             used, converged, change,
         )
         assert trace.steps.tolist() == list(range(used + 1))
+
+
+def test_solve_rejects_a_single_snapshot(desk_scenario):
+    # len() of a (K,) snapshot is K, so a single snapshot would be solved as
+    # K batch rows; it must be made a batch of one first
+    snap = snapshot_from_scenario(desk_scenario)
+    with pytest.raises(ValueError, match=r"Snapshot\.repeated\(\)"):
+        solve(Algorithm.TPCEH, snap)
+    with pytest.raises(ValueError, match=r"Snapshot\.repeated\(\)"):
+        engine.iterate(lambda x, rows: x, snap, np.zeros((1, snap.num_ues + 1)), 1e-9, 10)
+    sol = solve(Algorithm.TPCEH, snap.repeated())
+    assert sol.fixed_point.shape == (1, snap.num_ues + 1)
+    assert sol.converged.tolist() == [True]
+    assert sol.fixed_point[0].tolist() == run_fixed_point(Algorithm.TPCEH, snap).fixed_point.tolist()
 
 
 def test_opportunistic_cycles_run_to_max_iter(desk_scenario):

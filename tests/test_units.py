@@ -1,10 +1,12 @@
+"""The decibel conversions `config` loads scenario files with."""
+
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fdpowerctl.units import db_to_linear, dbm_to_watt
+from fdpowerctl.config import db_to_linear, dbm_to_watt
 
 
 def test_dbm_decade_identities():
