@@ -71,13 +71,10 @@ class Algorithm(str, enum.Enum):
     TPCEH = "TPCEH"
     OPCEH = "OPCEH"
 
-    @property
-    def harvesting(self) -> bool:
-        return self in (Algorithm.TPCEH, Algorithm.OPCEH)
-
-    @property
-    def opportunistic(self) -> bool:
-        return self in (Algorithm.OPC, Algorithm.OPCEH)
+    def __init__(self, value: str):
+        # plain attributes: every update step reads them
+        self.harvesting = value in ("TPCEH", "OPCEH")
+        self.opportunistic = value in ("OPC", "OPCEH")
 
 
 def state_caps(snap: Snapshot) -> np.ndarray:

@@ -12,16 +12,19 @@ iteration loop, `iterate`. It steps S independent rows at once: an (S, K+1)
 state on a batch Snapshot of (S, K) parameter arrays, with a convergence
 record per row. A row stops at the first step whose relative change is at
 most tol, or after max_iter steps; each row's numbers equal those of
-iterating it alone. A row that stops is written out at once but stays in
-the working arrays, flagged as done, until done rows are at least a quarter
-of them (COMPACT_SHARE); then one integer index drops them all (compaction).
-So the cost of a step follows the rows still running, and a solve rebuilds
-its batch only a few times. `solve` runs it with an algorithm's joint
-update, and `run_fixed_point` is the one-row case. A sweep solves its axis
-values in groups, one call per group: every value whose UEs embed in the
-widest UE count of the group (`core.ue_columns`) and whose update shares
-its scalars puts its rows in one wide batch, so a sweep pays for its
-longest solve rather than the sum of them (see `run_monte_carlo`).
+iterating it alone. It runs blocks of up to 16 updates into one stack of
+states and tests their stops in one vectorised pass, each row's outputs
+from its own stop step (see `iterate`). A row that stops is written out at
+its block's end but stays in the working arrays, flagged as done, until
+done rows are at least a quarter of them (COMPACT_SHARE); then one integer
+index drops them all (compaction). So the cost of a step follows the rows
+still running, and a solve rebuilds its batch only a few times. `solve` runs
+it with an algorithm's joint update, and `run_fixed_point` is the one-row
+case. A sweep solves its axis values in groups, one call per group: every
+value whose UEs embed in the widest UE count of the group
+(`core.ue_columns`) and whose update shares its scalars puts its rows in one
+wide batch, so a sweep pays for its longest solve rather than the sum of
+them (see `run_monte_carlo`).
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -101,6 +104,11 @@ GIVE_UP_SLACK = 1e-12
 # `iterate` drops stopped rows from its working arrays once they are at
 # least this share of them.
 COMPACT_SHARE = 0.25
+# `iterate`'s blocks of updates: from FIRST_BLOCK (at least 2) steps up to
+# BLOCK_STEPS, with at most STACK_ELEMENTS numbers of states, but 2 steps.
+FIRST_BLOCK = 2
+BLOCK_STEPS = 16
+STACK_ELEMENTS = 2**15
 
 SWEEP_AXES = ("delta_db", "cell_side", "gamma_target", "num_ues")
 
@@ -182,13 +190,22 @@ def iterate(
     [0, caps] first. A row stops converged at the first step whose
     infinity-norm relative change (denominators floored at CHANGE_FLOOR) is
     at most tol, and unconverged after max_iter steps: an exception is never
-    raised for it. `update` receives the working rows and their parameters:
-    the rows still running, and rows already written out that wait for the
-    next compaction, whose later values nothing reads. Compaction drops the
-    done rows by one `np.flatnonzero` index once they are at least
-    COMPACT_SHARE of the working rows. With a `history` list, the (rows, K+1)
-    state of the running rows at every step, the clipped start included, is
-    appended to it; runs of one row use it.
+    raised for it. The steps run in blocks of b updates into a (b+1, rows,
+    K+1) stack of states; one vectorised pass then takes all b relative
+    changes and each running row's stop, its first converged step or the
+    block's end (at max_iter, or by the certificate), and the row's outputs
+    come from its own stop step. A block is as long as the steps taken, from
+    FIRST_BLOCK up to BLOCK_STEPS, so a short solve runs at most about twice
+    its steps; it holds at most STACK_ELEMENTS numbers, but 2 steps, and
+    ends on every multiple of 16 and at max_iter, so each check ends a block
+    that holds x_{t-2}. `update` receives the working rows and their
+    parameters: the rows still running, and rows written out, in this block
+    or before, that wait for the next compaction; nothing reads their later
+    values. Once per block the stopped rows are written out, and compaction
+    drops the done rows by one `np.flatnonzero` index once they are at least
+    COMPACT_SHARE of the working rows. With a `history` list, the (rows,
+    K+1) state of the running rows at every step, the clipped start and
+    each row's stop step included, is appended to it; runs of one row use it.
 
     With `give_up`, a row also stops unconverged, with `stopped_early` set,
     at a check step t = 16, 32, 48, ..., 128, 256, 512, ... < max_iter when
@@ -204,7 +221,8 @@ def iterate(
     at most -log1p(-tol). The argument also needs the relative change to be
     the exact ratio, so only rows whose components all stay at or above
     CHANGE_FLOOR, or at 0, qualify; that bound costs two `update` calls on
-    the working rows at step 16, and none when no row gets there.
+    the working rows at the first check some row is still running at, and
+    none when no row gets there.
     Every row it stops is one that full iteration leaves unconverged; the
     other rows get exactly the numbers they get without it.
     """
@@ -228,59 +246,59 @@ def iterate(
     n_done = 0                         # working rows written out, not running
     # with tol >= 1 (or NaN) no distance exceeds the limit: never check
     check = FIRST_GIVE_UP_CHECK if give_up and tol < 1.0 else None
-    older = None                       # x_{t-2} of the working rows at a check
     certifiable = live = None          # per batch row, from the first check on
-    for t in range(1, max_iter + 1):
-        if index.size == 0:
-            break
-        if t + 1 == check:
-            older = x
-        nxt = update(x, batch)
-        rel = nxt - x
-        np.abs(rel, out=rel)
-        rel /= np.maximum(x, CHANGE_FLOOR)
-        change = ue_max(rel)
-        prev, x = x, nxt
-        if history is not None:
-            history.append(x[running] if n_done else x)
-        converged = change <= tol
-        stop = converged if t < max_iter else np.ones_like(converged)
-        early = None
+    t, stack = 0, None                 # steps taken; the block's states, x_t first
+    while t < max_iter and index.size:
+        fit = 1 << max(1, (STACK_ELEMENTS // x.size).bit_length() - 1)
+        b = min(max(FIRST_BLOCK, t), BLOCK_STEPS, fit,
+                GIVE_UP_CHECK_STRIDE - t % GIVE_UP_CHECK_STRIDE, max_iter - t)
+        if stack is None or len(stack) <= b:
+            stack = np.empty((b + 1, *x.shape))
+        stack[0] = x
+        for i in range(b):
+            stack[i + 1] = update(stack[i], batch)
+        t += b
+        x = stack[b]
+        rel = np.abs(stack[1 : b + 1] - stack[:b])
+        rel /= np.maximum(stack[:b], CHANGE_FLOOR)
+        change = ue_max(rel.reshape(-1, x.shape[-1])).reshape(b, -1)
+        conv = change <= tol
+        converged = conv.any(axis=0)
+        at = np.where(converged, conv.argmax(axis=0), b - 1)
+        stop = converged | (t == max_iter)
         if t == check:
-            if t < max_iter:
+            still = running & ~stop
+            if t < max_iter and still.any():
                 if certifiable is None:
                     certifiable = np.zeros(n, dtype=bool)
                     live = np.zeros((n, x.shape[-1]), dtype=bool)
                     certifiable[index], live[index] = _certifiable(update, batch)
-                ok = certifiable[index]
+                ok = certifiable[index] & still
                 on = live[index] & ok[:, None]
-                d = _log_distance(x, prev, on)
-                e = _log_distance(x, older, on)
-                early = ok & ~converged & (
-                    d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol)
-                )
-                stop = stop | early
+                d = _log_distance(x, stack[b - 1], on)
+                e = _log_distance(x, stack[b - 2], on)
+                stop = stop | ok & (d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol))
             check = t + GIVE_UP_CHECK_STRIDE if t < LAST_STRIDED_CHECK else 2 * t
-            older = None
-        if n_done:
-            stop = stop & running
+        stop = stop & running
+        if history is not None:
+            last = np.where(stop, at, np.where(running, b - 1, -1))
+            history.extend(stack[j + 1][last >= j] for j in range(last.max() + 1))
         if stop.any():
-            rows = index[stop]
-            out.fixed_point[rows] = x[stop]
-            out.iterations_used[rows] = t
-            out.converged[rows] = converged[stop]
-            out.final_change[rows] = change[stop]
-            if early is not None:
-                out.stopped_early[rows] = early[stop]
+            rows = np.flatnonzero(stop)
+            at = at[rows]
+            out.fixed_point[index[rows]] = stack[at + 1, rows]
+            out.iterations_used[index[rows]] = t - b + 1 + at
+            out.converged[index[rows]] = converged[rows]
+            out.final_change[index[rows]] = change[at, rows]
+            # a row that stops unconverged before max_iter is certified
+            out.stopped_early[index[rows]] = ~converged[rows] & (t < max_iter)
             running = running & ~stop
-            n_done += int(np.count_nonzero(stop))
+            n_done += rows.size
             if n_done == index.size:
                 break
             if n_done >= COMPACT_SHARE * index.size:
                 keep = np.flatnonzero(running)
-                index, x, batch = index[keep], x[keep], batch.rows(keep)
-                if older is not None:
-                    older = older[keep]
+                index, x, batch, stack = index[keep], x[keep], batch.rows(keep), None
                 running, n_done = np.ones(keep.size, dtype=bool), 0
     return out
 

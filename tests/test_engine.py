@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fdpowerctl import engine
 from fdpowerctl.channel import Snapshot, draw_ues, sample_batch, snapshot_from_scenario
 from fdpowerctl.config import ConfigError, load_scenario
-from fdpowerctl.core import Algorithm, metrics, required_hbs_power, ue_columns
+from fdpowerctl.core import Algorithm, joint_update, metrics, required_hbs_power, ue_columns
 from fdpowerctl.engine import (
     apply_axis,
     run_fixed_point,
@@ -392,6 +392,32 @@ def test_mobility_flip_heavy_run(desk_scenario):
     assert int((on[1:] != on[:-1]).sum()) == 433
 
 
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_mobility_battery_that_covers_one_step_exactly(desk_scenario, monkeypatch, alg):
+    # the battery holds exactly the first step's need, computed as the run
+    # computes it: the UE affords that step (>=), pays it down to 0.0 and
+    # depletes at the next
+    scenario = _mobility_scenario(desk_scenario, n=1)
+    cfg, step = scenario.cfg, 1e-3
+    base = snapshot_from_scenario(scenario)
+    ys = draw_ues(cfg, scenario.ue_template, 1)[0][0, :, 1] * cfg.cell_side
+    gains = base.moved(engine._trajectory(cfg.cell_side, 5.0 / 3.6, step, 1), ys)
+    cand = joint_update(alg, np.zeros((1, 2)), gains)
+    need = float((cand[0, 0] / cfg.epsilon + base.ue_template.p_cir) * step)
+    # a wrong affordability test can hold the run on one row for ever
+    calls, update = [], engine.joint_update
+
+    def bounded(*args):
+        calls.append(None)
+        assert len(calls) < 1000, "the run makes no progress"
+        return update(*args)
+
+    monkeypatch.setattr(engine, "joint_update", bounded)
+    result = _assert_mobility_matches_scalar(alg, scenario, duration=0.01, battery_init=need)
+    assert result.states[0, 0] == cand[0, 0] and result.battery[0, 0] == 0.0
+    assert result.first_depletion_step == 2
+
+
 def test_mobility_depletion_inside_a_window(desk_scenario, monkeypatch):
     windows = _windows(monkeypatch)
     result = _assert_mobility_matches_scalar(Algorithm.TPCEH, desk_scenario, duration=0.5)
@@ -572,9 +598,18 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
 # The row contract: `solve` gives every row of a batch the five fields it
 # gets when its snapshot is solved alone, whatever other rows share the
 # batch, in whatever order, and in whichever columns of a wider batch
-# `core.ue_columns` puts its UEs. Sweeps rely on it to solve all the axis
-# values of a group at once (`engine._merged`), and lazy compaction relies
-# on it to keep stopped rows in the working arrays.
+# `core.ue_columns` puts its UEs, and whatever blocks `iterate` runs its
+# steps in. Sweeps rely on it to solve all the axis values of a group at
+# once (`engine._merged`), and lazy compaction and the blocks rely on it to
+# keep stopped rows in the working arrays.
+
+# block schedules of `iterate`: every block 2 steps, the smallest a check
+# may end; the default; and every block 16 steps from the first
+BLOCKINGS = {
+    "smallest": {"STACK_ELEMENTS": 0},
+    "default": {},
+    "sixteen": {"FIRST_BLOCK": 16, "STACK_ELEMENTS": 2**62},
+}
 
 
 def _assert_rows_solved_alone(sol, alone, rows=slice(None), cols=slice(None)):
@@ -616,15 +651,17 @@ def _embedded_parts(draw):
     alg=st.sampled_from(list(Algorithm)),
     embedded=_embedded_parts(),
     give_up=st.booleans(),
-    max_iter=st.sampled_from([0, 1, 20, 100, 400]),
+    max_iter=st.sampled_from([0, 1, 17, 20, 33, 100, 130, 400]),
     share=st.sampled_from([0.0, engine.COMPACT_SHARE, 2.0]),
+    blocking=st.sampled_from(sorted(BLOCKINGS)),
     ue_major=st.booleans(),
 )
 def test_rows_get_the_numbers_they_get_alone(config, alg, embedded, give_up, max_iter, share,
-                                             ue_major):
+                                             blocking, ue_major):
     # the batch is permuted, duplicated and concatenated snapshots at several
-    # UE counts, embedded at width W; it is solved row-major or UE-major, and
-    # compacted at every stop (share 0), by default, or never (share 2)
+    # UE counts, embedded at width W; it is solved row-major or UE-major,
+    # compacted at every stop (share 0), by default, or never (share 2), in
+    # one of the block schedules; each piece alone by default
     width, parts = embedded
     pieces = [_pool(config, k).rows(picks) for k, picks in parts]
     batch = engine._merged(pieces, width)
@@ -633,7 +670,7 @@ def test_rows_get_the_numbers_they_get_alone(config, alg, embedded, give_up, max
         for name, value in vars(batch).items():
             if isinstance(value, np.ndarray):
                 vars(batch)[name] = np.asfortranarray(value)
-    with mock.patch.object(engine, "COMPACT_SHARE", share):
+    with mock.patch.multiple(engine, COMPACT_SHARE=share, **BLOCKINGS[blocking]):
         sol = solve(alg, batch, max_iter=max_iter, give_up=give_up)
     start = 0
     for piece in pieces:
@@ -647,19 +684,22 @@ def test_rows_get_the_numbers_they_get_alone(config, alg, embedded, give_up, max
 @pytest.mark.parametrize("give_up", [False, True])
 @pytest.mark.parametrize("alg", list(Algorithm))
 @pytest.mark.parametrize("config", ["desk_scenario", "paper_scenario"])
-def test_lazy_compaction_matches_eager(request, monkeypatch, config, alg, give_up):
-    # the row contract on full 200-row batches: a share of 0 compacts at
-    # every stop, as eager compaction does; one above 1 never compacts, so
-    # every stopped row runs to the end
+def test_lazy_compaction_matches_eager(request, config, alg, give_up):
+    # the row contract on full 200-row batches, against the defaults: a share
+    # of 0 compacts at every stop, as eager compaction does; one above 1
+    # never compacts, so every stopped row runs to the end; each in two block
+    # schedules, with budgets on and off the 16-step grid of the checks
     scenario = request.getfixturevalue(config)
     for k in (2, 5, 20):
         sc = _with(scenario, k)
         batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
-        lazy = solve(alg, batch, give_up=give_up)
-        for share in (0.0, 2.0):
-            monkeypatch.setattr(engine, "COMPACT_SHARE", share)
-            _assert_rows_solved_alone(solve(alg, batch, give_up=give_up), lazy)
-        monkeypatch.undo()
+        for max_iter in (None, 17, 33, 130):
+            lazy = solve(alg, batch, max_iter=max_iter, give_up=give_up)
+            for share, blocking in ((0.0, "smallest"), (0.0, "default"),
+                                    (2.0, "default"), (2.0, "sixteen")):
+                with mock.patch.multiple(engine, COMPACT_SHARE=share, **BLOCKINGS[blocking]):
+                    sol = solve(alg, batch, max_iter=max_iter, give_up=give_up)
+                _assert_rows_solved_alone(sol, lazy)
 
 
 def _per_metric_stats(samples):
@@ -709,11 +749,15 @@ def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monke
     # each compaction drops at least a quarter of the working rows, and the
     # last stop needs none: at most log(200) / log(4/3) + 1 rebuilds
     assert 0 < len(calls) <= 19
-    # eager compaction rebuilds at every step some row stops
+    # eager compaction rebuilds once per block that stops a row, but the
+    # last; with room for any block, blocks end at 2, 4, 8, then every 16
     monkeypatch.setattr(engine, "COMPACT_SHARE", 0.0)
+    monkeypatch.setattr(engine, "STACK_ELEMENTS", 2**62)
     calls.clear()
     solve(Algorithm.OPCEH, batch, give_up=True)
-    assert len(calls) > 19
+    ends = np.array([2, 4, 8, *range(16, 2001, 16)])
+    blocks = set(np.searchsorted(ends, sol.iterations_used).tolist())
+    assert len(calls) == len(blocks) - 1 < len(set(sol.iterations_used.tolist())) - 1
 
 
 def test_history_holds_only_the_running_rows(desk_scenario):

@@ -3,9 +3,13 @@
 Every file a case's CLI arguments write, except the JSON manifests (they
 hold wall times), must equal the file under data/golden/<case>/. A changed
 fixed point, iteration count, convergence flag or sweep statistic shows up
-here as a byte difference, whatever path the solver takes to it. Two more
-directories, export_*, hold snapshots as recorded by a former exporter; the
-snapshots drawn today must match them exactly.
+here as a byte difference, whatever path the solver takes to it. The
+manifests of the sweep and snapshot cases are compared as JSON without
+their wall time and argv (which names the output directory), so a sweep's
+per-value solve counts (`n_converged`, `n_stopped_early`,
+`converged_iterations`) are pinned too, though no CSV byte holds them. Two
+more directories, export_*, hold snapshots as recorded by a former
+exporter; the snapshots drawn today must match them exactly.
 
 To record the files again, for an output change that is intended:
 
@@ -17,6 +21,7 @@ With case names only those cases are recorded again; with none, all are.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import shutil
 import sys
@@ -69,6 +74,12 @@ CASES = {
     "sweep_num_ues_embedded": [
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,15,20",
         "--algorithms", ALL, "--snapshots", "50",
+    ],
+    # the longest solves: one K=20 TPCEH row runs 1,679 steps, and OPCEH
+    # stops 0, 7, 10 and 10 of the 200 rows per value early
+    "sweep_num_ues_long_solves": [
+        "sweep", "--config", DESK, "--axis", "num_ues", "--values=2,5,10,20",
+        "--algorithms", "TPCEH,OPCEH", "--snapshots", "200",
     ],
     # fewer than 8 UEs: numpy sums them left to right, so each narrower
     # value takes the first columns
@@ -134,6 +145,11 @@ CASES = {
 }
 
 
+# the manifest fields that differ between runs of the same arguments
+UNPINNED = ("duration_s", "argv")
+MANIFEST_CASES = sorted(case for case in CASES if case.startswith(("sweep_", "snapshot_")))
+
+
 def _outputs(out: Path) -> dict[str, bytes]:
     return {
         p.name: p.read_bytes()
@@ -142,14 +158,40 @@ def _outputs(out: Path) -> dict[str, bytes]:
     }
 
 
+def _pinned(manifest: dict) -> dict:
+    return {key: value for key, value in manifest.items() if key not in UNPINNED}
+
+
+def _manifests(out: Path) -> dict[str, dict]:
+    return {p.name: _pinned(json.loads(p.read_text(encoding="utf-8")))
+            for p in sorted(out.glob("*.manifest.json"))}
+
+
+@pytest.fixture(scope="module")
+def run_case(tmp_path_factory):
+    """The output directory of a case, each case run once per module."""
+    @functools.cache
+    def run(case: str) -> Path:
+        out = tmp_path_factory.mktemp(case)
+        main([*CASES[case], "--out", str(out)])
+        return out
+    return run
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_cli_outputs_match_golden(case, tmp_path):
-    main([*CASES[case], "--out", str(tmp_path)])
+def test_cli_outputs_match_golden(case, run_case):
     expected = _outputs(GOLDEN / case)
-    actual = _outputs(tmp_path)
+    actual = _outputs(run_case(case))
     assert sorted(actual) == sorted(expected)
     for name, data in expected.items():
         assert actual[name] == data, f"{case}/{name} differs from the golden file"
+
+
+@pytest.mark.parametrize("case", MANIFEST_CASES)
+def test_cli_manifests_match_golden(case, run_case):
+    expected = _manifests(GOLDEN / case)
+    assert expected, f"{case} has no golden manifests"
+    assert _manifests(run_case(case)) == expected
 
 
 # snapshot.json: snapshot_id, seed_used, hbs_placement and one record per UE
@@ -208,5 +250,9 @@ if __name__ == "__main__":
         target = GOLDEN / case
         shutil.rmtree(target, ignore_errors=True)
         main([*CASES[case], "--out", str(target)])
-        for manifest in target.glob("*.manifest.json"):
-            manifest.unlink()
+        for path in target.glob("*.manifest.json"):
+            if case in MANIFEST_CASES:
+                manifest = _pinned(json.loads(path.read_text(encoding="utf-8")))
+                path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+            else:
+                path.unlink()
