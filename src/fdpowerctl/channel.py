@@ -68,15 +68,17 @@ class Snapshot:
     them); the arrays derived from them keep the layout of g. Only the inputs
     that vary per UE are arrays (`_ARRAYS`); the uplink cap is one float for
     every UE, the circuit power is `ue_template.p_cir`, and h, p_min and
-    harvest_scale are derived. Channels are reciprocal: the uplink gain h is
-    the downlink gain g. Snapshots made from one another share arrays, which
-    must be treated as read-only.
+    harvest_scale are derived. The self-interference share delta is read
+    from the snapshot (`delta`), never from cfg. Channels are reciprocal:
+    the uplink gain h is the downlink gain g. Snapshots made from one
+    another share arrays, which must be treated as read-only.
 
     A sweep solves the batches of several axis values as one wider batch
     (see `engine.run_monte_carlo`). Such an embedded batch holds only what
     the update reads: g, gamma_target, eta, an (S, W) p_bar_u array with
-    cap 0 in its padded columns, and p_min and harvest_scale set when it is
-    built. Its distances and mu are None.
+    cap 0 in its padded columns, p_min and harvest_scale, and an (S, 1)
+    delta column of each row's own delta, all set when it is built. Its
+    distances and mu are None.
     """
 
     cfg: ScenarioConfig
@@ -110,6 +112,13 @@ class Snapshot:
         made by `rows` takes those rows of what this one has computed.
         """
         return np.multiply(self.cfg.epsilon * self.mu, self.g, out=np.empty_like(self.g))
+
+    @functools.cached_property
+    def delta(self) -> float | np.ndarray:
+        """Share of the downlink energy signal that leaks into the uplink
+        receiver: the scenario's, or an (S, 1) column of each row's own in an
+        embedded batch."""
+        return self.cfg.delta
 
     @property
     def num_ues(self) -> int:
@@ -230,89 +239,12 @@ def _distances(x: np.ndarray, y: np.ndarray, cfg: ScenarioConfig) -> np.ndarray:
     return np.maximum(out, 1e-9, out=out)
 
 
-# numpy's SeedSequence hash and PCG64 seeding constants
-# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h)
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """SeedSequence(seed).generate_state(4, np.uint64) of the seeds whose
-    32-bit words, least significant first, are the rows of entropy (S, n),
-    n >= 4, padded with zeros: the hash replayed on every row at once in
-    uint32 arithmetic, which wraps as the C code's does."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, entropy.shape[1]):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    const = _INIT_B
-    state = np.empty((len(entropy), 2 * _POOL_SIZE), dtype="<u4")
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state.view("<u8")
-
-
-def _stream_states(seed: int, n: int) -> list[dict]:
-    """The PCG64 states of np.random.default_rng(seed + s) for s < n.
-
-    default_rng seeds PCG64 with the words w of SeedSequence's hash
-    (`_seed_words`): initstate = w0 * 2^64 + w1 and initseq = w2 * 2^64 + w3
-    give inc = 2 initseq + 1 and state = (inc + initstate) * _PCG64_MULT +
-    inc, all mod 2^128. A seed below 2^128 fills the 4-word pool with its
-    words and zeros; a longer seed's further words are mixed in, so seeds
-    are hashed in groups of equal word count. Setting these states on one
-    PCG64 costs a fraction of building a generator per stream.
-    """
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    seeds = range(seed, seed + n)
-    states = []
-    start = 0
-    while start < n:
-        width = max(_POOL_SIZE, -(-seeds[start].bit_length() // 32))
-        stop = min(n, 2 ** (32 * width) - seed)       # the first seed one word longer
-        entropy = np.frombuffer(
-            b"".join(s.to_bytes(4 * width, "little") for s in seeds[start:stop]), dtype="<u4"
-        ).reshape(-1, width)
-        for w0, w1, w2, w3 in _seed_words(entropy).tolist():
-            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-            state = ((inc + ((w0 << 64) | w1)) * _PCG64_MULT + inc) & _MASK128
-            states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0})
-        start = stop
-    return states
-
-
 def draw_ues(
     cfg: ScenarioConfig, ue_template: UeTemplate, n_snapshots: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unit-square coordinates (S, K, 2) and mu (S, K) of random snapshots
-    0 .. n_snapshots-1, row s read from stream cfg.seed + s (see sample_batch),
-    whose state `_stream_states` derives for all rows at once.
+    0 .. n_snapshots-1, row s read from its own generator,
+    np.random.default_rng(cfg.seed + s) (see sample_batch).
 
     With a fixed mu, one (K, 2) draw reads the same 2K numbers, x then y per
     UE, as per-UE scalar draws; a random mu keeps the per-UE loop. The draw
@@ -322,10 +254,8 @@ def draw_ues(
     k = max(cfg.num_ues, 0)
     unit = np.empty((n_snapshots, k, 2))
     mu = np.empty((n_snapshots, k))
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for sid, state in enumerate(_stream_states(cfg.seed, n_snapshots)):
-        bit_generator.state = state
+    for sid in range(n_snapshots):
+        rng = np.random.default_rng(cfg.seed + sid)
         if ue_template.mu is not None:
             unit[sid] = rng.random((k, 2))
             mu[sid] = ue_template.mu
@@ -366,8 +296,8 @@ def sample_batch(
 
     Every random snapshot is a draw (`draw_ues`) placed in the cell
     (`place_ues`), under one contract:
-    - row s draws from its own stream, default_rng(cfg.seed + s), so row s
-      does not depend on n_snapshots;
+    - row s draws from its own generator, default_rng(cfg.seed + s), built
+      for it alone, so row s does not depend on n_snapshots;
     - each UE in turn draws x, then y (uniform on the unit square), then mu
       when the template leaves it random (uniform on [0, 1), drawn again
       while below MU_FLOOR);

@@ -199,7 +199,7 @@ def _interference(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     ((sum - own) + delta p_h) + sigma2."""
     received = snap.h * x[..., :-1]
     interf = ue_sum(received) - received
-    interf += snap.cfg.delta * x[..., -1:]
+    interf += snap.delta * x[..., -1:]
     interf += snap.cfg.sigma2
     return interf
 

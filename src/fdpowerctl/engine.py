@@ -22,9 +22,9 @@ still running, and a solve rebuilds its batch only a few times. `solve` runs
 it with an algorithm's joint update, and `run_fixed_point` is the one-row
 case. A sweep solves its axis values in groups, one call per group: every
 value whose UEs embed in the widest UE count of the group
-(`core.ue_columns`) and whose update shares its scalars puts its rows in one
-wide batch, so a sweep pays for its longest solve rather than the sum of
-them (see `run_monte_carlo`).
+(`core.ue_columns`) puts its rows in one wide batch, each row with its own
+delta, so a sweep pays for its longest solve rather than the sum of them
+(see `run_monte_carlo`).
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -404,7 +404,9 @@ def _merged(batches: list[Snapshot], width: int) -> Snapshot:
     p_min 0 and harvest_scale inf. From any start it updates to power 0,
     adds +0.0 to the interference sum and asks for no harvest power, so
     every row gets the bits it gets in its own batch (see `core.ue_columns`).
-    The batch holds only what the update reads (see `Snapshot`).
+    The batch holds only what the update reads (see `Snapshot`), delta as an
+    (S, 1) column of each batch's own. It takes cfg, hbs and the template,
+    so sigma2 and p_bar_h, from the first batch: no sweep axis changes them.
     """
     if len(batches) == 1 and batches[0].num_ues == width:
         return batches[0]
@@ -412,37 +414,32 @@ def _merged(batches: list[Snapshot], width: int) -> Snapshot:
              "p_min": 0.0, "harvest_scale": math.inf}
     n = sum(map(len, batches))
     arrays = {name: np.full((n, width), fill) for name, fill in fills.items()}
+    delta = np.empty((n, 1))
     start = 0
     for batch in batches:
         rows = slice(start, start + len(batch))
         cols = ue_columns(batch.num_ues, width)
         for name, a in arrays.items():
             a[rows, cols] = getattr(batch, name)
+        delta[rows] = batch.delta
         start = rows.stop
     first = batches[0]
     merged = Snapshot(first.cfg, first.hbs, first.ue_template, None, arrays["g"], None,
                       arrays["gamma_target"], arrays["eta"], arrays["p_bar_u"])
     merged.p_min, merged.harvest_scale = arrays["p_min"], arrays["harvest_scale"]
+    merged.delta = delta
     return merged
 
 
-def _groups(batches: list[Snapshot]) -> list[list[int]]:
-    """The batches solved together, by index: the widest pending batch and
-    every pending one that shares the scalars its update reads (delta,
-    sigma2, p_bar_h) and whose UE count embeds in its width
-    (`core.ue_columns`), until none is left. Widest first."""
-    def scalars(b: Snapshot):
-        return b.cfg.delta, b.cfg.sigma2, b.hbs.p_bar_h
-
-    pending = sorted(range(len(batches)), key=lambda i: -batches[i].num_ues)
+def _groups(counts: list[int]) -> list[list[int]]:
+    """The batches solved together, by index into their UE counts: the
+    widest pending batch and every pending one whose UE count embeds in its
+    width (`core.ue_columns`), until none is left. Widest first."""
+    pending = sorted(range(len(counts)), key=lambda i: -counts[i])
     groups = []
     while pending:
-        widest = batches[pending[0]]
-        group = [
-            i for i in pending
-            if scalars(batches[i]) == scalars(widest)
-            and ue_columns(batches[i].num_ues, widest.num_ues) is not None
-        ]
+        width = counts[pending[0]]
+        group = [i for i in pending if ue_columns(counts[i], width) is not None]
         pending = [i for i in pending if i not in group]
         groups.append(group)
     return groups
@@ -483,15 +480,14 @@ def run_monte_carlo(
     draw's distances are computed once per cell side, and each value places
     its first K columns of them.
 
-    Axis values are solved in groups (`_groups`): values whose batches share
-    the update's scalars and whose UE counts embed in the group's widest
-    count W go in one W-wide batch (`_merged`), and each algorithm makes one
-    `solve` call per group. A `cell_side` or `gamma_target` sweep is one
+    Axis values are solved in groups (`_groups`): values whose UE counts
+    embed in the group's widest count W go in one W-wide batch (`_merged`),
+    each row with its own delta, and each algorithm makes one `solve` call
+    per group. A `delta_db`, `cell_side` or `gamma_target` sweep is one
     group; a `num_ues` value joins the widest when `core.ue_columns` places
-    its UEs there (5 and 10 under 20, not 15), and each `delta_db` value is
-    a group of its own, since delta is one scalar per batch. Every row gets
-    the bits it gets alone, so each value's result, its columns and the
-    harvest column sliced back out, is that of solving it alone.
+    its UEs there (5 and 10 under 20, not 15). Every row gets the bits it
+    gets alone, so each value's result, its columns and the harvest column
+    sliced back out, is that of solving it alone.
     Unconverged snapshots are counted and left out of the averages. Each
     solve runs with `give_up` on: a row certified unable to converge within
     max_iter stops early (counted in n_stopped_early), and since such a row
@@ -510,7 +506,7 @@ def run_monte_carlo(
         for sc in scenarios
     ]
     groups = [(group, _merged([batches[i] for i in group], batches[group[0]].num_ues))
-              for group in _groups(batches)]
+              for group in _groups([batch.num_ues for batch in batches])]
     results = []
     for alg in algorithms:
         solutions: list[BatchSolution] = [None] * len(batches)

@@ -160,13 +160,6 @@ def test_sample_batch_rows_follow_their_streams(template, floor, monkeypatch):
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**128 + 3]
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_stream_states_are_those_of_default_rng(seed):
-    states = channel._stream_states(seed, 5)
-    assert states == [np.random.default_rng(seed + s).bit_generator.state for s in range(5)]
-    assert channel._stream_states(seed, 0) == []
-
-
 @BOTH_TEMPLATES
 @pytest.mark.parametrize("seed", SEEDS)
 def test_draw_ues_reads_each_stream_as_default_rng_does(template, seed):

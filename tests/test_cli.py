@@ -188,28 +188,19 @@ def _sweep_csv(out, config, axis, values, algorithm, snapshots=5) -> list[str]:
 
 
 def test_sweep_draws_each_stream_once(tmp_path, monkeypatch):
-    from fdpowerctl import channel
-
-    derived, built = [], []
-    stream_states, default_rng = channel._stream_states, np.random.default_rng
-
-    def counting_states(seed, n):
-        derived.append((seed, n))
-        return stream_states(seed, n)
+    built, default_rng = [], np.random.default_rng
 
     def counting_rng(*args, **kwargs):
         built.append(args)
         return default_rng(*args, **kwargs)
 
-    monkeypatch.setattr(channel, "_stream_states", counting_states)
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     rc = main(["sweep", "--config", DESK, "--axis", "num_ues", "--values", "2,5,10,20",
                "--algorithms", "TPCEH,OPCEH", "--snapshots", "7", "--out", str(tmp_path)])
     assert rc == 0
-    # the states of the snapshot streams 1 .. 7 are derived once, all
-    # together, whatever the axis values and algorithms; no generator is built
-    assert derived == [(1, 7)]
-    assert built == []
+    # one generator per snapshot stream 1 .. 7, in order, whatever the axis
+    # values and algorithms
+    assert built == [(seed,) for seed in range(1, 8)]
     monkeypatch.undo()
     for alg in ("TPCEH", "OPCEH"):
         _sweep_csv(tmp_path / alg, DESK, "num_ues", "2,5,10,20", alg, 7)

@@ -160,6 +160,25 @@ def test_monte_carlo_invalid_axis(desk_scenario):
         run_monte_carlo([Algorithm.TPCEH], desk_scenario, "bogus", [1.0], 1)
 
 
+@pytest.mark.parametrize("axis, values, groups", [
+    ("delta_db", [-130.0, -110.0, -90.0], 1),
+    ("cell_side", [30.0, 45.0, 60.0], 1),
+    ("gamma_target", [0.02, 0.05, 0.1], 1),
+    # 5 and 10 UEs embed in 20 columns, 15 does not
+    ("num_ues", [5, 10, 15, 20], 2),
+])
+def test_sweep_solves_each_group_once(desk_scenario, monkeypatch, axis, values, groups):
+    calls = []
+
+    def counted(alg, *args, **kwargs):
+        calls.append(alg)
+        return solve(alg, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "solve", counted)
+    run_monte_carlo(list(Algorithm), desk_scenario, axis, values, 5)
+    assert calls == [alg for alg in Algorithm for _ in range(groups)]
+
+
 def test_apply_axis_fields(desk_scenario):
     assert apply_axis(desk_scenario, "delta_db", -70.0).cfg.delta == pytest.approx(1e-7)
     assert apply_axis(desk_scenario, "cell_side", 60.0).cfg.cell_side == 60.0
@@ -625,23 +644,25 @@ def _assert_rows_solved_alone(sol, alone, rows=slice(None), cols=slice(None)):
 
 
 @functools.cache
-def _pool(config: str, k: int) -> Snapshot:
+def _pool(config: str, k: int, delta_db: float) -> Snapshot:
     scenario = load_scenario(CONFIG_DIR / f"{config}.json")
-    sc = _with(scenario, k)
+    sc = apply_axis(_with(scenario, k), "delta_db", delta_db)
     return sample_batch(sc.cfg, sc.hbs, sc.ue_template, 30)
 
 
 @st.composite
 def _embedded_parts(draw):
     """A width W and one to three batches of K <= W UEs that embed in it,
-    each made of snapshots of one pool picked in any order, repeats allowed."""
+    each with its own delta and made of snapshots of one pool picked in any
+    order, repeats allowed."""
     width = draw(st.integers(1, 24))
     counts = [k for k in range(1, width + 1) if ue_columns(k, width) is not None]
     parts = []
     for _ in range(draw(st.integers(1, 3))):
         k = draw(st.sampled_from(counts))
+        delta_db = draw(st.sampled_from([-130.0, -110.0, -90.0]))
         picks = draw(st.lists(st.integers(0, 29), min_size=1, max_size=8))
-        parts.append((k, np.array(picks)))
+        parts.append((k, delta_db, np.array(picks)))
     return width, parts
 
 
@@ -659,11 +680,11 @@ def _embedded_parts(draw):
 def test_rows_get_the_numbers_they_get_alone(config, alg, embedded, give_up, max_iter, share,
                                              blocking, ue_major):
     # the batch is permuted, duplicated and concatenated snapshots at several
-    # UE counts, embedded at width W; it is solved row-major or UE-major,
-    # compacted at every stop (share 0), by default, or never (share 2), in
-    # one of the block schedules; each piece alone by default
+    # UE counts and deltas, embedded at width W; it is solved row-major or
+    # UE-major, compacted at every stop (share 0), by default, or never
+    # (share 2), in one of the block schedules; each piece alone by default
     width, parts = embedded
-    pieces = [_pool(config, k).rows(picks) for k, picks in parts]
+    pieces = [_pool(config, k, delta_db).rows(picks) for k, delta_db, picks in parts]
     batch = engine._merged(pieces, width)
     if ue_major:
         batch = batch.rows(slice(None))

@@ -81,6 +81,12 @@ CASES = {
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=2,5,10,20",
         "--algorithms", "TPCEH,OPCEH", "--snapshots", "200",
     ],
+    # every delta in one solve, each row with its own: OPC and OPCEH stop 7
+    # rows early per value, so stopped and converged rows share the column
+    "sweep_delta_db_merged": [
+        "sweep", "--config", DESK, "--axis", "delta_db", "--values=-130,-120,-100,-90",
+        "--algorithms", ALL, "--snapshots", "200",
+    ],
     # fewer than 8 UEs: numpy sums them left to right, so each narrower
     # value takes the first columns
     "sweep_num_ues_narrow": [
