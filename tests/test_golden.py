@@ -41,6 +41,8 @@ DESK = str(CONFIG_DIR / "desk_consistent.json")
 PAPER = str(CONFIG_DIR / "paper_4a.json")
 # desk_consistent.json with 20 UEs drawn at random in place of its pinned five
 DESK_K20 = str(Path(__file__).resolve().parent / "data" / "configs" / "desk_k20_sampled.json")
+# desk_consistent.json with its UEs drawn at random, mu included
+DESK_RANDOM_MU = str(Path(__file__).resolve().parent / "data" / "configs" / "desk_random_mu.json")
 ALL = "TPC,OPC,TPCEH,OPCEH"
 
 
@@ -86,6 +88,12 @@ CASES = {
     "sweep_delta_db_merged": [
         "sweep", "--config", DESK, "--axis", "delta_db", "--values=-130,-120,-100,-90",
         "--algorithms", ALL, "--snapshots", "200",
+    ],
+    # each UE draws its own mu after its position; OPCEH stops 0, 2, 7 and
+    # 2 rows early per value
+    "sweep_num_ues_random_mu": [
+        "sweep", "--config", DESK_RANDOM_MU, "--axis", "num_ues", "--values=2,5,10,20",
+        "--algorithms", ALL, "--snapshots", "50",
     ],
     # fewer than 8 UEs: numpy sums them left to right, so each narrower
     # value takes the first columns
