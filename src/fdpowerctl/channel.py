@@ -68,28 +68,20 @@ class Snapshot:
     them); the arrays derived from them keep the layout of g. Only the inputs
     that vary per UE are arrays (`_ARRAYS`); the uplink cap is one float for
     every UE, the circuit power is `ue_template.p_cir`, and h, p_min and
-    harvest_scale are derived. The self-interference share delta is read
-    from the snapshot (`delta`), never from cfg. Channels are reciprocal:
-    the uplink gain h is the downlink gain g. Snapshots made from one
-    another share arrays, which must be treated as read-only.
-
-    A sweep solves the batches of several axis values as one wider batch
-    (see `engine.run_monte_carlo`). Such an embedded batch holds only what
-    the update reads: g, gamma_target, eta, an (S, W) p_bar_u array with
-    cap 0 in its padded columns, p_min and harvest_scale, and an (S, 1)
-    delta column of each row's own delta, all set when it is built. Its
-    distances and mu are None.
+    harvest_scale are derived. Channels are reciprocal: the uplink gain h
+    is the downlink gain g. Snapshots made from one another share arrays,
+    which must be treated as read-only.
     """
 
     cfg: ScenarioConfig
     hbs: HbsParams
     ue_template: UeTemplate
-    distances: np.ndarray | None  # meters to the base station
+    distances: np.ndarray        # meters to the base station
     g: np.ndarray                # channel power gain
-    mu: np.ndarray | None        # energy-harvesting efficiency
+    mu: np.ndarray               # energy-harvesting efficiency
     gamma_target: np.ndarray     # target SINR, linear
     eta: np.ndarray              # target signal-interference product
-    p_bar_u: float | np.ndarray  # uplink transmit power cap, watts
+    p_bar_u: float               # uplink transmit power cap, watts
 
     @property
     def h(self) -> np.ndarray:
@@ -112,13 +104,6 @@ class Snapshot:
         made by `rows` takes those rows of what this one has computed.
         """
         return np.multiply(self.cfg.epsilon * self.mu, self.g, out=np.empty_like(self.g))
-
-    @functools.cached_property
-    def delta(self) -> float | np.ndarray:
-        """Share of the downlink energy signal that leaks into the uplink
-        receiver: the scenario's, or an (S, 1) column of each row's own in an
-        embedded batch."""
-        return self.cfg.delta
 
     @property
     def num_ues(self) -> int:
@@ -249,11 +234,16 @@ def draw_ues(
     With a fixed mu, one (K, 2) draw reads the same 2K numbers, x then y per
     UE, as per-UE scalar draws; a random mu keeps the per-UE loop. The draw
     is rng.random, which has the bits of uniform(0.0, 1.0): numpy computes
-    that as 0.0 + 1.0 * u, exactly u.
+    that as 0.0 + 1.0 * u, exactly u. A draw too large for memory raises a
+    ConfigError before any number is drawn.
     """
     k = max(cfg.num_ues, 0)
-    unit = np.empty((n_snapshots, k, 2))
-    mu = np.empty((n_snapshots, k))
+    try:
+        unit = np.empty((n_snapshots, k, 2))
+        mu = np.empty((n_snapshots, k))
+    except (ValueError, MemoryError):
+        raise ConfigError([f"scenario.num_ues: {k} UEs in each of {n_snapshots} snapshots "
+                           "do not fit in memory"]) from None
     for sid in range(n_snapshots):
         rng = np.random.default_rng(cfg.seed + sid)
         if ue_template.mu is not None:

@@ -38,13 +38,17 @@ __all__ = [
 ]
 
 def dbm_to_watt(dbm: float) -> float:
-    """Convert a power level in dBm to watts."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """Convert a power level in dBm to watts; inf where it overflows."""
+    return db_to_linear(dbm - 30.0)
 
 
 def db_to_linear(db: float) -> float:
-    """Convert a ratio in dB to linear scale."""
-    return 10.0 ** (db / 10.0)
+    """Convert a ratio in dB to linear scale; inf where it overflows, so the
+    finiteness checks report the value."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 # Harvesting efficiencies below this make the circuit-power requirement

@@ -19,8 +19,6 @@ UEs may run:
   `np.add.reduce` over each contiguous row, whose order (pairwise, from 8
   UEs on) is part of the bits. On a UE-major batch it replays that order
   column by column, since numpy would sum such an array left to right.
-  The same order decides where the K UEs of a row may sit among W columns,
-  the rest zero, and keep the bits of their own sum (`ue_columns`).
 
 Four algorithms are supported:
 
@@ -54,7 +52,6 @@ __all__ = [
     "joint_update",
     "metrics",
     "required_hbs_power",
-    "ue_columns",
     "ue_max",
     "ue_sum",
 ]
@@ -139,44 +136,6 @@ def _pairwise(t: np.ndarray) -> np.ndarray:
     return res
 
 
-def ue_columns(k: int, w: int) -> np.ndarray | None:
-    """Columns of a w-wide row that take the k UEs of a narrower row so that
-    numpy's sum over the w-row, zeros elsewhere, has the bits of the k-row's
-    sum; None where no such placement exists (w above 128, or the rule below
-    does not fit).
-
-    The terms of a state's interference sum are non-negative, and adding
-    +0.0 to a non-negative sum changes no bit, so a zero column is harmless
-    wherever the order of `_pairwise` adds it to a partial sum. The rule puts
-    each UE where numpy adds it in its own order:
-
-    * w < 8, one running sum: columns 0 .. k-1.
-    * k < 8 <= w: eight accumulators combined as ((0+1)+(2+3))+((4+5)+(6+7))
-      reproduce ((u0+u1)+u2)+u3 with the first four UEs in columns 0, 1, 2
-      and 4; the rest go in the last w % 8 columns, which are added one by
-      one. So k <= 4 + w % 8.
-    * 8 <= k: the k-row's accumulators are columns 0 .. 8 floor(k/8) - 1,
-      and its tail of k % 8 terms goes in the first columns of the w-row's
-      tail. So floor(k/8) <= floor(w/8) and k % 8 <= w % 8.
-    """
-    if k == w:
-        return np.arange(w)
-    if k > w or w > 128:
-        return None
-    if w < 8:
-        return np.arange(k)
-    tail = w - w % 8
-    if k < 8:
-        head = [0, 1, 2, 4][: min(k, 4)]
-        rest = k - len(head)
-        if rest > w % 8:
-            return None
-        return np.array([*head, *range(tail, tail + rest)], dtype=np.intp)
-    if k % 8 > w % 8:
-        return None
-    return np.concatenate([np.arange(k - k % 8), np.arange(tail, tail + k % 8)])
-
-
 def ue_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the last (UE) axis with the bits of
     np.add.reduce(a, axis=-1, keepdims=True) on contiguous rows.
@@ -199,7 +158,7 @@ def _interference(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     ((sum - own) + delta p_h) + sigma2."""
     received = snap.h * x[..., :-1]
     interf = ue_sum(received) - received
-    interf += snap.delta * x[..., -1:]
+    interf += snap.cfg.delta * x[..., -1:]
     interf += snap.cfg.sigma2
     return interf
 

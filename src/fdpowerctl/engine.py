@@ -20,11 +20,7 @@ done rows are at least a quarter of them (COMPACT_SHARE); then one integer
 index drops them all (compaction). So the cost of a step follows the rows
 still running, and a solve rebuilds its batch only a few times. `solve` runs
 it with an algorithm's joint update, and `run_fixed_point` is the one-row
-case. A sweep solves its axis values in groups, one call per group: every
-value whose UEs embed in the widest UE count of the group
-(`core.ue_columns`) puts its rows in one wide batch, each row with its own
-delta, so a sweep pays for its longest solve rather than the sum of them
-(see `run_monte_carlo`).
+case. A sweep makes one `solve` call per algorithm and axis value.
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -67,7 +63,7 @@ import numpy as np
 
 from .channel import Snapshot, cell_distances, draw_ues, place_ues, snapshot_from_scenario
 from .config import ConfigError, Scenario, db_to_linear
-from .core import Algorithm, Metrics, state_caps, joint_update, metrics, sinr, ue_columns, ue_max
+from .core import Algorithm, Metrics, state_caps, joint_update, metrics, sinr, ue_max
 
 __all__ = [
     "IterationTrace",
@@ -92,23 +88,24 @@ CHANGE_FLOOR = 1e-18
 MAX_WINDOW = 4096
 MAX_SWEEPS = 64
 
-# The early-exit certificate checks at steps 16, 32, 48, ..., 128, then at
-# 256, 512, 1024, ... below max_iter: densely where cycling rows show
-# themselves, sparsely where slow converging rows would pay for every check.
-FIRST_GIVE_UP_CHECK = 16
-GIVE_UP_CHECK_STRIDE = 16
-LAST_STRIDED_CHECK = 128
-# Allowance per step for rounding in the computed update's non-expansion.
-GIVE_UP_SLACK = 1e-12
-
 # `iterate` drops stopped rows from its working arrays once they are at
 # least this share of them.
 COMPACT_SHARE = 0.25
 # `iterate`'s blocks of updates: from FIRST_BLOCK (at least 2) steps up to
 # BLOCK_STEPS, with at most STACK_ELEMENTS numbers of states, but 2 steps.
+# Blocks end on every multiple of BLOCK_STEPS.
 FIRST_BLOCK = 2
 BLOCK_STEPS = 16
 STACK_ELEMENTS = 2**15
+
+# The early-exit certificate checks at steps BLOCK_STEPS, 2 BLOCK_STEPS, ...,
+# LAST_STRIDED_CHECK, then at twice that, 4 times, ... below max_iter:
+# densely where cycling rows show themselves, sparsely where slow converging
+# rows would pay for every check. Each check ends a block, which holds the
+# x_{t-2} it reads.
+LAST_STRIDED_CHECK = 128
+# Allowance per step for rounding in the computed update's non-expansion.
+GIVE_UP_SLACK = 1e-12
 
 SWEEP_AXES = ("delta_db", "cell_side", "gamma_target", "num_ues")
 
@@ -245,13 +242,12 @@ def iterate(
     running = np.ones(n, dtype=bool)
     n_done = 0                         # working rows written out, not running
     # with tol >= 1 (or NaN) no distance exceeds the limit: never check
-    check = FIRST_GIVE_UP_CHECK if give_up and tol < 1.0 else None
+    check = BLOCK_STEPS if give_up and tol < 1.0 else None
     certifiable = live = None          # per batch row, from the first check on
     t, stack = 0, None                 # steps taken; the block's states, x_t first
     while t < max_iter and index.size:
         fit = 1 << max(1, (STACK_ELEMENTS // x.size).bit_length() - 1)
-        b = min(max(FIRST_BLOCK, t), BLOCK_STEPS, fit,
-                GIVE_UP_CHECK_STRIDE - t % GIVE_UP_CHECK_STRIDE, max_iter - t)
+        b = min(max(FIRST_BLOCK, t), fit, BLOCK_STEPS - t % BLOCK_STEPS, max_iter - t)
         if stack is None or len(stack) <= b:
             stack = np.empty((b + 1, *x.shape))
         stack[0] = x
@@ -278,7 +274,7 @@ def iterate(
                 d = _log_distance(x, stack[b - 1], on)
                 e = _log_distance(x, stack[b - 2], on)
                 stop = stop | ok & (d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol))
-            check = t + GIVE_UP_CHECK_STRIDE if t < LAST_STRIDED_CHECK else 2 * t
+            check = t + BLOCK_STEPS if t < LAST_STRIDED_CHECK else 2 * t
         stop = stop & running
         if history is not None:
             last = np.where(stop, at, np.where(running, b - 1, -1))
@@ -396,55 +392,6 @@ class SweepResult:
     solves: list[dict]
 
 
-def _merged(batches: list[Snapshot], width: int) -> Snapshot:
-    """One batch of `width` UE columns with the rows of every batch in turn,
-    each batch's UEs in the columns `core.ue_columns` names for its count.
-
-    A padded column is inert: gain 1, target SINR, eta and uplink cap 0,
-    p_min 0 and harvest_scale inf. From any start it updates to power 0,
-    adds +0.0 to the interference sum and asks for no harvest power, so
-    every row gets the bits it gets in its own batch (see `core.ue_columns`).
-    The batch holds only what the update reads (see `Snapshot`), delta as an
-    (S, 1) column of each batch's own. It takes cfg, hbs and the template,
-    so sigma2 and p_bar_h, from the first batch: no sweep axis changes them.
-    """
-    if len(batches) == 1 and batches[0].num_ues == width:
-        return batches[0]
-    fills = {"g": 1.0, "gamma_target": 0.0, "eta": 0.0, "p_bar_u": 0.0,
-             "p_min": 0.0, "harvest_scale": math.inf}
-    n = sum(map(len, batches))
-    arrays = {name: np.full((n, width), fill) for name, fill in fills.items()}
-    delta = np.empty((n, 1))
-    start = 0
-    for batch in batches:
-        rows = slice(start, start + len(batch))
-        cols = ue_columns(batch.num_ues, width)
-        for name, a in arrays.items():
-            a[rows, cols] = getattr(batch, name)
-        delta[rows] = batch.delta
-        start = rows.stop
-    first = batches[0]
-    merged = Snapshot(first.cfg, first.hbs, first.ue_template, None, arrays["g"], None,
-                      arrays["gamma_target"], arrays["eta"], arrays["p_bar_u"])
-    merged.p_min, merged.harvest_scale = arrays["p_min"], arrays["harvest_scale"]
-    merged.delta = delta
-    return merged
-
-
-def _groups(counts: list[int]) -> list[list[int]]:
-    """The batches solved together, by index into their UE counts: the
-    widest pending batch and every pending one whose UE count embeds in its
-    width (`core.ue_columns`), until none is left. Widest first."""
-    pending = sorted(range(len(counts)), key=lambda i: -counts[i])
-    groups = []
-    while pending:
-        width = counts[pending[0]]
-        group = [i for i in pending if ue_columns(counts[i], width) is not None]
-        pending = [i for i in pending if i not in group]
-        groups.append(group)
-    return groups
-
-
 def _mean_half_widths(samples: np.ndarray) -> list[tuple[float, float]]:
     """(mean, 95% half-width) of each row of samples (metrics, n): nan
     without samples, half-width 0.0 with one. One reduction per statistic for
@@ -480,19 +427,12 @@ def run_monte_carlo(
     draw's distances are computed once per cell side, and each value places
     its first K columns of them.
 
-    Axis values are solved in groups (`_groups`): values whose UE counts
-    embed in the group's widest count W go in one W-wide batch (`_merged`),
-    each row with its own delta, and each algorithm makes one `solve` call
-    per group. A `delta_db`, `cell_side` or `gamma_target` sweep is one
-    group; a `num_ues` value joins the widest when `core.ue_columns` places
-    its UEs there (5 and 10 under 20, not 15). Every row gets the bits it
-    gets alone, so each value's result, its columns and the harvest column
-    sliced back out, is that of solving it alone.
-    Unconverged snapshots are counted and left out of the averages. Each
-    solve runs with `give_up` on: a row certified unable to converge within
-    max_iter stops early (counted in n_stopped_early), and since such a row
-    is one that full iteration leaves unconverged, the averages and counts
-    are those of full iteration.
+    Each algorithm makes one `solve` call per axis value, on that value's
+    own batch. Unconverged snapshots are counted and left out of the
+    averages. Each solve runs with `give_up` on: a row certified unable to
+    converge within max_iter stops early (counted in n_stopped_early), and
+    since such a row is one that full iteration leaves unconverged, the
+    averages and counts are those of full iteration.
     """
     if isinstance(algorithms, str):
         raise TypeError(f"algorithms: expected a list of algorithms, got {algorithms!r}")
@@ -505,24 +445,12 @@ def run_monte_carlo(
         place_ues(sc.cfg, sc.hbs, sc.ue_template, mu, distances[sc.cfg.cell_side])
         for sc in scenarios
     ]
-    groups = [(group, _merged([batches[i] for i in group], batches[group[0]].num_ues))
-              for group in _groups([batch.num_ues for batch in batches])]
     results = []
     for alg in algorithms:
-        solutions: list[BatchSolution] = [None] * len(batches)
-        for group, merged in groups:
-            sol = solve(alg, merged, tol=tol, max_iter=max_iter, give_up=True)
-            start = 0
-            for i in group:
-                rows = slice(start, start + len(batches[i]))
-                cols = np.append(ue_columns(batches[i].num_ues, merged.num_ues), merged.num_ues)
-                part = {f.name: getattr(sol, f.name)[rows] for f in dataclasses.fields(sol)}
-                part["fixed_point"] = part["fixed_point"][:, cols]
-                solutions[i] = BatchSolution(**part)
-                start = rows.stop
         stats: dict[str, list[tuple[float, float]]] = {m: [] for m in SWEEP_METRICS}
         solves = []
-        for value, batch, sol in zip(values, batches, solutions):
+        for value, batch in zip(values, batches):
+            sol = solve(alg, batch, tol=tol, max_iter=max_iter, give_up=True)
             ok = sol.converged
             fixed = sol.fixed_point[ok]
             mx = metrics(fixed, batch.rows(ok))

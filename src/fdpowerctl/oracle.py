@@ -111,16 +111,16 @@ def min_power_optimum(batch: Snapshot) -> MinPowerOptimum:
     x = np.empty((*total_c.shape, batch.num_ues + 1))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x[..., -1] = np.max(
-            (alpha * cfg.sigma2 / slack + batch.p_min) / (1.0 - alpha * batch.delta / slack),
+            (alpha * cfg.sigma2 / slack + batch.p_min) / (1.0 - alpha * cfg.delta / slack),
             axis=-1,
         )
-        total = (batch.delta * x[..., -1:] + cfg.sigma2) / slack
+        total = (cfg.delta * x[..., -1:] + cfg.sigma2) / slack
         x[..., :-1] = c * total / batch.h
         aggregate = metrics(x, batch).aggregate_power
     failing = np.select(
         [
             ~(total_c < 1.0),
-            ~np.all(alpha * batch.delta < slack, axis=-1),
+            ~np.all(alpha * cfg.delta < slack, axis=-1),
             ~np.all(x <= state_caps(batch), axis=-1),
         ],
         INFEASIBLE_CONDITIONS,
@@ -284,16 +284,16 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
     gt = snap.gamma_target
     c = gt / ((1.0 + gt) * snap.h)
     alpha = alpha_coefficients(snap)
-    total = float(snap.h @ y[:K] + snap.delta * y[-1] + cfg.sigma2)
+    total = float(snap.h @ y[:K] + cfg.delta * y[-1] + cfg.sigma2)
     # ties break to the lowest UE index (np.argmax already does)
     istar = int(np.argmax(alpha * total + snap.p_min))
 
     grad = np.zeros((K + 1, K + 1))
     # columns j = 0..K-1: uplink constraint rows c_j * (sum h_l y_l + delta y_H)
     grad[:K, :K] = np.outer(snap.h, c)          # d g_j / d y_i = c_j h_i
-    grad[K, :K] = snap.delta * c                # d g_j / d y_H
+    grad[K, :K] = cfg.delta * c                # d g_j / d y_H
     grad[:K, K] = alpha[istar] * snap.h         # d z / d y_i
-    grad[K, K] = alpha[istar] * snap.delta      # d z / d y_H
+    grad[K, K] = alpha[istar] * cfg.delta      # d z / d y_H
 
     col_norm = float(np.max(np.abs(grad).sum(axis=0)))
     nonneg = bool(np.all(grad >= 0.0))
@@ -322,7 +322,7 @@ def transformed_joint_update(x: np.ndarray, snap: Snapshot) -> np.ndarray:
     cfg = snap.cfg
     total = (
         np.sum(snap.h * x[..., :-1], axis=-1, keepdims=True)
-        + snap.delta * x[..., -1:] + cfg.sigma2
+        + cfg.delta * x[..., -1:] + cfg.sigma2
     )
     gt = snap.gamma_target
     nxt = np.empty(x.shape)

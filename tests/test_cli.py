@@ -282,6 +282,31 @@ def test_sweep_bad_value_fails_before_any_solve(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_sweep_overflowing_delta_exits_2(tmp_path, capsys):
+    # 10 ** 400 is past the largest float: the delta is inf, not a traceback
+    rc = main(["sweep", "--config", DESK, "--axis", "delta_db", "--values=4000",
+               "--snapshots", "2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == "config error: scenario.delta: must be finite"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, k, snapshots", [
+    (["sweep", "--axis", "num_ues", "--values=1e20"], 10**20, 200),
+    (["verify", "--k", str(10**20)], 10**20, 10),
+    (["sweep", "--axis", "num_ues", "--values=2", "--snapshots", str(10**20)], 2, 10**20),
+], ids=["sweep-ues", "verify-k", "sweep-snapshots"])
+def test_draws_too_large_for_memory_exit_2(tmp_path, capsys, argv, k, snapshots):
+    # numpy refuses these draws' shapes outright, before allocating anything
+    rc = main([*argv, "--config", DESK, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"config error: scenario.num_ues: {k} UEs in each of {snapshots} snapshots "
+        "do not fit in memory"
+    )
+    assert not list(tmp_path.iterdir())
+
+
 def test_mobility_zero_duration_header_only(tmp_path):
     rc = main(["mobility", "--config", DESK, "--algorithm", "TPC",
                "--duration", "0", "--out", str(tmp_path)])

@@ -165,6 +165,29 @@ def test_validate_rejects_non_finite_scenario_values(part, field, value, expecte
     assert validate_scenario(parts["cfg"], parts["hbs"]) == [expected]
 
 
+@pytest.mark.parametrize("section, key, expected", [
+    ("scenario", "delta_db", ["scenario.delta: must be finite"]),
+    ("scenario", "sigma2_dbm", ["scenario.sigma2: must be finite"]),
+    ("hbs", "p_bar_h_dbm", ["hbs.p_bar_h: must be finite"]),
+    ("hbs", "p_dyn_dbm", ["hbs.circuit: circuit powers must be finite"]),
+    ("hbs", "p_sta_dbm", ["hbs.circuit: circuit powers must be finite"]),
+    ("ue_template", "p_bar_u_dbm", [f"ues[{i}].p_bar_u: must be finite" for i in range(2)]),
+    ("ue_template", "p_dyn_dbm", [f"ues[{i}].circuit: circuit powers must be finite"
+                                  for i in range(2)]),
+    ("ue_template", "p_sta_dbm", [f"ues[{i}].circuit: circuit powers must be finite"
+                                  for i in range(2)]),
+], ids=lambda v: v if isinstance(v, str) else None)
+@pytest.mark.parametrize("value", [4000.0, 5000.0])
+def test_overflowing_decibels_reported(section, key, expected, value):
+    # 10 ** 400 is past the largest float: the value converts to inf, which
+    # the finiteness checks report, where the template's are checked per UE
+    doc = copy.deepcopy(BASE_DOC)
+    doc[section][key] = value
+    with pytest.raises(ConfigError) as err:
+        snapshot_from_scenario(scenario_from_dict(doc))
+    assert err.value.errors == expected
+
+
 @pytest.mark.parametrize("mu", [0.0, 1.0, -0.5, 1.5])
 def test_template_mu_outside_unit_interval_reported(mu):
     doc = copy.deepcopy(BASE_DOC)

@@ -16,7 +16,6 @@ from fdpowerctl.core import (
     required_hbs_power,
     sinr,
     state_caps,
-    ue_columns,
     ue_max,
     ue_sum,
 )
@@ -377,36 +376,6 @@ def test_ue_sum_of_no_ues_and_of_one_state():
     assert ue_sum(np.empty((3, 0), order="F")).tolist() == [[0.0]] * 3
     x = np.array([1e-3, 2e-9, 3.0, -0.0])
     assert ue_sum(x).tobytes() == np.add.reduce(x, keepdims=True).tobytes()
-
-
-def test_ue_columns_keep_the_bits_of_the_narrower_sum():
-    # every 1 <= K <= W <= 128 the rule embeds: the K UEs' terms, placed in
-    # their columns of a W-row of zeros, sum to the bits of the K-row, both
-    # by numpy's reduce and by the UE-major replay; terms are non-negative,
-    # some 0, over many magnitudes, so any change of summation order shows
-    rng = np.random.default_rng(21)
-    embedded = 0
-    for w in range(1, 129):
-        for k in range(1, w + 1):
-            cols = ue_columns(k, w)
-            if cols is None:
-                continue
-            embedded += 1
-            assert sorted(set(cols.tolist())) == sorted(cols.tolist()) and len(cols) == k
-            assert 0 <= cols.min() and cols.max() < w
-            a = rng.lognormal(0.0, 4.0, size=(24, k)) * (rng.random((24, k)) < 0.9)
-            wide = np.zeros((24, w))
-            wide[:, cols] = a
-            want = np.add.reduce(a, axis=-1, keepdims=True).tobytes()
-            assert np.add.reduce(wide, axis=-1, keepdims=True).tobytes() == want, (k, w)
-            assert ue_sum(np.asfortranarray(wide)).tobytes() == want, (k, w)
-    # 5,118 pairs: W < 8 always; else K <= 4 + W % 8 below 8 UEs, and
-    # K % 8 <= W % 8 from 8 on
-    assert embedded == 5118
-    assert ue_columns(15, 20) is None and ue_columns(5, 20).tolist() == [0, 1, 2, 4, 16]
-    assert ue_columns(10, 20).tolist() == [*range(8), 16, 17]
-    assert ue_columns(129, 129).tolist() == list(range(129))
-    assert ue_columns(8, 129) is None and ue_columns(21, 20) is None
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8, 9, 20])

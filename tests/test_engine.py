@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fdpowerctl import engine
 from fdpowerctl.channel import Snapshot, draw_ues, sample_batch, snapshot_from_scenario
 from fdpowerctl.config import ConfigError, load_scenario
-from fdpowerctl.core import Algorithm, joint_update, metrics, required_hbs_power, ue_columns
+from fdpowerctl.core import Algorithm, joint_update, metrics, required_hbs_power
 from fdpowerctl.engine import (
     apply_axis,
     run_fixed_point,
@@ -160,23 +160,24 @@ def test_monte_carlo_invalid_axis(desk_scenario):
         run_monte_carlo([Algorithm.TPCEH], desk_scenario, "bogus", [1.0], 1)
 
 
-@pytest.mark.parametrize("axis, values, groups", [
-    ("delta_db", [-130.0, -110.0, -90.0], 1),
-    ("cell_side", [30.0, 45.0, 60.0], 1),
-    ("gamma_target", [0.02, 0.05, 0.1], 1),
-    # 5 and 10 UEs embed in 20 columns, 15 does not
-    ("num_ues", [5, 10, 15, 20], 2),
+@pytest.mark.parametrize("axis, values", [
+    ("delta_db", [-130.0, -110.0, -90.0]),
+    ("cell_side", [30.0, 45.0, 60.0]),
+    ("gamma_target", [0.02, 0.05, 0.1]),
+    ("num_ues", [5, 10, 15, 20]),
 ])
-def test_sweep_solves_each_group_once(desk_scenario, monkeypatch, axis, values, groups):
+def test_sweep_solves_each_value_once(desk_scenario, monkeypatch, axis, values):
+    # one solve per algorithm and value, each on that value's own 5 rows
     calls = []
 
-    def counted(alg, *args, **kwargs):
-        calls.append(alg)
-        return solve(alg, *args, **kwargs)
+    def counted(alg, batch, *args, **kwargs):
+        calls.append((alg, len(batch), batch.num_ues))
+        return solve(alg, batch, *args, **kwargs)
 
     monkeypatch.setattr(engine, "solve", counted)
     run_monte_carlo(list(Algorithm), desk_scenario, axis, values, 5)
-    assert calls == [alg for alg in Algorithm for _ in range(groups)]
+    widths = values if axis == "num_ues" else [desk_scenario.cfg.num_ues] * len(values)
+    assert calls == [(alg, 5, k) for alg in Algorithm for k in widths]
 
 
 def test_apply_axis_fields(desk_scenario):
@@ -616,11 +617,9 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
 
 # The row contract: `solve` gives every row of a batch the five fields it
 # gets when its snapshot is solved alone, whatever other rows share the
-# batch, in whatever order, and in whichever columns of a wider batch
-# `core.ue_columns` puts its UEs, and whatever blocks `iterate` runs its
-# steps in. Sweeps rely on it to solve all the axis values of a group at
-# once (`engine._merged`), and lazy compaction and the blocks rely on it to
-# keep stopped rows in the working arrays.
+# batch, in whatever order and layout, and whatever blocks `iterate` runs
+# its steps in. Lazy compaction and the blocks rely on it to keep stopped
+# rows in the working arrays.
 
 # block schedules of `iterate`: every block 2 steps, the smallest a check
 # may end; the default; and every block 16 steps from the first
@@ -631,13 +630,10 @@ BLOCKINGS = {
 }
 
 
-def _assert_rows_solved_alone(sol, alone, rows=slice(None), cols=slice(None)):
-    """Rows `rows` of sol, with the state columns `cols`, have the bits of
-    every field of the solution alone."""
+def _assert_rows_solved_alone(sol, alone, rows=slice(None)):
+    """Rows `rows` of sol have the bits of every field of the solution alone."""
     for field in dataclasses.fields(alone):
         got = getattr(sol, field.name)[rows]
-        if field.name == "fixed_point":
-            got = got[:, cols]
         want = getattr(alone, field.name)
         assert got.dtype == want.dtype and got.shape == want.shape, field.name
         assert got.tobytes() == want.tobytes(), field.name
@@ -650,56 +646,39 @@ def _pool(config: str, k: int, delta_db: float) -> Snapshot:
     return sample_batch(sc.cfg, sc.hbs, sc.ue_template, 30)
 
 
-@st.composite
-def _embedded_parts(draw):
-    """A width W and one to three batches of K <= W UEs that embed in it,
-    each with its own delta and made of snapshots of one pool picked in any
-    order, repeats allowed."""
-    width = draw(st.integers(1, 24))
-    counts = [k for k in range(1, width + 1) if ue_columns(k, width) is not None]
-    parts = []
-    for _ in range(draw(st.integers(1, 3))):
-        k = draw(st.sampled_from(counts))
-        delta_db = draw(st.sampled_from([-130.0, -110.0, -90.0]))
-        picks = draw(st.lists(st.integers(0, 29), min_size=1, max_size=8))
-        parts.append((k, delta_db, np.array(picks)))
-    return width, parts
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     config=st.sampled_from(["desk_consistent", "paper_4a"]),
     alg=st.sampled_from(list(Algorithm)),
-    embedded=_embedded_parts(),
+    k=st.integers(1, 24),
+    delta_db=st.sampled_from([-130.0, -110.0, -90.0]),
+    pieces=st.lists(st.lists(st.integers(0, 29), min_size=1, max_size=8), min_size=1, max_size=3),
     give_up=st.booleans(),
     max_iter=st.sampled_from([0, 1, 17, 20, 33, 100, 130, 400]),
     share=st.sampled_from([0.0, engine.COMPACT_SHARE, 2.0]),
     blocking=st.sampled_from(sorted(BLOCKINGS)),
     ue_major=st.booleans(),
 )
-def test_rows_get_the_numbers_they_get_alone(config, alg, embedded, give_up, max_iter, share,
-                                             blocking, ue_major):
-    # the batch is permuted, duplicated and concatenated snapshots at several
-    # UE counts and deltas, embedded at width W; it is solved row-major or
-    # UE-major, compacted at every stop (share 0), by default, or never
-    # (share 2), in one of the block schedules; each piece alone by default
-    width, parts = embedded
-    pieces = [_pool(config, k, delta_db).rows(picks) for k, delta_db, picks in parts]
-    batch = engine._merged(pieces, width)
+def test_rows_get_the_numbers_they_get_alone(config, alg, k, delta_db, pieces, give_up, max_iter,
+                                             share, blocking, ue_major):
+    # the batch is one to three pieces of one pool of K-UE snapshots, each
+    # piece picked in any order, repeats allowed, and concatenated; it is
+    # solved row-major or UE-major, compacted at every stop (share 0), by
+    # default, or never (share 2), in one of the block schedules; each piece
+    # alone by default
+    pool = _pool(config, k, delta_db)
+    batch = pool.rows(np.concatenate(pieces))
     if ue_major:
-        batch = batch.rows(slice(None))
         for name, value in vars(batch).items():
             if isinstance(value, np.ndarray):
                 vars(batch)[name] = np.asfortranarray(value)
     with mock.patch.multiple(engine, COMPACT_SHARE=share, **BLOCKINGS[blocking]):
         sol = solve(alg, batch, max_iter=max_iter, give_up=give_up)
     start = 0
-    for piece in pieces:
-        alone = solve(alg, piece, max_iter=max_iter, give_up=give_up)
-        rows = slice(start, start + len(piece))
-        cols = np.append(ue_columns(piece.num_ues, width), width)
-        _assert_rows_solved_alone(sol, alone, rows, cols)
-        start = rows.stop
+    for picks in pieces:
+        alone = solve(alg, pool.rows(np.array(picks)), max_iter=max_iter, give_up=give_up)
+        _assert_rows_solved_alone(sol, alone, slice(start, start + len(picks)))
+        start += len(picks)
 
 
 @pytest.mark.parametrize("give_up", [False, True])

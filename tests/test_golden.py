@@ -71,8 +71,8 @@ CASES = {
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,20",
         "--algorithms", "OPC,OPCEH", "--snapshots", "200", "--max-iter", "20",
     ],
-    # 5 and 10 UEs embed in 20 columns and share its solve; 15 does not
-    # (15 mod 8 > 20 mod 8) and is solved alone
+    # UE counts on both sides of numpy's 8-term grouping of the interference
+    # sum, 15 with a 7-term tail; each value is solved on its own batch
     "sweep_num_ues_embedded": [
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,15,20",
         "--algorithms", ALL, "--snapshots", "50",
@@ -83,8 +83,8 @@ CASES = {
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=2,5,10,20",
         "--algorithms", "TPCEH,OPCEH", "--snapshots", "200",
     ],
-    # every delta in one solve, each row with its own: OPC and OPCEH stop 7
-    # rows early per value, so stopped and converged rows share the column
+    # one solve per delta on the same placements: OPC and OPCEH stop 7 rows
+    # early per value
     "sweep_delta_db_merged": [
         "sweep", "--config", DESK, "--axis", "delta_db", "--values=-130,-120,-100,-90",
         "--algorithms", ALL, "--snapshots", "200",
@@ -95,8 +95,7 @@ CASES = {
         "sweep", "--config", DESK_RANDOM_MU, "--axis", "num_ues", "--values=2,5,10,20",
         "--algorithms", ALL, "--snapshots", "50",
     ],
-    # fewer than 8 UEs: numpy sums them left to right, so each narrower
-    # value takes the first columns
+    # fewer than 8 UEs: numpy sums them left to right
     "sweep_num_ues_narrow": [
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=1,2,3",
         "--algorithms", ALL, "--snapshots", "50",
