@@ -72,7 +72,7 @@ CASES = {
         "--algorithms", "OPC,OPCEH", "--snapshots", "200", "--max-iter", "20",
     ],
     # UE counts on both sides of numpy's 8-term grouping of the interference
-    # sum, 15 with a 7-term tail; each value is solved on its own batch
+    # sum, 15 with a 7-term tail
     "sweep_num_ues_embedded": [
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=5,10,15,20",
         "--algorithms", ALL, "--snapshots", "50",
@@ -83,8 +83,8 @@ CASES = {
         "sweep", "--config", DESK, "--axis", "num_ues", "--values=2,5,10,20",
         "--algorithms", "TPCEH,OPCEH", "--snapshots", "200",
     ],
-    # one solve per delta on the same placements: OPC and OPCEH stop 7 rows
-    # early per value
+    # four deltas on the same placements: OPC and OPCEH stop 7 rows early
+    # per value
     "sweep_delta_db_merged": [
         "sweep", "--config", DESK, "--axis", "delta_db", "--values=-130,-120,-100,-90",
         "--algorithms", ALL, "--snapshots", "200",
