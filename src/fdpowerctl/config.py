@@ -295,13 +295,15 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         raise ConfigError(errors)
 
     def number(section: dict, path: str, key: str, default=None, kind=float):
-        """section[key] converted by kind, or default when absent. A value
-        kind cannot convert, or a fraction where kind is int, is recorded
-        as an error."""
+        """section[key] converted by kind, or default when absent. Anything but
+        an int or float kind converts (not a string or a boolean, which it
+        would take), or a fraction where kind is int, is recorded as an error."""
         if key not in section:
             return default
         raw = section[key]
         try:
+            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+                raise TypeError
             value = kind(raw)
         except (TypeError, ValueError, OverflowError):
             errors.append(f"{path}.{key}: must be a number, got {raw!r}")
@@ -367,6 +369,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         )
     if template.mu is not None and not (0.0 < template.mu < 1.0):
         probe_errors.append("ue_template.mu: must lie in (0, 1)")
+    if template.n_antennas < 1:
+        probe_errors.append("ue_template.n_antennas: must be at least 1")
     if probe_errors:
         raise ConfigError(probe_errors)
 

@@ -14,13 +14,11 @@ record per row. A row stops at the first step whose relative change is at
 most tol, or after max_iter steps; each row's numbers equal those of
 iterating it alone. It runs blocks of up to 16 updates into one stack of
 states and tests their stops in one vectorised pass, each row's outputs
-from its own stop step (see `iterate`). A row that stops is written out at
-its block's end but stays in the working arrays, flagged as done, until
-done rows are at least a quarter of them (COMPACT_SHARE); then one integer
-index drops them all (compaction). So the cost of a step follows the rows
-still running, and a solve rebuilds its batch only a few times. `solve` runs
-it with an algorithm's joint update, and `run_fixed_point` is the one-row
-case. A sweep makes one `solve` call per algorithm and axis value.
+from its own stop step (see `iterate`). Rows that stop are written out at
+their block's end and dropped from the working arrays by one integer
+index, so a step costs what the running rows cost. `solve` runs it with an
+algorithm's joint update, and `run_fixed_point` is the one-row case. A
+sweep makes one `solve` call per algorithm and axis value.
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -88,9 +86,6 @@ CHANGE_FLOOR = 1e-18
 MAX_WINDOW = 4096
 MAX_SWEEPS = 64
 
-# `iterate` drops stopped rows from its working arrays once they are at
-# least this share of them.
-COMPACT_SHARE = 0.25
 # `iterate`'s blocks of updates: from FIRST_BLOCK (at least 2) steps up to
 # BLOCK_STEPS, with at most STACK_ELEMENTS numbers of states, but 2 steps.
 # Blocks end on every multiple of BLOCK_STEPS.
@@ -189,20 +184,18 @@ def iterate(
     at most tol, and unconverged after max_iter steps: an exception is never
     raised for it. The steps run in blocks of b updates into a (b+1, rows,
     K+1) stack of states; one vectorised pass then takes all b relative
-    changes and each running row's stop, its first converged step or the
-    block's end (at max_iter, or by the certificate), and the row's outputs
-    come from its own stop step. A block is as long as the steps taken, from
+    changes and each row's stop, its first converged step or the block's
+    end (at max_iter, or by the certificate), and the row's outputs come
+    from its own stop step. A block is as long as the steps taken, from
     FIRST_BLOCK up to BLOCK_STEPS, so a short solve runs at most about twice
     its steps; it holds at most STACK_ELEMENTS numbers, but 2 steps, and
     ends on every multiple of 16 and at max_iter, so each check ends a block
-    that holds x_{t-2}. `update` receives the working rows and their
-    parameters: the rows still running, and rows written out, in this block
-    or before, that wait for the next compaction; nothing reads their later
-    values. Once per block the stopped rows are written out, and compaction
-    drops the done rows by one `np.flatnonzero` index once they are at least
-    COMPACT_SHARE of the working rows. With a `history` list, the (rows,
-    K+1) state of the running rows at every step, the clipped start and
-    each row's stop step included, is appended to it; runs of one row use it.
+    that holds x_{t-2}. `update` receives the rows running at the block's
+    start and their parameters; a row stopping inside a block runs, unread,
+    to its end, where one `np.flatnonzero` index drops the stopped rows once
+    they are written out. With a `history` list, the (rows, K+1) state of
+    the running rows at every step, the clipped start and each row's stop
+    step included, is appended to it; runs of one row use it.
 
     With `give_up`, a row also stops unconverged, with `stopped_early` set,
     at a check step t = 16, 32, 48, ..., 128, 256, 512, ... < max_iter when
@@ -237,10 +230,7 @@ def iterate(
     )
     if history is not None:
         history.append(x)
-    # the working rows: their batch indices, and which of them still run
-    index = np.arange(n)
-    running = np.ones(n, dtype=bool)
-    n_done = 0                         # working rows written out, not running
+    index = np.arange(n)               # the working rows: the batch rows still running
     # with tol >= 1 (or NaN) no distance exceeds the limit: never check
     check = BLOCK_STEPS if give_up and tol < 1.0 else None
     certifiable = live = None          # per batch row, from the first check on
@@ -263,21 +253,19 @@ def iterate(
         at = np.where(converged, conv.argmax(axis=0), b - 1)
         stop = converged | (t == max_iter)
         if t == check:
-            still = running & ~stop
-            if t < max_iter and still.any():
+            if t < max_iter and not stop.all():
                 if certifiable is None:
                     certifiable = np.zeros(n, dtype=bool)
                     live = np.zeros((n, x.shape[-1]), dtype=bool)
                     certifiable[index], live[index] = _certifiable(update, batch)
-                ok = certifiable[index] & still
+                ok = certifiable[index] & ~stop
                 on = live[index] & ok[:, None]
                 d = _log_distance(x, stack[b - 1], on)
                 e = _log_distance(x, stack[b - 2], on)
                 stop = stop | ok & (d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol))
             check = t + BLOCK_STEPS if t < LAST_STRIDED_CHECK else 2 * t
-        stop = stop & running
         if history is not None:
-            last = np.where(stop, at, np.where(running, b - 1, -1))
+            last = np.where(stop, at, b - 1)
             history.extend(stack[j + 1][last >= j] for j in range(last.max() + 1))
         if stop.any():
             rows = np.flatnonzero(stop)
@@ -288,14 +276,12 @@ def iterate(
             out.final_change[index[rows]] = change[at, rows]
             # a row that stops unconverged before max_iter is certified
             out.stopped_early[index[rows]] = ~converged[rows] & (t < max_iter)
-            running = running & ~stop
-            n_done += rows.size
-            if n_done == index.size:
+            if rows.size == index.size:
                 break
-            if n_done >= COMPACT_SHARE * index.size:
-                keep = np.flatnonzero(running)
-                index, x, batch, stack = index[keep], x[keep], batch.rows(keep), None
-                running, n_done = np.ones(keep.size, dtype=bool), 0
+            # free the block's arrays before the smaller batch is built
+            keep = np.flatnonzero(~stop)
+            x, stack, rel = x[keep], None, None
+            index, batch = index[keep], batch.rows(keep)
     return out
 
 

@@ -5,7 +5,8 @@ Nothing imports the package with `import *`, so a name left in a module's
 `__all__`, or imported by the package for re-export, after its definition
 is deleted would otherwise go unnoticed. No linter runs on the package, so
 an import its last user's deletion leaves behind would go unnoticed too,
-and so would a private helper or constant nothing calls or reads any more.
+and so would a private helper nothing calls, or a constant nothing reads,
+any more.
 """
 
 import ast
@@ -74,27 +75,44 @@ def test_modules_use_every_import(name):
     assert sorted(imported - used - set(getattr(module, "__all__", []))) == []
 
 
-@pytest.mark.parametrize("name", MODULES)
-def test_private_names_are_referenced(name):
-    # a top-level _name (function, class or assignment) some package module reads
+def _top_level_names(module: str) -> set[str]:
+    """The names a package module defines at top level: functions, classes
+    and assignment targets."""
     defined = set()
-    for node in TREES[name].body:
+    for node in TREES[module].body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
-    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
-    referenced = set()
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    assert sorted(private - referenced) == []
+    return defined
+
+
+# every name some package module reads, as a name, an attribute or an import
+REFERENCED = set()
+for _tree in TREES.values():
+    for node in ast.walk(_tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            REFERENCED.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            REFERENCED.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            REFERENCED.update(alias.name for alias in node.names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_private_names_are_referenced(name):
+    # a top-level _name (function, class or assignment) some package module reads
+    private = {n for n in _top_level_names(name) if n.startswith("_") and not n.startswith("__")}
+    assert sorted(private - REFERENCED) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_constants_are_read(name):
+    # a top-level UPPER_CASE constant, public ones included, that some
+    # package module reads: a tuning constant its last reader left is dead
+    constants = {n for n in _top_level_names(name) if n.isupper()}
+    assert sorted(constants - REFERENCED) == []
 
 
 # Fields no package module reads, each kept for a reason of its own.

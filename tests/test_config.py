@@ -197,6 +197,17 @@ def test_template_mu_outside_unit_interval_reported(mu):
     assert err.value.errors == ["ue_template.mu: must lie in (0, 1)"]
 
 
+@pytest.mark.parametrize("n_antennas", [0, -1])
+def test_template_antennas_below_one_reported(n_antennas):
+    # a UE's circuit power scales with its antennas: fewer than one makes
+    # p_cir and p_min negative
+    doc = copy.deepcopy(BASE_DOC)
+    doc["ue_template"]["n_antennas"] = n_antennas
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == ["ue_template.n_antennas: must be at least 1"]
+
+
 @pytest.mark.parametrize("distance", [math.nan, math.inf, -math.inf])
 def test_path_gain_rejects_non_finite_distance(distance):
     with pytest.raises(ValueError):
@@ -289,6 +300,14 @@ def test_every_missing_key_reported_at_once():
     (("ue_template", "mu"), "half", "ue_template.mu: must be a number, got 'half'"),
     (("fixed_ues", 1, "distance"), "far", "fixed_ues[1].distance: must be a number, got 'far'"),
     (("fixed_ues", 0, "eta"), {}, "fixed_ues[0].eta: must be a number, got {}"),
+    # int() and float() take these, but they are not JSON numbers
+    (("scenario", "epsilon"), "0.5", "scenario.epsilon: must be a number, got '0.5'"),
+    (("scenario", "num_ues"), "2", "scenario.num_ues: must be a number, got '2'"),
+    (("scenario", "seed"), True, "scenario.seed: must be a number, got True"),
+    (("scenario", "num_ues"), True, "scenario.num_ues: must be a number, got True"),
+    (("hbs", "p_bar_h_dbm"), False, "hbs.p_bar_h_dbm: must be a number, got False"),
+    (("fixed_ues", 0, "gamma_target"), True,
+     "fixed_ues[0].gamma_target: must be a number, got True"),
 ])
 def test_non_number_reported(path, value, expected):
     doc = copy.deepcopy(BASE_DOC)

@@ -618,14 +618,15 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
 # The row contract: `solve` gives every row of a batch the five fields it
 # gets when its snapshot is solved alone, whatever other rows share the
 # batch, in whatever order and layout, and whatever blocks `iterate` runs
-# its steps in. Lazy compaction and the blocks rely on it to keep stopped
-# rows in the working arrays.
+# its steps in. The blocks rely on it: a row that stops inside a block
+# runs to the block's end with the rows still running.
 
 # block schedules of `iterate`: every block 2 steps, the smallest a check
-# may end; the default; and every block 16 steps from the first
+# may end; the default (patched to itself, as `mock.patch.multiple` needs a
+# name); and every block 16 steps from the first
 BLOCKINGS = {
     "smallest": {"STACK_ELEMENTS": 0},
-    "default": {},
+    "default": {"STACK_ELEMENTS": engine.STACK_ELEMENTS},
     "sixteen": {"FIRST_BLOCK": 16, "STACK_ELEMENTS": 2**62},
 }
 
@@ -655,24 +656,22 @@ def _pool(config: str, k: int, delta_db: float) -> Snapshot:
     pieces=st.lists(st.lists(st.integers(0, 29), min_size=1, max_size=8), min_size=1, max_size=3),
     give_up=st.booleans(),
     max_iter=st.sampled_from([0, 1, 17, 20, 33, 100, 130, 400]),
-    share=st.sampled_from([0.0, engine.COMPACT_SHARE, 2.0]),
     blocking=st.sampled_from(sorted(BLOCKINGS)),
     ue_major=st.booleans(),
 )
 def test_rows_get_the_numbers_they_get_alone(config, alg, k, delta_db, pieces, give_up, max_iter,
-                                             share, blocking, ue_major):
+                                             blocking, ue_major):
     # the batch is one to three pieces of one pool of K-UE snapshots, each
     # piece picked in any order, repeats allowed, and concatenated; it is
-    # solved row-major or UE-major, compacted at every stop (share 0), by
-    # default, or never (share 2), in one of the block schedules; each piece
-    # alone by default
+    # solved row-major or UE-major, in one of the block schedules; each
+    # piece alone by default
     pool = _pool(config, k, delta_db)
     batch = pool.rows(np.concatenate(pieces))
     if ue_major:
         for name, value in vars(batch).items():
             if isinstance(value, np.ndarray):
                 vars(batch)[name] = np.asfortranarray(value)
-    with mock.patch.multiple(engine, COMPACT_SHARE=share, **BLOCKINGS[blocking]):
+    with mock.patch.multiple(engine, **BLOCKINGS[blocking]):
         sol = solve(alg, batch, max_iter=max_iter, give_up=give_up)
     start = 0
     for picks in pieces:
@@ -685,21 +684,21 @@ def test_rows_get_the_numbers_they_get_alone(config, alg, k, delta_db, pieces, g
 @pytest.mark.parametrize("alg", list(Algorithm))
 @pytest.mark.parametrize("config", ["desk_scenario", "paper_scenario"])
 def test_lazy_compaction_matches_eager(request, config, alg, give_up):
-    # the row contract on full 200-row batches, against the defaults: a share
-    # of 0 compacts at every stop, as eager compaction does; one above 1
-    # never compacts, so every stopped row runs to the end; each in two block
-    # schedules, with budgets on and off the 16-step grid of the checks
+    # the row contract on full 200-row batches: a stopped row leaves the
+    # working arrays at its block's end, so the block schedule sets how
+    # lazily; the smallest schedule (blocks of 2 steps) and the sixteen-step
+    # one against the default, with budgets on and off the 16-step grid of
+    # the checks
     scenario = request.getfixturevalue(config)
     for k in (2, 5, 20):
         sc = _with(scenario, k)
         batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
         for max_iter in (None, 17, 33, 130):
-            lazy = solve(alg, batch, max_iter=max_iter, give_up=give_up)
-            for share, blocking in ((0.0, "smallest"), (0.0, "default"),
-                                    (2.0, "default"), (2.0, "sixteen")):
-                with mock.patch.multiple(engine, COMPACT_SHARE=share, **BLOCKINGS[blocking]):
+            want = solve(alg, batch, max_iter=max_iter, give_up=give_up)
+            for blocking in ("smallest", "sixteen"):
+                with mock.patch.multiple(engine, **BLOCKINGS[blocking]):
                     sol = solve(alg, batch, max_iter=max_iter, give_up=give_up)
-                _assert_rows_solved_alone(sol, lazy)
+                _assert_rows_solved_alone(sol, want)
 
 
 def _per_metric_stats(samples):
@@ -733,6 +732,10 @@ def test_stacked_averages_have_the_bits_of_per_metric_calls(desk_scenario, n):
         ]
 
 
+# the ends of `iterate`'s blocks with room for any block, up to the default max_iter
+BLOCK_ENDS = np.array([2, 4, 8, *range(16, 2001, 16)])
+
+
 def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monkeypatch):
     calls = []
     rows = Snapshot.rows
@@ -744,20 +747,34 @@ def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monke
     monkeypatch.setattr(Snapshot, "rows", counted)
     sc = _with(desk_scenario, 20)
     batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
+    # the batch is rebuilt once per block that stops a row, but the last;
+    # with room for any block, blocks end at 2, 4, 8, then every 16
+    monkeypatch.setattr(engine, "STACK_ELEMENTS", 2**62)
     sol = solve(Algorithm.OPCEH, batch, give_up=True)
     assert sol.stopped_early.sum() == 10
-    # each compaction drops at least a quarter of the working rows, and the
-    # last stop needs none: at most log(200) / log(4/3) + 1 rebuilds
-    assert 0 < len(calls) <= 19
-    # eager compaction rebuilds once per block that stops a row, but the
-    # last; with room for any block, blocks end at 2, 4, 8, then every 16
-    monkeypatch.setattr(engine, "COMPACT_SHARE", 0.0)
-    monkeypatch.setattr(engine, "STACK_ELEMENTS", 2**62)
-    calls.clear()
-    solve(Algorithm.OPCEH, batch, give_up=True)
-    ends = np.array([2, 4, 8, *range(16, 2001, 16)])
-    blocks = set(np.searchsorted(ends, sol.iterations_used).tolist())
+    blocks = set(np.searchsorted(BLOCK_ENDS, sol.iterations_used).tolist())
     assert len(calls) == len(blocks) - 1 < len(set(sol.iterations_used.tolist())) - 1
+
+
+@pytest.mark.parametrize("k", [5, 20])
+@pytest.mark.parametrize("alg", [Algorithm.TPCEH, Algorithm.OPCEH])
+def test_rows_run_to_the_end_of_their_stop_block_and_no_further(desk_scenario, monkeypatch,
+                                                                 alg, k):
+    # each row is updated at every step of every block up to the one it
+    # stops in: no row waits in the working arrays once it is written out
+    updated = []
+    real = engine.joint_update
+
+    def counted(alg, x, rows):
+        updated.append(len(x))
+        return real(alg, x, rows)
+
+    monkeypatch.setattr(engine, "joint_update", counted)
+    monkeypatch.setattr(engine, "STACK_ELEMENTS", 2**62)
+    sc = _with(desk_scenario, k)
+    sol = solve(alg, sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200))
+    used = sol.iterations_used
+    assert sum(updated) == BLOCK_ENDS[np.searchsorted(BLOCK_ENDS, used)].sum() > used.sum()
 
 
 def test_history_holds_only_the_running_rows(desk_scenario):
