@@ -170,9 +170,10 @@ def _snapshot(
 
     mu, and gamma_target and eta where given, are per-UE columns shaped like
     distances; the template supplies the rest. Invalid parameters raise a
-    ConfigError listing the violations of the first invalid snapshot (only
-    snapshot 0 when the configuration itself is invalid); a batch of no
-    snapshots checks nothing.
+    ConfigError listing what validate_scenario finds in the configuration
+    and template, each once, and the per-UE violations of the first invalid
+    snapshot (only snapshot 0 when the configuration itself is invalid); a
+    batch of no snapshots checks nothing.
     """
     shape = distances.shape
     t = template
@@ -180,24 +181,19 @@ def _snapshot(
     # get a stand-in gain, and ue_errors reports them, so it is never used
     usable = np.isfinite(distances) & (distances > 0.0)
     g = path_gain(np.where(usable, distances, 1.0), cfg.attenuation_k)
-    p_bar_u = t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)
     columns = {
         "mu": mu, "g": g, "distance": distances,
         "gamma_target": np.full(shape, t.gamma_target) if gamma_target is None else gamma_target,
         "eta": np.full(shape, t.eta) if eta is None else eta,
-        # the template's constants, checked as columns without being copied
-        "p_bar_u": np.broadcast_to(p_bar_u, shape),
-        "p_dyn": np.broadcast_to(t.p_dyn, shape),
-        "p_sta": np.broadcast_to(t.p_sta, shape),
-        "e_bar": np.broadcast_to(math.nan if t.e_bar is None else t.e_bar, shape),
     }
     rows = {name: np.atleast_2d(column) for name, column in columns.items()}
     if len(rows["g"]):
-        errors = validate_scenario(cfg, hbs)
+        errors = validate_scenario(cfg, hbs, t)
         errors += ue_errors({name: r[:1] for name, r in rows.items()} if errors else rows)
         if errors:
             raise ConfigError(errors)
-    return Snapshot(cfg, hbs, t, distances, g, mu, columns["gamma_target"], columns["eta"], p_bar_u)
+    return Snapshot(cfg, hbs, t, distances, g, mu, columns["gamma_target"], columns["eta"],
+                    t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t))
 
 
 def _draw_mu(rng: np.random.Generator) -> float:
@@ -321,9 +317,6 @@ def snapshot_from_distances(
     for name, values in (("gamma_targets", gamma_targets), ("mus", mus), ("etas", etas)):
         if values is not None and len(values) != k:
             raise ConfigError([f"{name}: expected {k} entries, got {len(values)}"])
-    for i, d in enumerate(distances):
-        if d <= 0:
-            raise ConfigError([f"distances[{i}]: must be strictly positive"])
 
     def column(values, default):
         return np.array([default if v is None else v for v in values or [None] * k], dtype=float)

@@ -252,7 +252,10 @@ def _listed(text: str, known, noun: str) -> list[str]:
 
 def _load(args) -> Scenario:
     """The config file's scenario with --seed, and verify's --k, applied."""
-    scenario = load_scenario(args.config)
+    try:
+        scenario = load_scenario(args.config)
+    except OSError as exc:       # missing, a directory or unreadable
+        raise ConfigError([str(exc)]) from None
     seed = scenario.cfg.seed if args.seed is None else args.seed
     scenario = dataclasses.replace(scenario, cfg=dataclasses.replace(scenario.cfg, seed=seed))
     if getattr(args, "k", None) is not None:     # that many random UEs
@@ -317,13 +320,14 @@ def cmd_sweep(args, scenario: Scenario, out: Path):
         raise UsageError(f"could not parse sweep values {args.values!r}") from None
     if not values:
         raise UsageError("empty sweep value list")
-    if args.axis == "num_ues" and not all(v.is_integer() for v in values):
-        raise UsageError(f"num_ues values must be whole numbers, got {args.values!r}")
     names = _listed(args.algorithms, {alg.value for alg in Algorithm}, "algorithm")
-
-    results = run_monte_carlo(
-        names, scenario, args.axis, values, args.snapshots, tol=args.tol, max_iter=args.max_iter
-    )
+    try:
+        results = run_monte_carlo(names, scenario, args.axis, values, args.snapshots,
+                                  tol=args.tol, max_iter=args.max_iter)
+    except ConfigError:
+        raise                    # main reports these
+    except ValueError:           # apply_axis refuses a num_ues value that is not whole
+        raise UsageError(f"num_ues values must be whole numbers, got {args.values!r}") from None
     outputs = []
     for name, result in zip(names, results):
         # one row per (axis value, metric), metrics varying fastest
@@ -554,11 +558,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = _load(args)
         code, outputs, extra = args.func(args, scenario, Path(args.out))
-    except (ConfigError, FileNotFoundError) as exc:
-        for err in getattr(exc, "errors", [exc]):
+    except ConfigError as exc:
+        for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:     # an OSError: --out cannot be written
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
     _write_manifest(outputs, received, args.subcommand, scenario, t0, **extra)

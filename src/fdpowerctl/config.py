@@ -158,25 +158,16 @@ _UE_CHECKS = (
     ("gamma_target", _not_finite("gamma_target"), "must be finite"),
     ("eta", lambda u: u["eta"] < 0.0, "must be non-negative"),
     ("eta", _not_finite("eta"), "must be finite"),
-    ("p_bar_u", lambda u: u["p_bar_u"] <= 0.0,
-     "uplink power cap must be strictly positive"),
-    ("p_bar_u", _not_finite("p_bar_u"), "must be finite"),
-    ("circuit", lambda u: (u["p_dyn"] < 0.0) | (u["p_sta"] < 0.0),
-     "circuit powers must be non-negative"),
-    ("circuit", lambda u: ~(np.isfinite(u["p_dyn"]) & np.isfinite(u["p_sta"])),
-     "circuit powers must be finite"),
-    # an absent limit (NaN) compares as neither positive nor non-positive
-    ("e_bar", lambda u: (u["mu"] > 0) & (u["g"] > 0) & (u["e_bar"] <= 0),
-     "must be strictly positive"),
 )
 
 
 def ue_errors(columns: dict[str, np.ndarray]) -> list[str]:
     """Per-UE violations, with field paths, of the first snapshot that has any.
 
-    `columns` maps mu, g (h is g), distance, gamma_target, eta, p_bar_u,
-    p_dyn, p_sta and e_bar each to an (S, K) array: row s holds snapshot s,
-    column i its UE i, and a missing e_bar is NaN.
+    `columns` maps mu, g (h is g), distance, gamma_target and eta, the
+    inputs that can vary per UE, each to an (S, K) array: row s holds
+    snapshot s, column i its UE i. validate_scenario checks what the UE
+    template fixes for every UE.
     """
     violated = [(field, bad(columns), msg) for field, bad, msg in _UE_CHECKS]
     # or-ing the masks pairwise avoids stacking them into one (checks, S, K) array
@@ -192,9 +183,12 @@ def ue_errors(columns: dict[str, np.ndarray]) -> list[str]:
     ]
 
 
-def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams) -> list[str]:
-    """Check the configuration's invariants; returns all violations with field
-    paths. ue_errors checks the UEs."""
+def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams, template: UeTemplate) -> list[str]:
+    """Check the invariants of the configuration and of the constants the UE
+    template fixes for every UE: its uplink cap (exactly one of p_bar_u and
+    e_bar set, and the cap they give finite and positive), circuit powers,
+    antennas and fixed mu. Returns all violations, each once, with field
+    paths. ue_errors checks the inputs that can vary per UE."""
     errors: list[str] = []
 
     def bad(path: str, msg: str):
@@ -230,14 +224,24 @@ def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams) -> list[str]:
 
     if hbs.p_bar_h <= 0.0:
         bad("hbs.p_bar_h", "must be strictly positive")
-    if hbs.n_antennas < 1:
-        bad("hbs.n_antennas", "must be at least 1")
     if not math.isfinite(hbs.p_bar_h):
         bad("hbs.p_bar_h", "must be finite")
-    if hbs.p_dyn < 0.0 or hbs.p_sta < 0.0:
-        bad("hbs.circuit", "circuit powers must be non-negative")
-    if not (math.isfinite(hbs.p_dyn) and math.isfinite(hbs.p_sta)):
-        bad("hbs.circuit", "circuit powers must be finite")
+    for path, part in (("hbs", hbs), ("ue_template", template)):
+        if part.n_antennas < 1:
+            bad(f"{path}.n_antennas", "must be at least 1")
+        if part.p_dyn < 0.0 or part.p_sta < 0.0:
+            bad(f"{path}.circuit", "circuit powers must be non-negative")
+        if not (math.isfinite(part.p_dyn) and math.isfinite(part.p_sta)):
+            bad(f"{path}.circuit", "circuit powers must be finite")
+
+    if template.mu is not None and not (0.0 < template.mu < 1.0):
+        bad("ue_template.mu", "must lie in (0, 1)")
+    if (template.p_bar_u is None) == (template.e_bar is None):
+        bad("ue_template.p_bar_u", "exactly one of p_bar_u and e_bar must be set")
+    elif cfg.delta_t != 0.0:      # a derived cap divides by it; a zero one is reported above
+        if not 0.0 < template.resolve_p_bar_u(cfg.epsilon, cfg.delta_t) < math.inf:
+            bad("ue_template.p_bar_u" if template.e_bar is None else "ue_template.e_bar",
+                "uplink power cap must be finite and strictly positive")
     return errors
 
 
@@ -289,8 +293,6 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     elif fixed is not None:
         for i, fu in enumerate(fixed):
             _check_keys(fu, _FIXED_UE_KEYS, ("distance",), f"fixed_ues[{i}]", errors)
-    if isinstance(ut, dict) and ("p_bar_u_dbm" in ut) == ("e_bar_joules" in ut):
-        errors.append("ue_template: exactly one of p_bar_u_dbm / e_bar_joules required")
     if errors:
         raise ConfigError(errors)
 
@@ -321,25 +323,25 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         epsilon=number(sc, "scenario", "epsilon"),
         delta=db_to_linear(number(sc, "scenario", "delta_db")),
         sigma2=dbm_to_watt(number(sc, "scenario", "sigma2_dbm")),
-        delta_t=number(sc, "scenario", "delta_t", 1.0),
-        attenuation_k=number(sc, "scenario", "attenuation_k", 0.09),
-        cell_side=number(sc, "scenario", "cell_side", 50.0),
-        hbs_placement=str(sc.get("hbs_placement", "center")),
-        seed=number(sc, "scenario", "seed", 0, kind=int),
-        tol=number(sc, "scenario", "tol", 1e-9),
-        max_iter=number(sc, "scenario", "max_iter", 2000, kind=int),
+        delta_t=number(sc, "scenario", "delta_t", ScenarioConfig.delta_t),
+        attenuation_k=number(sc, "scenario", "attenuation_k", ScenarioConfig.attenuation_k),
+        cell_side=number(sc, "scenario", "cell_side", ScenarioConfig.cell_side),
+        hbs_placement=str(sc.get("hbs_placement", ScenarioConfig.hbs_placement)),
+        seed=number(sc, "scenario", "seed", ScenarioConfig.seed, kind=int),
+        tol=number(sc, "scenario", "tol", ScenarioConfig.tol),
+        max_iter=number(sc, "scenario", "max_iter", ScenarioConfig.max_iter, kind=int),
     )
     hbs = HbsParams(
         p_bar_h=dbm_to_watt(number(hb, "hbs", "p_bar_h_dbm")),
-        n_antennas=number(hb, "hbs", "n_antennas", 2, kind=int),
+        n_antennas=number(hb, "hbs", "n_antennas", HbsParams.n_antennas, kind=int),
         p_dyn=dbm_to_watt(number(hb, "hbs", "p_dyn_dbm")),
         p_sta=dbm_to_watt(number(hb, "hbs", "p_sta_dbm")),
     )
     template = UeTemplate(
         mu=optional(ut, "ue_template", "mu"),
         gamma_target=number(ut, "ue_template", "gamma_target"),
-        eta=number(ut, "ue_template", "eta", 1.0),
-        n_antennas=number(ut, "ue_template", "n_antennas", 2, kind=int),
+        eta=number(ut, "ue_template", "eta", UeTemplate.eta),
+        n_antennas=number(ut, "ue_template", "n_antennas", UeTemplate.n_antennas, kind=int),
         p_dyn=dbm_to_watt(number(ut, "ue_template", "p_dyn_dbm")),
         p_sta=dbm_to_watt(number(ut, "ue_template", "p_sta_dbm")),
         p_bar_u=None if "p_bar_u_dbm" not in ut
@@ -359,20 +361,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         raise ConfigError(errors)
     if fixed_ues is not None and len(fixed_ues) != cfg.num_ues:
         raise ConfigError([f"fixed_ues: expected {cfg.num_ues} entries, got {len(fixed_ues)}"])
-
-    # template-level sanity before any UE exists
-    probe_cap = template.resolve_p_bar_u(cfg.epsilon, cfg.delta_t) if cfg.epsilon > 0 else -1.0
-    probe_errors = validate_scenario(cfg, hbs)
-    if template.e_bar is not None and probe_cap <= 0.0:
-        probe_errors.append(
-            "ue_template.e_bar_joules: derived uplink cap is non-positive"
-        )
-    if template.mu is not None and not (0.0 < template.mu < 1.0):
-        probe_errors.append("ue_template.mu: must lie in (0, 1)")
-    if template.n_antennas < 1:
-        probe_errors.append("ue_template.n_antennas: must be at least 1")
-    if probe_errors:
-        raise ConfigError(probe_errors)
+    errors = validate_scenario(cfg, hbs, template)
+    if errors:
+        raise ConfigError(errors)
 
     return Scenario(cfg=cfg, hbs=hbs, ue_template=template, fixed_ues=fixed_ues)
 
@@ -382,7 +373,7 @@ def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # not JSON, or not UTF-8
             raise ConfigError([f"{path}: not valid JSON: {exc}"]) from None
     return scenario_from_dict(doc)
 

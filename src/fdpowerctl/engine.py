@@ -348,7 +348,7 @@ def run_fixed_point(
 
 
 def apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
-    """Scenario copy with one sweep axis applied."""
+    """Scenario copy with one sweep axis applied; a num_ues value must be whole."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     cfg = scenario.cfg
@@ -358,6 +358,8 @@ def apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
     elif axis == "cell_side":
         cfg = dataclasses.replace(cfg, cell_side=float(value))
     elif axis == "num_ues":
+        if not float(value).is_integer():
+            raise ValueError(f"num_ues values must be whole numbers, got {value!r}")
         cfg = dataclasses.replace(cfg, num_ues=int(value))
     elif axis == "gamma_target":
         template = dataclasses.replace(template, gamma_target=float(value))

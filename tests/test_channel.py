@@ -206,13 +206,13 @@ def test_chunked_distances_match_one_pass(n):
 @pytest.mark.parametrize(
     "cfg_change, template_change, paths",
     [
-        ({}, {"mu": 1.5}, ["ues[0].mu", "ues[4].mu"]),
-        ({}, {"p_bar_u": -1.0}, ["ues[0].p_bar_u", "ues[4].p_bar_u"]),
+        ({}, {"mu": 1.5}, ["ue_template.mu", "ues[0].mu", "ues[4].mu"]),
+        ({}, {"p_bar_u": -1.0}, ["ue_template.p_bar_u"]),
         ({}, {"gamma_target": -0.1, "eta": -1.0},
          ["ues[0].gamma_target", "ues[0].eta", "ues[4].eta"]),
-        ({}, {"p_bar_u": None, "e_bar": -1.0}, ["ues[0].p_bar_u", "ues[0].e_bar"]),
+        ({}, {"p_bar_u": None, "e_bar": -1.0}, ["ue_template.e_bar"]),
         ({"num_ues": 0}, {}, ["scenario.num_ues"]),
-        ({"cell_side": -5.0}, {"p_sta": -1.0}, ["scenario.cell_side", "ues[2].circuit"]),
+        ({"cell_side": -5.0}, {"p_sta": -1.0}, ["scenario.cell_side", "ue_template.circuit"]),
     ],
 )
 def test_batch_validation_matches_snapshot(cfg_change, template_change, paths):

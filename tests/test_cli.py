@@ -664,15 +664,30 @@ def test_budget_flags_only_where_a_solve_uses_them(tmp_path, capsys, argv):
      "scenario.num_ues: must be a number, got '5x'"),
     ((CONFIG_DIR / "desk_consistent.json").read_text().replace('"num_ues": 5', '"num_ues": 2.7'),
      "scenario.num_ues: must be a whole number, got 2.7"),
-], ids=["malformed-json", "missing-key", "not-a-number", "not-a-whole-number"])
+    (b'{"scenario": "\xff"}', "not valid JSON"),
+    (None, "Is a directory"),
+], ids=["malformed-json", "missing-key", "not-a-number", "not-a-whole-number", "not-utf-8",
+        "a-directory"])
 def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    else:
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     rc = main(["snapshot", "--config", str(path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert main(["snapshot", "--config", DESK, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and err.count("\n") == 1
+    assert out.read_text() == "kept"
 
 
 def test_sweep_values_may_start_with_a_negative_number(tmp_path):

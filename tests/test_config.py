@@ -17,7 +17,12 @@ from fdpowerctl.config import (
     scenario_to_dict,
     validate_scenario,
 )
-from fdpowerctl.channel import path_gain, snapshot_from_distances, snapshot_from_scenario
+from fdpowerctl.channel import (
+    path_gain,
+    sample_batch,
+    snapshot_from_distances,
+    snapshot_from_scenario,
+)
 
 BASE_DOC = {
     "scenario": {
@@ -56,8 +61,9 @@ def test_unknown_key_rejected_with_path():
 def test_both_cap_sources_rejected():
     doc = copy.deepcopy(BASE_DOC)
     doc["ue_template"]["e_bar_joules"] = 1.0
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         scenario_from_dict(doc)
+    assert err.value.errors == ["ue_template.p_bar_u: exactly one of p_bar_u and e_bar must be set"]
 
 
 def test_e_bar_derives_uplink_cap():
@@ -75,8 +81,22 @@ def test_e_bar_too_small_rejected():
     doc = copy.deepcopy(BASE_DOC)
     del doc["ue_template"]["p_bar_u_dbm"]
     doc["ue_template"]["e_bar_joules"] = 0.1   # below circuit energy
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         scenario_from_dict(doc)
+    assert err.value.errors == [
+        "ue_template.e_bar: uplink power cap must be finite and strictly positive"
+    ]
+
+
+def test_e_bar_with_zero_delta_t_reported():
+    # the derived cap divides by delta_t: a zero one is reported, not divided by
+    doc = copy.deepcopy(BASE_DOC)
+    del doc["ue_template"]["p_bar_u_dbm"]
+    doc["ue_template"]["e_bar_joules"] = 10.0
+    doc["scenario"]["delta_t"] = 0.0
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == ["scenario.delta_t: must be strictly positive"]
 
 
 def test_fixed_ues_length_checked():
@@ -98,7 +118,7 @@ def _valid_parts():
 def test_validate_epsilon_boundary():
     cfg, hbs, template, snap = _valid_parts()
     bad = ScenarioConfig(num_ues=1, epsilon=0.0, delta=1e-12, sigma2=1e-14)
-    errors = validate_scenario(bad, hbs)
+    errors = validate_scenario(bad, hbs, template)
     assert any("epsilon out of range" in e for e in errors)
 
 
@@ -116,8 +136,6 @@ def test_validate_mu_zero():
     (10.0, {"mus": [math.nan]}, {}, "ues[0].mu: must be finite"),
     (10.0, {"gamma_targets": [math.inf]}, {}, "ues[0].gamma_target: must be finite"),
     (10.0, {"etas": [math.nan]}, {}, "ues[0].eta: must be finite"),
-    (10.0, {}, {"p_bar_u": math.inf}, "ues[0].p_bar_u: must be finite"),
-    (10.0, {}, {"p_sta": math.nan}, "ues[0].circuit: circuit powers must be finite"),
 ])
 def test_validate_rejects_non_finite_ue_inputs(distance, overrides, template_change, expected):
     # NaN passes every < or <= range test, so each field is tested for finiteness
@@ -126,6 +144,48 @@ def test_validate_rejects_non_finite_ue_inputs(distance, overrides, template_cha
     with pytest.raises(ConfigError) as exc:
         snapshot_from_distances([distance], cfg, hbs, template, **overrides)
     assert exc.value.errors == [expected]
+
+
+def test_zero_distance_listed_with_every_other_error():
+    cfg, hbs, template, snap = _valid_parts()
+    cfg = dataclasses.replace(cfg, num_ues=3)
+    with pytest.raises(ConfigError) as exc:
+        snapshot_from_distances([10.0, 0.0, -1.0], cfg, hbs, template, mus=[math.nan, None, None])
+    assert exc.value.errors == [
+        "ues[0].mu: must be finite",
+        "ues[1].distance: must be strictly positive",
+        "ues[2].distance: must be strictly positive",
+    ]
+
+
+CAP_SOURCES = "ue_template.p_bar_u: exactly one of p_bar_u and e_bar must be set"
+CAP = "uplink power cap must be finite and strictly positive"
+
+
+@pytest.mark.parametrize("change, expected", [
+    ({"n_antennas": 0}, "ue_template.n_antennas: must be at least 1"),
+    ({"n_antennas": -1}, "ue_template.n_antennas: must be at least 1"),
+    ({"mu": 1.5}, "ue_template.mu: must lie in (0, 1)"),
+    ({"e_bar": 10.0}, CAP_SOURCES),
+    ({"p_bar_u": None}, CAP_SOURCES),
+    ({"p_bar_u": math.inf}, f"ue_template.p_bar_u: {CAP}"),
+    ({"p_bar_u": -1.0}, f"ue_template.p_bar_u: {CAP}"),
+    ({"p_bar_u": None, "e_bar": 1e-3}, f"ue_template.e_bar: {CAP}"),
+    ({"p_sta": math.nan}, "ue_template.circuit: circuit powers must be finite"),
+    ({"p_dyn": -1.0}, "ue_template.circuit: circuit powers must be non-negative"),
+], ids=["antennas-0", "antennas-minus-1", "mu-1.5", "both-caps", "no-cap", "p_bar_u-inf",
+        "p_bar_u-negative", "e_bar-too-small", "p_sta-nan", "p_dyn-negative"])
+def test_python_template_constants_reported_once(paper_scenario, change, expected):
+    # a template built in Python is held to the loader's rules, and each of
+    # its constants is reported once, not once per UE
+    template = dataclasses.replace(paper_scenario.ue_template, **change)
+    sc = dataclasses.replace(paper_scenario, ue_template=template)
+    with pytest.raises(ConfigError) as exc:
+        snapshot_from_scenario(sc)
+    assert exc.value.errors == [expected]
+    with pytest.raises(ConfigError) as exc:
+        sample_batch(sc.cfg, sc.hbs, template, 3)
+    assert exc.value.errors.count(expected) == 1
 
 
 SCENARIO_VALUE_CASES = [
@@ -162,7 +222,7 @@ def test_validate_rejects_non_finite_scenario_values(part, field, value, expecte
     cfg, hbs, template, snap = _valid_parts()
     parts = {"cfg": cfg, "hbs": hbs}
     parts[part] = dataclasses.replace(parts[part], **{field: value})
-    assert validate_scenario(parts["cfg"], parts["hbs"]) == [expected]
+    assert validate_scenario(parts["cfg"], parts["hbs"], template) == [expected]
 
 
 @pytest.mark.parametrize("section, key, expected", [
@@ -171,20 +231,18 @@ def test_validate_rejects_non_finite_scenario_values(part, field, value, expecte
     ("hbs", "p_bar_h_dbm", ["hbs.p_bar_h: must be finite"]),
     ("hbs", "p_dyn_dbm", ["hbs.circuit: circuit powers must be finite"]),
     ("hbs", "p_sta_dbm", ["hbs.circuit: circuit powers must be finite"]),
-    ("ue_template", "p_bar_u_dbm", [f"ues[{i}].p_bar_u: must be finite" for i in range(2)]),
-    ("ue_template", "p_dyn_dbm", [f"ues[{i}].circuit: circuit powers must be finite"
-                                  for i in range(2)]),
-    ("ue_template", "p_sta_dbm", [f"ues[{i}].circuit: circuit powers must be finite"
-                                  for i in range(2)]),
+    ("ue_template", "p_bar_u_dbm", [f"ue_template.p_bar_u: {CAP}"]),
+    ("ue_template", "p_dyn_dbm", ["ue_template.circuit: circuit powers must be finite"]),
+    ("ue_template", "p_sta_dbm", ["ue_template.circuit: circuit powers must be finite"]),
 ], ids=lambda v: v if isinstance(v, str) else None)
 @pytest.mark.parametrize("value", [4000.0, 5000.0])
 def test_overflowing_decibels_reported(section, key, expected, value):
     # 10 ** 400 is past the largest float: the value converts to inf, which
-    # the finiteness checks report, where the template's are checked per UE
+    # the finiteness checks report once, as the file loads
     doc = copy.deepcopy(BASE_DOC)
     doc[section][key] = value
     with pytest.raises(ConfigError) as err:
-        snapshot_from_scenario(scenario_from_dict(doc))
+        scenario_from_dict(doc)
     assert err.value.errors == expected
 
 
@@ -219,7 +277,7 @@ def test_path_gain_rejects_non_finite_distance(distance):
 def test_validate_reports_every_violation():
     cfg, hbs, template, snap = _valid_parts()
     bad_cfg = ScenarioConfig(num_ues=0, epsilon=2.0, delta=-1.0, sigma2=0.0, tol=0.0)
-    errors = validate_scenario(bad_cfg, hbs)
+    errors = validate_scenario(bad_cfg, hbs, template)
     assert len(errors) >= 5
 
 
@@ -227,7 +285,8 @@ def test_paper_default_parameters_are_valid(paper_scenario):
     # verbatim reference parameter set round-trips through validation; the
     # snapshot constructor runs the per-UE checks and raises on a violation
     snapshot_from_scenario(paper_scenario)
-    assert validate_scenario(paper_scenario.cfg, paper_scenario.hbs) == []
+    assert validate_scenario(paper_scenario.cfg, paper_scenario.hbs,
+                             paper_scenario.ue_template) == []
 
 
 def test_derived_fields_exact():
@@ -268,6 +327,22 @@ REQUIRED_KEYS = [
     ("hbs", "p_sta_dbm"), ("ue_template", "gamma_target"), ("ue_template", "p_dyn_dbm"),
     ("ue_template", "p_sta_dbm"),
 ]
+
+
+def test_absent_optional_keys_take_the_dataclass_defaults():
+    doc = {section: {key: BASE_DOC[section][key] for s, key in REQUIRED_KEYS if s == section}
+           for section in ("scenario", "hbs", "ue_template")}
+    doc["ue_template"]["p_bar_u_dbm"] = 30.0
+    sc = scenario_from_dict(doc)
+    for part, names in [
+        (sc.cfg, ("delta_t", "attenuation_k", "cell_side", "hbs_placement", "seed", "tol",
+                  "max_iter")),
+        (sc.hbs, ("n_antennas",)),
+        (sc.ue_template, ("eta", "n_antennas", "e_bar")),
+    ]:
+        defaults = {f.name: f.default for f in dataclasses.fields(part)}
+        assert {name: getattr(part, name) for name in names} == {n: defaults[n] for n in names}
+    assert sc.ue_template.mu is None
 
 
 @pytest.mark.parametrize("section, key", REQUIRED_KEYS)

@@ -160,6 +160,13 @@ def test_monte_carlo_invalid_axis(desk_scenario):
         run_monte_carlo([Algorithm.TPCEH], desk_scenario, "bogus", [1.0], 1)
 
 
+@pytest.mark.parametrize("value", [2.7, math.nan, math.inf])
+def test_monte_carlo_refuses_a_fractional_ue_count(desk_scenario, value):
+    # a value's record would name a UE count its solve did not use
+    with pytest.raises(ValueError, match="num_ues values must be whole numbers"):
+        run_monte_carlo([Algorithm.TPCEH], desk_scenario, "num_ues", [2, value], 3)
+
+
 @pytest.mark.parametrize("axis, values", [
     ("delta_db", [-130.0, -110.0, -90.0]),
     ("cell_side", [30.0, 45.0, 60.0]),
@@ -684,11 +691,10 @@ def test_rows_get_the_numbers_they_get_alone(config, alg, k, delta_db, pieces, g
 @pytest.mark.parametrize("alg", list(Algorithm))
 @pytest.mark.parametrize("config", ["desk_scenario", "paper_scenario"])
 def test_lazy_compaction_matches_eager(request, config, alg, give_up):
-    # the row contract on full 200-row batches: a stopped row leaves the
-    # working arrays at its block's end, so the block schedule sets how
-    # lazily; the smallest schedule (blocks of 2 steps) and the sixteen-step
-    # one against the default, with budgets on and off the 16-step grid of
-    # the checks
+    # block schedules on full 200-row batches: every row gets the bits the
+    # default schedule gives it under the smallest schedule (blocks of 2
+    # steps) and the sixteen-step one, which drop stopped rows at other
+    # steps, with budgets on and off the 16-step grid of the checks
     scenario = request.getfixturevalue(config)
     for k in (2, 5, 20):
         sc = _with(scenario, k)
