@@ -187,13 +187,15 @@ def _snapshot(
         "eta": np.full(shape, t.eta) if eta is None else eta,
     }
     rows = {name: np.atleast_2d(column) for name, column in columns.items()}
+    p_bar_u = math.nan           # a batch of no snapshots checks nothing and reads no cap
     if len(rows["g"]):
         errors = validate_scenario(cfg, hbs, t)
         errors += ue_errors({name: r[:1] for name, r in rows.items()} if errors else rows)
         if errors:
             raise ConfigError(errors)
+        p_bar_u = t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)
     return Snapshot(cfg, hbs, t, distances, g, mu, columns["gamma_target"], columns["eta"],
-                    t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t))
+                    p_bar_u)
 
 
 def _draw_mu(rng: np.random.Generator) -> float:

@@ -12,6 +12,7 @@ manifest fields); it raises `UsageError` for a flag value it cannot use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -555,15 +556,23 @@ def main(argv: list[str] | None = None) -> int:
             argv[i : i + 2] = [f"--values={argv[i + 1]}"]
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
+    out = Path(args.out)
+    made = False
     try:
         scenario = _load(args)
-        code, outputs, extra = args.func(args, scenario, Path(args.out))
-    except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (UsageError, OSError) as exc:     # an OSError: --out cannot be written
-        print(exc, file=sys.stderr)
+        # an --out that cannot be made fails here, before any computation
+        made = not out.exists()
+        out.mkdir(parents=True, exist_ok=True)
+        code, outputs, extra = args.func(args, scenario, out)
+    except (ConfigError, UsageError, OSError) as exc:   # an OSError: --out cannot be written
+        if made:
+            with contextlib.suppress(OSError):    # a failed command leaves no empty --out
+                out.rmdir()
+        if isinstance(exc, ConfigError):
+            for err in exc.errors:
+                print(f"config error: {err}", file=sys.stderr)
+        else:
+            print(exc, file=sys.stderr)
         return EXIT_CONFIG
     _write_manifest(outputs, received, args.subcommand, scenario, t0, **extra)
     return code

@@ -182,16 +182,20 @@ def hbs_update(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
     return np.minimum(snap.hbs.p_bar_h, ue_max(required_hbs_power(x[..., :-1], snap)))
 
 
-def joint_update(alg: Algorithm, x: np.ndarray, snap: Snapshot) -> np.ndarray:
+def joint_update(
+    alg: Algorithm, x: np.ndarray, snap: Snapshot, out: np.ndarray | None = None
+) -> np.ndarray:
     """One synchronous step: every UE and (for *EH) the base station update
-    from the same state. Returns a new state of the same shape and layout."""
+    from the same state. Returns the next state, written into `out` when one
+    is given (of x's shape, not overlapping x), else into a new array of the
+    same shape and layout."""
     interf = _interference(x, snap)
     if alg.opportunistic:
         up = np.divide(snap.eta * snap.h, interf, out=interf)
     else:
         up = np.multiply(snap.gamma_target, interf, out=interf)
         up /= snap.h
-    nxt = np.empty_like(x)
+    nxt = np.empty_like(x) if out is None else out
     np.minimum(snap.p_bar_u, up, out=nxt[..., :-1])
     nxt[..., -1] = hbs_update(x, snap) if alg.harvesting else 0.0
     return nxt

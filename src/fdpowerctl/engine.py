@@ -13,12 +13,15 @@ state on a batch Snapshot of (S, K) parameter arrays, with a convergence
 record per row. A row stops at the first step whose relative change is at
 most tol, or after max_iter steps; each row's numbers equal those of
 iterating it alone. It runs blocks of up to 16 updates into one stack of
-states and tests their stops in one vectorised pass, each row's outputs
-from its own stop step (see `iterate`). Rows that stop are written out at
-their block's end and dropped from the working arrays by one integer
-index, so a step costs what the running rows cost. `solve` runs it with an
-algorithm's joint update, and `run_fixed_point` is the one-row case. A
-sweep makes one `solve` call per algorithm and axis value.
+states and then tests the block's stops, each row's outputs from its own
+stop step (see `iterate`). Past the first steps the test is screened: one
+component per row, the one with the row's largest change in its last full
+test, gives a lower bound on the row's change at every step, and only the
+rows whose bound reaches tol get the full test. Rows that stop are written
+out at their block's end and dropped from the working arrays by one
+integer index, so a step costs what the running rows cost. `solve` runs it
+with an algorithm's joint update, and `run_fixed_point` is the one-row
+case. A sweep makes one `solve` call per algorithm and axis value.
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -154,8 +157,8 @@ def _certifiable(update, batch: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     change is the exact ratio, or is identically 0 (live is False).
     """
     caps = state_caps(batch)
-    at_zero = update(np.zeros_like(caps), batch)
-    at_caps = update(caps, batch)
+    at_zero = update(np.zeros_like(caps), batch, np.empty_like(caps))
+    at_caps = update(caps, batch, np.empty_like(caps))
     dead = np.maximum(at_zero, at_caps) == 0.0
     low = np.minimum(at_zero, at_caps)
     return np.all(dead | (low >= CHANGE_FLOOR), axis=-1), ~dead
@@ -166,8 +169,15 @@ def _log_distance(a: np.ndarray, b: np.ndarray, live: np.ndarray) -> np.ndarray:
     return np.abs(np.log(np.divide(a, b, out=np.ones_like(a), where=live))).max(axis=-1)
 
 
+def _relative(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Relative changes |new - old| / max(old, CHANGE_FLOOR), elementwise."""
+    rel = np.abs(new - old)
+    rel /= np.maximum(old, CHANGE_FLOOR)
+    return rel
+
+
 def iterate(
-    update: Callable[[np.ndarray, Snapshot], np.ndarray],
+    update: Callable[[np.ndarray, Snapshot, np.ndarray], np.ndarray],
     batch: Snapshot,
     p_init: np.ndarray,
     tol: float,
@@ -183,19 +193,37 @@ def iterate(
     infinity-norm relative change (denominators floored at CHANGE_FLOOR) is
     at most tol, and unconverged after max_iter steps: an exception is never
     raised for it. The steps run in blocks of b updates into a (b+1, rows,
-    K+1) stack of states; one vectorised pass then takes all b relative
+    K+1) stack of states; the stop test (below) then takes the b relative
     changes and each row's stop, its first converged step or the block's
     end (at max_iter, or by the certificate), and the row's outputs come
     from its own stop step. A block is as long as the steps taken, from
     FIRST_BLOCK up to BLOCK_STEPS, so a short solve runs at most about twice
     its steps; it holds at most STACK_ELEMENTS numbers, but 2 steps, and
     ends on every multiple of 16 and at max_iter, so each check ends a block
-    that holds x_{t-2}. `update` receives the rows running at the block's
-    start and their parameters; a row stopping inside a block runs, unread,
-    to its end, where one `np.flatnonzero` index drops the stopped rows once
-    they are written out. With a `history` list, the (rows, K+1) state of
-    the running rows at every step, the clipped start and each row's stop
-    step included, is appended to it; runs of one row use it.
+    that holds x_{t-2}. `update(x, rows, out)` receives the rows running at
+    the block's start and their parameters, and writes their next states
+    into the stack's `out`, which does not overlap x; a row stopping inside
+    a block runs, unread, to its end, where one `np.flatnonzero` index drops
+    the stopped rows once they are written out. With a `history` list, the
+    (rows, K+1) state of the running rows at every step, the clipped start
+    and each row's stop step included, is appended to it; runs of one row
+    use it.
+
+    The stop test is screened. Each row tracks one component, the argmax
+    of its relative changes at the last step of its last full test. A
+    screened block first takes that component's relative change at each of
+    its steps, by the full test's own operations on the same numbers, so
+    each is bit for bit one of the terms the row's change is the maximum
+    of, and a lower bound on it. A row whose bound exceeds tol at every
+    step (NaN included) cannot stop converged in the block; only the
+    others get the full test, which moves their tracked component. A row
+    the screen rules out that stops unconverged, at max_iter or by the
+    certificate, gets the full change of its last step, so `final_change`
+    is always the full test's number at the row's stop step. The first
+    BLOCK_STEPS steps, where the states still move by orders of magnitude,
+    a block after one that stopped most of its rows and a block whose screen
+    leaves most rows near tol run the full test on every row: there the
+    screen would cost more than it saves.
 
     With `give_up`, a row also stops unconverged, with `stopped_early` set,
     at a check step t = 16, 32, 48, ..., 128, 256, 512, ... < max_iter when
@@ -235,6 +263,7 @@ def iterate(
     check = BLOCK_STEPS if give_up and tol < 1.0 else None
     certifiable = live = None          # per batch row, from the first check on
     t, stack = 0, None                 # steps taken; the block's states, x_t first
+    track = None                       # per working row, the component the screen reads
     while t < max_iter and index.size:
         fit = 1 << max(1, (STACK_ELEMENTS // x.size).bit_length() - 1)
         b = min(max(FIRST_BLOCK, t), fit, BLOCK_STEPS - t % BLOCK_STEPS, max_iter - t)
@@ -242,16 +271,34 @@ def iterate(
             stack = np.empty((b + 1, *x.shape))
         stack[0] = x
         for i in range(b):
-            stack[i + 1] = update(stack[i], batch)
+            update(stack[i], batch, stack[i + 1])
         t += b
         x = stack[b]
-        rel = np.abs(stack[1 : b + 1] - stack[:b])
-        rel /= np.maximum(stack[:b], CHANGE_FLOOR)
-        change = ue_max(rel.reshape(-1, x.shape[-1])).reshape(b, -1)
+        # the full test: on every row, or in a screened block on the rows
+        # the screen cannot rule out, unless they are most rows
+        near = None
+        if track is not None:
+            seen = stack[: b + 1].transpose(1, 2, 0)[np.arange(len(x)), track]
+            near = (_relative(seen[:, 1:], seen[:, :-1]) <= tol).any(axis=1)
+            tested = np.flatnonzero(near)
+            if 2 * tested.size >= len(x):
+                near = None
+        if near is None:
+            rel = _relative(stack[1 : b + 1], stack[:b])
+            change = ue_max(rel.reshape(-1, x.shape[-1])).reshape(b, -1)
+        else:
+            change = np.full((b, len(x)), math.inf)
+            if tested.size:
+                states = stack[: b + 1].transpose(1, 0, 2)[tested]
+                rel = _relative(states[:, 1:], states[:, :-1])
+                change.T[tested] = ue_max(rel.reshape(-1, x.shape[-1])).reshape(-1, b)
+                track[tested] = rel[:, -1].argmax(axis=-1)
         conv = change <= tol
         converged = conv.any(axis=0)
         at = np.where(converged, conv.argmax(axis=0), b - 1)
         stop = converged | (t == max_iter)
+        # rows stop unconverged at max_iter and at the certificate's checks
+        unconverged_stops = t in (max_iter, check)
         if t == check:
             if t < max_iter and not stop.all():
                 if certifiable is None:
@@ -267,8 +314,19 @@ def iterate(
         if history is not None:
             last = np.where(stop, at, b - 1)
             history.extend(stack[j + 1][last >= j] for j in range(last.max() + 1))
-        if stop.any():
-            rows = np.flatnonzero(stop)
+        if near is not None and unconverged_stops:
+            # a screened-out row that stops unconverged gets the full change
+            # of its last step
+            late = np.flatnonzero(stop & ~near)
+            change[b - 1][late] = ue_max(_relative(x[late], stack[b - 1][late]))
+        rows = np.flatnonzero(stop)
+        # the next block screens, unless the first steps are not done or
+        # this block stopped most of its rows
+        if t < BLOCK_STEPS or 2 * rows.size >= len(x):
+            track = None
+        elif near is None:
+            track = rel[-1].argmax(axis=-1)
+        if rows.size:
             at = at[rows]
             out.fixed_point[index[rows]] = stack[at + 1, rows]
             out.iterations_used[index[rows]] = t - b + 1 + at
@@ -281,6 +339,8 @@ def iterate(
             # free the block's arrays before the smaller batch is built
             keep = np.flatnonzero(~stop)
             x, stack, rel = x[keep], None, None
+            if track is not None:
+                track = track[keep]
             index, batch = index[keep], batch.rows(keep)
     return out
 
@@ -306,7 +366,7 @@ def solve(
         if not alg.harvesting:
             p_init[:, -1] = 0.0
     return iterate(
-        lambda x, rows: joint_update(alg, x, rows),
+        lambda x, rows, out: joint_update(alg, x, rows, out),
         batch,
         p_init,
         batch.cfg.tol if tol is None else tol,

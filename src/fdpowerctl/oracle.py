@@ -310,14 +310,17 @@ def fast_lipschitz_report(snap: Snapshot, at: np.ndarray | None = None) -> FLRep
 # equivalence of the two update parameterizations
 
 
-def transformed_joint_update(x: np.ndarray, snap: Snapshot) -> np.ndarray:
+def transformed_joint_update(
+    x: np.ndarray, snap: Snapshot, out: np.ndarray | None = None
+) -> np.ndarray:
     """Ratio-form restatement of the tracking update.
 
     The UE update folds the own-signal term into the denominator, summing the
     received power over all UEs with a (1 + gamma_hat) divisor; the harvest
     update substitutes the same expression via the alpha coefficients. Both
     share their fixed points with the plain tracking form when no cap binds.
-    Like joint_update it also takes a batch of states on a batch of snapshots.
+    Like joint_update it also takes a batch of states on a batch of
+    snapshots, and writes into `out` when one is given.
     """
     cfg = snap.cfg
     total = (
@@ -325,7 +328,7 @@ def transformed_joint_update(x: np.ndarray, snap: Snapshot) -> np.ndarray:
         + cfg.delta * x[..., -1:] + cfg.sigma2
     )
     gt = snap.gamma_target
-    nxt = np.empty(x.shape)
+    nxt = np.empty(x.shape) if out is None else out
     nxt[..., :-1] = np.minimum(snap.p_bar_u, gt * total / ((1.0 + gt) * snap.h))
     alpha = alpha_coefficients(snap)
     nxt[..., -1] = np.minimum(snap.hbs.p_bar_h, np.max(alpha * total + snap.p_min, axis=-1))

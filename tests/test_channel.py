@@ -213,6 +213,8 @@ def test_chunked_distances_match_one_pass(n):
         ({}, {"p_bar_u": None, "e_bar": -1.0}, ["ue_template.e_bar"]),
         ({"num_ues": 0}, {}, ["scenario.num_ues"]),
         ({"cell_side": -5.0}, {"p_sta": -1.0}, ["scenario.cell_side", "ue_template.circuit"]),
+        ({}, {"p_bar_u": None}, ["ue_template.p_bar_u"]),
+        ({"delta_t": 0.0}, {"p_bar_u": None, "e_bar": 1.0}, ["scenario.delta_t"]),
     ],
 )
 def test_batch_validation_matches_snapshot(cfg_change, template_change, paths):

@@ -681,7 +681,13 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text, message):
     assert not (tmp_path / "out").exists()
 
 
-def test_out_naming_a_file_exits_2(tmp_path, capsys):
+def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch):
+    import fdpowerctl.engine as engine
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before --out was made")
+
+    monkeypatch.setattr(engine, "solve", no_solve)
     out = tmp_path / "taken"
     out.write_text("kept")
     assert main(["snapshot", "--config", DESK, "--out", str(out)]) == 2

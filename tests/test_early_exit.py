@@ -17,6 +17,8 @@ from fdpowerctl.channel import sample_batch, snapshot_from_scenario
 from fdpowerctl.core import Algorithm, joint_update
 from fdpowerctl.engine import apply_axis, run_fixed_point, run_monte_carlo, solve
 
+from scalar_reference import scalar_fixed_point
+
 N_SNAPSHOTS = 200
 
 # the certificate's check steps below the largest budget used here (2000):
@@ -76,6 +78,37 @@ def test_opceh_unconverged_rows_are_stopped_early(desk_scenario, k):
     assert set(early.iterations_used[early.stopped_early].tolist()) == OPCEH_STOP_STEPS[k]
 
 
+def _assert_final_change_of_scalar_loop(alg, batch, sol, rows):
+    """Rows `rows` of sol have the numbers of the scalar loop run to their
+    iterations_used; final_change is the full relative change of that step."""
+    for s in rows.tolist():
+        used = int(sol.iterations_used[s])
+        p, steps, converged, change = scalar_fixed_point(alg, batch.rows(s), max_iter=used)
+        assert (steps, converged) == (used, bool(sol.converged[s]))
+        assert sol.fixed_point[s].tolist() == p.tolist()
+        assert sol.final_change[s].hex() == change.hex()
+
+
+@pytest.mark.parametrize("k", [5, 10, 20])
+def test_certified_rows_keep_the_full_change_of_their_stop_step(desk_scenario, k):
+    batch = _batch(desk_scenario, k)
+    early = solve(Algorithm.OPCEH, batch, give_up=True)
+    stopped = np.flatnonzero(early.stopped_early)
+    assert stopped.tolist() == OPCEH_UNCONVERGED[k]
+    _assert_final_change_of_scalar_loop(Algorithm.OPCEH, batch, early, stopped)
+
+
+@pytest.mark.parametrize("k, max_iter", [(5, 22), (10, 33), (10, 41), (20, 130)])
+def test_rows_at_max_iter_keep_the_full_change_of_their_last_step(desk_scenario, k, max_iter):
+    # past the plain first blocks, rows stop converged and at max_iter
+    batch = _batch(desk_scenario, k)
+    sol = solve(Algorithm.TPCEH, batch, max_iter=max_iter, give_up=True)
+    unconverged = np.flatnonzero(~sol.converged)
+    assert unconverged.size and not sol.stopped_early.any()
+    assert np.all(sol.iterations_used[unconverged] == max_iter)
+    _assert_final_change_of_scalar_loop(Algorithm.TPCEH, batch, sol, np.arange(N_SNAPSHOTS))
+
+
 def test_sweep_counts_rows_stopped_early(desk_scenario):
     (result,) = run_monte_carlo([Algorithm.OPCEH], desk_scenario, "num_ues", [2, 5, 10, 20],
                                 N_SNAPSHOTS)
@@ -122,11 +155,13 @@ def test_rows_near_the_change_floor_do_not_qualify(desk_scenario):
     gamma[1, 2] = 1e-30          # row 1's UE 2 tracks a target of almost 0
     batch = dataclasses.replace(batch, gamma_target=gamma)
     qualifies, live = engine._certifiable(
-        lambda p, rows: joint_update(Algorithm.TPCEH, p, rows), batch
+        lambda p, rows, out: joint_update(Algorithm.TPCEH, p, rows, out), batch
     )
     assert qualifies.tolist() == [True, False, True, True]
     assert live.all()
-    _, live = engine._certifiable(lambda p, rows: joint_update(Algorithm.OPC, p, rows), batch)
+    _, live = engine._certifiable(
+        lambda p, rows, out: joint_update(Algorithm.OPC, p, rows, out), batch
+    )
     assert live[:, :-1].all() and not live[:, -1].any()
 
 
@@ -134,9 +169,9 @@ def test_fast_batch_makes_no_bound_calls(desk_scenario, monkeypatch):
     calls = []
     real = engine.joint_update
 
-    def counted(alg, p, rows):
+    def counted(alg, p, rows, out=None):
         calls.append(len(rows))
-        return real(alg, p, rows)
+        return real(alg, p, rows, out)
 
     monkeypatch.setattr(engine, "joint_update", counted)
     # every row converges before the first check, so no call computes the

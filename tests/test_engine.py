@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fdpowerctl import engine
 from fdpowerctl.channel import Snapshot, draw_ues, sample_batch, snapshot_from_scenario
 from fdpowerctl.config import ConfigError, load_scenario
-from fdpowerctl.core import Algorithm, joint_update, metrics, required_hbs_power
+from fdpowerctl.core import Algorithm, joint_update, metrics, required_hbs_power, state_caps
 from fdpowerctl.engine import (
     apply_axis,
     run_fixed_point,
@@ -690,7 +690,7 @@ def test_rows_get_the_numbers_they_get_alone(config, alg, k, delta_db, pieces, g
 @pytest.mark.parametrize("give_up", [False, True])
 @pytest.mark.parametrize("alg", list(Algorithm))
 @pytest.mark.parametrize("config", ["desk_scenario", "paper_scenario"])
-def test_lazy_compaction_matches_eager(request, config, alg, give_up):
+def test_block_schedules_match_default(request, config, alg, give_up):
     # block schedules on full 200-row batches: every row gets the bits the
     # default schedule gives it under the smallest schedule (blocks of 2
     # steps) and the sixteen-step one, which drop stopped rows at other
@@ -738,6 +738,10 @@ def test_stacked_averages_have_the_bits_of_per_metric_calls(desk_scenario, n):
         ]
 
 
+# the (row, step) pairs whose full relative change `iterate` computes in the
+# default 200-row TPCEH solve at K=20 on desk_consistent, seed 1
+SCREENED_PAIRS = 5_472
+
 # the ends of `iterate`'s blocks with room for any block, up to the default max_iter
 BLOCK_ENDS = np.array([2, 4, 8, *range(16, 2001, 16)])
 
@@ -771,9 +775,9 @@ def test_rows_run_to_the_end_of_their_stop_block_and_no_further(desk_scenario, m
     updated = []
     real = engine.joint_update
 
-    def counted(alg, x, rows):
+    def counted(alg, x, rows, out=None):
         updated.append(len(x))
-        return real(alg, x, rows)
+        return real(alg, x, rows, out)
 
     monkeypatch.setattr(engine, "joint_update", counted)
     monkeypatch.setattr(engine, "STACK_ELEMENTS", 2**62)
@@ -781,6 +785,118 @@ def test_rows_run_to_the_end_of_their_stop_block_and_no_further(desk_scenario, m
     sol = solve(alg, sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200))
     used = sol.iterations_used
     assert sum(updated) == BLOCK_ENDS[np.searchsorted(BLOCK_ENDS, used)].sum() > used.sum()
+
+
+def test_stop_test_runs_on_the_rows_that_can_stop(desk_scenario, monkeypatch):
+    # the full relative change of a (row, step) is computed only where the
+    # screen cannot rule the row out: 120,972 (row, step) pairs, every one
+    # of the 119,895 useful steps and the ends of their stop blocks, without
+    # the screen; the blocks that stop most of their rows, the first 16
+    # steps and the last steps of the rows that stop unconverged keep theirs
+    tested = []
+    real = engine.ue_max
+
+    def counted(a):
+        tested.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(engine, "ue_max", counted)
+    sc = _with(desk_scenario, 20)
+    sol = solve(Algorithm.TPCEH, sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200))
+    assert sol.iterations_used.sum() == 119_895
+    assert sum(tested) == SCREENED_PAIRS
+
+
+def _halve_toward_target(x, batch, out):
+    """Each uplink power halves its distance to the UE's gamma_target and
+    the harvest power halves toward 0, down through CHANGE_FLOOR."""
+    out[:, :-1] = (x[:, :-1] + batch.gamma_target) / 2.0
+    out[:, -1] = x[:, -1] / 2.0
+    return out
+
+
+def _one_row_at_a_time(update, batch, p_init, tol, max_iter):
+    """BatchSolution fields of iterating each row alone, a step at a time."""
+    fields = []
+    for s in range(len(batch)):
+        row = batch.rows([s])
+        x = np.clip(p_init[s : s + 1], 0.0, state_caps(row))
+        t, change = 0, math.inf
+        while t < max_iter:
+            nxt = update(x, row, np.empty_like(x))
+            change = np.max(np.abs(nxt - x) / np.maximum(x, engine.CHANGE_FLOOR))
+            x, t = nxt, t + 1
+            if change <= tol:
+                break
+        fields.append((x[0].tolist(), t, bool(change <= tol), float(change)))
+    return fields
+
+
+def test_screen_keeps_rows_at_tol_and_below_the_floor(desk_scenario):
+    # rows that converge toward their targets from below, and rows whose
+    # largest change is the harvest power's halving through CHANGE_FLOOR
+    # (relative changes of 0.5 above it, shrinking below it), tracked by
+    # the screen; tol is, bit for bit, the change of the converging rows at
+    # steps past the plain first blocks, so they stop at a change equal to
+    # tol; every row has the numbers of iterating it alone
+    sc = _with(desk_scenario, 3)
+    batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 8)
+    gamma = np.linspace(0.01, 0.9, 24).reshape(8, 3)
+    batch = dataclasses.replace(batch, gamma_target=gamma)
+    starts = np.zeros((8, 4))
+    starts[2:, :-1] = gamma[2:]
+    starts[2:5, -1] = 1e-6
+    starts[5:] = 10.0
+    for steps in (17, 25, 31, 40):
+        tol = _one_row_at_a_time(_halve_toward_target, batch.rows([0]), starts[:1], 0.0,
+                                 steps)[0][3]
+        for max_iter in (steps, 200):
+            sol = engine.iterate(_halve_toward_target, batch, starts, tol, max_iter)
+            want = _one_row_at_a_time(_halve_toward_target, batch, starts, tol, max_iter)
+            got = list(zip(sol.fixed_point.tolist(), sol.iterations_used.tolist(),
+                           sol.converged.tolist(), sol.final_change.tolist()))
+            assert got == want
+            assert sol.converged[0] and sol.iterations_used[0] == steps
+            assert not sol.stopped_early.any()
+
+
+def _approach_target(x, batch, out):
+    """Each uplink power moves the fraction eta of its distance to the UE's
+    gamma_target; the harvest power halves toward 0."""
+    out[:, :-1] = x[:, :-1] + (batch.gamma_target - x[:, :-1]) * batch.eta
+    out[:, -1] = x[:, -1] / 2.0
+    return out
+
+
+@pytest.mark.parametrize("fast, pairs", [(1, 144), (2, 256)])
+def test_screen_moves_to_the_largest_change(desk_scenario, monkeypatch, fast, pairs):
+    # in the first `fast` rows UE 0 has the largest change at step 16 but
+    # converges fast, while UE 1, 1e-4 below its target, converges slowly;
+    # the other rows converge slowly throughout. The full test that finds
+    # such a row unconverged with UE 0 near tol moves its screen to UE 1,
+    # which rules the row out until its stop block; with two such rows it is
+    # the plain pass, as half the rows are near tol. A screen left on UE 0
+    # would test these rows in every block (272 and 768 pairs)
+    sc = _with(desk_scenario, 2)
+    batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 4)
+    eta = np.array([[0.5, 0.05]] * fast + [[0.05, 0.05]] * (4 - fast))
+    batch = dataclasses.replace(batch, gamma_target=np.full((4, 2), 0.5), eta=eta)
+    starts = np.zeros((4, 3))
+    starts[:fast, 1] = 0.5 * (1.0 - 1e-4)
+    tested = []
+    real = engine.ue_max
+
+    def counted(a):
+        tested.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(engine, "ue_max", counted)
+    sol = engine.iterate(_approach_target, batch, starts, 1e-9, 2000)
+    assert sol.iterations_used.tolist() == [168] * fast + [347] * (4 - fast)
+    assert sum(tested) == pairs
+    got = list(zip(sol.fixed_point.tolist(), sol.iterations_used.tolist(),
+                   sol.converged.tolist(), sol.final_change.tolist()))
+    assert got == _one_row_at_a_time(_approach_target, batch, starts, 1e-9, 2000)
 
 
 def test_history_holds_only_the_running_rows(desk_scenario):
