@@ -172,8 +172,9 @@ def _snapshot(
     distances; the template supplies the rest. Invalid parameters raise a
     ConfigError listing what validate_scenario finds in the configuration
     and template, each once, and the per-UE violations of the first invalid
-    snapshot (only snapshot 0 when the configuration itself is invalid); a
-    batch of no snapshots checks nothing.
+    snapshot (only snapshot 0 when the configuration itself is invalid, and
+    then not a mu that is the template's invalid fixed one); a batch of no
+    snapshots checks nothing.
     """
     shape = distances.shape
     t = template
@@ -190,7 +191,14 @@ def _snapshot(
     p_bar_u = math.nan           # a batch of no snapshots checks nothing and reads no cap
     if len(rows["g"]):
         errors = validate_scenario(cfg, hbs, t)
-        errors += ue_errors({name: r[:1] for name, r in rows.items()} if errors else rows)
+        if errors:
+            rows = {name: r[:1] for name, r in rows.items()}
+            if t.mu is not None:
+                # validate_scenario reports the template's fixed mu once: a UE
+                # that takes it (NaN included) gets a valid stand-in
+                mu0 = rows["mu"]
+                rows["mu"] = np.where((mu0 == t.mu) | (np.isnan(mu0) & math.isnan(t.mu)), 0.5, mu0)
+        errors += ue_errors(rows)
         if errors:
             raise ConfigError(errors)
         p_bar_u = t.resolve_p_bar_u(cfg.epsilon, cfg.delta_t)

@@ -206,7 +206,7 @@ def test_chunked_distances_match_one_pass(n):
 @pytest.mark.parametrize(
     "cfg_change, template_change, paths",
     [
-        ({}, {"mu": 1.5}, ["ue_template.mu", "ues[0].mu", "ues[4].mu"]),
+        ({}, {"mu": 1.5}, ["ue_template.mu"]),
         ({}, {"p_bar_u": -1.0}, ["ue_template.p_bar_u"]),
         ({}, {"gamma_target": -0.1, "eta": -1.0},
          ["ues[0].gamma_target", "ues[0].eta", "ues[4].eta"]),
@@ -229,6 +229,29 @@ def test_batch_validation_matches_snapshot(cfg_change, template_change, paths):
         assert any(e.startswith(path + ":") for e in batched.value.errors), path
     # an empty batch draws and checks nothing, as no snapshot is sampled
     assert len(sample_batch(cfg, HBS, template, 0)) == 0
+
+
+@pytest.mark.parametrize("mu", [1.5, math.nan])
+def test_template_fixed_mu_is_reported_once(mu):
+    # every UE takes the template's mu: validate_scenario reports it, and
+    # no UE reports it again
+    template = dataclasses.replace(FIXED_MU, mu=mu)
+    with pytest.raises(ConfigError) as exc:
+        sample_batch(_cfg(), HBS, template, 3)
+    assert exc.value.errors == ["ue_template.mu: must lie in (0, 1)"]
+
+
+@pytest.mark.parametrize("template_mu", [1.5, 0.5])
+def test_pinned_mu_is_reported_per_ue(template_mu):
+    # a pinned UE's own mu is checked per UE; the UEs that leave it out take
+    # the template's, which is reported once
+    template = dataclasses.replace(FIXED_MU, mu=template_mu)
+    with pytest.raises(ConfigError) as exc:
+        snapshot_from_distances([10.0, 20.0, 30.0], _cfg(num_ues=3), HBS, template,
+                                mus=[2.0, None, -0.5])
+    ue = ["ues[0].mu: mu must be below 1", "ues[2].mu: mu must be strictly positive"]
+    assert exc.value.errors == (["ue_template.mu: must lie in (0, 1)"] + ue
+                                if template_mu == 1.5 else ue)
 
 
 def test_cell_side_scaling_shares_draws():

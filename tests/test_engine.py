@@ -277,6 +277,212 @@ def test_mobility_positions_stay_in_cell(desk_scenario):
         np.testing.assert_allclose(x, wave, rtol=0, atol=1e-5)
 
 
+def _plain_trajectory(side, speed, step, n_steps):
+    x, direction, xs = 0.0, 1.0, []
+    for _ in range(n_steps):
+        x += direction * speed * step
+        if not 0.0 <= x <= side:
+            x = math.fmod(x, 2 * side)
+            if x < 0.0:
+                x, direction = -x, -direction
+            if x > side:
+                x, direction = 2 * side - x, -direction
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("speed_kmh, n_steps", [
+    (5.0, 10_000),          # one accumulate: the path never reaches a wall
+    (50.0, 10_000),         # an accumulate up to the far wall, then the loop
+    (5000.0, 2_000),        # a reflection every 36 steps
+    (400_000.0, 1_000),     # a step longer than a round trip: fmod
+    (0.0, 100),
+    (-0.0, 100),            # 0.0 + -0.0 is 0.0: the path starts at 0.0, not at d
+    (5.0, 1),
+    (5.0, 0),
+])
+def test_trajectory_has_the_bits_of_the_step_loop(speed_kmh, n_steps):
+    xs = engine._trajectory(50.0, speed_kmh / 3.6, 1e-3, n_steps)
+    expected = np.array(_plain_trajectory(50.0, speed_kmh / 3.6, 1e-3, n_steps), dtype=float)
+    assert xs.shape == (n_steps,)
+    assert xs.tobytes() == expected.tobytes()
+
+
+def _plain_chain(lv, on, need, harvest, cap):
+    levels = []
+    for nd, hv in zip(need, harvest):
+        lv += hv
+        if (lv >= nd) != on:
+            break
+        if on:
+            lv -= nd
+        if lv > cap:
+            lv = cap
+        levels.append(lv)
+    return levels
+
+
+def _assert_battery_exact(level, transmit, need, harvest, cap):
+    # `_battery` against the plain per-step loop, bit for bit: each chain
+    # runs as far as the shortest before it
+    need, harvest = np.asarray(need, dtype=float), np.asarray(harvest, dtype=float)
+    if need.ndim == 1:
+        need, harvest = need[:, None], harvest[:, None]
+    got = engine._battery(list(level), list(transmit), need, harvest, cap)
+    end, chains = len(need), []
+    for k, (lv, on) in enumerate(zip(level, transmit)):
+        chains.append(_plain_chain(lv, on, need[:end, k].tolist(), harvest[:end, k].tolist(), cap))
+        end = len(chains[-1])
+    expected = np.array([chain[:end] for chain in chains], dtype=float).reshape(len(level), end)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    return got
+
+
+def test_battery_chain_clipped_every_other_step():
+    # the level dips 0.5 below the cap and comes back over it: every pass
+    # commits 1 row, so the chain runs almost all in the plain loop
+    m = 4096
+    need = np.ones(m)
+    harvest = np.tile([0.5, 2.0], m // 2)
+    got = _assert_battery_exact([10.0], [True], need, harvest, 10.0)
+    assert got.shape == (1, m)
+    assert got[0, 1::2].tolist() == [10.0] * (m // 2)
+
+
+@pytest.mark.parametrize("period", [17, 64, 65, 100, 1000])
+def test_battery_chain_clipped_periodically(period):
+    m = 4096
+    need = np.ones(m)
+    harvest = np.full(m, 0.5)
+    harvest[period - 1 :: period] = 0.5 * period + 1.0
+    _assert_battery_exact([1e4], [True], need, harvest, 1e4)
+
+
+def _count_chain_work(monkeypatch):
+    """Calls and rows of `engine._pass` and `engine._steps`, counted."""
+    work = {"passes": 0, "pass_rows": 0, "steps": 0, "step_rows": 0}
+    real_pass, real_steps = engine._pass, engine._steps
+
+    def counted_pass(lv, on, nd, hv, cap):
+        work["passes"] += 1
+        work["pass_rows"] += len(nd)
+        return real_pass(lv, on, nd, hv, cap)
+
+    def counted_steps(lv, on, needs, harvests, cap):
+        work["steps"] += 1
+        work["step_rows"] += len(needs)
+        return real_steps(lv, on, needs, harvests, cap)
+
+    monkeypatch.setattr(engine, "_pass", counted_pass)
+    monkeypatch.setattr(engine, "_steps", counted_steps)
+    return work
+
+
+@pytest.mark.parametrize("period", [2, 17, 100, 1000])
+def test_battery_chain_work_is_linear(period, monkeypatch):
+    # A chain clipped every `period` rows reads each row a few times at
+    # most, in few calls: a pass that re-read the rest of the window at
+    # every clip would read 5 to 22 times m rows here. A chain that clips
+    # rarely runs mostly in passes, not in the plain loop.
+    work = _count_chain_work(monkeypatch)
+    m = 4096
+    need = np.ones(m)
+    harvest = np.full(m, 0.5)
+    harvest[period - 1 :: period] = 0.5 * period + 1.0
+    _assert_battery_exact([1e4], [True], need, harvest, 1e4)
+    assert work["pass_rows"] + work["step_rows"] <= 3 * m
+    assert work["passes"] + work["steps"] <= 2 * m // engine.SHORT_RUN + 2
+    if period >= 1000:
+        assert work["step_rows"] <= m // 4
+
+
+@pytest.mark.parametrize("lv", [math.inf, 1.0])
+def test_battery_chain_under_an_infinite_cap_is_one_pass(lv, monkeypatch):
+    # battery_init inf: nothing ever clips, so a whole chain is one pass
+    work = _count_chain_work(monkeypatch)
+    m = 4096
+    rng = np.random.default_rng(3)
+    need, harvest = rng.uniform(0.0, 1e-7, m), rng.uniform(0.0, 2e-7, m)
+    _assert_battery_exact([lv], [True], need, harvest, math.inf)
+    assert work == {"passes": 1, "pass_rows": m, "steps": 0, "step_rows": 0}
+
+
+@pytest.mark.parametrize("m", [10, 300])
+@pytest.mark.parametrize("cap, lv", [
+    (math.inf, math.inf),     # battery_init inf: the level stays inf
+    (math.inf, 1.0),          # below an infinite cap: no clip ever
+    (1e-6, math.inf),         # an infinite level clips to a finite cap at once
+])
+@pytest.mark.parametrize("on", [True, False])
+def test_battery_chain_infinite_levels_and_caps(m, cap, lv, on):
+    rng = np.random.default_rng(3)
+    need = rng.uniform(0.0, 1e-7, m)
+    harvest = rng.uniform(0.0, 2e-7, m) if on else rng.uniform(0.0, 1e-8, m)
+    _assert_battery_exact([lv], [on], need, harvest, cap)
+
+
+@pytest.mark.parametrize("m", [10, 300])
+def test_battery_chain_silent_ue_fills_to_the_cap(m):
+    # a silent UE that cannot afford its need harvests up to the cap and
+    # stays there, clipped at every step
+    need = np.full(m, 1.0)
+    harvest = np.full(m, 0.1)
+    got = _assert_battery_exact([0.0], [False], need, harvest, 0.5)
+    assert got.shape == (1, m) and got[0, -1] == 0.5
+
+
+@pytest.mark.parametrize("m", [10, 300])
+@pytest.mark.parametrize("on", [True, False])
+def test_battery_chain_nan_level(m, on):
+    # NaN affords nothing: a transmitting UE breaks on row 0, a silent one
+    # stays NaN
+    got = _assert_battery_exact([math.nan], [on], np.ones(m), np.ones(m), 1.0)
+    assert got.shape == (1, 0 if on else m)
+
+
+@pytest.mark.parametrize("m", [10, 300])
+def test_battery_chain_breaks_on_row_0(m):
+    got = _assert_battery_exact([0.0, 1.0], [True, True], np.ones((m, 2)), np.zeros((m, 2)), 1.0)
+    assert got.shape == (2, 0)
+
+
+@pytest.mark.parametrize("m", [10, 300])
+def test_battery_chain_level_equal_to_need(m):
+    # a level that equals the need affords it (>=) and pays down to 0.0
+    got = _assert_battery_exact([8.0], [True], np.ones(m), np.zeros(m), 8.0)
+    assert got[0].tolist() == [7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("m", [10, 300])
+@pytest.mark.parametrize("cap", [0.0, -0.0])
+def test_battery_chain_signed_zeros(m, cap):
+    # -0.0 + -0.0 is -0.0, 0.0 + -0.0 is 0.0: a row equal to a zero cap
+    # need not have its bits, so each row steps from the row before
+    harvest = np.tile([0.0, -0.0, -0.0], m)[:m]
+    _assert_battery_exact([cap], [True], np.zeros(m), harvest, cap)
+    _assert_battery_exact([-cap], [False], np.ones(m), harvest, cap)
+
+
+def test_battery_chain_empty_window():
+    got = _assert_battery_exact([1.0, 2.0], [True, False], np.empty((0, 2)), np.empty((0, 2)), 2.0)
+    assert got.shape == (2, 0)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_battery_chains_match_the_plain_loop(seed):
+    # seeded windows of up to 3 UEs: each UE's harvest is below, near or
+    # above its need, so runs cross the cap, saturate and break
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(0, 700)), int(rng.integers(1, 4))
+    cap = float(rng.choice([1e-6, 1.0, 0.0, math.inf]))
+    need = rng.uniform(0.0, 1.0, (m, k)) * rng.choice([0.0, 1e-3, 1e-2], k)
+    harvest = rng.uniform(0.0, 1.0, (m, k)) * rng.choice([0.0, 1e-3, 2e-2, 1.0], k)
+    level = [float(v) for v in rng.choice([cap, 0.5 * cap, 0.0, math.inf], k)]
+    transmit = rng.integers(0, 2, k).astype(bool).tolist()
+    _assert_battery_exact(level, transmit, need, harvest, cap)
+
+
 def test_mobility_zero_duration(desk_scenario):
     result = run_mobility(Algorithm.TPC, _mobility_scenario(desk_scenario), duration=0.0)
     assert result.time.shape == (0,)
