@@ -173,8 +173,8 @@ def _snapshot(
     ConfigError listing what validate_scenario finds in the configuration
     and template, each once, and the per-UE violations of the first invalid
     snapshot (only snapshot 0 when the configuration itself is invalid, and
-    then not a mu that is the template's invalid fixed one); a batch of no
-    snapshots checks nothing.
+    then not a mu, gamma_target or eta that is the template's invalid one);
+    a batch of no snapshots checks nothing.
     """
     shape = distances.shape
     t = template
@@ -193,11 +193,14 @@ def _snapshot(
         errors = validate_scenario(cfg, hbs, t)
         if errors:
             rows = {name: r[:1] for name, r in rows.items()}
-            if t.mu is not None:
-                # validate_scenario reports the template's fixed mu once: a UE
-                # that takes it (NaN included) gets a valid stand-in
-                mu0 = rows["mu"]
-                rows["mu"] = np.where((mu0 == t.mu) | (np.isnan(mu0) & math.isnan(t.mu)), 0.5, mu0)
+            # validate_scenario reports the template's mu, gamma_target and
+            # eta once: a UE that takes one (NaN included) gets a valid stand-in
+            for name, stand_in in (("mu", 0.5), ("gamma_target", 0.0), ("eta", 0.0)):
+                value = getattr(t, name)
+                if value is not None:
+                    column = rows[name]
+                    same = (column == value) | (np.isnan(column) & math.isnan(value))
+                    rows[name] = np.where(same, stand_in, column)
         errors += ue_errors(rows)
         if errors:
             raise ConfigError(errors)

@@ -187,8 +187,9 @@ def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams, template: UeTemplate)
     """Check the invariants of the configuration and of the constants the UE
     template fixes for every UE: its uplink cap (exactly one of p_bar_u and
     e_bar set, and the cap they give finite and positive), circuit powers,
-    antennas and fixed mu. Returns all violations, each once, with field
-    paths. ue_errors checks the inputs that can vary per UE."""
+    antennas, fixed mu and the gamma_target and eta that UEs without their
+    own take. Returns all violations, each once, with field paths. ue_errors
+    checks the inputs that can vary per UE."""
     errors: list[str] = []
 
     def bad(path: str, msg: str):
@@ -236,6 +237,12 @@ def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams, template: UeTemplate)
 
     if template.mu is not None and not (0.0 < template.mu < 1.0):
         bad("ue_template.mu", "must lie in (0, 1)")
+    for name in ("gamma_target", "eta"):
+        value = getattr(template, name)
+        if value < 0.0:
+            bad(f"ue_template.{name}", "must be non-negative")
+        if not math.isfinite(value):
+            bad(f"ue_template.{name}", "must be finite")
     if (template.p_bar_u is None) == (template.e_bar is None):
         bad("ue_template.p_bar_u", "exactly one of p_bar_u and e_bar must be set")
     elif cfg.delta_t != 0.0:      # a derived cap divides by it; a zero one is reported above

@@ -1,17 +1,23 @@
 """Power-control update rules and derived link metrics.
 
 All functions here are pure maps from a joint power state to the next state
-or to metrics. The synchronous iteration that composes them lives in the
-engine.
+or to metrics; a bound update (`JointUpdate`) reuses its own scratch arrays,
+so one binding serves one caller at a time. The synchronous iteration that
+composes them lives in the engine.
 
 A state is one array x: the K uplink powers in x[..., :-1], then the base
 station's harvest transmit power in x[..., -1] (watts). One state has shape
 (K+1,); a batch of S states has shape (S, K+1) and goes with a Snapshot whose
 per-UE arrays are (S, K). A batch may be row-major, each row contiguous, or
 UE-major, each UE's column contiguous (the mobility windows are); results
-take the layout of their inputs. Each row gets exactly the result it would
-get on its own, in either layout, which fixes how the reductions over the
-UEs may run:
+take the layout of their inputs. The update is one kernel, `JointUpdate`,
+bound to a batch once and then applied at every step (`joint_update` binds
+and applies it once). On row-major states it works on all K+1 lanes of a
+row, the harvest power as lane K: its per-UE operands are padded to K+1
+lanes, with pads that keep lane K inert, so that every elementwise pass
+runs on whole contiguous rows rather than on the strided view of the K
+uplink powers. Each row gets exactly the result it would get on its own,
+in either layout, which fixes how the reductions over the UEs may run:
 
 * a maximum (`ue_max`) is exact in any order, so it may run across rows,
   over a transposed copy, where that is cheaper;
@@ -36,7 +42,9 @@ energy signal leaks into the receiver as residual self-interference.
 
 from __future__ import annotations
 
+import copy
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +58,7 @@ __all__ = [
     "sinr",
     "hbs_update",
     "joint_update",
+    "JointUpdate",
     "metrics",
     "required_hbs_power",
     "ue_max",
@@ -182,23 +191,120 @@ def hbs_update(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
     return np.minimum(snap.hbs.p_bar_h, ue_max(required_hbs_power(x[..., :-1], snap)))
 
 
+def _padded(a: np.ndarray, pad: float) -> np.ndarray:
+    """a's (..., K) UE lanes and the harvest lane after them, set to pad: a
+    new (..., K+1) row-major array."""
+    lanes = np.empty((*a.shape[:-1], a.shape[-1] + 1))
+    lanes[..., :-1] = a
+    lanes[..., -1] = pad
+    return lanes
+
+
+class JointUpdate:
+    """An algorithm's joint update bound to a batch: one synchronous step in
+    which every UE and (for *EH) the base station update from the same state.
+
+    Binding looks up the operands and allocates the scratch arrays, once,
+    for states shaped and laid out like `like` (by default a row-major
+    batch of the snapshot's rows); a call then writes the next state of x
+    into `out`, of x's shape and not overlapping x, or into a new array of
+    x's layout. Every UE lane performs the operations of the plain (..., K)
+    arithmetic, in its order: ((sum - own) + delta p_h) + sigma2 for the
+    interference, then min(p_bar_u, (gamma interference) / h) or
+    min(p_bar_u, (eta h) / interference), and p_u / (eps mu g) + p_min
+    before the harvest maximum.
+
+    * Row-major states are bound at width K+1: each per-UE operand gets the
+      harvest lane as its last, so every elementwise pass runs on whole
+      contiguous rows of x, the operands and the scratch, where the UE
+      columns alone would be a strided view. The interference sum reads the
+      K UE lanes alone (`ue_sum`, the same grouping). The harvest lane's
+      pads keep it inert on states whose harvest power is finite and
+      non-negative: h is -1 there, so that lane's interference,
+      ((sum + p_h) + delta p_h) + sigma2, is at least sigma2 and no
+      division meets a 0; gamma and eta h are 1, so an infinite
+      interference (delta p_h overflowing) never meets a factor of 0; and
+      p_h / inf + (-inf) is -inf, which never wins the harvest maximum. The
+      uplink pass's value in that lane is overwritten.
+    * UE-major states (a mobility window) and a single state are bound at
+      width K, with the operands as they are: their UE columns are already
+      contiguous.
+
+    The scalars are bound as 0-d arrays, which numpy combines with a whole
+    array as cheaply as a second contiguous operand.
+    """
+
+    def __init__(self, alg: Algorithm, snap: Snapshot, like: np.ndarray | None = None):
+        k = snap.num_ues
+        shape = (*snap.g.shape[:-1], k + 1) if like is None else like.shape
+        self.alg, self.k = alg, k
+        self.padded = len(shape) == 2 and not (like is not None and _ue_major(like))
+        lanes = _padded if self.padded else (lambda a, pad: a)
+        self.h = lanes(snap.h, -1.0)
+        if alg.opportunistic:
+            self.gain = lanes(snap.eta * snap.h, 1.0)
+        else:
+            self.gain = lanes(snap.gamma_target, 1.0)
+        self.scale = self.floor = None
+        if alg.harvesting:
+            self.scale = lanes(snap.harvest_scale, math.inf)
+            self.floor = lanes(snap.p_min, -math.inf)
+        self.delta, self.sigma2 = np.array(snap.cfg.delta), np.array(snap.cfg.sigma2)
+        self.p_bar_u, self.p_bar_h = np.array(snap.p_bar_u), np.array(snap.hbs.p_bar_h)
+        self.interf = np.empty((*shape[:-1], k + 1 if self.padded else k),
+                               order="C" if self.padded else "F")
+        self.leak = np.empty(shape[:-1])
+
+    def rows(self, index: np.ndarray) -> JointUpdate:
+        """The update bound to the rows of the batch that the integer array
+        `index` picks: each per-row operand gathered, the scratch arrays'
+        leading rows."""
+        picked = copy.copy(self)
+        for name in ("h", "gain", "scale", "floor"):
+            value = getattr(self, name)
+            if value is not None and value.ndim == 2:
+                setattr(picked, name, value[index])
+        m = len(index)
+        picked.interf, picked.leak = self.interf[:m], self.leak[:m]
+        return picked
+
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        k = self.k
+        nxt = np.empty_like(x) if out is None else out
+        # a padded binding runs on whole rows, the others on the UE columns;
+        # the lanes of nxt hold the received powers and the harvest
+        # requirements before the next state
+        xs, lanes = (x, nxt) if self.padded else (x[..., :k], nxt[..., :k])
+        received = np.multiply(self.h, xs, out=lanes)
+        interf = np.subtract(ue_sum(received[..., :k]), received, out=self.interf)
+        interf += np.multiply(self.delta, x[..., k], out=self.leak)[..., None]
+        interf += self.sigma2
+        if self.alg.opportunistic:
+            up = np.divide(self.gain, interf, out=interf)
+        else:
+            up = np.multiply(self.gain, interf, out=interf)
+            up /= self.h
+        if self.alg.harvesting:
+            required = np.divide(xs, self.scale, out=lanes)
+            required += self.floor
+            harvest = ue_max(required)
+        np.minimum(self.p_bar_u, up, out=lanes)
+        if self.alg.harvesting:
+            np.minimum(self.p_bar_h, harvest, out=nxt[..., k])
+        else:
+            nxt[..., k] = 0.0
+        return nxt
+
+
 def joint_update(
     alg: Algorithm, x: np.ndarray, snap: Snapshot, out: np.ndarray | None = None
 ) -> np.ndarray:
     """One synchronous step: every UE and (for *EH) the base station update
     from the same state. Returns the next state, written into `out` when one
     is given (of x's shape, not overlapping x), else into a new array of the
-    same shape and layout."""
-    interf = _interference(x, snap)
-    if alg.opportunistic:
-        up = np.divide(snap.eta * snap.h, interf, out=interf)
-    else:
-        up = np.multiply(snap.gamma_target, interf, out=interf)
-        up /= snap.h
-    nxt = np.empty_like(x) if out is None else out
-    np.minimum(snap.p_bar_u, up, out=nxt[..., :-1])
-    nxt[..., -1] = hbs_update(x, snap) if alg.harvesting else 0.0
-    return nxt
+    same shape and layout. It binds the update to the snapshot and applies
+    it once (see `JointUpdate`)."""
+    return JointUpdate(alg, snap, x)(x, out)
 
 
 @dataclass

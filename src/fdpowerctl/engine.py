@@ -17,8 +17,10 @@ states and then tests the block's stops, each row's outputs from its own
 stop step (see `iterate`). Past the first steps the test is screened: one
 component per row, the one with the row's largest change in its last full
 test, gives a lower bound on the row's change at every step, and only the
-rows whose bound reaches tol get the full test. Rows that stop are written
-out at their block's end and dropped from the working arrays by one
+rows whose bound reaches tol get the full test. The update is bound to the
+batch once (`core.JointUpdate`: operands padded to whole contiguous rows,
+scratch allocated); rows that stop are written out at their block's end and
+dropped from the working arrays and from the bound update's operands by one
 integer index, so a step costs what the running rows cost. `solve` runs it
 with an algorithm's joint update, and `run_fixed_point` is the one-row
 case. A sweep makes one `solve` call per algorithm and axis value.
@@ -61,6 +63,7 @@ wall (see `_trajectory`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -68,8 +71,10 @@ from typing import Callable
 import numpy as np
 
 from .channel import Snapshot, cell_distances, draw_ues, place_ues, snapshot_from_scenario
-from .config import ConfigError, Scenario, db_to_linear
-from .core import Algorithm, Metrics, state_caps, joint_update, metrics, sinr, ue_max
+from .config import ConfigError, Scenario, db_to_linear, validate_scenario
+from .core import (
+    Algorithm, JointUpdate, Metrics, state_caps, joint_update, metrics, sinr, ue_max,
+)
 
 __all__ = [
     "IterationTrace",
@@ -77,6 +82,7 @@ __all__ = [
     "SweepResult",
     "MobilityResult",
     "iterate",
+    "snapshot_binder",
     "solve",
     "run_fixed_point",
     "apply_axis",
@@ -156,8 +162,9 @@ class BatchSolution:
     stopped_early: np.ndarray     # (S,) bool: certified unable to converge
 
 
-def _certifiable(update, batch: Snapshot) -> tuple[np.ndarray, np.ndarray]:
-    """Rows the certificate applies to, and their components that are not 0.
+def _certifiable(step, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows the certificate applies to, and their components that are not 0,
+    for an update bound to the rows whose state caps are `caps`.
 
     Each component of a joint update is monotone in each argument, in the
     same direction for all of them, so over the box [0, caps] it lies
@@ -165,9 +172,8 @@ def _certifiable(update, batch: Snapshot) -> tuple[np.ndarray, np.ndarray]:
     component either stays at or above CHANGE_FLOOR, where the relative
     change is the exact ratio, or is identically 0 (live is False).
     """
-    caps = state_caps(batch)
-    at_zero = update(np.zeros_like(caps), batch, np.empty_like(caps))
-    at_caps = update(caps, batch, np.empty_like(caps))
+    at_zero = step(np.zeros_like(caps), np.empty_like(caps))
+    at_caps = step(caps, np.empty_like(caps))
     dead = np.maximum(at_zero, at_caps) == 0.0
     low = np.minimum(at_zero, at_caps)
     return np.all(dead | (low >= CHANGE_FLOOR), axis=-1), ~dead
@@ -185,8 +191,29 @@ def _relative(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return rel
 
 
+@dataclass
+class _SnapshotStep:
+    """An update(x, rows, out) bound to a batch of Snapshot rows."""
+
+    update: Callable[[np.ndarray, Snapshot, np.ndarray], np.ndarray]
+    batch: Snapshot
+
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.update(x, self.batch, out)
+
+    def rows(self, index: np.ndarray) -> _SnapshotStep:
+        return _SnapshotStep(self.update, self.batch.rows(index))
+
+
+def snapshot_binder(update: Callable[[np.ndarray, Snapshot, np.ndarray], np.ndarray]):
+    """`iterate`'s binder for an update(x, rows, out) that reads its rows'
+    parameters from a Snapshot: each step passes the working rows'
+    Snapshot, and each compaction takes its rows (`Snapshot.rows`)."""
+    return functools.partial(_SnapshotStep, update)
+
+
 def iterate(
-    update: Callable[[np.ndarray, Snapshot, np.ndarray], np.ndarray],
+    bind: Callable[[Snapshot], Callable[[np.ndarray, np.ndarray], np.ndarray]],
     batch: Snapshot,
     p_init: np.ndarray,
     tol: float,
@@ -194,7 +221,7 @@ def iterate(
     history: list[np.ndarray] | None = None,
     give_up: bool = False,
 ) -> BatchSolution:
-    """Iterate `update` on every row of the batch until each row stops.
+    """Iterate an update on every row of the batch until each row stops.
 
     A single snapshot raises ValueError: `Snapshot.repeated()` makes a batch.
     `p_init` is the (S, K+1) start, one row per snapshot; it is clipped into
@@ -209,11 +236,16 @@ def iterate(
     FIRST_BLOCK up to BLOCK_STEPS, so a short solve runs at most about twice
     its steps; it holds at most STACK_ELEMENTS numbers, but 2 steps, and
     ends on every multiple of 16 and at max_iter, so each check ends a block
-    that holds x_{t-2}. `update(x, rows, out)` receives the rows running at
-    the block's start and their parameters, and writes their next states
-    into the stack's `out`, which does not overlap x; a row stopping inside
-    a block runs, unread, to its end, where one `np.flatnonzero` index drops
-    the stopped rows once they are written out. With a `history` list, the
+    that holds x_{t-2}. `bind(batch)` binds the update to the batch, once:
+    the step it returns writes, as `step(x, out)`, the next states of the
+    running rows' states x into the stack's `out`, which does not overlap
+    x, and `step.rows(index)` is the step bound to those of its rows. A row
+    stopping inside a block runs, unread, to its end, where one
+    `np.flatnonzero` index drops the stopped rows from the states and, by
+    `step.rows`, from the bound update, once they are written out.
+    `functools.partial(JointUpdate, alg)` binds an algorithm's joint update,
+    and `snapshot_binder` an update(x, rows, out) that reads its rows'
+    parameters from a Snapshot. With a `history` list, the
     (rows, K+1) state of the running rows at every step, the clipped start
     and each row's stop step included, is appended to it; runs of one row
     use it.
@@ -247,9 +279,9 @@ def iterate(
     step, and a relative change of at most tol needs a one-step distance of
     at most -log1p(-tol). The argument also needs the relative change to be
     the exact ratio, so only rows whose components all stay at or above
-    CHANGE_FLOOR, or at 0, qualify; that bound costs two `update` calls on
-    the working rows at the first check some row is still running at, and
-    none when no row gets there.
+    CHANGE_FLOOR, or at 0, qualify; that bound costs two steps of the
+    working rows, from 0 and from the caps, at the first check some row is
+    still running at, and none when no row gets there.
     Every row it stops is one that full iteration leaves unconverged; the
     other rows get exactly the numbers they get without it.
     """
@@ -258,6 +290,7 @@ def iterate(
                          "make a single snapshot a batch with Snapshot.repeated()")
     n = len(batch)
     x = np.clip(p_init, 0.0, state_caps(batch))
+    step = bind(batch)
     out = BatchSolution(
         fixed_point=x.copy(),
         iterations_used=np.zeros(n, dtype=int),
@@ -280,7 +313,7 @@ def iterate(
             stack = np.empty((b + 1, *x.shape))
         stack[0] = x
         for i in range(b):
-            update(stack[i], batch, stack[i + 1])
+            step(stack[i], stack[i + 1])
         t += b
         x = stack[b]
         # the full test: on every row, or in a screened block on the rows
@@ -313,7 +346,8 @@ def iterate(
                 if certifiable is None:
                     certifiable = np.zeros(n, dtype=bool)
                     live = np.zeros((n, x.shape[-1]), dtype=bool)
-                    certifiable[index], live[index] = _certifiable(update, batch)
+                    certifiable[index], live[index] = _certifiable(
+                        step, state_caps(batch)[index])
                 ok = certifiable[index] & ~stop
                 on = live[index] & ok[:, None]
                 d = _log_distance(x, stack[b - 1], on)
@@ -350,7 +384,7 @@ def iterate(
             x, stack, rel = x[keep], None, None
             if track is not None:
                 track = track[keep]
-            index, batch = index[keep], batch.rows(keep)
+            index, step = index[keep], step.rows(keep)
     return out
 
 
@@ -375,7 +409,7 @@ def solve(
         if not alg.harvesting:
             p_init[:, -1] = 0.0
     return iterate(
-        lambda x, rows, out: joint_update(alg, x, rows, out),
+        functools.partial(JointUpdate, alg),
         batch,
         p_init,
         batch.cfg.tol if tol is None else tol,
@@ -494,6 +528,12 @@ def run_monte_carlo(
     if isinstance(algorithms, str):
         raise TypeError(f"algorithms: expected a list of algorithms, got {algorithms!r}")
     scenarios = [apply_axis(scenario, sweep_axis, value) for value in values]
+    # every value's scenario is checked before the draw, which would place
+    # UEs in a cell of an invalid side
+    for sc in scenarios:
+        errors = validate_scenario(sc.cfg, sc.hbs, sc.ue_template)
+        if errors:
+            raise ConfigError(errors)
     widest = max(scenarios, key=lambda sc: sc.cfg.num_ues, default=scenario)
     unit, mu = draw_ues(widest.cfg, widest.ue_template, n_snapshots)
     cells = {sc.cfg.cell_side: sc.cfg for sc in scenarios}

@@ -209,7 +209,7 @@ def test_chunked_distances_match_one_pass(n):
         ({}, {"mu": 1.5}, ["ue_template.mu"]),
         ({}, {"p_bar_u": -1.0}, ["ue_template.p_bar_u"]),
         ({}, {"gamma_target": -0.1, "eta": -1.0},
-         ["ues[0].gamma_target", "ues[0].eta", "ues[4].eta"]),
+         ["ue_template.gamma_target", "ue_template.eta"]),
         ({}, {"p_bar_u": None, "e_bar": -1.0}, ["ue_template.e_bar"]),
         ({"num_ues": 0}, {}, ["scenario.num_ues"]),
         ({"cell_side": -5.0}, {"p_sta": -1.0}, ["scenario.cell_side", "ue_template.circuit"]),
@@ -239,6 +239,36 @@ def test_template_fixed_mu_is_reported_once(mu):
     with pytest.raises(ConfigError) as exc:
         sample_batch(_cfg(), HBS, template, 3)
     assert exc.value.errors == ["ue_template.mu: must lie in (0, 1)"]
+
+
+@pytest.mark.parametrize("name", ["gamma_target", "eta"])
+@pytest.mark.parametrize("value", [-1.0, -math.inf, math.inf, math.nan])
+def test_template_gamma_target_and_eta_are_reported_once(name, value):
+    # every UE takes the template's value: validate_scenario reports it,
+    # and no UE reports it again
+    template = dataclasses.replace(FIXED_MU, **{name: value})
+    want = [f"ue_template.{name}: {msg}" for msg, violated in (
+        ("must be non-negative", value < 0.0), ("must be finite", not math.isfinite(value)),
+    ) if violated]
+    for snaps in (3, 1):
+        with pytest.raises(ConfigError) as exc:
+            sample_batch(_cfg(), HBS, template, snaps)
+        assert exc.value.errors == want
+
+
+def test_pinned_gamma_target_and_eta_are_reported_per_ue():
+    # a pinned UE's own value is checked per UE; the UEs that leave it out
+    # take the template's, which is reported once
+    template = dataclasses.replace(FIXED_MU, gamma_target=-1.0, eta=math.nan)
+    with pytest.raises(ConfigError) as exc:
+        snapshot_from_distances([10.0, 20.0, 30.0], _cfg(num_ues=3), HBS, template,
+                                gamma_targets=[-2.0, None, 0.1], etas=[None, math.inf, 1.0])
+    assert exc.value.errors == [
+        "ue_template.gamma_target: must be non-negative",
+        "ue_template.eta: must be finite",
+        "ues[0].gamma_target: must be non-negative",
+        "ues[1].eta: must be finite",
+    ]
 
 
 @pytest.mark.parametrize("template_mu", [1.5, 0.5])

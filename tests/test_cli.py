@@ -269,16 +269,39 @@ def test_sweep_distances_once_per_cell_side(tmp_path, monkeypatch, axis, values,
 
 
 def test_sweep_bad_value_fails_before_any_solve(tmp_path, monkeypatch, capsys):
-    import fdpowerctl.engine as engine
+    from fdpowerctl.core import JointUpdate
 
     def no_solve(*args):
         raise AssertionError("a solve ran before every value was checked")
 
-    monkeypatch.setattr(engine, "joint_update", no_solve)
+    # the solve's loop steps the update bound to its batch
+    monkeypatch.setattr(JointUpdate, "__call__", no_solve)
     rc = main(["sweep", "--config", DESK, "--axis", "num_ues", "--values", "5,0",
                "--snapshots", "3", "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.strip() == "config error: scenario.num_ues: must be at least 1"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("axis, values, error", [
+    ("cell_side", "50,inf", "scenario.cell_side: must be finite"),
+    ("cell_side", "nan", "scenario.cell_side: must be finite"),
+    ("gamma_target", "0.05,-1", "ue_template.gamma_target: must be non-negative"),
+])
+def test_sweep_invalid_value_is_reported_once_before_the_draw(tmp_path, monkeypatch, capsys,
+                                                              axis, values, error):
+    # each value's scenario is checked before the UEs are drawn and placed;
+    # placing them in a cell of infinite side would warn (an error here)
+    import fdpowerctl.engine as engine
+
+    def no_draw(*args):
+        raise AssertionError("UEs were drawn before every value was checked")
+
+    monkeypatch.setattr(engine, "draw_ues", no_draw)
+    rc = main(["sweep", "--config", DESK, "--axis", axis, f"--values={values}",
+               "--snapshots", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"config error: {error}"
     assert not list(tmp_path.iterdir())
 
 

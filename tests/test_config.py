@@ -173,8 +173,11 @@ CAP = "uplink power cap must be finite and strictly positive"
     ({"p_bar_u": None, "e_bar": 1e-3}, f"ue_template.e_bar: {CAP}"),
     ({"p_sta": math.nan}, "ue_template.circuit: circuit powers must be finite"),
     ({"p_dyn": -1.0}, "ue_template.circuit: circuit powers must be non-negative"),
+    ({"gamma_target": -1.0}, "ue_template.gamma_target: must be non-negative"),
+    ({"eta": math.nan}, "ue_template.eta: must be finite"),
 ], ids=["antennas-0", "antennas-minus-1", "mu-1.5", "both-caps", "no-cap", "p_bar_u-inf",
-        "p_bar_u-negative", "e_bar-too-small", "p_sta-nan", "p_dyn-negative"])
+        "p_bar_u-negative", "e_bar-too-small", "p_sta-nan", "p_dyn-negative",
+        "gamma_target-negative", "eta-nan"])
 def test_python_template_constants_reported_once(paper_scenario, change, expected):
     # a template built in Python is held to the loader's rules, and each of
     # its constants is reported once, not once per UE
@@ -253,6 +256,16 @@ def test_template_mu_outside_unit_interval_reported(mu):
     with pytest.raises(ConfigError) as err:
         scenario_from_dict(doc)
     assert err.value.errors == ["ue_template.mu: must lie in (0, 1)"]
+
+
+@pytest.mark.parametrize("name", ["gamma_target", "eta"])
+def test_template_gamma_target_and_eta_reported_at_load(name):
+    # reported once, by the loader, not once per UE when a batch is sampled
+    doc = copy.deepcopy(BASE_DOC)
+    doc["ue_template"][name] = -1
+    with pytest.raises(ConfigError) as err:
+        scenario_from_dict(doc)
+    assert err.value.errors == [f"ue_template.{name}: must be non-negative"]
 
 
 @pytest.mark.parametrize("n_antennas", [0, -1])

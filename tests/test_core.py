@@ -9,6 +9,7 @@ from fdpowerctl import channel
 from fdpowerctl.channel import sample_batch
 from fdpowerctl.core import (
     Algorithm,
+    JointUpdate,
     Metrics,
     hbs_update,
     joint_update,
@@ -397,3 +398,77 @@ def test_joint_update_bits_do_not_depend_on_layout(desk_scenario, alg, k):
     assert got.flags.f_contiguous and want.flags.c_contiguous
     assert got.tobytes(order="C") == want.tobytes()
     assert sinr(np.asfortranarray(x), ue_major).tobytes() == sinr(x, batch).tobytes()
+
+
+# the per-UE update of each algorithm, on a state whose harvest power the
+# non-harvesting algorithms keep at 0
+UE_UPDATES = {
+    Algorithm.TPC: lambda p, snap, i: tpc_ue_update(p[:-1], snap, i),
+    Algorithm.OPC: lambda p, snap, i: opc_ue_update(p[:-1], snap, i),
+    Algorithm.TPCEH: tpceh_ue_update,
+    Algorithm.OPCEH: opceh_ue_update,
+}
+
+
+def _per_ue_updates(alg, x, snaps):
+    """The per-UE reference update of each state x[s] on snapshot snaps[s]."""
+    rows = []
+    for p, snap in zip(x, snaps):
+        ues = [UE_UPDATES[alg](p, snap, i) for i in range(snap.num_ues)]
+        rows.append([*ues, float(hbs_update(p, snap)) if alg.harvesting else 0.0])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", range(1, 25))
+@pytest.mark.parametrize("alg", list(Algorithm))
+def test_kernel_equals_per_ue_updates_bit_for_bit(desk_scenario, alg, k):
+    # the bound update against the scalar per-UE updates: on a row-major
+    # batch (the width-K+1 kernel, whose sum must read the K UE lanes alone:
+    # a padded lane would regroup numpy's pairwise sum at K = 7, 15 and 23),
+    # a UE-major one and the rows of one (K,) snapshot (the sandwich check's
+    # form); with targets of 0, caps that bind and, in the second case, a
+    # delta so near the largest float that delta p_h overflows to inf, which
+    # no pad may turn into a warning (an error here) or a harvest maximum
+    cfg = dataclasses.replace(desk_scenario.cfg, num_ues=k)
+    rng = np.random.default_rng(k)
+    batch = sample_batch(cfg, desk_scenario.hbs, desk_scenario.ue_template, 4)
+    gamma = batch.gamma_target.copy()
+    gamma[1, 0] = gamma[2] = 0.0
+    cases = [
+        (dataclasses.replace(batch, gamma_target=gamma), False),
+        (dataclasses.replace(batch, cfg=dataclasses.replace(cfg, delta=1.7e308),
+                             p_bar_u=1e-12), True),
+    ]
+    capped = []
+    for snap, overflows in cases:
+        caps = state_caps(snap)
+        # row 0 at the caps, where the harvest cap binds; the others below
+        x = caps * 10.0 ** rng.uniform(-14.0, -8.0, size=caps.shape)
+        x[0] = caps[0]
+        if not alg.harvesting:
+            x[:, -1] = 0.0
+        one = snap.rows(0)
+        ue_major = dataclasses.replace(snap, **{
+            name: np.asfortranarray(getattr(snap, name)) for name in channel._ARRAYS
+        })
+        with np.errstate(over="ignore" if overflows else "raise"):
+            want = _per_ue_updates(alg, x, [snap.rows(s) for s in range(4)])
+            want_one = _per_ue_updates(alg, x, [one] * 4)
+            got = [
+                (JointUpdate(alg, snap)(x), want),
+                # a working set's rows, as `iterate` gathers them
+                (JointUpdate(alg, snap).rows(np.array([3, 1]))(x[[3, 1]]), want[[3, 1]]),
+                (joint_update(alg, x, snap), want),
+                (joint_update(alg, np.asfortranarray(x), ue_major), want),
+                (joint_update(alg, x, one), want_one),
+                (joint_update(alg, np.asfortranarray(x), one), want_one),
+                (np.array([joint_update(alg, x[s], snap.rows(s)) for s in range(4)]), want),
+            ]
+        capped.append((want[:, :-1] == snap.p_bar_u).any())
+        if overflows:
+            assert (x[:, -1] > np.finfo(float).max / snap.cfg.delta).any() == alg.harvesting
+        elif alg.harvesting:
+            assert sorted(set(want[:, -1] == snap.hbs.p_bar_h)) == [False, True]
+        for case, (step, expected) in enumerate(got):
+            assert step.tobytes(order="C") == expected.tobytes(), (case, overflows)
+    assert any(capped)

@@ -14,7 +14,7 @@ import pytest
 
 from fdpowerctl import engine
 from fdpowerctl.channel import sample_batch, snapshot_from_scenario
-from fdpowerctl.core import Algorithm, joint_update
+from fdpowerctl.core import Algorithm, JointUpdate, state_caps
 from fdpowerctl.engine import apply_axis, run_fixed_point, run_monte_carlo, solve
 
 from scalar_reference import scalar_fixed_point
@@ -154,26 +154,23 @@ def test_rows_near_the_change_floor_do_not_qualify(desk_scenario):
     gamma = batch.gamma_target.copy()
     gamma[1, 2] = 1e-30          # row 1's UE 2 tracks a target of almost 0
     batch = dataclasses.replace(batch, gamma_target=gamma)
-    qualifies, live = engine._certifiable(
-        lambda p, rows, out: joint_update(Algorithm.TPCEH, p, rows, out), batch
-    )
+    qualifies, live = engine._certifiable(JointUpdate(Algorithm.TPCEH, batch), state_caps(batch))
     assert qualifies.tolist() == [True, False, True, True]
     assert live.all()
-    _, live = engine._certifiable(
-        lambda p, rows, out: joint_update(Algorithm.OPC, p, rows, out), batch
-    )
+    _, live = engine._certifiable(JointUpdate(Algorithm.OPC, batch), state_caps(batch))
     assert live[:, :-1].all() and not live[:, -1].any()
 
 
 def test_fast_batch_makes_no_bound_calls(desk_scenario, monkeypatch):
     calls = []
-    real = engine.joint_update
+    real = JointUpdate.__call__
 
-    def counted(alg, p, rows, out=None):
-        calls.append(len(rows))
-        return real(alg, p, rows, out)
+    def counted(self, x, out=None):
+        calls.append(len(x))
+        return real(self, x, out)
 
-    monkeypatch.setattr(engine, "joint_update", counted)
+    # the solve's loop steps the update bound to its batch
+    monkeypatch.setattr(JointUpdate, "__call__", counted)
     # every row converges before the first check, so no call computes the
     # bound; the updates run to the end of the block of the last stop, and
     # blocks end at steps 2, 4, 8 and 16
