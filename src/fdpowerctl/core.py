@@ -12,12 +12,13 @@ per-UE arrays are (S, K). A batch may be row-major, each row contiguous, or
 UE-major, each UE's column contiguous (the mobility windows are); results
 take the layout of their inputs. The update is one kernel, `JointUpdate`,
 bound to a batch once and then applied at every step (`joint_update` binds
-and applies it once). On row-major states it works on all K+1 lanes of a
-row, the harvest power as lane K: its per-UE operands are padded to K+1
-lanes, with pads that keep lane K inert, so that every elementwise pass
-runs on whole contiguous rows rather than on the strided view of the K
-uplink powers. Each row gets exactly the result it would get on its own,
-in either layout, which fixes how the reductions over the UEs may run:
+and applies it once). It works on all K+1 lanes of the state, the harvest
+power as lane K, whatever the layout: its per-UE operands are padded to K+1
+lanes in the state's layout, row-major, UE-major or one state, with pads
+that keep lane K inert, so that every elementwise pass runs on whole arrays
+rather than on the strided view of the K uplink powers. Each row gets
+exactly the result it would get on its own, in either layout, which fixes
+how the reductions over the UEs may run:
 
 * a maximum (`ue_max`) is exact in any order, so it may run across rows,
   over a transposed copy, where that is cheaper;
@@ -42,9 +43,7 @@ energy signal leaks into the receiver as residual self-interference.
 
 from __future__ import annotations
 
-import copy
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,10 +190,10 @@ def hbs_update(x: np.ndarray, snap: Snapshot) -> float | np.ndarray:
     return np.minimum(snap.hbs.p_bar_h, ue_max(required_hbs_power(x[..., :-1], snap)))
 
 
-def _padded(a: np.ndarray, pad: float) -> np.ndarray:
+def _padded(a: np.ndarray, pad: float, order: str) -> np.ndarray:
     """a's (..., K) UE lanes and the harvest lane after them, set to pad: a
-    new (..., K+1) row-major array."""
-    lanes = np.empty((*a.shape[:-1], a.shape[-1] + 1))
+    new (..., K+1) array in the given memory order."""
+    lanes = np.empty((*a.shape[:-1], a.shape[-1] + 1), order=order)
     lanes[..., :-1] = a
     lanes[..., -1] = pad
     return lanes
@@ -214,21 +213,19 @@ class JointUpdate:
     min(p_bar_u, (eta h) / interference), and p_u / (eps mu g) + p_min
     before the harvest maximum.
 
-    * Row-major states are bound at width K+1: each per-UE operand gets the
-      harvest lane as its last, so every elementwise pass runs on whole
-      contiguous rows of x, the operands and the scratch, where the UE
-      columns alone would be a strided view. The interference sum reads the
-      K UE lanes alone (`ue_sum`, the same grouping). The harvest lane's
-      pads keep it inert on states whose harvest power is finite and
-      non-negative: h is -1 there, so that lane's interference,
-      ((sum + p_h) + delta p_h) + sigma2, is at least sigma2 and no
-      division meets a 0; gamma and eta h are 1, so an infinite
-      interference (delta p_h overflowing) never meets a factor of 0; and
-      p_h / inf + (-inf) is -inf, which never wins the harvest maximum. The
-      uplink pass's value in that lane is overwritten.
-    * UE-major states (a mobility window) and a single state are bound at
-      width K, with the operands as they are: their UE columns are already
-      contiguous.
+    The kernel runs on all K+1 lanes of the state, the harvest power as
+    lane K: each per-UE operand is bound padded to K+1 lanes, in the
+    state's layout (row-major, UE-major or one state), so every elementwise
+    pass runs on whole arrays, where the K uplink columns alone would be a
+    strided view. The interference sum and the harvest maximum read the K
+    UE lanes alone (`ue_sum`, `ue_max`). The harvest lane's pads keep it
+    inert: h is -1 there, so that lane's interference, ((sum + p_h) +
+    delta p_h) + sigma2, is at least sigma2 for a finite p_h >= 0 and no
+    division meets a 0; gamma, eta h and the harvest divisor are 1 and the
+    floor 0, so an infinite interference (delta p_h overflowing) never
+    meets a factor of 0 and no harvest power, inf or NaN included, makes
+    that lane warn. The lane's value is overwritten with the next harvest
+    power.
 
     The scalars are bound as 0-d arrays, which numpy combines with a whole
     array as cheaply as a second contiguous operand.
@@ -237,45 +234,27 @@ class JointUpdate:
     def __init__(self, alg: Algorithm, snap: Snapshot, like: np.ndarray | None = None):
         k = snap.num_ues
         shape = (*snap.g.shape[:-1], k + 1) if like is None else like.shape
+        order = "F" if like is not None and _ue_major(like) else "C"
         self.alg, self.k = alg, k
-        self.padded = len(shape) == 2 and not (like is not None and _ue_major(like))
-        lanes = _padded if self.padded else (lambda a, pad: a)
-        self.h = lanes(snap.h, -1.0)
+        self.h = _padded(snap.h, -1.0, order)
         if alg.opportunistic:
-            self.gain = lanes(snap.eta * snap.h, 1.0)
+            self.gain = _padded(snap.eta * snap.h, 1.0, order)
         else:
-            self.gain = lanes(snap.gamma_target, 1.0)
-        self.scale = self.floor = None
+            self.gain = _padded(snap.gamma_target, 1.0, order)
         if alg.harvesting:
-            self.scale = lanes(snap.harvest_scale, math.inf)
-            self.floor = lanes(snap.p_min, -math.inf)
+            self.scale = _padded(snap.harvest_scale, 1.0, order)
+            self.floor = _padded(snap.p_min, 0.0, order)
         self.delta, self.sigma2 = np.array(snap.cfg.delta), np.array(snap.cfg.sigma2)
         self.p_bar_u, self.p_bar_h = np.array(snap.p_bar_u), np.array(snap.hbs.p_bar_h)
-        self.interf = np.empty((*shape[:-1], k + 1 if self.padded else k),
-                               order="C" if self.padded else "F")
+        self.interf = np.empty(shape, order=order)
         self.leak = np.empty(shape[:-1])
-
-    def rows(self, index: np.ndarray) -> JointUpdate:
-        """The update bound to the rows of the batch that the integer array
-        `index` picks: each per-row operand gathered, the scratch arrays'
-        leading rows."""
-        picked = copy.copy(self)
-        for name in ("h", "gain", "scale", "floor"):
-            value = getattr(self, name)
-            if value is not None and value.ndim == 2:
-                setattr(picked, name, value[index])
-        m = len(index)
-        picked.interf, picked.leak = self.interf[:m], self.leak[:m]
-        return picked
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         k = self.k
-        nxt = np.empty_like(x) if out is None else out
-        # a padded binding runs on whole rows, the others on the UE columns;
         # the lanes of nxt hold the received powers and the harvest
         # requirements before the next state
-        xs, lanes = (x, nxt) if self.padded else (x[..., :k], nxt[..., :k])
-        received = np.multiply(self.h, xs, out=lanes)
+        nxt = np.empty_like(x) if out is None else out
+        received = np.multiply(self.h, x, out=nxt)
         interf = np.subtract(ue_sum(received[..., :k]), received, out=self.interf)
         interf += np.multiply(self.delta, x[..., k], out=self.leak)[..., None]
         interf += self.sigma2
@@ -285,10 +264,10 @@ class JointUpdate:
             up = np.multiply(self.gain, interf, out=interf)
             up /= self.h
         if self.alg.harvesting:
-            required = np.divide(xs, self.scale, out=lanes)
+            required = np.divide(x, self.scale, out=nxt)
             required += self.floor
-            harvest = ue_max(required)
-        np.minimum(self.p_bar_u, up, out=lanes)
+            harvest = ue_max(required[..., :k])
+        np.minimum(self.p_bar_u, up, out=nxt)
         if self.alg.harvesting:
             np.minimum(self.p_bar_h, harvest, out=nxt[..., k])
         else:
@@ -296,15 +275,12 @@ class JointUpdate:
         return nxt
 
 
-def joint_update(
-    alg: Algorithm, x: np.ndarray, snap: Snapshot, out: np.ndarray | None = None
-) -> np.ndarray:
+def joint_update(alg: Algorithm, x: np.ndarray, snap: Snapshot) -> np.ndarray:
     """One synchronous step: every UE and (for *EH) the base station update
-    from the same state. Returns the next state, written into `out` when one
-    is given (of x's shape, not overlapping x), else into a new array of the
-    same shape and layout. It binds the update to the snapshot and applies
-    it once (see `JointUpdate`)."""
-    return JointUpdate(alg, snap, x)(x, out)
+    from the same state. Returns the next state, a new array of x's shape
+    and layout. It binds the update to the snapshot and applies it once
+    (see `JointUpdate`)."""
+    return JointUpdate(alg, snap, x)(x)
 
 
 @dataclass

@@ -17,13 +17,14 @@ states and then tests the block's stops, each row's outputs from its own
 stop step (see `iterate`). Past the first steps the test is screened: one
 component per row, the one with the row's largest change in its last full
 test, gives a lower bound on the row's change at every step, and only the
-rows whose bound reaches tol get the full test. The update is bound to the
-batch once (`core.JointUpdate`: operands padded to whole contiguous rows,
-scratch allocated); rows that stop are written out at their block's end and
-dropped from the working arrays and from the bound update's operands by one
-integer index, so a step costs what the running rows cost. `solve` runs it
-with an algorithm's joint update, and `run_fixed_point` is the one-row
-case. A sweep makes one `solve` call per algorithm and axis value.
+rows whose bound reaches tol get the full test. The loop takes a binder,
+`bind(rows) -> step(x, out)`, and binds the update to its working rows: the
+whole batch first, then, at the end of each block that stops some rows, the
+rows still running, picked by one integer index, so a step costs what the
+running rows cost (`core.JointUpdate` pads its operands to whole rows and
+allocates its scratch once per binding). `solve` runs it with an algorithm's
+joint update, and `run_fixed_point` is the one-row case. A sweep makes one
+`solve` call per algorithm and axis value.
 
 With `give_up=True` a row also stops, unconverged, once a certificate shows
 it cannot converge before max_iter. The certificate rests on one premise:
@@ -38,26 +39,26 @@ leave unconverged rows out anyway, so its outputs do not change.
 `run_fixed_point` (the `snapshot` command's trace and exit status) and the
 oracle iterate to max_iter.
 
-A mobility run is a recurrence in time: each step is one joint update of
-the step before on that step's gains, and the batteries decide which UEs
+A mobility run is a recurrence in time: each step is one joint update of the
+step before on that step's gains, and the batteries decide which UEs
 transmit. The update is a standard interference function (Yates 1995), so a
 wrong start is forgotten geometrically, and `run_mobility` solves the
 recurrence a window of steps at a time by waveform relaxation (Lelarasmee,
 Ruehli & Sangiovanni-Vincentelli 1982). With each UE's transmit mask and the
-harvest flag held, one `joint_update` call sweeps the whole window: row t is
-updated from row t-1 of the previous sweep, and row 0 from the exact state
-before the window. The masked trajectory is the unique fixed point of this
-sweep, and after k sweeps its first k rows are exact; more sharply, every
-row up to the first one a sweep changed is exact, since each of those rows
-is the update of an exact row. A sweep that changes no bit therefore proves
-the whole window exact, with no tolerance involved. A battery pass then
-checks the held masks. Each UE's battery is a chain of harvests, payments
-and clips at the capacity: numpy runs it as one accumulate up to each clip
-or break, and a stretch held at the capacity as one elementwise pass (see
-`_chain`). The first row whose affordability breaks a held mask ends what
-the window commits, so the outputs are those of stepping the recurrence one
-step at a time, bit for bit. The x path is one accumulate up to the first
-wall (see `_trajectory`).
+harvest flag held, the update bound to the window once (`core.JointUpdate`)
+sweeps the whole window in one call: row t is updated from row t-1 of the
+previous sweep, and row 0 from the exact state before the window. The masked
+trajectory is the unique fixed point of this sweep, and after k sweeps its
+first k rows are exact; more sharply, every row up to the first one a sweep
+changed is exact, since each of those rows is the update of an exact row. A
+sweep that changes no bit therefore proves the whole window exact, with no
+tolerance involved. A battery pass then checks the held masks. Each UE's
+battery is a chain of harvests, payments and clips at the capacity: numpy
+runs it as one accumulate up to each clip or break, and a stretch held at
+the capacity as one elementwise pass (see `_chain`). The first row whose
+affordability breaks a held mask ends what the window commits, so the
+outputs are those of stepping the recurrence one step at a time, bit for
+bit. The x path is one accumulate up to the first wall (see `_trajectory`).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ import numpy as np
 from .channel import Snapshot, cell_distances, draw_ues, place_ues, snapshot_from_scenario
 from .config import ConfigError, Scenario, db_to_linear, validate_scenario
 from .core import (
-    Algorithm, JointUpdate, Metrics, state_caps, joint_update, metrics, sinr, ue_max,
+    Algorithm, JointUpdate, Metrics, state_caps, metrics, sinr, ue_max,
 )
 
 __all__ = [
@@ -82,7 +83,6 @@ __all__ = [
     "SweepResult",
     "MobilityResult",
     "iterate",
-    "snapshot_binder",
     "solve",
     "run_fixed_point",
     "apply_axis",
@@ -191,27 +191,6 @@ def _relative(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return rel
 
 
-@dataclass
-class _SnapshotStep:
-    """An update(x, rows, out) bound to a batch of Snapshot rows."""
-
-    update: Callable[[np.ndarray, Snapshot, np.ndarray], np.ndarray]
-    batch: Snapshot
-
-    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.update(x, self.batch, out)
-
-    def rows(self, index: np.ndarray) -> _SnapshotStep:
-        return _SnapshotStep(self.update, self.batch.rows(index))
-
-
-def snapshot_binder(update: Callable[[np.ndarray, Snapshot, np.ndarray], np.ndarray]):
-    """`iterate`'s binder for an update(x, rows, out) that reads its rows'
-    parameters from a Snapshot: each step passes the working rows'
-    Snapshot, and each compaction takes its rows (`Snapshot.rows`)."""
-    return functools.partial(_SnapshotStep, update)
-
-
 def iterate(
     bind: Callable[[Snapshot], Callable[[np.ndarray, np.ndarray], np.ndarray]],
     batch: Snapshot,
@@ -236,16 +215,16 @@ def iterate(
     FIRST_BLOCK up to BLOCK_STEPS, so a short solve runs at most about twice
     its steps; it holds at most STACK_ELEMENTS numbers, but 2 steps, and
     ends on every multiple of 16 and at max_iter, so each check ends a block
-    that holds x_{t-2}. `bind(batch)` binds the update to the batch, once:
-    the step it returns writes, as `step(x, out)`, the next states of the
-    running rows' states x into the stack's `out`, which does not overlap
-    x, and `step.rows(index)` is the step bound to those of its rows. A row
-    stopping inside a block runs, unread, to its end, where one
-    `np.flatnonzero` index drops the stopped rows from the states and, by
-    `step.rows`, from the bound update, once they are written out.
+    that holds x_{t-2}. `bind(rows)` binds the update to a Snapshot of the
+    working rows, the whole batch first: the step it returns writes, as
+    `step(x, out)`, the next states of those rows' states x into the stack's
+    `out`, which does not overlap x. A row stopping inside a block runs,
+    unread, to its end, where one `np.flatnonzero` index drops the stopped
+    rows from the states once they are written out; the old step is dropped
+    first and the running rows are bound anew, `bind(batch.rows(index))`.
     `functools.partial(JointUpdate, alg)` binds an algorithm's joint update,
-    and `snapshot_binder` an update(x, rows, out) that reads its rows'
-    parameters from a Snapshot. With a `history` list, the
+    and `lambda rows: lambda x, out: update(x, rows, out)` any update that
+    reads its rows' parameters from a Snapshot. With a `history` list, the
     (rows, K+1) state of the running rows at every step, the clipped start
     and each row's stop step included, is appended to it; runs of one row
     use it.
@@ -379,12 +358,13 @@ def iterate(
             out.stopped_early[index[rows]] = ~converged[rows] & (t < max_iter)
             if rows.size == index.size:
                 break
-            # free the block's arrays before the smaller batch is built
+            # free the block's arrays and the old binding before the running rows are bound
             keep = np.flatnonzero(~stop)
-            x, stack, rel = x[keep], None, None
+            x, stack, rel, step = x[keep], None, None, None
             if track is not None:
                 track = track[keep]
-            index, step = index[keep], step.rows(keep)
+            index = index[keep]
+            step = bind(batch.rows(index))
     return out
 
 
@@ -822,8 +802,6 @@ def run_mobility(
     except (OverflowError, ValueError, MemoryError):
         raise ValueError(f"too many steps: duration / step = {duration:g} / {step:g} = "
                          f"{duration / step:g} steps do not fit in memory") from None
-    # computed once for the run: each window's rows are slices of them
-    gains.p_min, gains.harvest_scale
 
     level = [battery_init] * K           # each UE's joules before step n
     transmit = [True] * K                # the held transmit masks
@@ -840,8 +818,10 @@ def run_mobility(
         # UE-major, so the update runs on contiguous columns (see core)
         traj = np.empty((w + 1, K + 1), order="F")
         traj[:] = x
+        update = JointUpdate(alg, rows, traj[:-1])
+        cand = np.empty((w, K + 1), order="F")
         for sweeps in range(1, min(w, MAX_SWEEPS) + 1):
-            cand = joint_update(alg, traj[:-1], rows)
+            update(traj[:-1], cand)
             if masked:
                 nxt = cand.copy(order="K")
                 nxt[:, ~keep] = 0.0

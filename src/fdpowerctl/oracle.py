@@ -38,7 +38,7 @@ from .core import (
     metrics,
     required_hbs_power,
 )
-from .engine import iterate, snapshot_binder, solve
+from .engine import iterate, solve
 
 __all__ = [
     "FLReport",
@@ -335,6 +335,11 @@ def transformed_joint_update(
     return nxt
 
 
+def _ratio_form(rows: Snapshot):
+    """`iterate`'s binder for `transformed_joint_update`."""
+    return lambda x, out: transformed_joint_update(x, rows, out)
+
+
 @dataclass
 class EquivalenceReport:
     """Per snapshot row of the batch checked."""
@@ -370,7 +375,7 @@ def check_update_form_equivalence(
     exponents = rng.uniform(-12.0, 0.0, size=(n * trials, batch.num_ues + 1))
     starts = state_caps(rows) * 10.0 ** exponents
     plain = solve(Algorithm.TPCEH, rows, starts, 1e-13, 50000)
-    ratio = iterate(snapshot_binder(transformed_joint_update), rows, starts, 1e-13, 50000)
+    ratio = iterate(_ratio_form, rows, starts, 1e-13, 50000)
     a, b = plain.fixed_point, ratio.fixed_point
     fp_gap = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30), axis=-1)
     cross = transformed_joint_update(a, rows)

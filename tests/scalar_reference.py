@@ -41,7 +41,7 @@ from fdpowerctl.core import (
     required_hbs_power,
     state_caps,
 )
-from fdpowerctl.engine import iterate, snapshot_binder, solve
+from fdpowerctl.engine import iterate, solve
 from fdpowerctl.oracle import ScalabilityReport, transformed_joint_update
 
 CHANGE_FLOOR = 1e-18
@@ -192,7 +192,8 @@ def _equivalence_one(snap, trials, rng):
     starts = state_caps(snap) * 10.0 ** rng.uniform(-12.0, 0.0, size=(trials, snap.num_ues + 1))
     batch = snap.repeated(trials)
     plain = solve(Algorithm.TPCEH, batch, starts, 1e-13, 50000)
-    ratio = iterate(snapshot_binder(transformed_joint_update), batch, starts, 1e-13, 50000)
+    ratio = iterate(lambda rows: lambda x, out: transformed_joint_update(x, rows, out),
+                    batch, starts, 1e-13, 50000)
     a, b = plain.fixed_point, ratio.fixed_point
     fp_gap = np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-30), axis=-1)
     cross = transformed_joint_update(a, batch)

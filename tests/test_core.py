@@ -419,19 +419,31 @@ def _per_ue_updates(alg, x, snaps):
     return np.array(rows)
 
 
+def _ue_major(snap):
+    """The snapshot with each per-UE array UE-major, as a mobility window's."""
+    return dataclasses.replace(snap, **{
+        name: np.asfortranarray(getattr(snap, name)) for name in channel._ARRAYS
+    })
+
+
 @pytest.mark.parametrize("k", range(1, 25))
 @pytest.mark.parametrize("alg", list(Algorithm))
 def test_kernel_equals_per_ue_updates_bit_for_bit(desk_scenario, alg, k):
     # the bound update against the scalar per-UE updates: on a row-major
-    # batch (the width-K+1 kernel, whose sum must read the K UE lanes alone:
-    # a padded lane would regroup numpy's pairwise sum at K = 7, 15 and 23),
-    # a UE-major one and the rows of one (K,) snapshot (the sandwich check's
-    # form); with targets of 0, caps that bind and, in the second case, a
-    # delta so near the largest float that delta p_h overflows to inf, which
-    # no pad may turn into a warning (an error here) or a harvest maximum
+    # batch (whose sum must read the K UE lanes alone: a padded lane would
+    # regroup numpy's pairwise sum at K = 7, 15 and 23), a UE-major one, a
+    # working set's rows and the rows of one (K,) snapshot (the sandwich
+    # check's form), each result in the layout of its state; the batch has
+    # more rows than UEs, so the harvest maximum runs across the rows of a
+    # transposed copy, and the working set fewer (from K = 3), so it runs
+    # along them. The cases have targets of 0, caps that bind and, in the
+    # second case, a delta so near the largest float that delta p_h
+    # overflows to inf, which no pad may turn into a warning (an error
+    # here) or a harvest maximum
     cfg = dataclasses.replace(desk_scenario.cfg, num_ues=k)
     rng = np.random.default_rng(k)
-    batch = sample_batch(cfg, desk_scenario.hbs, desk_scenario.ue_template, 4)
+    n = k + 3
+    batch = sample_batch(cfg, desk_scenario.hbs, desk_scenario.ue_template, n)
     gamma = batch.gamma_target.copy()
     gamma[1, 0] = gamma[2] = 0.0
     cases = [
@@ -448,27 +460,55 @@ def test_kernel_equals_per_ue_updates_bit_for_bit(desk_scenario, alg, k):
         if not alg.harvesting:
             x[:, -1] = 0.0
         one = snap.rows(0)
-        ue_major = dataclasses.replace(snap, **{
-            name: np.asfortranarray(getattr(snap, name)) for name in channel._ARRAYS
-        })
+        ue_major, fx = _ue_major(snap), np.asfortranarray(x)
+        assert ue_major.g.strides[0] < ue_major.g.strides[1] or k == 1
+        picked = np.array([3, 1])
         with np.errstate(over="ignore" if overflows else "raise"):
-            want = _per_ue_updates(alg, x, [snap.rows(s) for s in range(4)])
-            want_one = _per_ue_updates(alg, x, [one] * 4)
-            got = [
+            want = _per_ue_updates(alg, x, [snap.rows(s) for s in range(n)])
+            want_one = _per_ue_updates(alg, x, [one] * n)
+            c_order = [
                 (JointUpdate(alg, snap)(x), want),
-                # a working set's rows, as `iterate` gathers them
-                (JointUpdate(alg, snap).rows(np.array([3, 1]))(x[[3, 1]]), want[[3, 1]]),
+                # a working set's rows, as `iterate` binds them
+                (JointUpdate(alg, snap.rows(picked))(x[picked]), want[picked]),
                 (joint_update(alg, x, snap), want),
-                (joint_update(alg, np.asfortranarray(x), ue_major), want),
                 (joint_update(alg, x, one), want_one),
-                (joint_update(alg, np.asfortranarray(x), one), want_one),
-                (np.array([joint_update(alg, x[s], snap.rows(s)) for s in range(4)]), want),
             ]
+            f_order = [
+                (joint_update(alg, fx, ue_major), want),
+                (joint_update(alg, fx, one), want_one),
+            ]
+            alone = [(np.array([joint_update(alg, x[s], snap.rows(s)) for s in range(n)]), want)]
+            sinrs = (sinr(fx, ue_major), sinr(x, snap))
         capped.append((want[:, :-1] == snap.p_bar_u).any())
         if overflows:
             assert (x[:, -1] > np.finfo(float).max / snap.cfg.delta).any() == alg.harvesting
         elif alg.harvesting:
             assert sorted(set(want[:, -1] == snap.hbs.p_bar_h)) == [False, True]
-        for case, (step, expected) in enumerate(got):
+        assert sinrs[0].tobytes(order="C") == sinrs[1].tobytes()
+        assert all(step.flags.c_contiguous for step, _ in c_order)
+        assert all(step.flags.f_contiguous for step, _ in f_order)
+        for case, (step, expected) in enumerate(c_order + f_order + alone):
             assert step.tobytes(order="C") == expected.tobytes(), (case, overflows)
     assert any(capped)
+
+
+@pytest.mark.parametrize("p_h", [np.nan, np.inf])
+@pytest.mark.parametrize("alg", [Algorithm.TPCEH, Algorithm.OPCEH])
+def test_harvest_update_ignores_a_non_finite_harvest_power(desk_scenario, alg, p_h):
+    # the harvest maximum reads the K UE lanes alone, so the state's own
+    # harvest power, NaN or inf, neither reaches it nor warns (an error
+    # here), on row-major, UE-major and single states alike
+    cfg = dataclasses.replace(desk_scenario.cfg, num_ues=5)
+    batch = sample_batch(cfg, desk_scenario.hbs, desk_scenario.ue_template, 7)
+    x = state_caps(batch) * 1e-9
+    x[:, -1] = p_h
+    ue_major = _ue_major(batch)
+    want = [hbs_update(x[s], batch.rows(s)) for s in range(len(batch))]
+    assert np.isfinite(want).all()
+    got = [
+        joint_update(alg, x, batch)[:, -1],
+        joint_update(alg, np.asfortranarray(x), ue_major)[:, -1],
+        [joint_update(alg, x[s], batch.rows(s))[-1] for s in range(len(batch))],
+    ]
+    for harvest in got:
+        assert np.array(harvest).tobytes() == np.array(want).tobytes()

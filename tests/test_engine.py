@@ -641,14 +641,14 @@ def test_mobility_battery_that_covers_one_step_exactly(desk_scenario, monkeypatc
     cand = joint_update(alg, np.zeros((1, 2)), gains)
     need = float((cand[0, 0] / cfg.epsilon + base.ue_template.p_cir) * step)
     # a wrong affordability test can hold the run on one row for ever
-    calls, update = [], engine.joint_update
+    calls, update = [], JointUpdate.__call__
 
     def bounded(*args):
         calls.append(None)
         assert len(calls) < 1000, "the run makes no progress"
         return update(*args)
 
-    monkeypatch.setattr(engine, "joint_update", bounded)
+    monkeypatch.setattr(JointUpdate, "__call__", bounded)
     result = _assert_mobility_matches_scalar(alg, scenario, duration=0.01, battery_init=need)
     assert result.states[0, 0] == cand[0, 0] and result.battery[0, 0] == 0.0
     assert result.first_depletion_step == 2
@@ -675,20 +675,21 @@ def test_mobility_window_past_its_sweep_budget(desk_scenario, monkeypatch):
 
 def test_mobility_windows_run_ue_major(desk_scenario, monkeypatch):
     # every window wider than one row reaches the update kernel UE-major, each
-    # UE's column contiguous, states and gains alike, which is the layout the
-    # kernel's sum and maximum run fast on; the result's series stay
-    # row-major, so the CLI's means over the UEs keep their bits
+    # UE's column contiguous, states, the bound operands and the scratch
+    # alike, which is the layout the kernel's sum and maximum run fast on;
+    # the result's series stay row-major, so the CLI's means over the UEs
+    # keep their bits
     layouts = []
-    update = engine.joint_update
+    update = JointUpdate.__call__
 
-    def spy(alg, x, snap):
-        nxt = update(alg, x, snap)
+    def spy(self, x, out=None):
+        nxt = update(self, x, out)
         if len(x) > 1:
-            arrays = (x, snap.g, snap.p_min, snap.harvest_scale, nxt)
+            arrays = (x, self.h, self.gain, self.scale, self.floor, self.interf, nxt)
             layouts.append([a.strides[0] < a.strides[1] for a in arrays])
         return nxt
 
-    monkeypatch.setattr(engine, "joint_update", spy)
+    monkeypatch.setattr(JointUpdate, "__call__", spy)
     result = _assert_mobility_matches_scalar(Algorithm.TPCEH, desk_scenario, duration=1.0)
     assert len(layouts) > 10
     assert all(all(layout) for layout in layouts)
@@ -696,8 +697,9 @@ def test_mobility_windows_run_ue_major(desk_scenario, monkeypatch):
 
 
 def test_mobility_derives_harvest_arrays_once(desk_scenario, monkeypatch):
-    # p_min and harvest_scale are computed for the run's gains once; every
-    # window uses slices of them
+    # each window binds the update once, on its own rows, for all its
+    # sweeps, and derives p_min and harvest_scale for those rows alone: the
+    # run computes no whole-run array of them
     calls = dict.fromkeys(("p_min", "harvest_scale"), 0)
     for name in calls:
         derive = vars(Snapshot)[name].func
@@ -710,9 +712,23 @@ def test_mobility_derives_harvest_arrays_once(desk_scenario, monkeypatch):
         prop.__set_name__(Snapshot, name)
         monkeypatch.setattr(Snapshot, name, prop)
     windows = _windows(monkeypatch)
+    bound, sweeps = [], []
+    init, step = JointUpdate.__init__, JointUpdate.__call__
+
+    def binding(self, alg, snap, like=None):
+        bound.append(len(snap))
+        init(self, alg, snap, like)
+
+    def sweep(self, x, out=None):
+        sweeps.append(len(x))
+        return step(self, x, out)
+
+    monkeypatch.setattr(JointUpdate, "__init__", binding)
+    monkeypatch.setattr(JointUpdate, "__call__", sweep)
     run_mobility(Algorithm.TPCEH, desk_scenario, duration=1.0)
-    assert len(windows) > 10
-    assert calls == {"p_min": 1, "harvest_scale": 1}
+    assert len(windows) > 10 and len(sweeps) > len(windows)
+    assert bound == [stop - start for start, stop in windows]
+    assert calls == {"p_min": len(windows), "harvest_scale": len(windows)}
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +857,27 @@ def test_sweep_traced_peak_stays_in_budget(desk_scenario, alg):
     finally:
         tracemalloc.stop()
     assert peak / 2**20 < SWEEP_PEAK_BUDGET_MIB
+
+
+# The traced peak (tracemalloc) of the desk 10 s TPCEH mobility run, after a
+# warm-up run: 4.29 MiB with numpy 2.4, each window binding the update on its
+# own rows. Deriving p_min and harvest_scale for the whole run's gains once,
+# beside the windows' padded operands, read 4.74 MiB.
+MOBILITY_PEAK_BUDGET_MIB = 4.5
+
+
+def test_mobility_traced_peak_stays_in_budget(desk_scenario):
+    def run():
+        run_mobility(Algorithm.TPCEH, desk_scenario, duration=10.0)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < MOBILITY_PEAK_BUDGET_MIB
 
 
 def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
@@ -981,22 +1018,24 @@ BLOCK_ENDS = np.array([2, 4, 8, *range(16, 2001, 16)])
 
 def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monkeypatch):
     calls = []
-    rows = JointUpdate.rows
+    init = JointUpdate.__init__
 
-    def counted(self, index):
-        calls.append(len(index))
-        return rows(self, index)
+    def counted(self, alg, snap, like=None):
+        calls.append(len(snap))
+        init(self, alg, snap, like)
 
-    monkeypatch.setattr(JointUpdate, "rows", counted)
+    monkeypatch.setattr(JointUpdate, "__init__", counted)
     sc = _with(desk_scenario, 20)
     batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
-    # the bound update gathers its rows once per block that stops a row, but the last;
-    # with room for any block, blocks end at 2, 4, 8, then every 16
+    # past the first binding, the update is bound to the running rows once
+    # per block that stops a row, but the last; with room for any block,
+    # blocks end at 2, 4, 8, then every 16
     monkeypatch.setattr(engine, "STACK_ELEMENTS", 2**62)
     sol = solve(Algorithm.OPCEH, batch, give_up=True)
     assert sol.stopped_early.sum() == 10
     blocks = set(np.searchsorted(BLOCK_ENDS, sol.iterations_used).tolist())
-    assert len(calls) == len(blocks) - 1 < len(set(sol.iterations_used.tolist())) - 1
+    assert calls[0] == len(batch)
+    assert len(calls[1:]) == len(blocks) - 1 < len(set(sol.iterations_used.tolist())) - 1
 
 
 @pytest.mark.parametrize("k", [5, 20])
@@ -1038,6 +1077,11 @@ def test_stop_test_runs_on_the_rows_that_can_stop(desk_scenario, monkeypatch):
     sol = solve(Algorithm.TPCEH, sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200))
     assert sol.iterations_used.sum() == 119_895
     assert sum(tested) == SCREENED_PAIRS
+
+
+def _binder(update):
+    """`iterate`'s binder for an update(x, rows, out)."""
+    return lambda rows: lambda x, out: update(x, rows, out)
 
 
 def _halve_toward_target(x, batch, out):
@@ -1084,8 +1128,7 @@ def test_screen_keeps_rows_at_tol_and_below_the_floor(desk_scenario):
         tol = _one_row_at_a_time(_halve_toward_target, batch.rows([0]), starts[:1], 0.0,
                                  steps)[0][3]
         for max_iter in (steps, 200):
-            sol = engine.iterate(engine.snapshot_binder(_halve_toward_target), batch, starts, tol,
-                                 max_iter)
+            sol = engine.iterate(_binder(_halve_toward_target), batch, starts, tol, max_iter)
             want = _one_row_at_a_time(_halve_toward_target, batch, starts, tol, max_iter)
             got = list(zip(sol.fixed_point.tolist(), sol.iterations_used.tolist(),
                            sol.converged.tolist(), sol.final_change.tolist()))
@@ -1125,7 +1168,7 @@ def test_screen_moves_to_the_largest_change(desk_scenario, monkeypatch, fast, pa
         return real(a)
 
     monkeypatch.setattr(engine, "ue_max", counted)
-    sol = engine.iterate(engine.snapshot_binder(_approach_target), batch, starts, 1e-9, 2000)
+    sol = engine.iterate(_binder(_approach_target), batch, starts, 1e-9, 2000)
     assert sol.iterations_used.tolist() == [168] * fast + [347] * (4 - fast)
     assert sum(tested) == pairs
     got = list(zip(sol.fixed_point.tolist(), sol.iterations_used.tolist(),
