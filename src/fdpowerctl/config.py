@@ -227,6 +227,11 @@ def validate_scenario(cfg: ScenarioConfig, hbs: HbsParams, template: UeTemplate)
         bad("hbs.p_bar_h", "must be strictly positive")
     if not math.isfinite(hbs.p_bar_h):
         bad("hbs.p_bar_h", "must be finite")
+    # keeps every interference under the caps finite: an infinite one times
+    # a zero gamma_target is NaN, which spreads to every UE
+    if (math.isfinite(cfg.delta) and math.isfinite(hbs.p_bar_h)
+            and math.isinf(cfg.delta * hbs.p_bar_h)):
+        bad("scenario.delta", "delta * hbs.p_bar_h must be finite")
     for path, part in (("hbs", hbs), ("ue_template", template)):
         if part.n_antennas < 1:
             bad(f"{path}.n_antennas", "must be at least 1")

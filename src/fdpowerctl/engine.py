@@ -58,7 +58,7 @@ runs it as one accumulate up to each clip or break, and a stretch held at
 the capacity as one elementwise pass (see `_chain`). The first row whose
 affordability breaks a held mask ends what the window commits, so the
 outputs are those of stepping the recurrence one step at a time, bit for
-bit. The x path is one accumulate up to the first wall (see `_trajectory`).
+bit.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ CHANGE_FLOOR = 1e-18
 # window takes before it commits only the rows proven exact.
 MAX_WINDOW = 4096
 MAX_SWEEPS = 64
-# Battery chains: fewer rows than SHORT_RUN are stepped in plain Python, not
-# in numpy passes, and a pass that commits fewer hands over to plain steps
-# (see `_chain`).
+# Battery chains: the last fewer than SHORT_RUN rows of a chain (a whole
+# window of fewer included) are stepped in plain Python, not in numpy passes,
+# and a pass that commits fewer hands over to plain steps (see `_chain`).
 SHORT_RUN = 64
 
 # `iterate`'s blocks of updates: from FIRST_BLOCK (at least 2) steps up to
@@ -572,20 +572,10 @@ def _trajectory(side: float, speed: float, step: float, n_steps: int) -> np.ndar
     first drops its whole round trips (math.fmod, exact); then the reflected
     coordinate is -x, then 2 * side - x. All UEs start at x = 0 with the same
     speed, so they share one x path, allocated before the first step.
-
-    Up to the first wall the path is x += d from 0.0, with d = speed * step:
-    one accumulate (a sequential sum) of [0.0, d, d, ...]. The step loop
-    takes over at the first row outside [0, side] and reflects from there.
     """
-    xs = np.empty(n_steps + 1)
-    xs[0], xs[1:] = 0.0, speed * step
-    with np.errstate(over="ignore"):
-        np.add.accumulate(xs, out=xs)
-        outside = ~((xs >= 0.0) & (xs <= side))
-    start = int(outside.argmax()) if outside.any() else len(xs)
-    x, direction = float(xs[start - 1]), 1.0
-    xs = xs[1:]
-    for t in range(start - 1, n_steps):
+    x, direction = 0.0, 1.0
+    xs = np.empty(n_steps)
+    for t in range(n_steps):
         x += direction * speed * step
         if not 0.0 <= x <= side:
             x = math.fmod(x, 2 * side)
@@ -706,19 +696,10 @@ def _battery(level: list[float], transmit: list[bool], need: np.ndarray, harvest
     """The (K, end) battery levels of a window's (w, K) needs and harvests,
     up to the first row where some UE's chain breaks.
 
-    Each chain runs only as far as the shortest one before it. A window of
-    fewer than SHORT_RUN rows steps every chain in `_steps`, on its columns
-    as Python lists from one conversion; a longer one runs each in `_chain`.
+    Each UE's chain runs in `_chain`, only as far as the shortest one before
+    it.
     """
     end = len(need)
-    if end < SHORT_RUN:
-        # `_chain` costs about 1 us more per UE in numpy calls; with K=20 and
-        # windows of 2 rows in the median, a sampled run is 12-19% slower
-        chains = []
-        for lv, on, needs, harvests in zip(level, transmit, need.T.tolist(), harvest.T.tolist()):
-            chains.append(_steps(lv, on, needs[:end], harvests[:end], cap))
-            end = len(chains[-1])
-        return np.array([chain[:end] for chain in chains])
     levels = np.empty((len(level), end))
     for k, (lv, on) in enumerate(zip(level, transmit)):
         end = _chain(lv, on, need[:end, k], harvest[:end, k], cap, levels[k])
@@ -763,11 +744,11 @@ def run_mobility(
       breaks its held mask: an affordability flip, or the first depletion
       (`_battery`). The chain runs in numpy (`_chain`): accumulates of the
       harvests and payments up to each clip or break, and one elementwise
-      pass over each stretch held at the capacity, with windows and
-      stretches shorter than SHORT_RUN rows stepped in plain Python. The
-      pass commits the exact rows before the first stop. That row's inputs
-      are exact, so its depletion flag and masks are settled as one step
-      would settle them, and the next window starts there with them.
+      pass over each stretch held at the capacity, with stretches shorter
+      than SHORT_RUN rows stepped in plain Python. The pass commits the
+      exact rows before the first stop. That row's inputs are exact, so its
+      depletion flag and masks are settled as one step would settle them,
+      and the next window starts there with them.
     - Width: a window that commits every row doubles it, up to MAX_WINDOW,
       if it was narrower than MAX_SWEEPS or proved its rows in fewer than w
       sweeps; otherwise the map contracts too slowly for wide windows to

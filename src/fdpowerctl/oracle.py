@@ -33,8 +33,8 @@ from .channel import Snapshot
 from .core import (
     FEASIBILITY_REL_SLACK,
     Algorithm,
+    JointUpdate,
     state_caps,
-    joint_update,
     metrics,
     required_hbs_power,
 )
@@ -219,7 +219,9 @@ def check_two_sided_scalable(
     """
     alg = Algorithm(algorithm)
     base, a, other = _sandwich_draws(state_caps(snap), trials, rng)
-    fp, fq = joint_update(alg, base, snap), joint_update(alg, other, snap)
+    update = JointUpdate(alg, snap, base)
+    fp, fq = update(base), update(other)
+    del update          # its scratch would raise the peak of the tests below
     lower_ok = np.all(fq >= fp / a * (1.0 - rel_slack), axis=-1)
     upper_ok = np.all(fq <= fp * a * (1.0 + rel_slack), axis=-1)
     bad = np.flatnonzero(~(lower_ok & upper_ok))

@@ -314,6 +314,31 @@ def test_sweep_overflowing_delta_exits_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def _overflowing_leakage_config(tmp_path):
+    # delta = 1e308 is finite, but delta * p_bar_h (10 W) is not; the zero
+    # target's factor of 0 would meet the infinite interference as NaN
+    doc = json.loads(Path(DESK).read_text())
+    doc["scenario"]["delta_db"] = 3080
+    doc["fixed_ues"][0]["gamma_target"] = 0
+    path = tmp_path / "overflowing_leakage.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["snapshot"],
+    ["sweep", "--axis", "delta_db", "--values", "3080", "--snapshots", "2"],
+])
+def test_overflowing_leakage_exits_2(tmp_path, capsys, argv):
+    config = DESK if argv[0] == "sweep" else _overflowing_leakage_config(tmp_path)
+    rc = main([*argv, "--config", config, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: scenario.delta: delta * hbs.p_bar_h must be finite"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, k, snapshots", [
     (["sweep", "--axis", "num_ues", "--values=1e20"], 10**20, 200),
     (["verify", "--k", str(10**20)], 10**20, 10),

@@ -212,6 +212,8 @@ SCENARIO_VALUE_CASES = [
     ("hbs", "n_antennas", 0, "hbs.n_antennas: must be at least 1"),
     ("hbs", "p_dyn", -1.0, "hbs.circuit: circuit powers must be non-negative"),
     ("hbs", "p_sta", -1.0, "hbs.circuit: circuit powers must be non-negative"),
+    # finite values whose leakage delta * p_bar_h overflows (p_bar_h is 10 W)
+    ("cfg", "delta", 1e308, "scenario.delta: delta * hbs.p_bar_h must be finite"),
 ]
 
 

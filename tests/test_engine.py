@@ -295,12 +295,12 @@ def _plain_trajectory(side, speed, step, n_steps):
 
 
 @pytest.mark.parametrize("speed_kmh, n_steps", [
-    (5.0, 10_000),          # one accumulate: the path never reaches a wall
-    (50.0, 10_000),         # an accumulate up to the far wall, then the loop
+    (5.0, 10_000),          # the path never reaches a wall
+    (50.0, 10_000),         # reflections at the far wall and back at x = 0
     (5000.0, 2_000),        # a reflection every 36 steps
     (400_000.0, 1_000),     # a step longer than a round trip: fmod
     (0.0, 100),
-    (-0.0, 100),            # 0.0 + -0.0 is 0.0: the path starts at 0.0, not at d
+    (-0.0, 100),            # 0.0 + -0.0 is 0.0: the path stays at 0.0, not at -0.0
     (5.0, 1),
     (5.0, 0),
 ])
@@ -472,18 +472,35 @@ def test_battery_chain_empty_window():
     assert got.shape == (2, 0)
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_battery_chains_match_the_plain_loop(seed):
-    # seeded windows of up to 3 UEs: each UE's harvest is below, near or
-    # above its need, so runs cross the cap, saturate and break
-    rng = np.random.default_rng(seed)
-    m, k = int(rng.integers(0, 700)), int(rng.integers(1, 4))
+def _random_window(rng, m, k):
+    # each UE's harvest is below, near or above its need, so runs cross the
+    # cap, saturate and break
     cap = float(rng.choice([1e-6, 1.0, 0.0, math.inf]))
     need = rng.uniform(0.0, 1.0, (m, k)) * rng.choice([0.0, 1e-3, 1e-2], k)
     harvest = rng.uniform(0.0, 1.0, (m, k)) * rng.choice([0.0, 1e-3, 2e-2, 1.0], k)
     level = [float(v) for v in rng.choice([cap, 0.5 * cap, 0.0, math.inf], k)]
     transmit = rng.integers(0, 2, k).astype(bool).tolist()
-    _assert_battery_exact(level, transmit, need, harvest, cap)
+    return level, transmit, need, harvest, cap
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_battery_chains_match_the_plain_loop(seed):
+    # seeded windows of up to 3 UEs
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(0, 700)), int(rng.integers(1, 4))
+    _assert_battery_exact(*_random_window(rng, m, k))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_short_battery_windows_step_each_chain_once(seed, monkeypatch):
+    # seeded windows of fewer than SHORT_RUN rows and up to 20 UEs, as a
+    # sampled K=20 or a fast run commits them: no numpy pass, and each UE's
+    # chain is at most one call of the plain loop
+    work = _count_chain_work(monkeypatch)
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(0, engine.SHORT_RUN)), int(rng.integers(1, 21))
+    _assert_battery_exact(*_random_window(rng, m, k))
+    assert work["passes"] == 0 and work["steps"] <= k
 
 
 def test_mobility_zero_duration(desk_scenario):
@@ -694,6 +711,27 @@ def test_mobility_windows_run_ue_major(desk_scenario, monkeypatch):
     assert len(layouts) > 10
     assert all(all(layout) for layout in layouts)
     assert result.states.flags.c_contiguous and result.sinr.flags.c_contiguous
+
+
+def test_mobility_relaxation_work_is_pinned(desk_scenario, monkeypatch):
+    # the desk 10 s TPCEH run binds the update once per window and runs the
+    # kernel once per sweep: a change to the window policy or to where the
+    # battery chains break shows up in these counts
+    bound, sweeps = [], []
+    init, step = JointUpdate.__init__, JointUpdate.__call__
+
+    def binding(self, *args):
+        bound.append(None)
+        init(self, *args)
+
+    def sweep(self, *args):
+        sweeps.append(None)
+        return step(self, *args)
+
+    monkeypatch.setattr(JointUpdate, "__init__", binding)
+    monkeypatch.setattr(JointUpdate, "__call__", sweep)
+    run_mobility(Algorithm.TPCEH, desk_scenario, duration=10.0)
+    assert (len(bound), len(sweeps)) == (17, 527)
 
 
 def test_mobility_derives_harvest_arrays_once(desk_scenario, monkeypatch):
