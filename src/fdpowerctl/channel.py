@@ -12,9 +12,8 @@ fields (h, p_min, harvest_scale) is derived from them, never stored.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -87,22 +86,17 @@ class Snapshot:
     def h(self) -> np.ndarray:
         return self.g
 
-    @functools.cached_property
+    @property
     def p_min(self) -> np.ndarray:
         """Harvest power that covers the UE circuit power alone, p_cir / (mu g);
-        inf where mu g is 0. Derived like harvest_scale."""
+        inf where mu g is 0."""
         denom = self.mu * self.g
         return np.divide(self.ue_template.p_cir, denom, out=np.full_like(denom, math.inf),
                          where=denom > 0)
 
-    @functools.cached_property
+    @property
     def harvest_scale(self) -> np.ndarray:
-        """eps * mu * g, the divisor of each UE's harvest requirement.
-
-        Computed once per snapshot object: not a field, so a snapshot made by
-        `dataclasses.replace`, `repeated` or `moved` computes its own, and one
-        made by `rows` takes those rows of what this one has computed.
-        """
+        """eps * mu * g, the divisor of each UE's harvest requirement."""
         return np.multiply(self.cfg.epsilon * self.mu, self.g, out=np.empty_like(self.g))
 
     @property
@@ -115,24 +109,15 @@ class Snapshot:
 
     def rows(self, index) -> Snapshot:
         """The snapshots of a batch picked by a mask, index array or slice;
-        an int index picks one snapshot, with (K,) arrays. Every array this
-        batch holds, derived arrays it has computed included, is passed on
-        as its picked rows."""
-        picked = object.__new__(Snapshot)
-        vars(picked).update(
-            (name, value[index] if isinstance(value, np.ndarray) else value)
-            for name, value in vars(self).items()
-        )
-        return picked
+        an int index picks one snapshot, with (K,) arrays."""
+        return replace(self, **{name: getattr(self, name)[index] for name in _ARRAYS})
 
     def repeated(self, copies: int = 1) -> Snapshot:
         """A batch of `copies` rows, each one this snapshot (no copy made)."""
-        return Snapshot(
-            self.cfg, self.hbs, self.ue_template,
-            *(np.broadcast_to(getattr(self, name), (copies, *getattr(self, name).shape))
-              for name in _ARRAYS),
-            self.p_bar_u,
-        )
+        return replace(self, **{
+            name: np.broadcast_to(getattr(self, name), (copies, *getattr(self, name).shape))
+            for name in _ARRAYS
+        })
 
     def moved(self, xs: np.ndarray, ys: np.ndarray) -> Snapshot:
         """This snapshot's UEs moved along a shared (T,) x path xs, UE i at its

@@ -374,10 +374,18 @@ def _uniqueness(batch, snap, rng, args) -> dict:
     return {"passed": bool(rep.passed.all()), "max_spread": float(rep.max_spread.max())}
 
 
+def _in_memory(args, check, *params):
+    """check(*params), with numpy's refusal of its --trials arrays as a usage error."""
+    try:
+        return check(*params)
+    except MemoryError:
+        raise UsageError(f"too many trials: --trials {args.trials} do not fit in memory") from None
+
+
 def _scalability(batch, snap, rng, args) -> dict:
     entry = {"passed": True}
     for alg in (Algorithm.TPCEH, Algorithm.OPCEH):
-        rep = check_two_sided_scalable(snap(), alg, args.trials, rng)
+        rep = _in_memory(args, check_two_sided_scalable, snap(), alg, args.trials, rng)
         entry[alg.value] = {"violations": rep.violations, "counterexample": rep.counterexample}
         entry["passed"] = entry["passed"] and rep.passed
     return entry
@@ -409,7 +417,7 @@ def _harvest_tightness(batch, snap, rng, args) -> dict:
 
 
 def _update_equivalence(batch, snap, rng, args) -> dict:
-    rep = check_update_form_equivalence(batch(), max(1, args.trials // 1000), rng)
+    rep = _in_memory(args, check_update_form_equivalence, batch(), max(1, args.trials // 1000), rng)
     gap = float(rep.max_fixed_point_gap.max())
     return {"passed": bool(rep.passed.all()), "max_fixed_point_gap": gap}
 

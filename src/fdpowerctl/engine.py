@@ -104,10 +104,8 @@ MAX_SWEEPS = 64
 # and a pass that commits fewer hands over to plain steps (see `_chain`).
 SHORT_RUN = 64
 
-# `iterate`'s blocks of updates: from FIRST_BLOCK (at least 2) steps up to
-# BLOCK_STEPS, with at most STACK_ELEMENTS numbers of states, but 2 steps.
-# Blocks end on every multiple of BLOCK_STEPS.
-FIRST_BLOCK = 2
+# `iterate`'s blocks of updates: BLOCK_STEPS steps, ending on every multiple
+# of it, with at most STACK_ELEMENTS numbers of states, but 2 steps.
 BLOCK_STEPS = 16
 STACK_ELEMENTS = 2**15
 
@@ -211,17 +209,16 @@ def iterate(
     K+1) stack of states; the stop test (below) then takes the b relative
     changes and each row's stop, its first converged step or the block's
     end (at max_iter, or by the certificate), and the row's outputs come
-    from its own stop step. A block is as long as the steps taken, from
-    FIRST_BLOCK up to BLOCK_STEPS, so a short solve runs at most about twice
-    its steps; it holds at most STACK_ELEMENTS numbers, but 2 steps, and
-    ends on every multiple of 16 and at max_iter, so each check ends a block
-    that holds x_{t-2}. `bind(rows)` binds the update to a Snapshot of the
-    working rows, the whole batch first: the step it returns writes, as
-    `step(x, out)`, the next states of those rows' states x into the stack's
-    `out`, which does not overlap x. A row stopping inside a block runs,
-    unread, to its end, where one `np.flatnonzero` index drops the stopped
-    rows from the states once they are written out; the old step is dropped
-    first and the running rows are bound anew, `bind(batch.rows(index))`.
+    from its own stop step. A block is BLOCK_STEPS steps; it holds at most
+    STACK_ELEMENTS numbers, but 2 steps, and ends on every multiple of 16
+    and at max_iter, so each check ends a block that holds x_{t-2}.
+    `bind(rows)` binds the update to a Snapshot of the working rows, the
+    whole batch first: the step it returns writes, as `step(x, out)`, the
+    next states of those rows' states x into the stack's `out`, which does
+    not overlap x. A row stopping inside a block runs, unread, to its end,
+    where one `np.flatnonzero` index drops the stopped rows from the states
+    once they are written out; the old step is dropped first and the running
+    rows are bound anew, `bind(batch.rows(index))`.
     `functools.partial(JointUpdate, alg)` binds an algorithm's joint update,
     and `lambda rows: lambda x, out: update(x, rows, out)` any update that
     reads its rows' parameters from a Snapshot. With a `history` list, the
@@ -287,7 +284,7 @@ def iterate(
     track = None                       # per working row, the component the screen reads
     while t < max_iter and index.size:
         fit = 1 << max(1, (STACK_ELEMENTS // x.size).bit_length() - 1)
-        b = min(max(FIRST_BLOCK, t), fit, BLOCK_STEPS - t % BLOCK_STEPS, max_iter - t)
+        b = min(fit, BLOCK_STEPS - t % BLOCK_STEPS, max_iter - t)
         if stack is None or len(stack) <= b:
             stack = np.empty((b + 1, *x.shape))
         stack[0] = x

@@ -175,6 +175,13 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
+    """np.empty, but a size numpy cannot describe raises MemoryError, not ValueError."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"an array of shape {shape} is too big to describe")
+    return np.empty(shape)
+
+
 def _sandwich_draws(
     caps: np.ndarray, trials: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,7 +193,8 @@ def _sandwich_draws(
     contiguous columns; their values do not depend on the layout.
     """
     n = len(caps)
-    u = rng.random((trials, 2 * n + 1))
+    u = _empty((trials, 2 * n + 1))     # allocated before the draw fills it
+    rng.random(out=u)
     base = np.multiply(caps, 10.0 ** _uniform(u[:, :n], -14.0, 0.0), order="F")
     # one Python float power per trial, as a scalar draw gives it: numpy's
     # vectorised power can differ from it in the last bit
@@ -373,9 +381,10 @@ def check_update_form_equivalence(
     in turn. All S * trials rows run as one batch per update form.
     """
     n = len(batch)
+    starts = _empty((n * trials, batch.num_ues + 1))     # before the rows and the draw
     rows = _per_snapshot(batch, trials)
-    exponents = rng.uniform(-12.0, 0.0, size=(n * trials, batch.num_ues + 1))
-    starts = state_caps(rows) * 10.0 ** exponents
+    exponents = rng.uniform(-12.0, 0.0, size=starts.shape)
+    np.multiply(state_caps(rows), 10.0 ** exponents, out=starts)
     plain = solve(Algorithm.TPCEH, rows, starts, 1e-13, 50000)
     ratio = iterate(_ratio_form, rows, starts, 1e-13, 50000)
     a, b = plain.fixed_point, ratio.fixed_point

@@ -355,6 +355,25 @@ def test_draws_too_large_for_memory_exit_2(tmp_path, capsys, argv, k, snapshots)
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("claim, trials", [
+    ("scalability", 10**17),
+    ("scalability", 10**19),
+    ("update-equivalence", 10**18),
+    ("update-equivalence", 10**20),
+])
+def test_trials_too_large_for_memory_exit_2(tmp_path, capsys, claim, trials):
+    # every size here is past any address space, and the larger of each
+    # claim's two past what numpy can describe; both are refused before a
+    # number is drawn
+    rc = main(["verify", "--claims", claim, "--trials", str(trials), "--config", DESK,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"too many trials: --trials {trials} do not fit in memory"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_mobility_zero_duration_header_only(tmp_path):
     rc = main(["mobility", "--config", DESK, "--algorithm", "TPC",
                "--duration", "0", "--out", str(tmp_path)])

@@ -734,21 +734,44 @@ def test_mobility_relaxation_work_is_pinned(desk_scenario, monkeypatch):
     assert (len(bound), len(sweeps)) == (17, 527)
 
 
+@pytest.mark.parametrize("alg, work", [
+    (Algorithm.TPCEH, (142_028, 1_816, 61)),
+    (Algorithm.OPCEH, (16_760, 262, 17)),
+])
+def test_sweep_work_is_pinned(desk_scenario, monkeypatch, alg, work):
+    # the desk sweep's rows handed to the update, update calls and bindings:
+    # a change to the block schedule, the stack bound, the compaction or
+    # the certificate's steps shows up in these counts
+    rows, bound = [], []
+    init, step = JointUpdate.__init__, JointUpdate.__call__
+
+    def binding(self, *args):
+        bound.append(None)
+        init(self, *args)
+
+    def counted(self, x, out=None):
+        rows.append(len(x))
+        return step(self, x, out)
+
+    monkeypatch.setattr(JointUpdate, "__init__", binding)
+    monkeypatch.setattr(JointUpdate, "__call__", counted)
+    run_monte_carlo([alg], desk_scenario, "num_ues", [2, 5, 10, 20], 200)
+    assert (sum(rows), len(rows), len(bound)) == work
+
+
 def test_mobility_derives_harvest_arrays_once(desk_scenario, monkeypatch):
     # each window binds the update once, on its own rows, for all its
     # sweeps, and derives p_min and harvest_scale for those rows alone: the
     # run computes no whole-run array of them
     calls = dict.fromkeys(("p_min", "harvest_scale"), 0)
     for name in calls:
-        derive = vars(Snapshot)[name].func
+        derive = vars(Snapshot)[name].fget
 
         def counted(self, derive=derive, name=name):
             calls[name] += 1
             return derive(self)
 
-        prop = functools.cached_property(counted)
-        prop.__set_name__(Snapshot, name)
-        monkeypatch.setattr(Snapshot, name, prop)
+        monkeypatch.setattr(Snapshot, name, property(counted))
     windows = _windows(monkeypatch)
     bound, sweeps = [], []
     init, step = JointUpdate.__init__, JointUpdate.__call__
@@ -938,11 +961,11 @@ def test_monte_carlo_zero_snapshots_takes_no_step(desk_scenario, monkeypatch):
 
 # block schedules of `iterate`: every block 2 steps, the smallest a check
 # may end; the default (patched to itself, as `mock.patch.multiple` needs a
-# name); and every block 16 steps from the first
+# name); and every block 16 steps from the first, with room for any state
 BLOCKINGS = {
     "smallest": {"STACK_ELEMENTS": 0},
     "default": {"STACK_ELEMENTS": engine.STACK_ELEMENTS},
-    "sixteen": {"FIRST_BLOCK": 16, "STACK_ELEMENTS": 2**62},
+    "sixteen": {"STACK_ELEMENTS": 2**62},
 }
 
 
@@ -1051,7 +1074,7 @@ def test_stacked_averages_have_the_bits_of_per_metric_calls(desk_scenario, n):
 SCREENED_PAIRS = 5_472
 
 # the ends of `iterate`'s blocks with room for any block, up to the default max_iter
-BLOCK_ENDS = np.array([2, 4, 8, *range(16, 2001, 16)])
+BLOCK_ENDS = np.arange(16, 2001, 16)
 
 
 def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monkeypatch):
@@ -1067,7 +1090,7 @@ def test_opportunistic_solve_rebuilds_its_batch_a_few_times(desk_scenario, monke
     batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 200)
     # past the first binding, the update is bound to the running rows once
     # per block that stops a row, but the last; with room for any block,
-    # blocks end at 2, 4, 8, then every 16
+    # blocks end every 16 steps
     monkeypatch.setattr(engine, "STACK_ELEMENTS", 2**62)
     sol = solve(Algorithm.OPCEH, batch, give_up=True)
     assert sol.stopped_early.sum() == 10
