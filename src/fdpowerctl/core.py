@@ -238,7 +238,8 @@ class JointUpdate:
         self.alg, self.k = alg, k
         self.h = _padded(snap.h, -1.0, order)
         if alg.opportunistic:
-            self.gain = _padded(snap.eta * snap.h, 1.0, order)
+            with np.errstate(over="ignore"):     # an infinite gain saturates the UE at its cap
+                self.gain = _padded(snap.eta * snap.h, 1.0, order)
         else:
             self.gain = _padded(snap.gamma_target, 1.0, order)
         if alg.harvesting:

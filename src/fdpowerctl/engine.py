@@ -14,15 +14,15 @@ record per row. A row stops at the first step whose relative change is at
 most tol, or after max_iter steps; each row's numbers equal those of
 iterating it alone. It runs blocks of up to 16 updates into one stack of
 states and then tests the block's stops, each row's outputs from its own
-stop step (see `iterate`). Past the first steps the test is screened: one
-component per row, the one with the row's largest change in its last full
-test, gives a lower bound on the row's change at every step, and only the
-rows whose bound reaches tol get the full test. The loop takes a binder,
-`bind(rows) -> step(x, out)`, and binds the update to its working rows: the
-whole batch first, then, at the end of each block that stops some rows, the
-rows still running, picked by one integer index, so a step costs what the
-running rows cost (`core.JointUpdate` pads its operands to whole rows and
-allocates its scratch once per binding). `solve` runs it with an algorithm's
+stop step (see `iterate`). The test is screened: one component per row,
+the one with the row's largest change in its last full test (the first
+before any), gives a lower bound on the row's change at every step, and
+only the rows whose bound reaches tol get the full test. The loop takes a
+binder, `bind(rows) -> step(x, out)`, and binds the update to its working
+rows: the whole batch first, then, at the end of each block that stops some
+rows, the rows still running, picked by one integer index, so a step costs
+what the running rows cost (`core.JointUpdate` pads its operands to whole
+rows and allocates its scratch once per binding). `solve` runs it with an algorithm's
 joint update, and `run_fixed_point` is the one-row case. A sweep makes one
 `solve` call per algorithm and axis value.
 
@@ -160,26 +160,28 @@ class BatchSolution:
     stopped_early: np.ndarray     # (S,) bool: certified unable to converge
 
 
-def _certifiable(step, caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows the certificate applies to, and their components that are not 0,
-    for an update bound to the rows whose state caps are `caps`.
+def _certifiable(step, caps: np.ndarray) -> np.ndarray:
+    """Rows the certificate applies to, for an update bound to the rows whose
+    state caps are `caps`.
 
     Each component of a joint update is monotone in each argument, in the
     same direction for all of them, so over the box [0, caps] it lies
     between its values at 0 and at the caps. A row qualifies when every
     component either stays at or above CHANGE_FLOOR, where the relative
-    change is the exact ratio, or is identically 0 (live is False).
+    change is the exact ratio, or is identically 0.
     """
     at_zero = step(np.zeros_like(caps), np.empty_like(caps))
     at_caps = step(caps, np.empty_like(caps))
     dead = np.maximum(at_zero, at_caps) == 0.0
     low = np.minimum(at_zero, at_caps)
-    return np.all(dead | (low >= CHANGE_FLOOR), axis=-1), ~dead
+    return np.all(dead | (low >= CHANGE_FLOOR), axis=-1)
 
 
-def _log_distance(a: np.ndarray, b: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Thompson distance max_i |log(a_i / b_i)| of each row over its live components."""
-    return np.abs(np.log(np.divide(a, b, out=np.ones_like(a), where=live))).max(axis=-1)
+def _log_distance(a: np.ndarray, b: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Thompson distance max_i |log(a_i / b_i)| of each row in the mask `rows`,
+    over the components where b is not 0; a row outside `rows` reads 0."""
+    where = rows[:, None] & (b > 0.0)
+    return np.abs(np.log(np.divide(a, b, out=np.ones_like(a), where=where))).max(axis=-1)
 
 
 def _relative(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -226,21 +228,20 @@ def iterate(
     and each row's stop step included, is appended to it; runs of one row
     use it.
 
-    The stop test is screened. Each row tracks one component, the argmax
-    of its relative changes at the last step of its last full test. A
-    screened block first takes that component's relative change at each of
-    its steps, by the full test's own operations on the same numbers, so
-    each is bit for bit one of the terms the row's change is the maximum
-    of, and a lower bound on it. A row whose bound exceeds tol at every
+    The stop test is screened, from the first block on. Each row tracks one
+    component, the argmax of its relative changes at the last step of its
+    last full test, component 0 before any. Every block first takes that
+    component's relative change at each of its steps, by the full test's
+    own operations on the same numbers, so each is bit for bit one of the
+    terms the row's change is the maximum of, and a lower bound on it,
+    whichever component it reads. A row whose bound exceeds tol at every
     step (NaN included) cannot stop converged in the block; only the
     others get the full test, which moves their tracked component. A row
     the screen rules out that stops unconverged, at max_iter or by the
     certificate, gets the full change of its last step, so `final_change`
-    is always the full test's number at the row's stop step. The first
-    BLOCK_STEPS steps, where the states still move by orders of magnitude,
-    a block after one that stopped most of its rows and a block whose screen
-    leaves most rows near tol run the full test on every row: there the
-    screen would cost more than it saves.
+    is always the full test's number at the row's stop step. A block whose
+    screen leaves most rows near tol runs the full test on every row, with
+    no gather: there picking the rows would cost more than it saves.
 
     With `give_up`, a row also stops unconverged, with `stopped_early` set,
     at a check step t = 16, 32, 48, ..., 128, 256, 512, ... < max_iter when
@@ -248,14 +249,16 @@ def iterate(
         d - (max_iter - t) * (e + GIVE_UP_SLACK) > -log1p(-tol),
 
     where d and e are the Thompson distances of x_t to x_{t-1} and to
-    x_{t-2} over the components that are not identically 0. The update must
-    be two-sided scalable and componentwise monotone (see the module
-    docstring). Then the two-step distances never grow, the triangle
+    x_{t-2} over the components where x_{t-1} and x_{t-2} are not 0. The
+    update must be two-sided scalable and componentwise monotone (see the
+    module docstring). Then the two-step distances never grow, the triangle
     inequality gives every later one-step distance at least d minus e per
     step, and a relative change of at most tol needs a one-step distance of
     at most -log1p(-tol). The argument also needs the relative change to be
     the exact ratio, so only rows whose components all stay at or above
-    CHANGE_FLOOR, or at 0, qualify; that bound costs two steps of the
+    CHANGE_FLOOR past the first step, or at 0, qualify; such a component is
+    0 at a check step exactly when it is 0 at every step past the first,
+    so the distances skip just those. That bound costs two steps of the
     working rows, from 0 and from the caps, at the first check some row is
     still running at, and none when no row gets there.
     Every row it stops is one that full iteration leaves unconverged; the
@@ -279,9 +282,9 @@ def iterate(
     index = np.arange(n)               # the working rows: the batch rows still running
     # with tol >= 1 (or NaN) no distance exceeds the limit: never check
     check = BLOCK_STEPS if give_up and tol < 1.0 else None
-    certifiable = live = None          # per batch row, from the first check on
+    certifiable = None                 # per batch row, from the first check on
     t, stack = 0, None                 # steps taken; the block's states, x_t first
-    track = None                       # per working row, the component the screen reads
+    track = np.zeros(n, dtype=int)     # per working row, the component the screen reads
     while t < max_iter and index.size:
         fit = 1 << max(1, (STACK_ELEMENTS // x.size).bit_length() - 1)
         b = min(fit, BLOCK_STEPS - t % BLOCK_STEPS, max_iter - t)
@@ -292,25 +295,24 @@ def iterate(
             step(stack[i], stack[i + 1])
         t += b
         x = stack[b]
-        # the full test: on every row, or in a screened block on the rows
-        # the screen cannot rule out, unless they are most rows
-        near = None
-        if track is not None:
-            seen = stack[: b + 1].transpose(1, 2, 0)[np.arange(len(x)), track]
-            near = (_relative(seen[:, 1:], seen[:, :-1]) <= tol).any(axis=1)
-            tested = np.flatnonzero(near)
-            if 2 * tested.size >= len(x):
-                near = None
-        if near is None:
-            rel = _relative(stack[1 : b + 1], stack[:b])
-            change = ue_max(rel.reshape(-1, x.shape[-1])).reshape(b, -1)
-        else:
+        # the full test on the rows the screen cannot rule out, or on every
+        # row when they are most rows
+        seen = stack[: b + 1].reshape(b + 1, -1).take(   # (b+1, rows): each row's tracked lane
+            np.arange(0, x.size, x.shape[-1]) + track, axis=1)
+        near = (_relative(seen[1:], seen[:-1]) <= tol).any(axis=0)
+        tested = np.flatnonzero(near)
+        screened = 2 * tested.size < len(x)
+        if screened:
             change = np.full((b, len(x)), math.inf)
             if tested.size:
                 states = stack[: b + 1].transpose(1, 0, 2)[tested]
                 rel = _relative(states[:, 1:], states[:, :-1])
                 change.T[tested] = ue_max(rel.reshape(-1, x.shape[-1])).reshape(-1, b)
                 track[tested] = rel[:, -1].argmax(axis=-1)
+        else:
+            rel = _relative(stack[1 : b + 1], stack[:b])
+            change = ue_max(rel.reshape(-1, x.shape[-1])).reshape(b, -1)
+            track = rel[-1].argmax(axis=-1)
         conv = change <= tol
         converged = conv.any(axis=0)
         at = np.where(converged, conv.argmax(axis=0), b - 1)
@@ -321,30 +323,21 @@ def iterate(
             if t < max_iter and not stop.all():
                 if certifiable is None:
                     certifiable = np.zeros(n, dtype=bool)
-                    live = np.zeros((n, x.shape[-1]), dtype=bool)
-                    certifiable[index], live[index] = _certifiable(
-                        step, state_caps(batch)[index])
+                    certifiable[index] = _certifiable(step, state_caps(batch)[index])
                 ok = certifiable[index] & ~stop
-                on = live[index] & ok[:, None]
-                d = _log_distance(x, stack[b - 1], on)
-                e = _log_distance(x, stack[b - 2], on)
+                d = _log_distance(x, stack[b - 1], ok)
+                e = _log_distance(x, stack[b - 2], ok)
                 stop = stop | ok & (d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol))
             check = t + BLOCK_STEPS if t < LAST_STRIDED_CHECK else 2 * t
         if history is not None:
             last = np.where(stop, at, b - 1)
             history.extend(stack[j + 1][last >= j] for j in range(last.max() + 1))
-        if near is not None and unconverged_stops:
+        if screened and unconverged_stops:
             # a screened-out row that stops unconverged gets the full change
             # of its last step
             late = np.flatnonzero(stop & ~near)
             change[b - 1][late] = ue_max(_relative(x[late], stack[b - 1][late]))
         rows = np.flatnonzero(stop)
-        # the next block screens, unless the first steps are not done or
-        # this block stopped most of its rows
-        if t < BLOCK_STEPS or 2 * rows.size >= len(x):
-            track = None
-        elif near is None:
-            track = rel[-1].argmax(axis=-1)
         if rows.size:
             at = at[rows]
             out.fixed_point[index[rows]] = stack[at + 1, rows]
@@ -358,9 +351,7 @@ def iterate(
             # free the block's arrays and the old binding before the running rows are bound
             keep = np.flatnonzero(~stop)
             x, stack, rel, step = x[keep], None, None, None
-            if track is not None:
-                track = track[keep]
-            index = index[keep]
+            track, index = track[keep], index[keep]
             step = bind(batch.rows(index))
     return out
 
@@ -769,7 +760,8 @@ def run_mobility(
     if scenario.fixed_ues is None:
         ys = draw_ues(cfg, scenario.ue_template, 1)[0][0, :, 1] * cfg.cell_side
     else:
-        ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
+        with np.errstate(over="ignore"):     # a cell side near the float limit; validated below
+            ys = cfg.cell_side * (np.arange(K) + 1.0) / (K + 1.0)
     try:
         n_steps = int(round(duration / step))
         states = np.empty((n_steps, K + 1))

@@ -462,6 +462,26 @@ def test_sweep_gain_errors_reported_once(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_mobility_cell_side_near_the_largest_float_exits_2(tmp_path, capsys):
+    # the fixed UEs start spread along the x=0 edge of a 1e308 m cell: the
+    # first sits 1e308 / 6 m up, whose cubed distance overflows to a gain of
+    # 0; the others' heights overflow to inf; each is a config error, and
+    # placing them raises no overflow warning (an error under this suite's
+    # warning filter)
+    doc = json.loads(Path(DESK).read_text())
+    doc["scenario"]["cell_side"] = 1e308
+    config = tmp_path / "huge_cell.json"
+    config.write_text(json.dumps(doc))
+    rc = main(["mobility", "--config", str(config), "--duration", "0.01",
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: ues[0].g: channel gain must be strictly positive",
+        *(f"config error: ues[{i}].distance: must be finite" for i in range(1, 5)),
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_mobility_tpceh_harvest_switch(tmp_path):
     rc = main(["mobility", "--config", DESK, "--algorithm", "TPCEH",
                "--duration", "0.8", "--out", str(tmp_path)])

@@ -170,6 +170,25 @@ def test_opc_zero_eta():
     assert opc_ue_update(np.array([0.5]), snap, 0) == 0.0
 
 
+@pytest.mark.parametrize("alg", [Algorithm.OPC, Algorithm.OPCEH])
+def test_overflowing_opportunistic_gain_saturates_at_the_cap(desk_scenario, alg):
+    # eta * h of a UE 0.1 mm from the base station overflows to inf: binding
+    # the update raises no overflow warning (an error under this suite's
+    # warning filter), and the infinite gain holds the UE at its cap
+    fixed = list(desk_scenario.fixed_ues)
+    fixed[0] = dataclasses.replace(fixed[0], distance=1e-4)
+    sc = dataclasses.replace(
+        desk_scenario, fixed_ues=tuple(fixed),
+        ue_template=dataclasses.replace(desk_scenario.ue_template, eta=1e300),
+    )
+    snap = channel.snapshot_from_scenario(sc)
+    with np.errstate(over="ignore"):
+        assert np.isinf(snap.eta * snap.h).tolist() == [True, False, False, False, False]
+    trace = run_fixed_point(alg, snap)
+    assert trace.converged
+    assert trace.fixed_point[0] == snap.p_bar_u
+
+
 def test_joint_update_matches_per_ue_ops():
     snap = make_desk_snapshot([41, 25, 37, 16, 8],
                               gamma_targets=[0.04, 0.05, 0.07, 0.08, 0.1])

@@ -154,11 +154,26 @@ def test_rows_near_the_change_floor_do_not_qualify(desk_scenario):
     gamma = batch.gamma_target.copy()
     gamma[1, 2] = 1e-30          # row 1's UE 2 tracks a target of almost 0
     batch = dataclasses.replace(batch, gamma_target=gamma)
-    qualifies, live = engine._certifiable(JointUpdate(Algorithm.TPCEH, batch), state_caps(batch))
+    qualifies = engine._certifiable(JointUpdate(Algorithm.TPCEH, batch), state_caps(batch))
     assert qualifies.tolist() == [True, False, True, True]
-    assert live.all()
-    _, live = engine._certifiable(JointUpdate(Algorithm.OPC, batch), state_caps(batch))
-    assert live[:, :-1].all() and not live[:, -1].any()
+
+
+def test_log_distance_skips_zero_components_and_other_rows(desk_scenario):
+    # OPC's harvest lane is 0 in every state: its 0 / 0 (an error under this
+    # suite's warning filter) is not taken and adds nothing; a row outside
+    # `rows` reads 0
+    batch = _batch(desk_scenario, 5, n=4)
+    step = JointUpdate(Algorithm.OPC, batch)
+    x0 = np.full((4, 6), 1e-6)
+    x0[:, -1] = 0.0
+    x1 = step(x0, np.empty_like(x0))
+    x2 = step(x1, np.empty_like(x1))
+    assert not x1[:, -1].any() and not x2[:, -1].any()
+    rows = np.array([True, False, True, True])
+    d = engine._log_distance(x2, x1, rows)
+    want = np.abs(np.log(x2[:, :-1] / x1[:, :-1])).max(axis=-1)
+    assert d[1] == 0.0 < want[1]
+    assert d[rows].tolist() == want[rows].tolist()
 
 
 def test_fast_batch_makes_no_bound_calls(desk_scenario, monkeypatch):

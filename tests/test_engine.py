@@ -1071,7 +1071,7 @@ def test_stacked_averages_have_the_bits_of_per_metric_calls(desk_scenario, n):
 
 # the (row, step) pairs whose full relative change `iterate` computes in the
 # default 200-row TPCEH solve at K=20 on desk_consistent, seed 1
-SCREENED_PAIRS = 5_472
+SCREENED_PAIRS = 2_272
 
 # the ends of `iterate`'s blocks with room for any block, up to the default max_iter
 BLOCK_ENDS = np.arange(16, 2001, 16)
@@ -1124,8 +1124,8 @@ def test_stop_test_runs_on_the_rows_that_can_stop(desk_scenario, monkeypatch):
     # the full relative change of a (row, step) is computed only where the
     # screen cannot rule the row out: 120,972 (row, step) pairs, every one
     # of the 119,895 useful steps and the ends of their stop blocks, without
-    # the screen; the blocks that stop most of their rows, the first 16
-    # steps and the last steps of the rows that stop unconverged keep theirs
+    # the screen; the blocks whose screen leaves most rows near tol and the
+    # last steps of the rows that stop unconverged keep theirs
     tested = []
     real = engine.ue_max
 
@@ -1206,15 +1206,16 @@ def _approach_target(x, batch, out):
     return out
 
 
-@pytest.mark.parametrize("fast, pairs", [(1, 144), (2, 256)])
+@pytest.mark.parametrize("fast, pairs", [(1, 80), (2, 160)])
 def test_screen_moves_to_the_largest_change(desk_scenario, monkeypatch, fast, pairs):
-    # in the first `fast` rows UE 0 has the largest change at step 16 but
-    # converges fast, while UE 1, 1e-4 below its target, converges slowly;
-    # the other rows converge slowly throughout. The full test that finds
-    # such a row unconverged with UE 0 near tol moves its screen to UE 1,
-    # which rules the row out until its stop block; with two such rows it is
-    # the plain pass, as half the rows are near tol. A screen left on UE 0
-    # would test these rows in every block (272 and 768 pairs)
+    # every row's screen starts on UE 0, which rules every row out in the
+    # first block. In the first `fast` rows UE 0 converges fast, while UE 1,
+    # 1e-4 below its target, converges slowly; the other rows converge
+    # slowly throughout. The full test that finds such a row unconverged
+    # with UE 0 near tol moves its screen to UE 1, which rules the row out
+    # until its stop block; with two such rows it is the plain pass, as half
+    # the rows are near tol. A screen left on UE 0 would test these rows in
+    # every block (208 and 672 pairs)
     sc = _with(desk_scenario, 2)
     batch = sample_batch(sc.cfg, sc.hbs, sc.ue_template, 4)
     eta = np.array([[0.5, 0.05]] * fast + [[0.05, 0.05]] * (4 - fast))
