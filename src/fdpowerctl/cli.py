@@ -3,10 +3,11 @@
 Every output file is deterministic for a given (config, flags, seed) and gets
 a JSON manifest sidecar recording the invocation that produced it.
 
-`main` is the one boundary: it loads the scenario, reports every input error
-(exit 2) and writes every manifest. A command computes, writes its outputs,
-which create the output directory, and returns (exit code, outputs, extra
-manifest fields); it raises `UsageError` for a flag value it cannot use.
+`main` is the one boundary: it loads the scenario, makes the output directory,
+reports every input error (exit 2) and writes every manifest. A command
+computes, writes its outputs into that directory, and returns (exit code,
+outputs, extra manifest fields); it raises `UsageError` for a flag value it
+cannot use.
 """
 
 from __future__ import annotations
@@ -211,7 +212,6 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
     file's text is never held whole.
     """
     arrays = [np.asarray(column) for column in columns]
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as f:
         f.write((",".join(header) + "\n").encode())
         for start in range(0, len(arrays[0]), CSV_CHUNK):
@@ -219,7 +219,6 @@ def _write_csv(path: Path, header: list[str], columns: list) -> None:
 
 
 def _write_json(path: Path, doc) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 

@@ -146,17 +146,16 @@ class IterationTrace:
     converged: bool
     iterations_used: int
     fixed_point: np.ndarray       # (K+1,) the last row of states
-    final_change: float
+    final_change: float           # relative change of the last step, inf with no step
 
 
 @dataclass
 class BatchSolution:
-    """Per-row outcome of `iterate`."""
+    """Per-row outcome of `iterate`: each row's stop step and why it stopped."""
 
     fixed_point: np.ndarray       # (S, K+1): uplink powers, then the harvest power
     iterations_used: np.ndarray   # (S,) steps taken
     converged: np.ndarray         # (S,) bool
-    final_change: np.ndarray      # (S,) last relative change, inf with no step
     stopped_early: np.ndarray     # (S,) bool: certified unable to converge
 
 
@@ -208,10 +207,10 @@ def iterate(
     infinity-norm relative change (denominators floored at CHANGE_FLOOR) is
     at most tol, and unconverged after max_iter steps: an exception is never
     raised for it. The steps run in blocks of b updates into a (b+1, rows,
-    K+1) stack of states; the stop test (below) then takes the b relative
-    changes and each row's stop, its first converged step or the block's
-    end (at max_iter, or by the certificate), and the row's outputs come
-    from its own stop step. A block is BLOCK_STEPS steps; it holds at most
+    K+1) stack of states; the stop test (below) then marks each row's
+    converged steps, and its stop is the first of them or the block's end
+    (at max_iter, or by the certificate); the row's outputs come from its
+    own stop step. A block is BLOCK_STEPS steps; it holds at most
     STACK_ELEMENTS numbers, but 2 steps, and ends on every multiple of 16
     and at max_iter, so each check ends a block that holds x_{t-2}.
     `bind(rows)` binds the update to a Snapshot of the working rows, the
@@ -236,12 +235,11 @@ def iterate(
     terms the row's change is the maximum of, and a lower bound on it,
     whichever component it reads. A row whose bound exceeds tol at every
     step (NaN included) cannot stop converged in the block; only the
-    others get the full test, which moves their tracked component. A row
-    the screen rules out that stops unconverged, at max_iter or by the
-    certificate, gets the full change of its last step, so `final_change`
-    is always the full test's number at the row's stop step. A block whose
-    screen leaves most rows near tol runs the full test on every row, with
-    no gather: there picking the rows would cost more than it saves.
+    others get the full test, which moves their tracked component. So the
+    screen only picks the rows that get the full test, and every row stops
+    where the full test alone would stop it. A block whose screen leaves
+    most rows near tol runs the full test on every row, with no gather:
+    there picking the rows would cost more than it saves.
 
     With `give_up`, a row also stops unconverged, with `stopped_early` set,
     at a check step t = 16, 32, 48, ..., 128, 256, 512, ... < max_iter when
@@ -274,7 +272,6 @@ def iterate(
         fixed_point=x.copy(),
         iterations_used=np.zeros(n, dtype=int),
         converged=np.zeros(n, dtype=bool),
-        final_change=np.full(n, math.inf),
         stopped_early=np.zeros(n, dtype=bool),
     )
     if history is not None:
@@ -299,51 +296,39 @@ def iterate(
         # row when they are most rows
         seen = stack[: b + 1].reshape(b + 1, -1).take(   # (b+1, rows): each row's tracked lane
             np.arange(0, x.size, x.shape[-1]) + track, axis=1)
-        near = (_relative(seen[1:], seen[:-1]) <= tol).any(axis=0)
-        tested = np.flatnonzero(near)
-        screened = 2 * tested.size < len(x)
-        if screened:
-            change = np.full((b, len(x)), math.inf)
+        tested = np.flatnonzero((_relative(seen[1:], seen[:-1]) <= tol).any(axis=0))
+        if 2 * tested.size < len(x):
+            conv = np.zeros((b, len(x)), dtype=bool)
             if tested.size:
                 states = stack[: b + 1].transpose(1, 0, 2)[tested]
                 rel = _relative(states[:, 1:], states[:, :-1])
-                change.T[tested] = ue_max(rel.reshape(-1, x.shape[-1])).reshape(-1, b)
+                conv.T[tested] = ue_max(rel.reshape(-1, x.shape[-1])).reshape(-1, b) <= tol
                 track[tested] = rel[:, -1].argmax(axis=-1)
         else:
             rel = _relative(stack[1 : b + 1], stack[:b])
-            change = ue_max(rel.reshape(-1, x.shape[-1])).reshape(b, -1)
+            conv = ue_max(rel.reshape(-1, x.shape[-1])).reshape(b, -1) <= tol
             track = rel[-1].argmax(axis=-1)
-        conv = change <= tol
         converged = conv.any(axis=0)
         at = np.where(converged, conv.argmax(axis=0), b - 1)
         stop = converged | (t == max_iter)
-        # rows stop unconverged at max_iter and at the certificate's checks
-        unconverged_stops = t in (max_iter, check)
-        if t == check:
-            if t < max_iter and not stop.all():
-                if certifiable is None:
-                    certifiable = np.zeros(n, dtype=bool)
-                    certifiable[index] = _certifiable(step, state_caps(batch)[index])
-                ok = certifiable[index] & ~stop
-                d = _log_distance(x, stack[b - 1], ok)
-                e = _log_distance(x, stack[b - 2], ok)
-                stop = stop | ok & (d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol))
+        # at max_iter every row stops, and a block whose rows all stop ends the loop
+        if t == check and not stop.all():
+            if certifiable is None:
+                certifiable = np.zeros(n, dtype=bool)
+                certifiable[index] = _certifiable(step, state_caps(batch)[index])
+            ok = certifiable[index] & ~stop
+            d = _log_distance(x, stack[b - 1], ok)
+            e = _log_distance(x, stack[b - 2], ok)
+            stop = stop | ok & (d - (max_iter - t) * (e + GIVE_UP_SLACK) > -math.log1p(-tol))
             check = t + BLOCK_STEPS if t < LAST_STRIDED_CHECK else 2 * t
         if history is not None:
-            last = np.where(stop, at, b - 1)
-            history.extend(stack[j + 1][last >= j] for j in range(last.max() + 1))
-        if screened and unconverged_stops:
-            # a screened-out row that stops unconverged gets the full change
-            # of its last step
-            late = np.flatnonzero(stop & ~near)
-            change[b - 1][late] = ue_max(_relative(x[late], stack[b - 1][late]))
+            history.extend(stack[j + 1][at >= j] for j in range(at.max() + 1))
         rows = np.flatnonzero(stop)
         if rows.size:
             at = at[rows]
             out.fixed_point[index[rows]] = stack[at + 1, rows]
             out.iterations_used[index[rows]] = t - b + 1 + at
             out.converged[index[rows]] = converged[rows]
-            out.final_change[index[rows]] = change[at, rows]
             # a row that stops unconverged before max_iter is certified
             out.stopped_early[index[rows]] = ~converged[rows] & (t < max_iter)
             if rows.size == index.size:
@@ -400,13 +385,16 @@ def run_fixed_point(
     within max_iter yields converged=False, not an exception. The trace keeps
     every step, the clipped start included, and the metrics of all its states
     come from one `metrics` call; their last row holds the fixed point's
-    energy verdict (`energy_feasible`, `hbs_cap_binding`).
+    energy verdict (`energy_feasible`, `hbs_cap_binding`). Its final_change
+    is the relative change between its last two states.
     """
     history: list[np.ndarray] = []
     if p_init is not None:
         p_init = p_init[None, :]
     sol = solve(algorithm, snap.repeated(), p_init, tol, max_iter, history)
     states = np.concatenate(history)
+    # the stop test's change of the last step, by the same operations
+    change = ue_max(_relative(states[-1], states[-2])) if len(states) > 1 else math.inf
     return IterationTrace(
         steps=np.arange(len(history)),
         states=states,
@@ -414,7 +402,7 @@ def run_fixed_point(
         converged=bool(sol.converged[0]),
         iterations_used=int(sol.iterations_used[0]),
         fixed_point=states[-1],
-        final_change=float(sol.final_change[0]),
+        final_change=float(change),
     )
 
 

@@ -133,7 +133,7 @@ EDGE_FAILING = {
 @pytest.mark.parametrize("name", sorted(EDGE_SNAPSHOTS))
 def test_closed_form_edge_cases_match_linprog(name):
     snap = EDGE_SNAPSHOTS[name]
-    optimum = _assert_matches_linprog(snap.repeated(1))
+    optimum = _assert_matches_linprog(snap.repeated())
     assert optimum.failing.tolist() == [EDGE_FAILING[name]]
 
 
@@ -273,7 +273,7 @@ def test_optimality_infeasible_consistency():
     # targets too high for the power caps: oracle and iteration must agree
     snap = make_desk_snapshot([30.0, 31.0], gamma_default=1e9,
                               p_bar_u=1e-3, p_bar_h=1e-3)
-    rep = verify_min_power_optimality(snap.repeated(1), rel_tol=0.01)
+    rep = verify_min_power_optimality(snap.repeated(), rel_tol=0.01)
     assert rep.optimum.failing.tolist() == ["sum_c"]
     assert rep.passed.all()   # both sides report infeasibility
 
